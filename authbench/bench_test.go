@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"net/http"
+	"sort"
 	"testing"
 	"time"
 
@@ -98,6 +99,94 @@ func TestRunOpenLoopSendsEveryOpOnce(t *testing.T) {
 		if n != 1 || !samples[i].OK {
 			t.Fatalf("op %d sent %d times, sample %+v", i, n, samples[i])
 		}
+	}
+}
+
+func TestWindowedP50IgnoresAStallInAFewWindows(t *testing.T) {
+	// 15 s at 100 ops/s, 1 ms each, except 4 s where everything took 9 ms.
+	var samples []sample
+	for i := 0; i < 1500; i++ {
+		at := time.Duration(i) * 10 * time.Millisecond
+		lat := time.Millisecond
+		if at >= 5*time.Second && at < 9*time.Second {
+			lat = 9 * time.Millisecond
+		}
+		samples = append(samples, sample{At: at, Latency: lat, OK: true})
+	}
+	if got := len(windows(samples)); got != maxWindows {
+		t.Fatalf("%d windows, want %d", got, maxWindows)
+	}
+	if got := windowedP50(samples); got != 1 {
+		t.Fatalf("windowed p50 %v ms, want 1", got)
+	}
+	// A sample median would have moved: 27% of the samples are slow.
+	var lat []float64
+	for _, s := range samples {
+		lat = append(lat, ms(s.Latency))
+	}
+	if sortedCopy(lat)[len(lat)*3/4] != 9 {
+		t.Fatal("stall too small to test anything")
+	}
+}
+
+func TestMixP50WeighsEachKindsMedian(t *testing.T) {
+	// Half the ops take 0.1 ms, half 2 ms, and one scrape takes 500 ms.
+	// The median of all of them would be the gap between the two; the
+	// mix-weighted median is their average, and the scrape is left out.
+	var samples []sample
+	var kinds []opKind
+	for i := 0; i < 400; i++ {
+		k, lat := opGet, 100*time.Microsecond
+		if i%2 == 1 {
+			k, lat = opSearch, 2*time.Millisecond
+		}
+		samples = append(samples, sample{At: time.Duration(i) * 10 * time.Millisecond, Latency: lat})
+		kinds = append(kinds, k)
+	}
+	samples = append(samples, sample{At: 4 * time.Second, Latency: 500 * time.Millisecond})
+	kinds = append(kinds, opScrape)
+	if got := mixP50(samples, kinds); math.Abs(got-1.05) > 1e-9 {
+		t.Fatalf("mix p50 %v ms, want 1.05", got)
+	}
+	if got := mixP50(samples[:1], nil); got != 0.1 {
+		t.Fatalf("one kind: %v ms, want 0.1", got)
+	}
+}
+
+func TestWindowedRateIsLittlesLaw(t *testing.T) {
+	// One client, 64 works per op, back to back at 40 ms each: 1600/s.
+	var samples []sample
+	var units []float64
+	for i := 0; i < 200; i++ {
+		samples = append(samples, sample{At: time.Duration(i) * 40 * time.Millisecond, Latency: 40 * time.Millisecond, OK: true})
+		units = append(units, 64)
+	}
+	if got := windowedRate(samples, units, 1); math.Abs(got-1600) > 1e-6 {
+		t.Fatalf("rate %v, want 1600", got)
+	}
+	// Two clients each waiting 80 ms for the same throughput.
+	for i := range samples {
+		samples[i].Latency = 80 * time.Millisecond
+	}
+	if got := windowedRate(samples, units, 2); math.Abs(got-1600) > 1e-6 {
+		t.Fatalf("two clients: rate %v, want 1600", got)
+	}
+	// Few operations make one window, not windows of one op.
+	if got := len(windows(samples[:10])); got != 1 {
+		t.Fatalf("10 ops in %d windows, want 1", got)
+	}
+}
+
+func TestSleepUntilWakesOnTime(t *testing.T) {
+	var late []time.Duration
+	for i := 0; i < 20; i++ {
+		due := time.Now().Add(3 * time.Millisecond)
+		sleepUntil(due)
+		late = append(late, time.Since(due))
+	}
+	sort.Slice(late, func(i, j int) bool { return late[i] < late[j] })
+	if m := late[len(late)/2]; m < 0 || m > 200*time.Microsecond {
+		t.Fatalf("median wake-up %v after the deadline, want within 200µs", m)
 	}
 }
 

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -8,6 +9,7 @@ import (
 
 // sample is what the load loops record per operation.
 type sample struct {
+	At      time.Duration // when it was due (open loop) or sent (closed loop), from the loop's start
 	Latency time.Duration // open loop: from the due instant; closed loop: service time
 	Lag     time.Duration // open loop only: how late the generator sent it
 	OK      bool
@@ -51,6 +53,25 @@ func openLoopTimes(due, free, begin, end time.Time) (latency, lag time.Duration)
 	return end.Sub(due), begin.Sub(ready)
 }
 
+// timerSlack is how late time.Sleep may return: the runtime's network
+// poller waits in whole milliseconds, so a sleeping goroutine wakes up to
+// about a millisecond after its deadline. An open loop that slept to each
+// due instant charged that lateness — half a millisecond at the median —
+// to every operation's latency.
+const timerSlack = 1500 * time.Microsecond
+
+// sleepUntil returns at t rather than up to a millisecond after it: it
+// sleeps until timerSlack before t, then yields the processor in a loop
+// until t, so a goroutine with work to do still gets to run.
+func sleepUntil(t time.Time) {
+	if d := time.Until(t) - timerSlack; d > 0 {
+		time.Sleep(d)
+	}
+	for time.Now().Before(t) {
+		runtime.Gosched()
+	}
+}
+
 // runOpenLoop sends n operations at a fixed rate from `workers`
 // goroutines, calling do(i) for operation i, and returns one sample per
 // operation, indexed by operation.
@@ -68,13 +89,13 @@ func runOpenLoop(rate float64, n, workers int, do func(i int) bool) []sample {
 					return
 				}
 				free := time.Now()
-				if d := due.Sub(free); d > 0 {
-					time.Sleep(d)
+				if free.Before(due) {
+					sleepUntil(due)
 				}
 				begin := time.Now()
 				okOp := do(i)
 				lat, lag := openLoopTimes(due, free, begin, time.Now())
-				out[i] = sample{Latency: lat, Lag: lag, OK: okOp}
+				out[i] = sample{At: due.Sub(sch.start), Latency: lat, Lag: lag, OK: okOp}
 			}
 		}()
 	}
@@ -103,7 +124,7 @@ func runClosedLoop(d time.Duration, n, clients int, do func(i int) bool) ([]samp
 				}
 				begin := time.Now()
 				okOp := do(int(i))
-				out[i] = sample{Latency: time.Since(begin), OK: okOp}
+				out[i] = sample{At: begin.Sub(start), Latency: time.Since(begin), OK: okOp}
 			}
 		}()
 	}

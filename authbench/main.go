@@ -100,11 +100,15 @@ func runTimed(w workload, seed int64, data string, d time.Duration) (*report, er
 		e.close()
 		return nil, err
 	}
-	perWork, err := e.finish(res)
+	// The peak is read before finish: its read-back reopen builds a
+	// second index while the first awaits collection, and where that
+	// peak lands depends on when the collector runs.
+	rss, err := peakRSSMB()
 	if err != nil {
+		e.close()
 		return nil, err
 	}
-	rss, err := peakRSSMB()
+	perWork, err := e.finish(res)
 	if err != nil {
 		return nil, err
 	}
@@ -121,16 +125,28 @@ func runTimed(w workload, seed int64, data string, d time.Duration) (*report, er
 		}
 	}
 	tl := tailOf(lat, tailMinBeyond)
+	// An open loop's rate is its schedule's; a closed loop's is measured:
+	// works committed (ingest) or builds made (publish) per second.
 	rate := float64(len(res.Samples)) / res.Elapsed.Seconds()
-	if w.Batch > 0 {
-		rate = float64(res.Committed) / res.Elapsed.Seconds()
+	if !w.Open {
+		units := make([]float64, len(res.Samples))
+		for i, s := range res.Samples {
+			switch {
+			case !s.OK:
+			case w.Publish:
+				units[i] = 1
+			default:
+				units[i] = float64(len(res.Ops[i].Works))
+			}
+		}
+		rate = windowedRate(res.Samples, units, w.Clients)
 	}
 	rep := &report{
 		Attempted: len(res.Samples),
 		Failed:    len(res.Samples) - okOps,
 		Metrics: map[string]metric{
 			"setup_s":              {median(setup.Opens), "s"},
-			"p50_ms":               {median(lat), "ms"},
+			"p50_ms":               {mixP50(res.Samples, kindsOf(res)), "ms"},
 			"ok_frac":              {float64(okOps) / float64(max(1, len(res.Samples))), "fraction"},
 			"rate_per_s":           {rate, "1/s"},
 			"rss_mb":               {rss, "MB"},
@@ -158,6 +174,19 @@ func runTimed(w workload, seed int64, data string, d time.Duration) (*report, er
 		fmt.Printf("  FAILED: %v\n", f)
 	}
 	return rep, nil
+}
+
+// kindsOf lists the kind of each operation of an HTTP run; nil for a
+// publish run, whose operations are all one kind.
+func kindsOf(res *runResult) []opKind {
+	if res.Ops == nil {
+		return nil
+	}
+	kinds := make([]opKind, len(res.Samples))
+	for i := range kinds {
+		kinds[i] = res.Ops[i].Kind
+	}
+	return kinds
 }
 
 // printReport prints every metric by name and unit, then the result line.

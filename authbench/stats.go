@@ -104,6 +104,112 @@ func sortedCopy(xs []float64) []float64 {
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 func us(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
 
+// Window statistics. A run is cut into equal spans of time and a metric
+// is the median of its per-window values, so a stall that covers less
+// than half of the windows — a collection storm, or another tenant of a
+// shared host taking the CPUs for a few seconds — moves it little, where
+// it would move a median over every sample by the share of samples it
+// slowed.
+const (
+	maxWindows   = 15 // one window per second of a 15-s run
+	minWindowOps = 8  // fewer windows rather than windows of fewer ops
+)
+
+// windows groups the indexes of samples by the window their At falls in:
+// min(maxWindows, n/minWindowOps) windows, at least one, spanning the run
+// from its first At to its last. Empty windows are dropped.
+func windows(samples []sample) [][]int {
+	n := len(samples)
+	if n == 0 {
+		return nil
+	}
+	k := min(maxWindows, max(1, n/minWindowOps))
+	lo, hi := samples[0].At, samples[0].At
+	for _, s := range samples {
+		lo, hi = min(lo, s.At), max(hi, s.At)
+	}
+	width := max((hi-lo+1)/time.Duration(k), 1)
+	groups := make([][]int, k)
+	for i, s := range samples {
+		w := min(int((s.At-lo)/width), k-1)
+		groups[w] = append(groups[w], i)
+	}
+	out := groups[:0]
+	for _, g := range groups {
+		if len(g) > 0 {
+			out = append(out, g)
+		}
+	}
+	return out
+}
+
+// windowedP50 is the median over windows of each window's median latency,
+// in milliseconds.
+func windowedP50(samples []sample) float64 {
+	var per []float64
+	for _, g := range windows(samples) {
+		lat := make([]float64, len(g))
+		for j, i := range g {
+			lat[j] = ms(samples[i].Latency)
+		}
+		per = append(per, median(lat))
+	}
+	return median(per)
+}
+
+// mixP50 is the p50_ms of a run, in milliseconds: each operation kind's
+// windowed median latency, weighted by the kind's share of the run's
+// operations. kinds[i] is operation i's kind; nil means one kind.
+//
+// The plain median of all latencies is no steady measure of the read
+// mix: gets, subjects and author pages, which answer in well under a
+// millisecond, are exactly half of it, so the median fell in the gap
+// between them and the millisecond-scale searches and year ranges, and a
+// share that drifted by one point moved it by a millisecond. Each kind's
+// latencies form one cluster, and their medians do not jump.
+//
+// GET /debug/metrics is left out: two scrapes a run give no median, and
+// obs.scrape_ms reports what a scrape costs.
+func mixP50(samples []sample, kinds []opKind) float64 {
+	if kinds == nil {
+		return windowedP50(samples)
+	}
+	var byKind [numOpKinds][]sample
+	n := 0
+	for i, s := range samples {
+		if kinds[i] == opScrape {
+			continue
+		}
+		byKind[kinds[i]] = append(byKind[kinds[i]], s)
+		n++
+	}
+	var p50 float64
+	for _, ks := range byKind {
+		p50 += float64(len(ks)) / float64(n) * windowedP50(ks)
+	}
+	return p50
+}
+
+// windowedRate is a closed loop's throughput in units per second, the
+// median over windows of Little's law: clients × units / summed latency,
+// where units[i] is what operation i completed (works committed, builds
+// made). Summed latency rather than the window's length keeps an
+// operation that straddles a window edge from counting as all or nothing.
+func windowedRate(samples []sample, units []float64, clients int) float64 {
+	var per []float64
+	for _, g := range windows(samples) {
+		var done, busy float64
+		for _, i := range g {
+			done += units[i]
+			busy += samples[i].Latency.Seconds()
+		}
+		if busy > 0 {
+			per = append(per, float64(clients)*done/busy)
+		}
+	}
+	return median(per)
+}
+
 // latenciesMS lists a run's latencies in milliseconds, in send order.
 func latenciesMS(res *runResult) []float64 {
 	xs := make([]float64, len(res.Samples))

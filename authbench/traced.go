@@ -65,7 +65,7 @@ func runTraced(w workload, seed int64, data string, d time.Duration) (*report, e
 	}
 	rt1 := readRuntime()
 	plainLat := latenciesMS(plain)
-	p50A, p50B := median(plainLat), median(latenciesMS(observed))
+	p50A, p50B := mixP50(plain.Samples, kindsOf(plain)), mixP50(observed.Samples, kindsOf(observed))
 	m.set("bench.tail_ms", tailOf(plainLat, tailMinBeyond).Value, "ms")
 	m.set("bench.trace_overhead_pct", 100*(p50B/p50A-1), "%")
 	var lags []float64
