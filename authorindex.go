@@ -236,9 +236,8 @@ type Options struct {
 	// rejected by Open.
 	IngestBatchSize int
 	// Shards partitions the engine into this many hash-sharded
-	// sub-engines, each with its own writer mutex and copy-on-write
-	// snapshot chain, so writes landing on different shards commit in
-	// parallel. Zero means 1 (unsharded); negative values or values
+	// sub-engines, each with its own writer mutex, so writes landing on
+	// different shards commit in parallel. Zero means 1 (unsharded); negative values or values
 	// above MaxShards are rejected by Open. The store is
 	// shard-agnostic, so the same directory may be reopened with any
 	// shard count.
@@ -302,16 +301,14 @@ type Stats struct {
 
 // Index is an open author-index engine. All methods are safe for
 // concurrent use: the corpus is hash-partitioned across engine shards
-// (Options.Shards; one by default), writes lock only their home shard
-// and commit by publishing a fresh copy-on-write snapshot of it, and
-// reads pin each shard's current snapshot and run entirely lock-free
-// (see snapshot.go and internal/shard), so a slow reader never stalls
-// a writer, a write burst never convoys readers, and writes on
-// different shards never contend with each other. Cross-shard
-// atomicity is relaxed for reads only: a multi-shard batch commits or
-// rolls back as a unit, but its per-shard snapshots publish
-// sequentially, so a concurrent reader may briefly see the batch on
-// some shards and not yet on others (see AddBatch).
+// (Options.Shards; one by default), writes lock only the shards they
+// touch and commit by publishing fresh copy-on-write snapshots of them
+// in one new root, and reads load the current root and run entirely
+// lock-free (see snapshot.go and internal/shard), so a slow reader
+// never stalls a writer, a write burst never convoys readers, and
+// writes on different shards never contend with each other. A read
+// sees every shard at one instant: a multi-shard batch is visible to
+// it entirely or not at all (see AddBatch).
 type Index struct {
 	store       *storage.Store
 	coll        CollationOptions
@@ -319,9 +316,10 @@ type Index struct {
 
 	// shards is the partitioned engine: every work has one home shard
 	// (hashed by ID; cross-references hash by heading collation key),
-	// each shard carries its own snapshot chain and writer mutex, and
-	// global operations (Verify, Close, tracker rebuilds) exclude all
-	// writers at once through the map's writer gate.
+	// each shard has its own writer mutex, every shard's current engine
+	// sits in one atomically published root, and global operations
+	// (Verify, Close, tracker rebuilds) exclude all writers at once by
+	// taking every shard lock.
 	shards *shard.Map
 
 	// swapHists records, per shard, the copy-on-write turnover latency
@@ -428,28 +426,22 @@ func (ix *Index) RegisterMetrics(r *obs.Registry) {
 	}
 	ix.swapHists.Store(&hs)
 	for i := 0; i < ix.shards.N(); i++ {
-		s := ix.shards.Shard(i)
 		r.GaugeFunc("authdex_shard_works", "Works indexed on one shard.",
-			func() float64 {
-				ep := s.Pin()
-				defer ep.Release()
-				return float64(ep.Eng.Len())
-			}, "shard", strconv.Itoa(i))
+			func() float64 { return float64(ix.shards.Load().Engs[i].Len()) },
+			"shard", strconv.Itoa(i))
 	}
 	r.GaugeFunc("authdex_arena_dead_slots",
 		"Removed works still referenced by bulk-load arena slabs, awaiting compaction.",
 		func() float64 {
 			dead := 0
-			for _, s := range ix.shards.All() {
-				ep := s.Pin()
-				_, d := ep.Eng.ArenaStats()
-				ep.Release()
+			for _, eng := range ix.shards.Load().Engs {
+				_, d := eng.ArenaStats()
 				dead += d
 			}
 			return float64(dead)
 		})
 	r.GaugeFunc("authdex_epochs_alive",
-		"Engine snapshot epochs not yet reclaimed; equals the shard count when quiescent.",
+		"Engine snapshot roots not yet collected; 1 when quiescent.",
 		func() float64 { return float64(ix.EpochsAlive()) })
 }
 
@@ -518,43 +510,41 @@ func Open(dir string, opts *Options) (*Index, error) {
 	// Cold start is a bulk load, not a replay: the store hands the whole
 	// decoded corpus to the engines as shared read-only records (neither
 	// side ever mutates a stored work in place), and each shard builds
-	// its indexes bottom-up over its partition. The heads were published
-	// by shard.New before the index is visible to any reader, so loading
-	// them in place is unobservable — every read path pins an epoch, and
-	// none can exist yet.
+	// its indexes bottom-up over its partition. The first root was
+	// published by shard.New before the index is visible to any reader,
+	// so loading its engines in place is unobservable. The shared
+	// trackers rebuild once over the whole corpus, beside the shard
+	// loads.
 	works := st.Works()
-	if nShards == 1 {
-		if err := seed.LoadAll(works); err != nil {
-			st.Close()
-			return nil, fmt.Errorf("authorindex: rebuild from store: %w", err)
-		}
-	} else {
-		parts := make([][]*model.Work, nShards)
-		for _, w := range works {
-			si := ix.shards.ForWork(w.ID)
-			parts[si] = append(parts[si], w)
-		}
-		for i, s := range ix.shards.All() {
-			if err := s.Head().LoadCorpus(context.Background(), parts[i]); err != nil {
-				st.Close()
-				return nil, fmt.Errorf("authorindex: rebuild shard %d from store: %w", i, err)
-			}
-		}
-		// The shared trackers rebuild once over the whole corpus, not
-		// once per shard.
-		seed.RebuildTrackers(works)
+	parts := make([][]*model.Work, nShards)
+	for _, w := range works {
+		si := ix.shards.ForWork(w.ID)
+		parts[si] = append(parts[si], w)
 	}
+	trackersDone := make(chan struct{})
+	go func() {
+		defer close(trackersDone)
+		seed.RebuildTrackers(works)
+	}()
+	for i, eng := range ix.shards.Load().Engs {
+		if err := eng.LoadCorpus(context.Background(), parts[i]); err != nil {
+			<-trackersDone
+			st.Close()
+			return nil, fmt.Errorf("authorindex: rebuild shard %d from store: %w", i, err)
+		}
+	}
+	<-trackersDone
 	if refs := st.CrossRefs(); len(refs) > 0 {
 		groups := make([][]core.SeeAlsoRef, nShards)
 		for _, ref := range refs {
 			si := ix.shards.ForKey(collate.KeyAuthor(ref.From, coll))
 			groups[si] = append(groups[si], core.SeeAlsoRef{From: ref.From, To: ref.To})
 		}
-		for i, s := range ix.shards.All() {
+		for i, eng := range ix.shards.Load().Engs {
 			if len(groups[i]) == 0 {
 				continue
 			}
-			if err := s.Head().Index().AddSeeAlsoBatch(groups[i]); err != nil {
+			if err := eng.Index().AddSeeAlsoBatch(groups[i]); err != nil {
 				st.Close()
 				return nil, fmt.Errorf("authorindex: restore cross-refs: %w", err)
 			}
@@ -600,13 +590,11 @@ func (ix *Index) engAdd(eng *query.Engine, w *Work) error {
 // in the batch, a WAL error, or an engine failure leaves storage,
 // indexes, metrics and the coauthorship graph byte-identical to their
 // pre-batch state — works whose explicit IDs overwrote existing
-// records are restored to the previous version on rollback. Cross-shard
-// read visibility is weaker: with Options.Shards > 1 a committed batch
-// publishes its per-shard snapshots one shard at a time, so a reader
-// pinning between publishes can briefly observe some shards' portions
-// of the batch without the others'. Each shard's portion appears
-// atomically, and every read started after AddBatch returns sees the
-// whole batch.
+// records are restored to the previous version on rollback. Visibility
+// is atomic too: with Options.Shards > 1 a committed batch publishes
+// every shard's portion in one snapshot root, so a concurrent reader
+// sees all of the batch or none of it, and every read started after
+// AddBatch returns sees the whole batch.
 func (ix *Index) AddBatch(works []Work) ([]WorkID, error) {
 	return ix.AddBatchCtx(context.Background(), works)
 }
@@ -699,9 +687,8 @@ func (ix *Index) Delete(id WorkID) error {
 	return ix.DeleteCtx(context.Background(), id)
 }
 
-// Get returns a copy of the stored work. The copy is made after the
-// snapshot pin is released: indexed works are immutable, so the
-// reference captured from the snapshot stays valid even across a
+// Get returns a copy of the stored work. Indexed works are immutable,
+// so the reference read from the snapshot stays valid even across a
 // concurrent delete.
 func (ix *Index) Get(id WorkID) (*Work, bool) {
 	return ix.GetCtx(context.Background(), id)
@@ -709,11 +696,9 @@ func (ix *Index) Get(id WorkID) (*Work, bool) {
 
 // Len returns the number of stored works.
 func (ix *Index) Len() int {
-	v := ix.shards.PinAll()
-	defer v.Release()
 	n := 0
-	for _, ep := range v.Epochs {
-		n += ep.Eng.Len()
+	for _, eng := range ix.shards.Load().Engs {
+		n += eng.Len()
 	}
 	return n
 }
@@ -722,15 +707,11 @@ func (ix *Index) Len() int {
 // whose works are spread across shards is assembled from every shard's
 // partial entry.
 func (ix *Index) Author(heading string) (*Entry, bool) {
-	v := ix.shards.PinAll()
-	defer v.Release()
-	if len(v.Epochs) == 1 {
-		return v.Epochs[0].Eng.AuthorExact(heading)
-	}
-	parts := make([][]*Entry, len(v.Epochs))
+	engs := ix.shards.Load().Engs
+	parts := make([][]*Entry, len(engs))
 	found := false
-	for i, ep := range v.Epochs {
-		if e, ok := ep.Eng.AuthorExact(heading); ok {
+	for i, eng := range engs {
+		if e, ok := eng.AuthorExact(heading); ok {
 			parts[i] = []*Entry{e}
 			found = true
 		}
@@ -759,11 +740,11 @@ func (ix *Index) AuthorsPage(after string, limit int) []*Entry {
 // order, capped at limit (<=0: no cap).
 //
 // Search and the other ordered reads (YearRange, VolumeWorks,
-// BySubject) take no lock at all: they pin the current engine snapshot
-// while collecting live references — already ordered by the engine's
-// precomputed citation keys and truncated to limit — release it, and
-// deep-copy the survivors, so neither a writer nor another reader is
-// ever stalled by a read.
+// BySubject) take no lock at all: they load the current snapshot root,
+// collect live references — already ordered by the engine's
+// precomputed citation keys and truncated to limit — and deep-copy the
+// survivors, so neither a writer nor another reader is ever stalled by
+// a read.
 func (ix *Index) Search(q string, limit int) []*Work {
 	return ix.SearchCtx(context.Background(), q, limit)
 }
@@ -781,13 +762,8 @@ func (ix *Index) VolumeWorks(v, limit int) []*Work {
 // Subjects returns every subject heading in collation order with its
 // work count, summed across shards.
 func (ix *Index) Subjects() []SubjectCount {
-	v := ix.shards.PinAll()
-	defer v.Release()
-	if len(v.Epochs) == 1 {
-		return v.Epochs[0].Eng.Subjects()
-	}
-	parts := shard.Gather(v.Epochs, func(_ int, ep *shard.Epoch) []query.KeyedSubject {
-		return ep.Eng.KeyedSubjects()
+	parts := shard.Gather(ix.shards.Load().Engs, func(_ int, eng *query.Engine) []query.KeyedSubject {
+		return eng.KeyedSubjects()
 	})
 	return shard.MergeSubjects(parts)
 }
@@ -800,26 +776,20 @@ func (ix *Index) BySubject(subject string, limit int) []*Work {
 
 // RenderSubjectIndex writes the subject-index artifact: works grouped
 // under their subject headings. Text, TSV and Markdown formats are
-// supported. Rendering reads a zero-copy view of a pinned snapshot —
-// no lock, and the pin is released before the render runs (indexed
-// works are immutable, so the view outlives the pin).
+// supported. Rendering reads a zero-copy view of one snapshot root — no
+// lock (indexed works are immutable, so the view stays valid however
+// many commits land during the render).
 func (ix *Index) RenderSubjectIndex(w io.Writer, opts RenderOptions) error {
 	return render.SubjectIndex(w, ix.allWorksView(), ix.coll, opts)
 }
 
-// allWorksView concatenates every shard's zero-copy corpus view. The
-// pins are released before returning — indexed works are immutable, so
-// the views outlive them. Order is per-shard; consumers that need a
-// global order (the title and subject renders) sort internally.
+// allWorksView concatenates every shard's zero-copy corpus view from
+// one root. Order is per-shard; consumers that need a global order (the
+// title and subject renders) sort internally.
 func (ix *Index) allWorksView() []*model.Work {
-	v := ix.shards.PinAll()
-	defer v.Release()
-	if len(v.Epochs) == 1 {
-		return v.Epochs[0].Eng.AllWorksView()
-	}
 	var out []*model.Work
-	for _, ep := range v.Epochs {
-		out = append(out, ep.Eng.AllWorksView()...)
+	for _, eng := range ix.shards.Load().Engs {
+		out = append(out, eng.AllWorksView()...)
 	}
 	return out
 }
@@ -836,8 +806,6 @@ func (ix *Index) AddSeeAlso(from, to string) error {
 	if err != nil {
 		return fmt.Errorf("authorindex: to heading: %w", err)
 	}
-	ix.shards.BeginWrite()
-	defer ix.shards.EndWrite()
 	// Cross-references live on the shard their From heading hashes to,
 	// so a lookup of that heading finds them without a fan-out.
 	s := ix.shards.Shard(ix.shards.ForKey(collate.KeyAuthor(fa, ix.coll)))
@@ -854,7 +822,7 @@ func (ix *Index) AddSeeAlso(from, to string) error {
 	if err := ix.store.AddCrossRef(storage.CrossRef{From: fa, To: ta}); err != nil {
 		return err
 	}
-	ix.publish(start, s, eng)
+	ix.publish(start, map[int]*query.Engine{s.ID(): eng})
 	return nil
 }
 
@@ -862,15 +830,14 @@ func (ix *Index) AddSeeAlso(from, to string) error {
 // work counts by kind and year, fractional and position-weighted
 // credit, productivity h-index and collaboration degree.
 func (ix *Index) AuthorMetrics(heading string) (AuthorMetrics, bool) {
-	ep := ix.trackerPin()
-	defer ep.Release()
-	return ep.Eng.AuthorMetrics(heading)
+	return ix.trackers().AuthorMetrics(heading)
 }
 
-// trackerPin pins shard 0 for a metrics or graph read. The trackers
-// are corpus-global and shared by every shard's engines, so any shard
-// would do; pinning one avoids a pointless fan-out.
-func (ix *Index) trackerPin() *shard.Epoch { return ix.shards.Shard(0).Pin() }
+// trackers returns shard 0's current engine for a metrics or graph
+// read. The trackers are corpus-global and shared by every shard's
+// engines, so any shard would do; reading one avoids a pointless
+// fan-out.
+func (ix *Index) trackers() *query.Engine { return ix.shards.Load().Engs[0] }
 
 // TopAuthors returns up to limit author snapshots ranked by the given
 // key, best first. The limit is clamped like every query limit.
@@ -880,9 +847,7 @@ func (ix *Index) TopAuthors(by RankKey, limit int) []AuthorMetrics {
 
 // MetricsSummary returns corpus-level collaboration statistics.
 func (ix *Index) MetricsSummary() MetricsSummary {
-	ep := ix.trackerPin()
-	defer ep.Release()
-	return ep.Eng.MetricsSummary()
+	return ix.trackers().MetricsSummary()
 }
 
 // SetMetricsScheme swaps the credit-weighting scheme, rebuilding the
@@ -899,7 +864,7 @@ func (ix *Index) SetMetricsScheme(s Scheme) error {
 	defer ix.shards.UnlockAll()
 	var same bool
 	var gr *graph.Graph
-	ix.shards.Shard(0).Head().ReadTrackers(func(met metrics.Tracker, g *graph.Graph) {
+	ix.trackers().ReadTrackers(func(met metrics.Tracker, g *graph.Graph) {
 		same = met.Weighting() == s
 		gr = g
 	})
@@ -907,32 +872,22 @@ func (ix *Index) SetMetricsScheme(s Scheme) error {
 		return nil
 	}
 	fresh := metrics.NewEngine(s)
-	fresh.Rebuild(ix.headWorks())
+	fresh.Rebuild(ix.allWorksView())
 	ix.replaceTrackers(fresh, gr)
 	return nil
 }
 
-// headWorks gathers live references to the whole corpus across shard
-// heads. Callers hold the exclusive writer gate.
-func (ix *Index) headWorks() []*model.Work {
-	var out []*model.Work
-	for _, s := range ix.shards.All() {
-		out = append(out, s.Head().AllWorksView()...)
-	}
-	return out
-}
-
 // replaceTrackers clones every shard head, points the clones at the
-// given tracker pair, and publishes them all — the tail of every
-// whole-corpus tracker rebuild. Callers hold the exclusive writer
-// gate.
+// given tracker pair, and publishes them all in one root — the tail of
+// every whole-corpus tracker rebuild. Callers hold LockAll.
 func (ix *Index) replaceTrackers(met metrics.Tracker, gr *graph.Graph) {
 	start := time.Now()
-	for _, s := range ix.shards.All() {
-		eng := s.Head().Clone()
-		eng.ReplaceTrackers(met, gr)
-		ix.publish(start, s, eng)
+	clones := make(map[int]*query.Engine, ix.shards.N())
+	for i, eng := range ix.shards.Load().Engs {
+		clones[i] = eng.Clone()
+		clones[i].ReplaceTrackers(met, gr)
 	}
+	ix.publish(start, clones)
 }
 
 // RebuildMetrics discards the incrementally maintained metrics state
@@ -943,12 +898,12 @@ func (ix *Index) RebuildMetrics() {
 	defer ix.shards.UnlockAll()
 	var scheme Scheme
 	var gr *graph.Graph
-	ix.shards.Shard(0).Head().ReadTrackers(func(met metrics.Tracker, g *graph.Graph) {
+	ix.trackers().ReadTrackers(func(met metrics.Tracker, g *graph.Graph) {
 		scheme = met.Weighting()
 		gr = g
 	})
 	fresh := metrics.NewEngine(scheme)
-	fresh.Rebuild(ix.headWorks())
+	fresh.Rebuild(ix.allWorksView())
 	ix.replaceTrackers(fresh, gr)
 }
 
@@ -958,34 +913,26 @@ func (ix *Index) RebuildMetrics() {
 // when either heading is unknown or no chain of shared works connects
 // them.
 func (ix *Index) CollaborationPath(from, to string) ([]string, bool) {
-	ep := ix.trackerPin()
-	defer ep.Release()
-	return ep.Eng.CollaborationPath(from, to)
+	return ix.trackers().CollaborationPath(from, to)
 }
 
 // Centrality returns a heading's PageRank score in the coauthorship
 // network; scores across all authors sum to 1.
 func (ix *Index) Centrality(heading string) (float64, bool) {
-	ep := ix.trackerPin()
-	defer ep.Release()
-	return ep.Eng.Centrality(heading)
+	return ix.trackers().Centrality(heading)
 }
 
 // Collaborators returns a heading's co-authors with shared-work counts,
 // heaviest first.
 func (ix *Index) Collaborators(heading string) []Neighbor {
-	ep := ix.trackerPin()
-	defer ep.Release()
-	return ep.Eng.GraphNeighbors(heading)
+	return ix.trackers().GraphNeighbors(heading)
 }
 
 // GraphSummary returns coauthorship-network aggregates: node, edge and
 // component counts, the largest component, density, and the most
 // central authors under the configured damping factor.
 func (ix *Index) GraphSummary() GraphSummary {
-	ep := ix.trackerPin()
-	defer ep.Release()
-	return ep.Eng.GraphSummary()
+	return ix.trackers().GraphSummary()
 }
 
 // TopCentral returns up to limit authors by network centrality, best
@@ -1002,22 +949,20 @@ func (ix *Index) RebuildGraph() {
 	defer ix.shards.UnlockAll()
 	var met metrics.Tracker
 	var damping float64
-	ix.shards.Shard(0).Head().ReadTrackers(func(m metrics.Tracker, g *graph.Graph) {
+	ix.trackers().ReadTrackers(func(m metrics.Tracker, g *graph.Graph) {
 		met = m
 		damping = g.Damping()
 	})
 	fresh := graph.New(damping)
-	fresh.Rebuild(ix.headWorks())
+	fresh.Rebuild(ix.allWorksView())
 	ix.replaceTrackers(met, fresh)
 }
 
 // Sections returns the index grouped by letter, in print order; entries
 // are deep copies, merged across shards.
 func (ix *Index) Sections() []Section {
-	v := ix.shards.PinAll()
-	defer v.Release()
-	parts := shard.Gather(v.Epochs, func(_ int, ep *shard.Epoch) []Section {
-		return ep.Eng.Index().Sections()
+	parts := shard.Gather(ix.shards.Load().Engs, func(_ int, eng *query.Engine) []Section {
+		return eng.Index().Sections()
 	})
 	return shard.MergeSections(parts, ix.coll)
 }
@@ -1026,8 +971,8 @@ func (ix *Index) Sections() []Section {
 // opts.Statistics set, the Text, Markdown and JSON formats close with a
 // contributor-summary appendix built from the metrics tracker; with
 // opts.Network set they close with a collaboration-network appendix
-// built from the coauthorship graph. The render runs against a pinned
-// snapshot; tracker reads take the shared tracker read lock.
+// built from the coauthorship graph. The render runs against one
+// snapshot root; tracker reads take the shared tracker read lock.
 func (ix *Index) Render(w io.Writer, opts RenderOptions) error {
 	return ix.RenderCtx(context.Background(), w, opts)
 }
@@ -1051,8 +996,6 @@ func (ix *Index) RemoveSeeAlso(from, to string) error {
 	if err != nil {
 		return fmt.Errorf("authorindex: to heading: %w", err)
 	}
-	ix.shards.BeginWrite()
-	defer ix.shards.EndWrite()
 	// Same home-shard routing and clone-commit-publish order as
 	// AddSeeAlso.
 	s := ix.shards.Shard(ix.shards.ForKey(collate.KeyAuthor(fa, ix.coll)))
@@ -1066,7 +1009,7 @@ func (ix *Index) RemoveSeeAlso(from, to string) error {
 	if err := ix.store.DeleteCrossRef(storage.CrossRef{From: fa, To: ta}); err != nil {
 		return err
 	}
-	ix.publish(start, s, eng)
+	ix.publish(start, map[int]*query.Engine{s.ID(): eng})
 	return nil
 }
 
@@ -1138,10 +1081,10 @@ func (ix *Index) Compact() error {
 // initialism variants), ordered by confidence. Editors review the list
 // and record see-also references for the real ones.
 func (ix *Index) DuplicateSuggestions() []Suggestion {
-	v := ix.shards.PinAll()
+	engs := ix.shards.Load().Engs
 	var authors []Author
-	if len(v.Epochs) == 1 {
-		v.Epochs[0].Eng.Index().Ascend(func(e *Entry) bool {
+	if len(engs) == 1 {
+		engs[0].Index().Ascend(func(e *Entry) bool {
 			authors = append(authors, e.Author)
 			return true
 		})
@@ -1155,8 +1098,8 @@ func (ix *Index) DuplicateSuggestions() []Suggestion {
 		}
 		seen := make(map[string]struct{})
 		var all []keyed
-		for _, ep := range v.Epochs {
-			ep.Eng.Index().Ascend(func(e *Entry) bool {
+		for _, eng := range engs {
+			eng.Index().Ascend(func(e *Entry) bool {
 				k := string(collate.KeyAuthor(e.Author, ix.coll))
 				if _, dup := seen[k]; !dup {
 					seen[k] = struct{}{}
@@ -1171,7 +1114,6 @@ func (ix *Index) DuplicateSuggestions() []Suggestion {
 			authors[i] = ka.a
 		}
 	}
-	v.Release()
 	return dedupe.Suggest(authors)
 }
 
@@ -1181,18 +1123,15 @@ func (ix *Index) DuplicateSuggestions() []Suggestion {
 // no index may reference a work the store does not hold. It returns nil
 // when the index is internally consistent.
 //
-// Verify takes the exclusive writer gate: it cross-checks the store
-// against every shard's head engine, so writers must be excluded for
-// the comparison to be meaningful. Lock-free snapshot readers are
-// unaffected — they never touch the gate.
+// Verify takes every shard lock: it cross-checks the store against
+// every shard's head engine, so writers must be excluded for the
+// comparison to be meaningful. Lock-free snapshot readers are
+// unaffected — they never touch a shard lock.
 func (ix *Index) Verify() error {
 	defer ix.timeOp(opVerify)()
 	ix.shards.LockAll()
 	defer ix.shards.UnlockAll()
-	heads := make([]*query.Engine, ix.shards.N())
-	for i := range heads {
-		heads[i] = ix.shards.Shard(i).Head()
-	}
+	heads := ix.shards.Load().Engs
 	storeCount := 0
 	var storeXor uint64
 	err := ix.store.ForEach(func(w *model.Work) error {
@@ -1292,24 +1231,23 @@ func (ix *Index) Verify() error {
 // is an upper bound on globally distinct terms. Query counters and
 // graph counts come from the shared trackers, read once.
 func (ix *Index) Stats() Stats {
-	v := ix.shards.PinAll()
-	defer v.Release()
-	e0 := v.Epochs[0].Eng
+	engs := ix.shards.Load().Engs
+	e0 := engs[0]
 	var works, authors, postings, students, crossRefs, terms int
-	if len(v.Epochs) == 1 {
+	if len(engs) == 1 {
 		es := e0.Stats()
 		works, authors, postings = es.Works, es.Authors, es.Postings
 		students, crossRefs, terms = es.StudentNotes, es.CrossRefs, es.Terms
 	} else {
 		seen := make(map[string]struct{})
-		for _, ep := range v.Epochs {
-			es := ep.Eng.Stats()
+		for _, eng := range engs {
+			es := eng.Stats()
 			works += es.Works
 			postings += es.Postings
 			students += es.StudentNotes
 			crossRefs += es.CrossRefs
 			terms += es.Terms
-			ep.Eng.Index().Ascend(func(e *Entry) bool {
+			eng.Index().Ascend(func(e *Entry) bool {
 				seen[string(collate.KeyAuthor(e.Author, ix.coll))] = struct{}{}
 				return true
 			})
@@ -1350,7 +1288,7 @@ func (ix *Index) Stats() Stats {
 
 // Degraded reports whether a write-path I/O failure has latched the
 // index read-only, and the error that did. Reads keep serving the last
-// published snapshot epoch of every shard; writes fail fast with
+// published snapshot root; writes fail fast with
 // ErrDegraded. The latch clears only by reopening the index, which
 // recovers from the snapshot and WAL on disk.
 func (ix *Index) Degraded() (bool, error) {

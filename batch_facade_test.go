@@ -109,9 +109,7 @@ func facadeFingerprint(t *testing.T, ix *Index) string {
 	if err := ix.Render(&buf, RenderOptions{Format: TSV}); err != nil {
 		t.Fatal(err)
 	}
-	ep := ix.shards.Shard(0).Pin()
-	gfp := ep.Eng.Graph().Fingerprint()
-	ep.Release()
+	gfp := ix.trackers().Graph().Fingerprint()
 	return fmt.Sprintf("%+v|%s|%s", st, gfp, buf.String())
 }
 

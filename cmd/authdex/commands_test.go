@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -20,9 +21,10 @@ func captureStdout(t *testing.T, fn func() error) string {
 	os.Stdout = w
 	done := make(chan string)
 	go func() {
-		buf := make([]byte, 1<<20)
-		n, _ := r.Read(buf)
-		done <- string(buf[:n])
+		// Read to EOF, which arrives only once w is closed below: a single
+		// Read returns whatever happens to be in the pipe at that instant.
+		b, _ := io.ReadAll(r)
+		done <- string(b)
 	}()
 	ferr := fn()
 	w.Close()

@@ -210,6 +210,14 @@ func TestServeShutdownAbortsStragglers(t *testing.T) {
 	if _, err := io.WriteString(conn, "GET /stats HTTP/1.1\r\nHost: x\r\n"); err != nil {
 		t.Fatal(err)
 	}
+	// The server accepts connections in arrival order, so once a request
+	// on a later connection is answered the straggler is accepted and
+	// tracked; cancelling before that would let shutdown drop it unseen.
+	resp, err := http.Get("http://" + addr + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
 
 	start := time.Now()
 	cancel() // same path a signal takes: the serve ctx ends

@@ -18,15 +18,15 @@ import (
 )
 
 // Ctx variants of the facade entry points. Each wraps its operation in
-// one facade span annotated with the snapshot epoch that served it.
-// Reads pin each shard's epoch and run lock-free, so their engine spans
-// nest directly under the facade span — there is no lock wait to
-// record; with more than one shard the fan-out records one
-// facade.shard_scan child per shard. Writes serialize only on their
-// home shard's mutex (under the map's shared writer gate): their spans
-// keep the lock.wait / lock.hold children (which parent the store/WAL
-// spans) plus the copy-on-write turnover measured by the per-shard
-// snapshot-swap histograms. The non-ctx methods delegate through
+// one facade span annotated with the snapshot epoch (root sequence)
+// that served it. Reads load the current root and run lock-free, so
+// their engine spans nest directly under the facade span — there is no
+// lock wait to record; with more than one shard the fan-out records one
+// facade.shard_scan child per shard. Writes serialize only on the
+// mutexes of the shards they touch: their spans keep the lock.wait /
+// lock.hold children (which parent the store/WAL spans) plus the
+// copy-on-write turnover measured by the per-shard snapshot-swap
+// histograms. The non-ctx methods delegate through
 // context.Background(), which is the zero-allocation disabled path.
 
 // degradedAttr marks a write span whose commit was refused by the
@@ -41,8 +41,7 @@ func degradedAttr(sp *trace.Span, err error) {
 // lockShardTraced acquires one shard's writer mutex, recording the wait
 // as one child span and opening the hold span annotated with the shard
 // ID. The returned context parents the store/engine work under the hold
-// span; the caller must End it right after Unlock. Callers already hold
-// the map's writer gate.
+// span; the caller must End it right after Unlock.
 func (ix *Index) lockShardTraced(ctx context.Context, s *shard.Shard) (context.Context, *trace.Span) {
 	sp := trace.FromContext(ctx)
 	wait := sp.StartChild("lock.wait")
@@ -74,19 +73,19 @@ func (ix *Index) unlockShards(ids []int) {
 	}
 }
 
-// pinAllTraced pins every shard's epoch and stamps the first epoch's
-// sequence (and the shard count, when sharded) on the span.
-func (ix *Index) pinAllTraced(sp *trace.Span) shard.View {
-	v := ix.shards.PinAll()
-	sp.SetInt("epoch", int64(v.Epochs[0].Seq))
-	if len(v.Epochs) > 1 {
-		sp.SetInt("shards", int64(len(v.Epochs)))
+// loadTraced loads the current root and stamps its sequence (and the
+// shard count, when sharded) on the span.
+func (ix *Index) loadTraced(sp *trace.Span) *shard.Root {
+	r := ix.shards.Load()
+	sp.SetInt("epoch", int64(r.Seq))
+	if len(r.Engs) > 1 {
+		sp.SetInt("shards", int64(len(r.Engs)))
 	}
-	return v
+	return r
 }
 
-// cloneTraced deep-copies a view under a facade.clone span. It runs
-// after the snapshot pins are released — views hold immutable works.
+// cloneTraced deep-copies a view under a facade.clone span. Views hold
+// immutable works, so the copy needs no snapshot.
 func cloneTraced(ctx context.Context, eng *query.Engine, view []*model.Work) []*Work {
 	_, sp := trace.StartSpan(ctx, "facade.clone")
 	out := eng.CloneWorks(view)
@@ -95,21 +94,21 @@ func cloneTraced(ctx context.Context, eng *query.Engine, view []*model.Work) []*
 	return out
 }
 
-// scatterWorks fans one ordered read out across every pinned shard and
-// k-way merges the per-shard views — each already citation-ordered and
-// truncated by its engine — into one view capped at limit. A single
+// scatterWorks fans one ordered read out across every shard of a root
+// and k-way merges the per-shard views — each already citation-ordered
+// and truncated by its engine — into one view capped at limit. A single
 // shard runs the query inline with no extra span, so the unsharded
 // configuration traces exactly as before.
-func scatterWorks(ctx context.Context, v shard.View, limit int, fn func(ctx context.Context, eng *query.Engine) []*model.Work) []*model.Work {
-	if len(v.Epochs) == 1 {
-		return fn(ctx, v.Epochs[0].Eng)
+func scatterWorks(ctx context.Context, r *shard.Root, limit int, fn func(ctx context.Context, eng *query.Engine) []*model.Work) []*model.Work {
+	if len(r.Engs) == 1 {
+		return fn(ctx, r.Engs[0])
 	}
-	parts := shard.Gather(v.Epochs, func(_ int, ep *shard.Epoch) []*model.Work {
+	parts := shard.Gather(r.Engs, func(i int, eng *query.Engine) []*model.Work {
 		sctx, ssp := trace.StartSpan(ctx, "facade.shard_scan")
-		ssp.SetInt("shard", int64(ep.Shard))
-		ssp.SetInt("epoch", int64(ep.Seq))
+		ssp.SetInt("shard", int64(i))
+		ssp.SetInt("epoch", int64(r.Seq))
 		defer ssp.End()
-		return fn(sctx, ep.Eng)
+		return fn(sctx, eng)
 	})
 	return shard.MergeWorks(parts, limit)
 }
@@ -119,13 +118,11 @@ func (ix *Index) SearchCtx(ctx context.Context, q string, limit int) []*Work {
 	defer ix.timeOp(opSearch)()
 	ctx, sp := trace.StartSpan(ctx, "facade.search")
 	defer sp.End()
-	v := ix.pinAllTraced(sp)
-	view := scatterWorks(ctx, v, limit, func(ctx context.Context, eng *query.Engine) []*model.Work {
+	r := ix.loadTraced(sp)
+	view := scatterWorks(ctx, r, limit, func(ctx context.Context, eng *query.Engine) []*model.Work {
 		return eng.TitleSearchViewCtx(ctx, q, limit)
 	})
-	eng := v.Epochs[0].Eng
-	v.Release()
-	return cloneTraced(ctx, eng, view)
+	return cloneTraced(ctx, r.Engs[0], view)
 }
 
 // YearRangeCtx is YearRange carrying a trace context.
@@ -133,26 +130,22 @@ func (ix *Index) YearRangeCtx(ctx context.Context, from, to, limit int) []*Work 
 	defer ix.timeOp(opYearRange)()
 	ctx, sp := trace.StartSpan(ctx, "facade.year_range")
 	defer sp.End()
-	v := ix.pinAllTraced(sp)
-	view := scatterWorks(ctx, v, limit, func(ctx context.Context, eng *query.Engine) []*model.Work {
+	r := ix.loadTraced(sp)
+	view := scatterWorks(ctx, r, limit, func(ctx context.Context, eng *query.Engine) []*model.Work {
 		return eng.YearRangeViewCtx(ctx, from, to, limit)
 	})
-	eng := v.Epochs[0].Eng
-	v.Release()
-	return cloneTraced(ctx, eng, view)
+	return cloneTraced(ctx, r.Engs[0], view)
 }
 
 // VolumeWorksCtx is VolumeWorks carrying a trace context.
 func (ix *Index) VolumeWorksCtx(ctx context.Context, vol, limit int) []*Work {
 	ctx, sp := trace.StartSpan(ctx, "facade.volume")
 	defer sp.End()
-	v := ix.pinAllTraced(sp)
-	view := scatterWorks(ctx, v, limit, func(ctx context.Context, eng *query.Engine) []*model.Work {
+	r := ix.loadTraced(sp)
+	view := scatterWorks(ctx, r, limit, func(ctx context.Context, eng *query.Engine) []*model.Work {
 		return eng.VolumeViewCtx(ctx, vol, limit)
 	})
-	eng := v.Epochs[0].Eng
-	v.Release()
-	return cloneTraced(ctx, eng, view)
+	return cloneTraced(ctx, r.Engs[0], view)
 }
 
 // BySubjectCtx is BySubject carrying a trace context.
@@ -160,13 +153,11 @@ func (ix *Index) BySubjectCtx(ctx context.Context, subject string, limit int) []
 	defer ix.timeOp(opBySubject)()
 	ctx, sp := trace.StartSpan(ctx, "facade.by_subject")
 	defer sp.End()
-	v := ix.pinAllTraced(sp)
-	view := scatterWorks(ctx, v, limit, func(ctx context.Context, eng *query.Engine) []*model.Work {
+	r := ix.loadTraced(sp)
+	view := scatterWorks(ctx, r, limit, func(ctx context.Context, eng *query.Engine) []*model.Work {
 		return eng.BySubjectViewCtx(ctx, subject, limit)
 	})
-	eng := v.Epochs[0].Eng
-	v.Release()
-	return cloneTraced(ctx, eng, view)
+	return cloneTraced(ctx, r.Engs[0], view)
 }
 
 // GetCtx is Get carrying a trace context. A point lookup routes to the
@@ -175,36 +166,28 @@ func (ix *Index) GetCtx(ctx context.Context, id WorkID) (*Work, bool) {
 	defer ix.timeOp(opGet)()
 	_, sp := trace.StartSpan(ctx, "facade.get")
 	defer sp.End()
-	s := ix.shards.Shard(ix.shards.ForWork(id))
-	ep := s.Pin()
-	sp.SetInt("epoch", int64(ep.Seq))
-	if ix.shards.N() > 1 {
-		sp.SetInt("shard", int64(ep.Shard))
+	si := ix.shards.ForWork(id)
+	r := ix.shards.Load()
+	sp.SetInt("epoch", int64(r.Seq))
+	if len(r.Engs) > 1 {
+		sp.SetInt("shard", int64(si))
 	}
-	w, ok := ep.Eng.WorkView(id)
-	ep.Release()
+	eng := r.Engs[si]
+	w, ok := eng.WorkView(id)
 	if !ok {
 		return nil, false
 	}
-	return ep.Eng.CloneWork(w), true
+	return eng.CloneWork(w), true
 }
 
 // AuthorsCtx is Authors carrying a trace context.
 func (ix *Index) AuthorsCtx(ctx context.Context, prefix string, limit int) []*Entry {
 	_, sp := trace.StartSpan(ctx, "facade.authors")
 	defer sp.End()
-	v := ix.pinAllTraced(sp)
-	var out []*Entry
-	if len(v.Epochs) == 1 {
-		out = v.Epochs[0].Eng.AuthorPrefix(prefix, limit)
-		v.Release()
-	} else {
-		parts := shard.Gather(v.Epochs, func(_ int, ep *shard.Epoch) []*Entry {
-			return ep.Eng.AuthorPrefix(prefix, limit)
-		})
-		v.Release()
-		out = shard.MergeEntries(parts, ix.coll, limit)
-	}
+	parts := shard.Gather(ix.loadTraced(sp).Engs, func(_ int, eng *query.Engine) []*Entry {
+		return eng.AuthorPrefix(prefix, limit)
+	})
+	out := shard.MergeEntries(parts, ix.coll, limit)
 	sp.SetInt("entries", int64(len(out)))
 	return out
 }
@@ -213,24 +196,16 @@ func (ix *Index) AuthorsCtx(ctx context.Context, prefix string, limit int) []*En
 func (ix *Index) AuthorsPageCtx(ctx context.Context, after string, limit int) []*Entry {
 	_, sp := trace.StartSpan(ctx, "facade.authors_page")
 	defer sp.End()
-	v := ix.pinAllTraced(sp)
-	var out []*Entry
-	if len(v.Epochs) == 1 {
-		out = v.Epochs[0].Eng.AuthorPage(after, limit)
-		v.Release()
-	} else {
-		if limit <= 0 {
-			limit = query.DefaultAuthorPageLimit // applied pre-merge
-		}
-		parts := shard.Gather(v.Epochs, func(_ int, ep *shard.Epoch) []*Entry {
-			return ep.Eng.AuthorPage(after, limit)
-		})
-		v.Release()
-		// A heading split across shards collapses into one merged entry,
-		// so a page can come up slightly short of limit; the cursor
-		// contract (resume from the last returned heading) still holds.
-		out = shard.MergeEntries(parts, ix.coll, limit)
+	if limit <= 0 {
+		limit = query.DefaultAuthorPageLimit // applied pre-merge
 	}
+	parts := shard.Gather(ix.loadTraced(sp).Engs, func(_ int, eng *query.Engine) []*Entry {
+		return eng.AuthorPage(after, limit)
+	})
+	// A heading split across shards collapses into one merged entry, so
+	// a page can come up slightly short of limit; the cursor contract
+	// (resume from the last returned heading) still holds.
+	out := shard.MergeEntries(parts, ix.coll, limit)
 	sp.SetInt("entries", int64(len(out)))
 	return out
 }
@@ -240,10 +215,9 @@ func (ix *Index) AuthorsPageCtx(ctx context.Context, after string, limit int) []
 func (ix *Index) TopAuthorsCtx(ctx context.Context, by RankKey, limit int) []AuthorMetrics {
 	_, sp := trace.StartSpan(ctx, "facade.rank")
 	defer sp.End()
-	ep := ix.trackerPin()
-	sp.SetInt("epoch", int64(ep.Seq))
-	out := ep.Eng.TopAuthors(by, limit)
-	ep.Release()
+	r := ix.shards.Load()
+	sp.SetInt("epoch", int64(r.Seq))
+	out := r.Engs[0].TopAuthors(by, limit)
 	sp.SetInt("authors", int64(len(out)))
 	return out
 }
@@ -254,10 +228,9 @@ func (ix *Index) TopAuthorsCtx(ctx context.Context, by RankKey, limit int) []Aut
 func (ix *Index) TopCentralCtx(ctx context.Context, limit int) []CentralAuthor {
 	_, sp := trace.StartSpan(ctx, "facade.central")
 	defer sp.End()
-	ep := ix.trackerPin()
-	sp.SetInt("epoch", int64(ep.Seq))
-	out := ep.Eng.TopCentral(ClampLimit(limit, 10))
-	ep.Release()
+	r := ix.shards.Load()
+	sp.SetInt("epoch", int64(r.Seq))
+	out := r.Engs[0].TopCentral(ClampLimit(limit, 10))
 	sp.SetInt("authors", int64(len(out)))
 	return out
 }
@@ -268,45 +241,28 @@ func (ix *Index) AddCtx(ctx context.Context, w Work) (WorkID, error) {
 	defer ix.timeOp(opAdd)()
 	ctx, sp := trace.StartSpan(ctx, "facade.add")
 	defer sp.End()
-	ix.shards.BeginWrite()
-	defer ix.shards.EndWrite()
-	if w.ID != 0 {
-		// Explicit ID: the home shard is known up front, so the shard
-		// lock brackets the store commit exactly as the unsharded path
-		// did. Capture the version the ID overwrites; rollback must
-		// restore it.
-		s := ix.shards.Shard(ix.shards.ForWork(w.ID))
-		hctx, hold := ix.lockShardTraced(ctx, s)
-		defer hold.End()
-		defer s.Unlock()
-		var old *model.Work
-		if prev, ok := s.Head().WorkView(w.ID); ok {
-			old = prev
-		}
-		id, err := ix.store.PutCtx(hctx, &w)
+	if w.ID == 0 {
+		// Reserve the ID before touching the store, as AddBatchCtx does,
+		// so the home shard is known and its lock brackets the commit.
+		ids, err := ix.store.ReserveBatchIDs([]*model.Work{&w})
 		if err != nil {
 			degradedAttr(sp, err)
 			return 0, err
 		}
-		w.ID = id
-		return ix.commitAdd(s, &w, old)
+		w.ID = ids[0]
 	}
-	// Zero ID: the store assigns it (store-internal locking serializes
-	// allocation), and only then is the home shard known — the store
-	// commit precedes the shard lock. The writer gate is already held,
-	// so a global operation (Verify, Close) cannot observe the window
-	// between the two.
-	id, err := ix.store.PutCtx(ctx, &w)
-	if err != nil {
+	// Capture the version the ID overwrites under the shard lock;
+	// rollback must restore it.
+	s := ix.shards.Shard(ix.shards.ForWork(w.ID))
+	hctx, hold := ix.lockShardTraced(ctx, s)
+	defer hold.End()
+	defer s.Unlock()
+	old, _ := s.Head().WorkView(w.ID)
+	if _, err := ix.store.PutCtx(hctx, &w); err != nil {
 		degradedAttr(sp, err)
 		return 0, err
 	}
-	w.ID = id
-	s := ix.shards.Shard(ix.shards.ForWork(id))
-	_, hold := ix.lockShardTraced(ctx, s)
-	defer hold.End()
-	defer s.Unlock()
-	return ix.commitAdd(s, &w, nil)
+	return ix.commitAdd(s, &w, old)
 }
 
 // commitAdd indexes one stored work into a clone of its home shard's
@@ -329,7 +285,7 @@ func (ix *Index) commitAdd(s *shard.Shard, w *Work, old *model.Work) (WorkID, er
 		}
 		return 0, err
 	}
-	ix.publish(start, s, eng)
+	ix.publish(start, map[int]*query.Engine{s.ID(): eng})
 	return w.ID, nil
 }
 
@@ -344,8 +300,6 @@ func (ix *Index) AddBatchCtx(ctx context.Context, works []Work) ([]WorkID, error
 	ctx, sp := trace.StartSpan(ctx, "facade.add_batch")
 	sp.SetInt("works", int64(len(works)))
 	defer sp.End()
-	ix.shards.BeginWrite()
-	defer ix.shards.EndWrite()
 	batch := make([]*model.Work, len(works))
 	for i := range works {
 		cp := works[i]
@@ -355,10 +309,10 @@ func (ix *Index) AddBatchCtx(ctx context.Context, works []Work) ([]WorkID, error
 	// cannot be contended (the counter only moves forward) and explicit
 	// IDs keep theirs, so every home shard is known — and can be locked —
 	// before the store commit. The shard locks must bracket both the
-	// prev capture and the commit: with only the writer gate's shared
-	// side held, two writers on the same explicit ID could otherwise
-	// commit to the store in one order and publish to the shard engines
-	// in the other, leaving store and index permanently divergent.
+	// prev capture and the commit: otherwise two writers on the same
+	// explicit ID could commit to the store in one order and publish to
+	// the shard engines in the other, leaving store and index
+	// permanently divergent.
 	ids, err := ix.store.ReserveBatchIDs(batch)
 	if err != nil {
 		degradedAttr(sp, err)
@@ -369,9 +323,9 @@ func (ix *Index) AddBatchCtx(ctx context.Context, works []Work) ([]WorkID, error
 	}
 	// Two-phase across exactly the touched shards: group by home shard,
 	// lock ascending, commit the store, index every group into a clone,
-	// and publish all clones only once every group has succeeded — a
-	// failure anywhere discards every clone and rolls the store back, so
-	// no shard ever exposes a partial batch.
+	// and publish all clones in one root only once every group has
+	// succeeded — a failure anywhere discards every clone and rolls the
+	// store back, and a reader sees the whole batch or none of it.
 	groups := make(map[int][]*model.Work)
 	for _, w := range batch {
 		si := ix.shards.ForWork(w.ID)
@@ -424,9 +378,7 @@ func (ix *Index) AddBatchCtx(ctx context.Context, works []Work) ([]WorkID, error
 		}
 		clones[si] = eng
 	}
-	for _, si := range touched {
-		ix.publish(start, ix.shards.Shard(si), clones[si])
-	}
+	ix.publish(start, clones)
 	return ids, nil
 }
 
@@ -435,8 +387,6 @@ func (ix *Index) DeleteCtx(ctx context.Context, id WorkID) error {
 	defer ix.timeOp(opDelete)()
 	ctx, sp := trace.StartSpan(ctx, "facade.delete")
 	defer sp.End()
-	ix.shards.BeginWrite()
-	defer ix.shards.EndWrite()
 	s := ix.shards.Shard(ix.shards.ForWork(id))
 	_, hold := ix.lockShardTraced(ctx, s)
 	defer hold.End()
@@ -449,7 +399,7 @@ func (ix *Index) DeleteCtx(ctx context.Context, id WorkID) error {
 	eng := s.Head().Clone()
 	eng.Remove(id)
 	maybeCompactArena(eng)
-	ix.publish(start, s, eng)
+	ix.publish(start, map[int]*query.Engine{s.ID(): eng})
 	return nil
 }
 
@@ -461,8 +411,6 @@ func (ix *Index) DeleteBatchCtx(ctx context.Context, ids []WorkID) error {
 	ctx, sp := trace.StartSpan(ctx, "facade.delete_batch")
 	sp.SetInt("works", int64(len(ids)))
 	defer sp.End()
-	ix.shards.BeginWrite()
-	defer ix.shards.EndWrite()
 	groups := make(map[int][]WorkID)
 	for _, id := range ids {
 		si := ix.shards.ForWork(id)
@@ -481,15 +429,16 @@ func (ix *Index) DeleteBatchCtx(ctx context.Context, ids []WorkID) error {
 		return err
 	}
 	start := time.Now()
+	clones := make(map[int]*query.Engine, len(touched))
 	for _, si := range touched {
-		s := ix.shards.Shard(si)
-		eng := s.Head().Clone()
+		eng := ix.shards.Shard(si).Head().Clone()
 		for _, id := range groups[si] {
 			eng.Remove(id)
 		}
 		maybeCompactArena(eng)
-		ix.publish(start, s, eng)
+		clones[si] = eng
 	}
+	ix.publish(start, clones)
 	return nil
 }
 
@@ -519,8 +468,8 @@ func appendixLimit(n int) int {
 // RenderCtx is Render carrying a trace context: appendix building and
 // the render itself (sections, per-letter text output) record child
 // spans, and a canceled ctx aborts the render between sections. The
-// whole render runs against one pinned view, so a long render holds
-// its epochs alive — but blocks no writer — for the duration. With
+// whole render runs against one snapshot root, so a long render holds
+// that root alive — but blocks no writer — for the duration. With
 // more than one shard, per-shard sections are gathered and merged in
 // print order under a render.sections span, then encoded exactly as
 // the single-engine path encodes its own sections.
@@ -528,9 +477,8 @@ func (ix *Index) RenderCtx(ctx context.Context, w io.Writer, opts RenderOptions)
 	defer ix.timeOp(opRender)()
 	ctx, sp := trace.StartSpan(ctx, "facade.render")
 	defer sp.End()
-	v := ix.pinAllTraced(sp)
-	defer v.Release()
-	e0 := v.Epochs[0].Eng
+	engs := ix.loadTraced(sp).Engs
+	e0 := engs[0]
 	if opts.Network && opts.NetworkAppendix == nil && render.NetworkSupported(opts.Format) {
 		_, nsp := trace.StartSpan(ctx, "render.network_appendix")
 		e0.ReadTrackers(func(_ metrics.Tracker, gr *graph.Graph) {
@@ -545,12 +493,12 @@ func (ix *Index) RenderCtx(ctx context.Context, w io.Writer, opts RenderOptions)
 		})
 		ssp.End()
 	}
-	if len(v.Epochs) == 1 {
+	if len(engs) == 1 {
 		return render.RenderCtx(ctx, w, e0.Index(), opts)
 	}
 	_, secSpan := trace.StartSpan(ctx, "render.sections")
-	parts := shard.Gather(v.Epochs, func(_ int, ep *shard.Epoch) []Section {
-		return ep.Eng.Index().Sections()
+	parts := shard.Gather(engs, func(_ int, eng *query.Engine) []Section {
+		return eng.Index().Sections()
 	})
 	sections := shard.MergeSections(parts, ix.coll)
 	secSpan.SetInt("sections", int64(len(sections)))

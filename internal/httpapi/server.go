@@ -25,6 +25,9 @@
 //	GET /debug/metrics                 Prometheus text exposition
 //	GET /debug/pprof/...               net/http/pprof (only with Config.Debug)
 //
+// Both POST bodies are capped at 64 MiB, the WAL's frame limit; a
+// larger body gets 413.
+//
 // Note the deliberate split: GET /metrics keeps its original meaning —
 // corpus bibliometrics — while the Prometheus exposition lives at
 // /debug/metrics, so existing scrapers of either never collide.
@@ -48,6 +51,7 @@ import (
 	authorindex "repro"
 	"repro/internal/obs"
 	"repro/internal/trace"
+	"repro/internal/wal"
 )
 
 // Config tunes a Server. The zero value serves with a no-op logger,
@@ -622,10 +626,30 @@ func (s *Server) authorMetrics(w http.ResponseWriter, r *http.Request) {
 	writeJSON(r.Context(), w, m)
 }
 
+// maxBody caps a write request's body at the WAL's frame limit, the
+// most one commit can log, so one request can never make the server
+// buffer more than that.
+const maxBody = wal.MaxRecord
+
+// decodeBody decodes a write request's JSON body into v, answering 413
+// past maxBody and 400 for anything else malformed.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooBig):
+		httpErr(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", tooBig.Limit)
+	default:
+		httpErr(w, http.StatusBadRequest, "bad body: %v", err)
+	}
+	return false
+}
+
 func (s *Server) addWork(w http.ResponseWriter, r *http.Request) {
 	var in Work
-	if err := json.NewDecoder(r.Body).Decode(&in); err != nil {
-		httpErr(w, http.StatusBadRequest, "bad body: %v", err)
+	if !decodeBody(w, r, &in) {
 		return
 	}
 	work, err := fromWireWork(in)
@@ -647,8 +671,7 @@ func (s *Server) addWork(w http.ResponseWriter, r *http.Request) {
 // all-or-nothing visibility — one bad work rejects the whole request.
 func (s *Server) addWorksBatch(w http.ResponseWriter, r *http.Request) {
 	var in []Work
-	if err := json.NewDecoder(r.Body).Decode(&in); err != nil {
-		httpErr(w, http.StatusBadRequest, "bad body: %v", err)
+	if !decodeBody(w, r, &in) {
 		return
 	}
 	if len(in) == 0 {

@@ -2,6 +2,7 @@ package httpapi
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -529,4 +530,48 @@ func TestServeRankByCentral(t *testing.T) {
 	if h := ms[0].Heading; h != "Lewin, Jeff L." && h != "Peng, Syd S." {
 		t.Errorf("top central = %q", h)
 	}
+}
+
+// TestWriteBodyCapped: a write body one byte past the cap is refused
+// with 413 before it is buffered whole, on both write routes, and the
+// index is untouched.
+func TestWriteBodyCapped(t *testing.T) {
+	ix, err := authorindex.Open("", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	h := New(ix, Config{Registry: obs.NewRegistry()}).Handler()
+	for _, route := range []struct{ path, open, close string }{
+		{"/works", `{"title":"`, `"}`},
+		{"/works:batch", `[{"title":"`, `"}]`},
+	} {
+		pad := int64(maxBody + 1 - len(route.open) - len(route.close))
+		body := io.MultiReader(strings.NewReader(route.open), &filler{n: pad}, strings.NewReader(route.close))
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, route.path, body))
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with a %d-byte body: status %d, want 413: %s", route.path, maxBody+1, rec.Code, rec.Body)
+		}
+	}
+	if ix.Len() != 0 {
+		t.Errorf("oversize bodies changed the index: Len = %d", ix.Len())
+	}
+}
+
+// filler reads n bytes of 'a'.
+type filler struct{ n int64 }
+
+func (f *filler) Read(p []byte) (int, error) {
+	if f.n <= 0 {
+		return 0, io.EOF
+	}
+	if int64(len(p)) > f.n {
+		p = p[:f.n]
+	}
+	for i := range p {
+		p[i] = 'a'
+	}
+	f.n -= int64(len(p))
+	return len(p), nil
 }

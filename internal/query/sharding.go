@@ -7,6 +7,7 @@ package query
 import (
 	"strings"
 	"sync"
+	"time"
 
 	"repro/internal/btree"
 	"repro/internal/core"
@@ -54,18 +55,24 @@ func (e *Engine) ReplaceTrackers(met metrics.Tracker, gr *graph.Graph) {
 // RebuildTrackers recomputes the shared metrics tracker and
 // coauthorship graph from the full corpus, the two rebuilds running in
 // parallel — the cold-start companion to LoadCorpus: every shard loads
-// its partition without touching the trackers, then the coordinator
-// calls this once with all works. Callers must hold write
-// serialization over every peer; no tracker readers may be active.
+// its partition without touching the trackers, and the coordinator
+// calls this once with all works, beside the shard loads. Callers must
+// hold write serialization over every peer; no tracker readers may be
+// active. Like a bulk load, a large rebuild relaxes the GC pacer.
 func (e *Engine) RebuildTrackers(works []*model.Work) {
+	if len(works) >= 10_000 {
+		defer relaxGC()()
+	}
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
+		defer loadPhase("metrics").Since(time.Now())
 		e.met.Rebuild(works)
 	}()
 	go func() {
 		defer wg.Done()
+		defer loadPhase("graph").Since(time.Now())
 		e.gr.Rebuild(works)
 	}()
 	wg.Wait()

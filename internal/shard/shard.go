@@ -1,18 +1,19 @@
 // Package shard coordinates N hash-partitioned query.Engine shards.
 // Works are assigned by work ID, author cross-references by collation
-// key, so every record has exactly one home shard. Each shard keeps its
-// own copy-on-write snapshot chain (epoch-pinned lock-free reads, as in
-// the unsharded facade) and its own write mutex, so writers touching
-// different shards commit in parallel; batch writes spanning shards
-// lock only the shards they touch, in ascending ID order. Reads pin
-// every shard's current epoch and k-way merge the per-shard results.
+// key, so every record has exactly one home shard. Each shard has its
+// own write mutex, so writers touching different shards commit in
+// parallel; batch writes spanning shards lock only the shards they
+// touch, in ascending ID order.
 //
-// Global operations (Verify, Close, tracker rebuilds) exclude all
-// writers at once through the Map's writer gate: every per-shard writer
-// holds the gate's read side for its entire commit — including store
-// operations performed before its shard lock is known — and global
-// operations take the write side, after which no shard lock is needed
-// at all.
+// Every shard's current engine lives in one immutable Root behind a
+// single atomic pointer. A read is one atomic load and sees every shard
+// at the same instant; a writer publishes all the clones it built in
+// one new root, so a batch spanning shards becomes visible everywhere
+// at once. A replaced root is reclaimed by the garbage collector once
+// the last reader holding it drops it; there is nothing to release.
+//
+// Global operations (Verify, Close, tracker rebuilds) exclude every
+// writer by taking every shard lock (LockAll).
 package shard
 
 import (
@@ -24,116 +25,79 @@ import (
 	"repro/internal/query"
 )
 
-// Epoch is one published engine snapshot of one shard, plus its reader
-// bookkeeping. Reclamation is reference-counted exactly as in the
-// unsharded facade: one reference for being the shard's current epoch,
-// one per active reader; the last one out retires the epoch and steps
-// the map-wide alive counter down.
-type Epoch struct {
-	Eng *query.Engine
-	// Seq increments per publication across the whole map; traces
-	// record it so a slow read can be correlated with the snapshot that
-	// served it.
+// Root is one published snapshot of every shard. It is immutable:
+// neither the slice nor the engines it holds change after publication.
+type Root struct {
+	// Seq increments per publication; traces record it so a slow read
+	// can be correlated with the snapshot that served it.
 	Seq uint64
-	// Shard is the owning shard's ID, for trace and gauge labels.
-	Shard int
-	// pins counts outstanding references: one for being the current
-	// epoch, plus one per active reader.
-	pins atomic.Int64
-	// drained latches the single transition to zero pins, so a late
-	// pin/release pair racing the swap cannot step the counter twice.
-	drained atomic.Bool
-	alive   *atomic.Int64
+	// Engs holds each shard's engine, in shard order.
+	Engs []*query.Engine
+	// live carries the finalizer that counts this root as collected.
+	// The finalizer sits on this small sentinel rather than on the root
+	// so the root's engines are freed in the same cycle that drops it.
+	live *sentinel
 }
 
-// Release drops one reference; the last one out retires the epoch.
-func (ep *Epoch) Release() {
-	if ep.pins.Add(-1) == 0 && ep.drained.CompareAndSwap(false, true) {
-		ep.alive.Add(-1)
-	}
-}
+// sentinel points at the map's live-root counter, which is allocated
+// apart from the Map: a pointer into the Map would close a cycle from
+// the current root back to its own sentinel, and a cycle holding a
+// finalizer is never collected.
+type sentinel struct{ alive *atomic.Int64 }
 
-// Shard is one partition: a snapshot chain and the mutex serializing
-// its writers.
+// Shard is one partition's writer mutex.
 type Shard struct {
-	id   int
-	m    *Map
-	mu   sync.Mutex
-	snap atomic.Pointer[Epoch]
+	id int
+	m  *Map
+	mu sync.Mutex
 }
 
 // ID returns the shard's index in the map.
 func (s *Shard) ID() int { return s.id }
 
 // Lock serializes writers on this shard. Multi-shard writers must
-// acquire shard locks in ascending ID order, and every writer must hold
-// the map's writer gate (BeginWrite) first.
+// acquire shard locks in ascending ID order.
 func (s *Shard) Lock() { s.mu.Lock() }
 
 // Unlock releases the shard's writer mutex.
 func (s *Shard) Unlock() { s.mu.Unlock() }
 
 // Head returns the shard's current engine — the base a writer clones.
-// Only meaningful while holding the shard lock (or the map's write-side
-// gate); readers use Pin.
-func (s *Shard) Head() *query.Engine { return s.snap.Load().Eng }
+// Only meaningful while holding the shard lock (or LockAll), since only
+// a holder replaces it; readers use Map.Load.
+func (s *Shard) Head() *query.Engine { return s.m.root.Load().Engs[s.id] }
 
-// Pin acquires the shard's current epoch for a lock-free read. The
-// recheck handles the race with a concurrent publish: a pin that landed
-// on an epoch after it was replaced is backed out and retried.
-func (s *Shard) Pin() *Epoch {
-	for {
-		ep := s.snap.Load()
-		ep.pins.Add(1)
-		if s.snap.Load() == ep {
-			return ep
-		}
-		ep.Release()
-	}
-}
-
-// Publish makes eng the engine every subsequent read and write on this
-// shard sees. Callers hold the shard lock (writers on one shard are
-// serialized). Returns the new epoch so callers can record its Seq.
-func (s *Shard) Publish(eng *query.Engine) *Epoch {
-	ep := &Epoch{Eng: eng, Seq: s.m.seq.Add(1), Shard: s.id, alive: &s.m.alive}
-	ep.pins.Store(1)
-	s.m.alive.Add(1)
-	if old := s.snap.Swap(ep); old != nil {
-		old.Release() // drop the replaced epoch's current-reference
-	}
-	return ep
-}
-
-// Map is the shard coordinator: the shard set, routing, the map-wide
-// epoch bookkeeping, and the writer gate global operations use to
-// exclude every writer at once.
+// Map is the shard coordinator: the shard set, routing, and the one
+// atomic root every read loads.
 type Map struct {
 	shards []*Shard
-	seq    atomic.Uint64
-	alive  atomic.Int64
-	// excl is the writer gate. Per-shard writers hold the read side for
-	// their entire commit — it is shared, so writers on different
-	// shards still run in parallel — and global operations (Verify,
-	// Close, tracker rebuilds) take the write side: once held, no
-	// writer is in flight anywhere and no shard lock is needed.
-	excl sync.RWMutex
+	root   atomic.Pointer[Root]
+	alive  *atomic.Int64
 }
 
 // New builds a map of n shards (n < 1 is treated as 1), each seeded
-// with the engine mk returns for its index and published as that
-// shard's first epoch.
+// with the engine mk returns for its index, published as the first
+// root.
 func New(n int, mk func(i int) *query.Engine) *Map {
 	if n < 1 {
 		n = 1
 	}
-	m := &Map{shards: make([]*Shard, n)}
+	m := &Map{shards: make([]*Shard, n), alive: new(atomic.Int64)}
+	r := m.newRoot()
+	r.Seq = 1
 	for i := range m.shards {
-		s := &Shard{id: i, m: m}
-		m.shards[i] = s
-		s.Publish(mk(i))
+		m.shards[i] = &Shard{id: i, m: m}
+		r.Engs = append(r.Engs, mk(i))
 	}
+	m.root.Store(r)
 	return m
+}
+
+func (m *Map) newRoot() *Root {
+	s := &sentinel{alive: m.alive}
+	m.alive.Add(1)
+	runtime.SetFinalizer(s, func(s *sentinel) { s.alive.Add(-1) })
+	return &Root{live: s}
 }
 
 // N returns the shard count.
@@ -142,8 +106,29 @@ func (m *Map) N() int { return len(m.shards) }
 // Shard returns shard i.
 func (m *Map) Shard(i int) *Shard { return m.shards[i] }
 
-// All returns the shard slice in ID order. Callers must not modify it.
-func (m *Map) All() []*Shard { return m.shards }
+// Load returns the current root: a snapshot of every shard, valid for
+// as long as the caller holds it.
+func (m *Map) Load() *Root { return m.root.Load() }
+
+// Publish makes engs[i] shard i's engine for every i in engs, in one
+// new root that keeps every other shard's current engine. Callers hold
+// the lock of each shard they replace; writers on other shards may
+// publish concurrently, so a lost race rebuilds the root from the
+// winner's and retries.
+func (m *Map) Publish(engs map[int]*query.Engine) {
+	next := m.newRoot()
+	for {
+		cur := m.root.Load()
+		next.Seq = cur.Seq + 1
+		next.Engs = append(next.Engs[:0], cur.Engs...)
+		for i, eng := range engs {
+			next.Engs[i] = eng
+		}
+		if m.root.CompareAndSwap(cur, next) {
+			return
+		}
+	}
+}
 
 // ForWork routes a work ID to its home shard: a fibonacci-style
 // multiplicative scramble so sequentially assigned IDs spread evenly.
@@ -170,64 +155,39 @@ func (m *Map) ForKey(key []byte) int {
 	return int(h % uint64(len(m.shards)))
 }
 
-// BeginWrite enters the writer gate (shared side). Every writer calls
-// it before its first store or shard-lock operation and holds it
-// through publish; writers on different shards proceed in parallel.
-func (m *Map) BeginWrite() { m.excl.RLock() }
+// LockAll takes every shard lock in ascending order: it returns once no
+// writer is in flight on any shard and blocks new ones until
+// UnlockAll. Holders may read and replace every shard's head.
+func (m *Map) LockAll() {
+	for _, s := range m.shards {
+		s.Lock()
+	}
+}
 
-// EndWrite leaves the writer gate.
-func (m *Map) EndWrite() { m.excl.RUnlock() }
+// UnlockAll releases the locks LockAll took.
+func (m *Map) UnlockAll() {
+	for i := len(m.shards) - 1; i >= 0; i-- {
+		m.shards[i].Unlock()
+	}
+}
 
-// LockAll takes the writer gate exclusively: it returns once no writer
-// is in flight on any shard and blocks new ones until UnlockAll.
-// Holders may read and replace every shard's head without shard locks.
-func (m *Map) LockAll() { m.excl.Lock() }
-
-// UnlockAll releases the exclusive writer gate.
-func (m *Map) UnlockAll() { m.excl.Unlock() }
-
-// EpochsAlive reports how many snapshot epochs across all shards have
-// not yet been reclaimed. Quiescent value is the shard count (one
-// current epoch per shard).
+// EpochsAlive reports how many published roots the garbage collector
+// has not yet collected: 1 when quiescent (the current root), more
+// while readers hold replaced roots or before a collection cycle runs.
 func (m *Map) EpochsAlive() int64 { return m.alive.Load() }
 
-// View is one pinned epoch per shard, in shard order — a consistent-
-// enough multi-shard read: each shard's view is internally consistent,
-// while cross-shard atomicity is intentionally relaxed (a batch
-// spanning shards may be visible on some shards before others).
-type View struct {
-	Epochs []*Epoch
-}
-
-// PinAll pins every shard's current epoch.
-func (m *Map) PinAll() View {
-	eps := make([]*Epoch, len(m.shards))
-	for i, s := range m.shards {
-		eps[i] = s.Pin()
-	}
-	return View{Epochs: eps}
-}
-
-// Release drops every pin in the view.
-func (v View) Release() {
-	for _, ep := range v.Epochs {
-		ep.Release()
-	}
-}
-
-// Gather runs fn once per pinned epoch and returns the results in
-// shard order. Concurrency is capped at GOMAXPROCS with the calling
-// goroutine counted as a worker: per-shard work is ~1/N of the
-// unsharded cost, so running shards beyond the core count in parallel
-// buys nothing and a goroutine per shard per read melts down under
-// load on small machines — at GOMAXPROCS=1 the whole gather runs
-// inline with zero goroutines.
-func Gather[T any](eps []*Epoch, fn func(i int, ep *Epoch) T) []T {
-	out := make([]T, len(eps))
-	workers := min(len(eps), runtime.GOMAXPROCS(0))
+// Gather runs fn once per engine and returns the results in shard
+// order. Concurrency is capped at GOMAXPROCS with the calling goroutine
+// counted as a worker: per-shard work is ~1/N of the unsharded cost, so
+// running shards beyond the core count in parallel buys nothing and a
+// goroutine per shard per read melts down under load on small machines
+// — at GOMAXPROCS=1 the whole gather runs inline with zero goroutines.
+func Gather[T any](engs []*query.Engine, fn func(i int, eng *query.Engine) T) []T {
+	out := make([]T, len(engs))
+	workers := min(len(engs), runtime.GOMAXPROCS(0))
 	if workers <= 1 {
-		for i, ep := range eps {
-			out[i] = fn(i, ep)
+		for i, eng := range engs {
+			out[i] = fn(i, eng)
 		}
 		return out
 	}
@@ -235,10 +195,10 @@ func Gather[T any](eps []*Epoch, fn func(i int, ep *Epoch) T) []T {
 	work := func() {
 		for {
 			i := int(next.Add(1)) - 1
-			if i >= len(eps) {
+			if i >= len(engs) {
 				return
 			}
-			out[i] = fn(i, eps[i])
+			out[i] = fn(i, engs[i])
 		}
 	}
 	var wg sync.WaitGroup

@@ -3,8 +3,11 @@ package shard
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/collate"
 	"repro/internal/core"
@@ -60,52 +63,122 @@ func TestShardRoutingDeterministic(t *testing.T) {
 	}
 }
 
+// TestShardPinPublishReclaim: a held root is a frozen snapshot that
+// keeps itself (and its engines) alive across publications and
+// collections; once dropped, the collector takes it and the count of
+// live roots returns to 1.
 func TestShardPinPublishReclaim(t *testing.T) {
 	m := mkMap(2)
-	if got := m.EpochsAlive(); got != 2 {
-		t.Fatalf("EpochsAlive after New = %d, want 2", got)
+	if got := m.EpochsAlive(); got != 1 {
+		t.Fatalf("EpochsAlive after New = %d, want 1", got)
 	}
+	held := m.Load()
+	old0, old1 := held.Engs[0], held.Engs[1]
+	// Publishing while a reader holds the old root replaces only the
+	// published slot and leaves the held root untouched.
 	s := m.Shard(0)
-	ep := s.Pin()
-	if ep.Shard != 0 {
-		t.Errorf("pinned epoch Shard = %d, want 0", ep.Shard)
-	}
-	// Publishing while a reader holds the old epoch keeps both alive.
 	s.Lock()
-	s.Publish(query.New(collate.Default()))
+	m.Publish(map[int]*query.Engine{0: query.New(collate.Default())})
 	s.Unlock()
-	if got := m.EpochsAlive(); got != 3 {
-		t.Fatalf("EpochsAlive with pinned old epoch = %d, want 3", got)
+	fresh := m.Load()
+	if fresh.Seq <= held.Seq {
+		t.Errorf("Seq not increasing: %d -> %d", held.Seq, fresh.Seq)
 	}
-	ep.Release()
+	if fresh.Engs[0] == old0 || fresh.Engs[1] != old1 {
+		t.Fatal("Publish did not replace exactly its slot in the current root")
+	}
+	if held.Engs[0] != old0 || held.Engs[1] != old1 {
+		t.Fatal("Publish mutated a held root")
+	}
+	for i := 0; i < 3; i++ {
+		collect()
+	}
 	if got := m.EpochsAlive(); got != 2 {
-		t.Fatalf("EpochsAlive after release = %d, want 2", got)
+		t.Fatalf("EpochsAlive with a held replaced root = %d, want 2", got)
 	}
-	// Seq strictly increases across publications.
-	old := s.Pin()
-	s.Lock()
-	fresh := s.Publish(query.New(collate.Default()))
-	s.Unlock()
-	if fresh.Seq <= old.Seq {
-		t.Errorf("Seq not increasing: %d -> %d", old.Seq, fresh.Seq)
+	runtime.KeepAlive(held)
+	deadline := time.Now().Add(5 * time.Second)
+	for m.EpochsAlive() > 1 && time.Now().Before(deadline) {
+		collect()
 	}
-	old.Release()
-
-	v := m.PinAll()
-	if len(v.Epochs) != 2 || v.Epochs[0].Shard != 0 || v.Epochs[1].Shard != 1 {
-		t.Fatalf("PinAll view malformed: %+v", v.Epochs)
-	}
-	v.Release()
-	if got := m.EpochsAlive(); got != 2 {
-		t.Fatalf("EpochsAlive after view release = %d, want 2", got)
+	if got := m.EpochsAlive(); got != 1 {
+		t.Fatalf("EpochsAlive after dropping the held root = %d, want 1", got)
 	}
 }
 
+// TestShardPublishConcurrentSlots: writers on different shards publish
+// concurrently; each lost compare-and-swap retries on the winner's root,
+// so no publication is lost and every slot ends up holding its own
+// writer's last engine.
+func TestShardPublishConcurrentSlots(t *testing.T) {
+	const n, rounds = 4, 200
+	m := mkMap(n)
+	last := make([]*query.Engine, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			s := m.Shard(i)
+			for r := 0; r < rounds; r++ {
+				eng := query.New(collate.Default())
+				s.Lock()
+				m.Publish(map[int]*query.Engine{i: eng})
+				s.Unlock()
+				last[i] = eng
+			}
+		}(i)
+	}
+	wg.Wait()
+	r := m.Load()
+	if want := uint64(1 + n*rounds); r.Seq != want {
+		t.Errorf("final Seq = %d, want %d (a publication was lost)", r.Seq, want)
+	}
+	for i, eng := range r.Engs {
+		if eng != last[i] {
+			t.Errorf("shard %d holds a stale engine", i)
+		}
+	}
+}
+
+// TestShardDroppedMapCollected: a map nothing references any more is
+// collected, engines included — the current root's sentinel must not
+// keep its own map reachable.
+func TestShardDroppedMapCollected(t *testing.T) {
+	freed := make(chan struct{})
+	func() {
+		m := mkMap(2)
+		runtime.SetFinalizer(m.Load().Engs[1], func(*query.Engine) { close(freed) })
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		collect()
+		select {
+		case <-freed:
+			return
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("a dropped map's engines were never collected")
+		}
+	}
+}
+
+// collect runs a collection cycle and gives the finalizer goroutine a
+// moment to count the roots it freed.
+func collect() {
+	runtime.GC()
+	time.Sleep(5 * time.Millisecond)
+}
+
 func TestShardGatherOrder(t *testing.T) {
-	m := mkMap(5)
-	v := m.PinAll()
-	defer v.Release()
-	got := Gather(v.Epochs, func(i int, ep *Epoch) int { return ep.Shard * 10 })
+	engs := mkMap(5).Load().Engs
+	got := Gather(engs, func(i int, eng *query.Engine) int {
+		if eng != engs[i] {
+			return -1
+		}
+		return i * 10
+	})
 	for i, g := range got {
 		if g != i*10 {
 			t.Fatalf("Gather order broken: %v", got)

@@ -75,7 +75,7 @@ func TestAppendBatchValidation(t *testing.T) {
 	if err := l.AppendBatch([][]byte{[]byte("ok"), nil}); err == nil {
 		t.Error("batch with empty payload accepted")
 	}
-	big := make([]byte, maxRecord+1)
+	big := make([]byte, MaxRecord+1)
 	if err := l.AppendBatch([][]byte{[]byte("ok"), big}); err == nil {
 		t.Error("batch with oversize payload accepted")
 	}

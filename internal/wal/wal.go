@@ -50,12 +50,15 @@ var (
 		"Latency of WAL frame encoding, one observation per append.")
 )
 
+// MaxRecord bounds one WAL frame: larger appends are rejected, and
+// larger frames on disk are treated as corruption.
+const MaxRecord = 64 << 20
+
 const (
 	frameMagic  = 0x57
 	headerSize  = 1 + 4 + 4
 	segPrefix   = "wal-"
 	segSuffix   = ".seg"
-	maxRecord   = 64 << 20 // frames larger than this are treated as corruption
 	defaultSeg  = 4 << 20
 	segNameDigs = 16
 )
@@ -199,7 +202,7 @@ func (l *Log) AppendCtx(ctx context.Context, p []byte) error {
 	if len(p) == 0 {
 		return errors.New("wal: empty payload")
 	}
-	if len(p) > maxRecord {
+	if len(p) > MaxRecord {
 		return fmt.Errorf("wal: payload %d bytes exceeds frame limit", len(p))
 	}
 	l.mu.Lock()
@@ -262,7 +265,7 @@ func (l *Log) AppendBatchCtx(ctx context.Context, payloads [][]byte) error {
 		if len(p) == 0 {
 			return errors.New("wal: empty payload")
 		}
-		if len(p) > maxRecord {
+		if len(p) > MaxRecord {
 			return fmt.Errorf("wal: payload %d bytes exceeds frame limit", len(p))
 		}
 		total += headerSize + len(p)
@@ -537,7 +540,7 @@ func scanSegment(path string, fn func([]byte) error) (validLen int64, n int, err
 		}
 		length := binary.LittleEndian.Uint32(hdr[1:5])
 		want := binary.LittleEndian.Uint32(hdr[5:9])
-		if length == 0 || length > maxRecord {
+		if length == 0 || length > MaxRecord {
 			return off, n, errTorn
 		}
 		if cap(buf) < int(length) {

@@ -332,7 +332,7 @@ func TestExplicitSync(t *testing.T) {
 func TestOversizePayloadRejected(t *testing.T) {
 	l := openT(t, t.TempDir(), Options{NoSync: true})
 	defer l.Close()
-	big := make([]byte, maxRecord+1)
+	big := make([]byte, MaxRecord+1)
 	if err := l.Append(big); err == nil {
 		t.Error("oversize payload accepted")
 	}

@@ -24,7 +24,9 @@ func TestFacadeModelCheck(t *testing.T) { runModelCheck(t, 0) }
 // locking and cross-shard two-phase batches, every read through the
 // scatter-gather merges, and every Verify through the XOR-combined
 // per-shard fingerprints — all while the observable behavior must stay
-// indistinguishable from the unsharded run.
+// indistinguishable from the unsharded run. In both runs a concurrent
+// reader searches each batch's marker term while the batch commits or
+// fails, and must see none of the batch or all of it.
 func TestFacadeModelCheckSharded(t *testing.T) { runModelCheck(t, 3) }
 
 func runModelCheck(t *testing.T, shards int) {
@@ -141,6 +143,50 @@ func runModelCheck(t *testing.T, shards int) {
 		}
 	}
 
+	// duringBatch tags every work of a batch with a fresh marker title
+	// term and runs commit while a concurrent reader searches for the
+	// marker: each search must find none of the batch or all want of
+	// its works (want is 0 for a batch that must fail). The reader is
+	// idle again when duringBatch returns.
+	type inflight struct {
+		ix     *Index
+		marker string
+		want   int
+		done   chan struct{}
+	}
+	checks, idle := make(chan inflight), make(chan struct{})
+	defer close(checks)
+	go func() {
+		for f := range checks {
+			for finished := false; !finished; {
+				select {
+				case <-f.done:
+					finished = true
+				default:
+				}
+				if got := len(f.ix.Search(f.marker, 0)); got != 0 && got != f.want {
+					t.Errorf("Search(%q) during a batch saw %d works, want 0 or %d", f.marker, got, f.want)
+				}
+			}
+			idle <- struct{}{}
+		}
+	}()
+	markers := 0
+	duringBatch := func(batch []Work, want int, commit func() error) error {
+		markers++
+		f := inflight{ix: ix, marker: fmt.Sprintf("zqbatch%d", markers), want: want, done: make(chan struct{})}
+		for i := range batch {
+			if batch[i].Title != "" { // an invalid empty title stays invalid
+				batch[i].Title += " " + f.marker
+			}
+		}
+		checks <- f
+		err := commit()
+		close(f.done)
+		<-idle
+		return err
+	}
+
 	// verifyBatched runs after every batched mutation: the full invariant
 	// sweep, including the metrics and graph fingerprint cross-checks.
 	verifyBatched := func(what string) {
@@ -203,7 +249,11 @@ func runModelCheck(t *testing.T, shards int) {
 						break
 					}
 				}
-				ids, err := ix.AddBatch(batch)
+				var ids []WorkID
+				err := duringBatch(batch, n, func() (err error) {
+					ids, err = ix.AddBatch(batch)
+					return err
+				})
 				if err != nil {
 					t.Fatalf("AddBatch(%d): %v", n, err)
 				}
@@ -242,7 +292,11 @@ func runModelCheck(t *testing.T, shards int) {
 					batch[i] = randomWork()
 				}
 				batch[r.Intn(n)].Title = "" // invalid
-				if _, err := ix.AddBatch(batch); err == nil {
+				err := duringBatch(batch, 0, func() error {
+					_, err := ix.AddBatch(batch)
+					return err
+				})
+				if err == nil {
 					t.Fatal("AddBatch accepted an invalid work")
 				}
 				verifyBatched("failed AddBatch")

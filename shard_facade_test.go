@@ -1,7 +1,8 @@
 // Facade-level sharding tests: cross-shard batch atomicity, writer
-// independence across shards (runs under -race in CI), sharded reads
+// independence across shards (runs under -race in CI), cross-shard
+// batches becoming visible to readers all at once, sharded reads
 // matching the unsharded engine byte for byte, and arena compaction
-// actually releasing deleted works once the old epochs drain.
+// actually releasing deleted works once the old roots are collected.
 package authorindex
 
 import (
@@ -10,6 +11,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -174,6 +176,77 @@ func TestShardSameIDWritersConverge(t *testing.T) {
 	}
 	if err := ix.Verify(); err != nil {
 		t.Fatalf("Verify after contended same-ID writes: %v", err)
+	}
+}
+
+// TestShardCrossShardReadsAtomic: writers commit batches whose works
+// share one marker title term and span several shards, while readers
+// search the marker of each writer's in-flight batch. Every search must
+// return none of the batch or all of it: a batch publishes every
+// shard's portion in one snapshot root, so no reader can see it on some
+// shards and not yet on others. Runs under -race in CI.
+func TestShardCrossShardReadsAtomic(t *testing.T) {
+	ix := openShards(t, t.TempDir(), 4)
+	defer ix.Close()
+
+	const writers, readers, batches, size = 2, 4, 150, 8
+	marker := func(g, b int) string { return fmt.Sprintf("xmark%dv%d", g, b) }
+	var inflight [writers]atomic.Int64
+	stop := make(chan struct{})
+	var rwg, wwg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		rwg.Add(1)
+		go func(r int) {
+			defer rwg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				g := (r + i) % writers
+				m := marker(g, int(inflight[g].Load()))
+				if got := len(ix.Search(m, 0)); got != 0 && got != size {
+					t.Errorf("Search(%q) saw %d of a %d-work cross-shard batch", m, got, size)
+					return
+				}
+			}
+		}(r)
+	}
+	for g := 0; g < writers; g++ {
+		wwg.Add(1)
+		go func(g int) {
+			defer wwg.Done()
+			for b := 0; b < batches; b++ {
+				inflight[g].Store(int64(b))
+				batch := make([]Work, size)
+				for i := range batch {
+					batch[i] = sampleWork(
+						fmt.Sprintf("Visibility Study %s Part %d", marker(g, b), i),
+						fmt.Sprintf("%d:%d (1990)", 10+g, b*size+i+1),
+						fmt.Sprintf("Reader%d, R.", i%3))
+				}
+				ids, err := ix.AddBatch(batch)
+				if err != nil {
+					t.Errorf("AddBatch: %v", err)
+					return
+				}
+				homes := map[int]bool{}
+				for _, id := range ids {
+					homes[ix.shards.ForWork(id)] = true
+				}
+				if len(homes) < 2 {
+					t.Errorf("batch %d landed on %d shard, want a cross-shard batch", b, len(homes))
+					return
+				}
+			}
+		}(g)
+	}
+	wwg.Wait()
+	close(stop)
+	rwg.Wait()
+	if err := ix.Verify(); err != nil {
+		t.Fatalf("Verify: %v", err)
 	}
 }
 
@@ -342,15 +415,16 @@ func TestShardedReadsMatchUnsharded(t *testing.T) {
 	if st4.Shards != 4 {
 		t.Errorf("Stats.Shards = %d, want 4", st4.Shards)
 	}
-	if got := ix4.EpochsAlive(); got != 4 {
-		t.Errorf("EpochsAlive at shards=4 quiescence = %d, want 4", got)
+	waitQuiescent(t, ix4)
+	if got := ix4.EpochsAlive(); got != 1 {
+		t.Errorf("EpochsAlive at shards=4 quiescence = %d, want 1 (one root for every shard)", got)
 	}
 }
 
 // TestArenaCompactionReclaimsMemory: after a bulk delete crosses the
 // dead-slot threshold, the writer compacts the bulk-load arena; once
-// the pre-compaction epochs drain, the deleted works become garbage —
-// observed directly with a finalizer.
+// the pre-compaction roots are collected, the deleted works become
+// garbage — observed directly with a finalizer.
 func TestArenaCompactionReclaimsMemory(t *testing.T) {
 	dir := t.TempDir()
 	ix := openT(t, dir)
@@ -366,36 +440,32 @@ func TestArenaCompactionReclaimsMemory(t *testing.T) {
 	ix = openT(t, dir)
 	defer ix.Close()
 
-	ep := ix.shards.Shard(0).Pin()
-	if total, dead := ep.Eng.ArenaStats(); total != 40 || dead != 0 {
-		t.Fatalf("arena after reopen = (%d, %d), want (40, 0)", total, dead)
-	}
-	victim, ok := ep.Eng.WorkView(ids[0])
-	if !ok {
-		t.Fatal("work 0 missing after reopen")
-	}
 	freed := make(chan struct{})
-	runtime.SetFinalizer(victim, func(*model.Work) { close(freed) })
-	victim = nil
-	ep.Release()
+	func() {
+		eng := ix.shards.Load().Engs[0]
+		if total, dead := eng.ArenaStats(); total != 40 || dead != 0 {
+			t.Fatalf("arena after reopen = (%d, %d), want (40, 0)", total, dead)
+		}
+		victim, ok := eng.WorkView(ids[0])
+		if !ok {
+			t.Fatal("work 0 missing after reopen")
+		}
+		runtime.SetFinalizer(victim, func(*model.Work) { close(freed) })
+	}()
 
 	// Delete 30 of 40: the dead ratio crosses the 0.5 threshold inside
 	// the batch, so the published engine carries a compacted arena.
 	if err := ix.DeleteBatch(ids[:30]); err != nil {
 		t.Fatal(err)
 	}
-	ep = ix.shards.Shard(0).Pin()
-	if total, dead := ep.Eng.ArenaStats(); total != 10 || dead != 0 {
+	if total, dead := ix.shards.Load().Engs[0].ArenaStats(); total != 10 || dead != 0 {
 		t.Errorf("arena after compacting delete = (%d, %d), want (10, 0)", total, dead)
 	}
-	ep.Release()
 
-	// Wait for the pre-compaction epochs to drain, then force GC until
-	// the finalizer proves the deleted work was actually released.
+	// Wait for the pre-compaction roots to be collected, then force GC
+	// until the finalizer proves the deleted work was actually released.
+	waitQuiescent(t, ix)
 	deadline := time.Now().Add(5 * time.Second)
-	for ix.EpochsAlive() > 1 && time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
-	}
 	for {
 		runtime.GC()
 		select {
@@ -407,7 +477,7 @@ func TestArenaCompactionReclaimsMemory(t *testing.T) {
 		default:
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("deleted arena work never became collectible after compaction + epoch drain")
+			t.Fatal("deleted arena work never became collectible after compaction + root collection")
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

@@ -1,8 +1,9 @@
-// Tests for epoch-based snapshot reads: a pinned snapshot must stay
-// internally consistent for the pin's whole lifetime no matter how many
-// commits land meanwhile, and retired epochs must actually be reclaimed
-// — the epochs-alive gauge returns to 1 in quiescence, with no reader
-// goroutines left behind. These run under -race in CI.
+// Tests for snapshot reads: a held snapshot root must stay internally
+// consistent for as long as it is held no matter how many commits land
+// meanwhile, and replaced roots must actually be reclaimed by the
+// garbage collector — the epochs-alive gauge returns to 1 once nothing
+// holds an old root, with no reader goroutines left behind. These run
+// under -race in CI.
 package authorindex
 
 import (
@@ -49,11 +50,11 @@ func storm(t *testing.T, ix *Index, writers, iters int) {
 	wg.Wait()
 }
 
-// TestSnapshotPinnedFingerprintStable: readers pin a snapshot, hold it
-// across a concurrent write storm, and assert the pinned engine's
-// corpus fingerprint never moves between the pin and the release. This
-// is the isolation guarantee in one bit: commits replace the published
-// epoch, they never mutate a pinned one.
+// TestSnapshotPinnedFingerprintStable: readers load a snapshot root,
+// hold it across a concurrent write storm, and assert the held engine's
+// corpus fingerprint never moves while they hold it. This is the
+// isolation guarantee in one bit: commits replace the published root,
+// they never mutate a held one.
 func TestSnapshotPinnedFingerprintStable(t *testing.T) {
 	ix := openT(t, t.TempDir())
 	defer ix.Close()
@@ -81,18 +82,16 @@ func TestSnapshotPinnedFingerprintStable(t *testing.T) {
 					return
 				default:
 				}
-				ep := ix.shards.Shard(0).Pin()
-				want := ep.Eng.CorpusFingerprint()
-				// Hold the pin across real reads while writers commit.
-				ep.Eng.TitleSearchView("storm", 8)
-				ep.Eng.AuthorPrefix("s", 8)
+				eng := ix.shards.Load().Engs[0]
+				want := eng.CorpusFingerprint()
+				// Hold the root across real reads while writers commit.
+				eng.TitleSearchView("storm", 8)
+				eng.AuthorPrefix("s", 8)
 				time.Sleep(100 * time.Microsecond)
-				if got := ep.Eng.CorpusFingerprint(); got != want {
-					t.Errorf("pinned snapshot fingerprint moved: %x -> %x", want, got)
-					ep.Release()
+				if got := eng.CorpusFingerprint(); got != want {
+					t.Errorf("held snapshot fingerprint moved: %x -> %x", want, got)
 					return
 				}
-				ep.Release()
 			}
 		}()
 	}
@@ -106,8 +105,9 @@ func TestSnapshotPinnedFingerprintStable(t *testing.T) {
 }
 
 // TestEpochReclamation: after a write storm with concurrent readers,
-// every retired epoch is reclaimed — the epochs-alive gauge returns to
-// exactly 1 (the current epoch) and no reader goroutines leak.
+// every replaced root is collected — the epochs-alive gauge returns to
+// exactly 1 (the current root) under forced collections — and no
+// reader goroutines leak.
 func TestEpochReclamation(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ix := openT(t, t.TempDir())
@@ -149,22 +149,30 @@ func TestEpochReclamation(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
+	waitQuiescent(t, ix)
 	if got := ix.EpochsAlive(); got != 1 {
-		t.Errorf("EpochsAlive after storm = %d, want 1 (retired epochs leaked)", got)
+		t.Errorf("EpochsAlive after storm = %d, want 1 (replaced roots leaked)", got)
 	}
 
-	// A held pin keeps exactly its own epoch alive across commits...
-	ep := ix.shards.Shard(0).Pin()
+	// A held root keeps exactly itself alive across commits and
+	// collections, engines included...
+	held := ix.shards.Load()
+	heldLen := held.Engs[0].Len()
 	if _, err := ix.Add(sampleWork("After Pin", "92:1 (1990)", "Late, Writer C.")); err != nil {
 		t.Fatal(err)
 	}
+	collect()
 	if got := ix.EpochsAlive(); got != 2 {
-		t.Errorf("EpochsAlive with one pinned retired epoch = %d, want 2", got)
+		t.Errorf("EpochsAlive with one held replaced root = %d, want 2", got)
 	}
-	// ...and releasing the last reference retires it.
-	ep.Release()
+	if got := held.Engs[0].Len(); got != heldLen {
+		t.Errorf("held root's engine changed: Len %d -> %d", heldLen, got)
+	}
+	// ...and dropping the last reference lets the collector take it.
+	runtime.KeepAlive(held)
+	waitQuiescent(t, ix)
 	if got := ix.EpochsAlive(); got != 1 {
-		t.Errorf("EpochsAlive after release = %d, want 1", got)
+		t.Errorf("EpochsAlive after dropping the held root = %d, want 1", got)
 	}
 
 	// No goroutines left behind by the snapshot machinery.
@@ -178,10 +186,10 @@ func TestEpochReclamation(t *testing.T) {
 	}
 }
 
-// TestEpochPinnedAcrossSlowRender: a render pins one snapshot for its
-// whole (slow) duration; commits landing meanwhile neither block on it
-// nor mutate what it renders, and the moment it finishes its epoch is
-// reclaimed. The writer below yields between section writes to stretch
+// TestEpochPinnedAcrossSlowRender: a render holds one snapshot root for
+// its whole (slow) duration; commits landing meanwhile neither block on
+// it nor mutate what it renders, and once it finishes its root is
+// collected. The writer below yields between section writes to stretch
 // the render across many commits.
 func TestEpochPinnedAcrossSlowRender(t *testing.T) {
 	ix := openT(t, t.TempDir())
@@ -201,9 +209,9 @@ func TestEpochPinnedAcrossSlowRender(t *testing.T) {
 		renderDone <- ix.Render(sw, RenderOptions{Format: Text})
 	}()
 
-	// The first section write proves the render has pinned its epoch;
+	// The first section write proves the render has loaded its root;
 	// only then do the storm commits start, so every storm work is
-	// strictly post-pin and must be invisible to the render.
+	// strictly post-load and must be invisible to the render.
 	<-sw.started
 	storm(t, ix, 2, 10)
 	if err := <-renderDone; err != nil {
@@ -222,14 +230,21 @@ func TestEpochPinnedAcrossSlowRender(t *testing.T) {
 	}
 }
 
-// waitQuiescent spins briefly until all retired epochs drain; the last
-// release happens-before the reader returns, so one yield usually does.
+// waitQuiescent forces collections until every replaced root has been
+// collected or a deadline passes; callers then assert the count.
 func waitQuiescent(t *testing.T, ix *Index) {
 	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
+	deadline := time.Now().Add(5 * time.Second)
 	for ix.EpochsAlive() > 1 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
+		collect()
 	}
+}
+
+// collect runs a collection cycle and gives the finalizer goroutine a
+// moment to count the roots it freed.
+func collect() {
+	runtime.GC()
+	time.Sleep(5 * time.Millisecond)
 }
 
 // slowWriter stretches a render out by yielding on every write, and
