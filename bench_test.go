@@ -126,22 +126,38 @@ func BenchmarkIncremental(b *testing.B) {
 	}
 }
 
-// E4 — render throughput per format.
+// E4 — render throughput per format, plus the title and subject indexes
+// that complete the front matter.
 func BenchmarkRender(b *testing.B) {
-	ix := builtIndex(b, 10_000)
-	for _, f := range []render.Format{render.Text, render.TSV, render.Markdown, render.CSV, render.JSON} {
-		b.Run(f.String(), func(b *testing.B) {
+	works := corpus(b, 10_000)
+	ix, err := core.Rebuild(collate.Default(), works)
+	if err != nil {
+		b.Fatal(err)
+	}
+	run := func(name string, emit func(*bytes.Buffer) error) {
+		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			var buf bytes.Buffer
 			for i := 0; i < b.N; i++ {
 				buf.Reset()
-				if err := render.Render(&buf, ix, render.Options{Format: f}); err != nil {
+				if err := emit(&buf); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.SetBytes(int64(buf.Len()))
 		})
 	}
+	for _, f := range []render.Format{render.Text, render.TSV, render.Markdown, render.CSV, render.JSON} {
+		run(f.String(), func(buf *bytes.Buffer) error {
+			return render.Render(buf, ix, render.Options{Format: f})
+		})
+	}
+	run("title", func(buf *bytes.Buffer) error {
+		return render.TitleIndex(buf, works, collate.Default(), render.Options{Format: render.Text})
+	})
+	run("subject", func(buf *bytes.Buffer) error {
+		return render.SubjectIndex(buf, works, collate.Default(), render.Options{Format: render.Text})
+	})
 }
 
 // E5 — collation key construction per scheme.

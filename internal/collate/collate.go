@@ -90,8 +90,10 @@ var suffixRank = map[string]byte{
 
 // KeyAuthor builds the sort key for an author under the given options.
 func KeyAuthor(a model.Author, o Options) []byte {
-	var b keyBuilder
-	b.opts = o
+	orig := a.Display()
+	// The primary tier is at most the display form plus separators; the
+	// other two tiers are the display form, so one allocation suffices.
+	b := keyBuilder{buf: make([]byte, 0, 3*len(orig)+8), opts: o}
 
 	// --- primary tier ---
 	fam := a.Family
@@ -115,7 +117,6 @@ func KeyAuthor(a model.Author, o Options) []byte {
 	}
 
 	// --- secondary and tertiary tiers ---
-	orig := a.Display()
 	b.buf = append(b.buf, tierSep)
 	b.buf = append(b.buf, strings.ToLower(orig)...)
 	b.buf = append(b.buf, tierSep)
@@ -126,8 +127,7 @@ func KeyAuthor(a model.Author, o Options) []byte {
 // KeyString builds a sort key for an arbitrary string (titles, headings)
 // using the same tier rules.
 func KeyString(s string, o Options) []byte {
-	var b keyBuilder
-	b.opts = o
+	b := keyBuilder{buf: make([]byte, 0, 3*len(s)+2), opts: o}
 	b.primaryText(s)
 	b.buf = append(b.buf, tierSep)
 	b.buf = append(b.buf, strings.ToLower(s)...)
@@ -141,8 +141,7 @@ func KeyString(s string, o Options) []byte {
 // result contains no tier separator, so it prefix-matches full keys whose
 // primary tier begins with the folded prefix.
 func PrimaryPrefix(s string, o Options) []byte {
-	var b keyBuilder
-	b.opts = o
+	b := keyBuilder{buf: make([]byte, 0, len(s)), opts: o}
 	b.primaryText(s)
 	return b.buf
 }
@@ -208,7 +207,7 @@ func (b *keyBuilder) primaryText(s string) {
 				b.primaryWordBreak()
 			}
 		default:
-			b.buf = append(b.buf, names.FoldRune(r)...)
+			b.buf = names.AppendFoldRune(b.buf, r)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -300,5 +301,29 @@ func TestKeyDeterministic(t *testing.T) {
 	a := names.MustParse("Van Tol, Joan E.")
 	if !bytes.Equal(KeyAuthor(a, Default()), KeyAuthor(a, Default())) {
 		t.Error("KeyAuthor not deterministic")
+	}
+}
+
+func TestKeyAllocsIndependentOfLength(t *testing.T) {
+	// A fixed allocation budget, whatever the input length: a per-rune
+	// allocation or an unsized key buffer would grow with the text.
+	const maxStringAllocs, maxAuthorAllocs = 2, 4
+	long := strings.Repeat("Éléonore Ångström ", 11)[:200]
+	for _, o := range []Options{Default(), {Scheme: LetterByLetter, McAsMac: true}} {
+		for _, s := range []string{"Law", "The Silent Revolution in Nuisance Law", long} {
+			if n := testing.AllocsPerRun(20, func() { KeyString(s, o) }); n > maxStringAllocs {
+				t.Errorf("KeyString(%d bytes, %+v): %v allocations, want at most %d", len(s), o, n, maxStringAllocs)
+			}
+		}
+		for _, a := range []model.Author{
+			names.MustParse("Smith, Ann"),
+			names.MustParse("Van Tol, Joan E., Jr."),
+			{Particle: "de la", Family: "McÉléonore" + long, Given: long, Suffix: "III"},
+		} {
+			if n := testing.AllocsPerRun(20, func() { KeyAuthor(a, o) }); n > maxAuthorAllocs {
+				t.Errorf("KeyAuthor(%d bytes, %+v): %v allocations, want at most %d",
+					len(a.Display()), o, n, maxAuthorAllocs)
+			}
+		}
 	}
 }

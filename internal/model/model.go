@@ -157,6 +157,7 @@ func (a Author) Validate() error {
 // "Abdalla, Tarek F.*".
 func (a Author) Display() string {
 	var b strings.Builder
+	b.Grow(len(a.Particle) + len(a.Family) + len(a.Given) + len(a.Suffix) + 6)
 	if a.Particle != "" {
 		b.WriteString(a.Particle)
 		b.WriteByte(' ')

@@ -1,8 +1,8 @@
 package names
 
 import (
-	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // foldTable maps accented and ligature runes from Latin-1 Supplement and
@@ -57,26 +57,12 @@ func Fold(s string) string {
 	if ascii {
 		return s
 	}
-	var b strings.Builder
-	b.Grow(len(s))
+	var stack [128]byte // fits most titles and names without a heap buffer
+	b := stack[:0]
 	for _, r := range s {
-		switch {
-		case r < 0x80:
-			if r >= 'A' && r <= 'Z' {
-				r += 'a' - 'A'
-			}
-			b.WriteRune(r)
-		case unicode.Is(unicode.Mn, r):
-			// combining mark: drop
-		default:
-			if rep, ok := foldTable[r]; ok {
-				b.WriteString(rep)
-			} else {
-				b.WriteRune(unicode.ToLower(r))
-			}
-		}
+		b = AppendFoldRune(b, r)
 	}
-	return b.String()
+	return string(b)
 }
 
 // HasDiacritics reports whether s contains any rune the fold table would
@@ -96,21 +82,22 @@ func HasDiacritics(s string) bool {
 	return false
 }
 
-// FoldRune folds a single rune to its unaccented lower-case expansion.
-// ASCII letters are lower-cased; unmapped runes return themselves
-// lower-cased.
-func FoldRune(r rune) string {
-	if r < 0x80 {
+// AppendFoldRune appends the unaccented lower-case expansion of r to dst
+// and returns the extended buffer. ASCII letters are lower-cased,
+// combining marks (category Mn) are dropped, and unmapped runes append
+// themselves lower-cased.
+func AppendFoldRune(dst []byte, r rune) []byte {
+	if uint32(r) < utf8.RuneSelf {
 		if r >= 'A' && r <= 'Z' {
 			r += 'a' - 'A'
 		}
-		return string(r)
+		return append(dst, byte(r))
 	}
 	if unicode.Is(unicode.Mn, r) {
-		return ""
+		return dst
 	}
 	if rep, ok := foldTable[r]; ok {
-		return rep
+		return append(dst, rep...)
 	}
-	return string(unicode.ToLower(r))
+	return utf8.AppendRune(dst, unicode.ToLower(r))
 }

@@ -1,8 +1,10 @@
 package names
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
+	"unicode"
 
 	"repro/internal/model"
 )
@@ -166,16 +168,81 @@ func TestHasDiacritics(t *testing.T) {
 	}
 }
 
-func TestFoldRune(t *testing.T) {
-	tests := []struct {
+// foldRuneString is the per-rune fold AppendFoldRune replaced, kept as
+// the reference: one fresh string per rune.
+func foldRuneString(r rune) string {
+	if r < 0x80 {
+		if r >= 'A' && r <= 'Z' {
+			r += 'a' - 'A'
+		}
+		return string(r)
+	}
+	if unicode.Is(unicode.Mn, r) {
+		return ""
+	}
+	if rep, ok := foldTable[r]; ok {
+		return rep
+	}
+	return string(unicode.ToLower(r))
+}
+
+func TestAppendFoldRune(t *testing.T) {
+	for _, tt := range []struct {
 		in   rune
 		want string
 	}{
-		{'A', "a"}, {'z', "z"}, {'ß', "ss"}, {'Ø', "o"}, {'́', ""}, {'7', "7"},
+		{'A', "a"}, {'z', "z"}, {'ß', "ss"}, {'Ø', "o"}, {'\u0301', ""}, {'7', "7"},
+	} {
+		if got := string(AppendFoldRune(nil, tt.in)); got != tt.want {
+			t.Errorf("AppendFoldRune(%q) = %q, want %q", tt.in, got, tt.want)
+		}
 	}
-	for _, tt := range tests {
-		if got := FoldRune(tt.in); got != tt.want {
-			t.Errorf("FoldRune(%q) = %q, want %q", tt.in, got, tt.want)
+
+	// Property: appending equals the old per-rune fold, and never
+	// disturbs what dst already holds.
+	check := func(r rune) {
+		t.Helper()
+		want := "pre" + foldRuneString(r)
+		if got := string(AppendFoldRune([]byte("pre"), r)); got != want {
+			t.Errorf("AppendFoldRune(%U) = %q, want %q", r, got, want)
+		}
+	}
+	for r := range foldTable {
+		check(r)
+	}
+	for _, rng := range unicode.Mn.R16 {
+		for r := rune(rng.Lo); r <= rune(rng.Hi); r += rune(rng.Stride) {
+			check(r)
+		}
+	}
+	for _, rng := range unicode.Mn.R32 {
+		for r := rune(rng.Lo); r <= rune(rng.Hi); r += rune(rng.Stride) {
+			check(r)
+		}
+	}
+	for r := rune(0); r <= 0xFFFF; r++ { // the BMP, surrogates included
+		check(r)
+	}
+	for _, r := range []rune{-1, 0x1F600, unicode.MaxRune, unicode.MaxRune + 1} {
+		check(r)
+	}
+}
+
+func TestFoldMatchesRuneFold(t *testing.T) {
+	ref := func(s string) string {
+		var b strings.Builder
+		for _, r := range s {
+			b.WriteString(foldRuneString(r))
+		}
+		return b.String()
+	}
+	f := func(s string) bool { return Fold(s) == ref(s) }
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+	for _, s := range []string{"\xff\xfeÅ", strings.Repeat("Ærøskøbing Straße ", 20)} {
+		if !f(s) {
+			t.Errorf("Fold(%q) = %q, want %q", s, Fold(s), ref(s))
 		}
 	}
 }

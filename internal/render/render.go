@@ -406,9 +406,11 @@ func renderMarkdown(w io.Writer, sections []core.Section, opts Options) error {
 	return err
 }
 
+// mdEscaper backslash-escapes Markdown emphasis, code and link syntax.
+var mdEscaper = strings.NewReplacer("*", `\*`, "_", `\_`, "`", "\\`", "[", `\[`, "]", `\]`)
+
 func mdEscape(s string) string {
-	r := strings.NewReplacer("*", `\*`, "_", `\_`, "`", "\\`", "[", `\[`, "]", `\]`)
-	return r.Replace(s)
+	return mdEscaper.Replace(s)
 }
 
 // ---- CSV ----

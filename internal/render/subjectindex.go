@@ -20,17 +20,18 @@ func SubjectIndex(w io.Writer, works []*model.Work, coll collate.Options, opts O
 	if opts.RunningHead == "" {
 		opts.RunningHead = "SUBJECT INDEX"
 	}
-	groups := groupBySubject(works, coll)
+	var emit func(io.Writer, []subjectGroup, Options) error
 	switch opts.Format {
 	case Text:
-		return subjectIndexText(w, groups, opts)
+		emit = subjectIndexText
 	case TSV:
-		return subjectIndexTSV(w, groups)
+		emit = subjectIndexTSV
 	case Markdown:
-		return subjectIndexMarkdown(w, groups, opts)
+		emit = subjectIndexMarkdown
 	default:
 		return fmt.Errorf("render: subject index does not support format %s", opts.Format)
 	}
+	return emit(w, groupBySubject(works, coll), opts)
 }
 
 // Unclassified is the heading for works without subjects.
@@ -38,6 +39,7 @@ const Unclassified = "(unclassified)"
 
 type subjectGroup struct {
 	subject string
+	key     []byte // collation key of subject, built once per heading
 	works   []*model.Work
 }
 
@@ -51,7 +53,7 @@ func groupBySubject(works []*model.Work, coll collate.Options) []subjectGroup {
 		for _, s := range subjects {
 			g, ok := byKey[s]
 			if !ok {
-				g = &subjectGroup{subject: s}
+				g = &subjectGroup{subject: s, key: collate.KeyString(s, coll)}
 				byKey[s] = g
 			}
 			g.works = append(g.works, w)
@@ -65,9 +67,7 @@ func groupBySubject(works []*model.Work, coll collate.Options) []subjectGroup {
 		groups = append(groups, *g)
 	}
 	sort.Slice(groups, func(i, j int) bool {
-		return bytes.Compare(
-			collate.KeyString(groups[i].subject, coll),
-			collate.KeyString(groups[j].subject, coll)) < 0
+		return bytes.Compare(groups[i].key, groups[j].key) < 0
 	})
 	return groups
 }
@@ -105,7 +105,7 @@ func subjectIndexText(w io.Writer, groups []subjectGroup, opts Options) error {
 	return p.err
 }
 
-func subjectIndexTSV(w io.Writer, groups []subjectGroup) error {
+func subjectIndexTSV(w io.Writer, groups []subjectGroup, _ Options) error {
 	var b strings.Builder
 	for _, g := range groups {
 		for _, work := range g.works {

@@ -23,26 +23,41 @@ func TitleIndex(w io.Writer, works []*model.Work, coll collate.Options, opts Opt
 	if opts.RunningHead == "" {
 		opts.RunningHead = "TITLE INDEX"
 	}
-	sorted := make([]*model.Work, len(works))
-	copy(sorted, works)
-	sort.SliceStable(sorted, func(i, j int) bool {
-		ki := collate.KeyString(indexableTitle(sorted[i].Title), coll)
-		kj := collate.KeyString(indexableTitle(sorted[j].Title), coll)
-		if c := bytes.Compare(ki, kj); c != 0 {
-			return c < 0
-		}
-		return sorted[i].Citation.Compare(sorted[j].Citation) < 0
-	})
+	var emit func(io.Writer, []keyedWork, Options) error
 	switch opts.Format {
 	case Text:
-		return titleIndexText(w, sorted, coll, opts)
+		emit = titleIndexText
 	case TSV:
-		return titleIndexTSV(w, sorted)
+		emit = titleIndexTSV
 	case Markdown:
-		return titleIndexMarkdown(w, sorted, coll, opts)
+		emit = titleIndexMarkdown
 	default:
 		return fmt.Errorf("render: title index does not support format %s", opts.Format)
 	}
+	return emit(w, sortByTitle(works, coll), opts)
+}
+
+// keyedWork pairs a work with the collation key of its indexable title,
+// built once per render rather than once per sort comparison.
+type keyedWork struct {
+	key  []byte
+	work *model.Work
+}
+
+// sortByTitle orders works by (title key, citation), stably, leaving the
+// caller's slice untouched.
+func sortByTitle(works []*model.Work, coll collate.Options) []keyedWork {
+	sorted := make([]keyedWork, len(works))
+	for i, w := range works {
+		sorted[i] = keyedWork{collate.KeyString(indexableTitle(w.Title), coll), w}
+	}
+	sort.SliceStable(sorted, func(i, j int) bool {
+		if c := bytes.Compare(sorted[i].key, sorted[j].key); c != 0 {
+			return c < 0
+		}
+		return sorted[i].work.Citation.Compare(sorted[j].work.Citation) < 0
+	})
+	return sorted
 }
 
 // indexableTitle drops leading articles ("A", "An", "The") the way index
@@ -56,9 +71,10 @@ func indexableTitle(title string) string {
 	return title
 }
 
-func titleLetter(title string, coll collate.Options) byte {
-	t := indexableTitle(title)
-	key := collate.PrimaryPrefix(t, coll)
+// titleLetter returns the section letter a title key files under. The
+// first ASCII letter or digit of a key always lies in its primary tier:
+// the later tiers hold the same text unfolded, so they add none.
+func titleLetter(key []byte) byte {
 	for _, c := range key {
 		if c >= 'a' && c <= 'z' {
 			return c - 'a' + 'A'
@@ -70,7 +86,7 @@ func titleLetter(title string, coll collate.Options) byte {
 	return '#'
 }
 
-func titleIndexText(w io.Writer, works []*model.Work, coll collate.Options, opts Options) error {
+func titleIndexText(w io.Writer, works []keyedWork, opts Options) error {
 	width := opts.pageWidth()
 	citeW := 16
 	titleW := (width - citeW - 2) * 3 / 5
@@ -78,9 +94,10 @@ func titleIndexText(w io.Writer, works []*model.Work, coll collate.Options, opts
 	p := &textPager{w: w, opts: opts}
 
 	var lastLetter byte
-	for _, work := range works {
+	for _, kw := range works {
+		work := kw.work
 		if !opts.NoSections {
-			if l := titleLetter(work.Title, coll); l != lastLetter {
+			if l := titleLetter(kw.key); l != lastLetter {
 				lastLetter = l
 				p.emit("")
 				p.emit(center(fmt.Sprintf("— %c —", l), width))
@@ -117,9 +134,10 @@ func titleIndexText(w io.Writer, works []*model.Work, coll collate.Options, opts
 	return p.err
 }
 
-func titleIndexTSV(w io.Writer, works []*model.Work) error {
+func titleIndexTSV(w io.Writer, works []keyedWork, _ Options) error {
 	var b strings.Builder
-	for _, work := range works {
+	for _, kw := range works {
+		work := kw.work
 		authors := make([]string, len(work.Authors))
 		for i, a := range work.Authors {
 			authors[i] = a.Display()
@@ -131,16 +149,17 @@ func titleIndexTSV(w io.Writer, works []*model.Work) error {
 	return err
 }
 
-func titleIndexMarkdown(w io.Writer, works []*model.Work, coll collate.Options, opts Options) error {
+func titleIndexMarkdown(w io.Writer, works []keyedWork, opts Options) error {
 	var b strings.Builder
 	fmt.Fprintf(&b, "# %s\n", opts.runningHead())
 	if vol := opts.Volume.String(); vol != "" {
 		fmt.Fprintf(&b, "\n_%s_\n", vol)
 	}
 	var lastLetter byte
-	for _, work := range works {
+	for _, kw := range works {
+		work := kw.work
 		if !opts.NoSections {
-			if l := titleLetter(work.Title, coll); l != lastLetter {
+			if l := titleLetter(kw.key); l != lastLetter {
 				lastLetter = l
 				fmt.Fprintf(&b, "\n## %c\n\n", l)
 			}
