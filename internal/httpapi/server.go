@@ -1,7 +1,7 @@
 // Package httpapi is the HTTP surface of the author-index engine: the
 // read-mostly query API, the write endpoints, and the operational
 // endpoints (health, readiness, Prometheus metrics, optional pprof).
-// `authdex serve` and the loadgen harness both build their servers
+// `authdex serve` and the authbench benchmark both build their servers
 // here, so the two surfaces cannot drift.
 //
 //	GET /stats                         counters as JSON

@@ -80,6 +80,44 @@ func TestDebugTraces(t *testing.T) {
 			t.Error("trace has no duration")
 		}
 	}
+
+	// Every family keeps a bounded, slowest-first ring of timed traces,
+	// and a read and a write family both carry span trees below the root.
+	resp, err = http.Post(ts.URL+"/works", "application/json",
+		strings.NewReader(`{"title":"Traced Write","citation":"91:1 (1989)","authors":["Writer, Trace"]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("POST /works status %d", resp.StatusCode)
+	}
+	if code := getJSON(t, ts.URL+"/debug/traces?format=json", &snap); code != 200 {
+		t.Fatalf("json status %d", code)
+	}
+	withSpans := map[string]bool{}
+	for _, fam := range snap {
+		if len(fam.Slowest) == 0 || len(fam.Slowest) > trace.DefaultRingSize {
+			t.Errorf("family %s kept %d slowest traces, want 1..%d", fam.Family, len(fam.Slowest), trace.DefaultRingSize)
+		}
+		for i, td := range fam.Slowest {
+			if td.DurNS <= 0 {
+				t.Errorf("family %s trace has no duration", fam.Family)
+			}
+			if i > 0 && td.DurNS > fam.Slowest[i-1].DurNS {
+				t.Errorf("family %s slowest ring is not slowest-first", fam.Family)
+			}
+			if len(td.Root.Children) > 0 {
+				withSpans[fam.Family] = true
+			}
+		}
+	}
+	for _, fam := range []string{"GET /search", "POST /works"} {
+		if !withSpans[fam] {
+			t.Errorf("no %s trace carries a span tree", fam)
+		}
+	}
 }
 
 // TestDebugTracesFilters: family substring and min-duration filters
