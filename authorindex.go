@@ -271,8 +271,9 @@ type Stats struct {
 	WorksCloned     uint64 // result works deep-copied for callers
 	PostingsScanned uint64 // bytes of posting entries examined by queries
 
-	// BatchesCommitted counts group commits applied (AddBatch,
-	// DeleteBatch and each import chunk).
+	// BatchesCommitted counts group commits applied: every Add,
+	// AddBatch, Delete and DeleteBatch, and each import chunk (a single
+	// Add or Delete is a one-work group commit).
 	BatchesCommitted int64
 	// FsyncsSaved counts WAL commits avoided by batching: a committed
 	// batch of N works costs one commit where N single Adds pay N.
@@ -344,6 +345,7 @@ const (
 	opAdd
 	opAddBatch
 	opDelete
+	opDeleteBatch
 	opRender
 	opVerify
 	opOpen
@@ -352,7 +354,7 @@ const (
 
 var opNames = [numOps]string{
 	"search", "year_range", "by_subject", "get", "add",
-	"add_batch", "delete", "render", "verify", "open",
+	"add_batch", "delete", "delete_batch", "render", "verify", "open",
 }
 
 type opSet [numOps]*obs.Histogram
@@ -444,12 +446,6 @@ func (ix *Index) RegisterMetrics(r *obs.Registry) {
 		"Engine snapshot roots not yet collected; 1 when quiescent.",
 		func() float64 { return float64(ix.EpochsAlive()) })
 }
-
-// engineAddFault, when non-nil, is consulted by the write path after
-// the store has durably accepted a work but before the engine indexes
-// it. Tests use it to force the store-succeeded/engine-failed window
-// and assert the rollback; production never sets it.
-var engineAddFault func(*Work) error
 
 // Open opens (creating if necessary) an index rooted at dir. An empty
 // dir gives a volatile in-memory index. opts may be nil for defaults.
@@ -556,28 +552,12 @@ func Open(dir string, opts *Options) (*Index, error) {
 }
 
 // Add validates and stores a work, files it in every index, and returns
-// its assigned ID. A zero w.ID gets the next free ID; a non-zero ID
-// inserts or replaces.
-//
-// If the engine rejects a work the store already accepted, the store
-// mutation is rolled back — a fresh work is deleted, an overwrite is
-// restored to the previous version — before the error returns, so
-// storage and indexes can never diverge. (The window is defensive: the
-// store and engine run the same validation, so an engine-only failure
-// should be impossible.)
+// its assigned ID: an AddBatch of one work, so it is one group commit
+// and counts in Stats.BatchesCommitted. A zero w.ID gets the next free
+// ID; a non-zero ID inserts or replaces. An invalid work or a WAL error
+// leaves the index unchanged.
 func (ix *Index) Add(w Work) (WorkID, error) {
 	return ix.AddCtx(context.Background(), w)
-}
-
-// engAdd indexes one stored work into the writer's not-yet-published
-// clone, honoring the test-only fault hook.
-func (ix *Index) engAdd(eng *query.Engine, w *Work) error {
-	if engineAddFault != nil {
-		if err := engineAddFault(w); err != nil {
-			return err
-		}
-	}
-	return eng.Add(w)
 }
 
 // AddBatch validates and stores N works under a single lock acquisition
@@ -586,93 +566,17 @@ func (ix *Index) engAdd(eng *query.Engine, w *Work) error {
 // amortized indexing pass. IDs are assigned exactly as N sequential
 // Adds would assign them and returned in input order.
 //
-// Durability and rollback are all-or-nothing: an invalid work anywhere
-// in the batch, a WAL error, or an engine failure leaves storage,
-// indexes, metrics and the coauthorship graph byte-identical to their
-// pre-batch state — works whose explicit IDs overwrote existing
-// records are restored to the previous version on rollback. Visibility
-// is atomic too: with Options.Shards > 1 a committed batch publishes
-// every shard's portion in one snapshot root, so a concurrent reader
-// sees all of the batch or none of it, and every read started after
-// AddBatch returns sees the whole batch.
+// The commit order is validate and reserve IDs, commit to the store,
+// then index and publish. Validation is the only check a work can
+// fail, and it runs before anything is written, so an invalid work
+// anywhere in the batch or a WAL error leaves storage, indexes, metrics
+// and the coauthorship graph byte-identical to their pre-batch state.
+// Visibility is atomic: with Options.Shards > 1 a committed batch
+// publishes every shard's portion in one snapshot root, so a
+// concurrent reader sees all of the batch or none of it, and every
+// read started after AddBatch returns sees the whole batch.
 func (ix *Index) AddBatch(works []Work) ([]WorkID, error) {
 	return ix.AddBatchCtx(context.Background(), works)
-}
-
-// rollbackStored undoes a committed PutBatch after an engine failure:
-// fresh IDs are deleted, overwritten IDs are restored to the version
-// the engine still holds.
-func (ix *Index) rollbackStored(ids []WorkID, prev map[WorkID]*model.Work) error {
-	var drop []WorkID
-	var restore []*model.Work
-	for _, id := range uniqueIDs(ids) {
-		if old, ok := prev[id]; ok {
-			restore = append(restore, old)
-		} else {
-			drop = append(drop, id)
-		}
-	}
-	if len(drop) > 0 {
-		if err := ix.store.DeleteBatch(drop); err != nil {
-			return err
-		}
-	}
-	if len(restore) > 0 {
-		if _, err := ix.store.PutBatch(restore); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// undoTrackerAdds reverses the shared-tracker side effects of a group
-// that was indexed into a since-discarded clone: the clone's btrees are
-// garbage either way, but its AddBatch mutated the metrics and graph
-// trackers shared by every shard engine, so each surviving version is
-// removed and any work it replaced is re-added. Duplicate explicit IDs
-// collapse to the last occurrence inside the engine, so the undo walks
-// unique IDs once.
-func (ix *Index) undoTrackerAdds(eng *query.Engine, group []*model.Work, prev map[WorkID]*model.Work) {
-	done := make(map[WorkID]struct{}, len(group))
-	for _, w := range group {
-		if _, dup := done[w.ID]; dup {
-			continue
-		}
-		done[w.ID] = struct{}{}
-		eng.Remove(w.ID)
-		if old, ok := prev[w.ID]; ok {
-			// Re-adding a previously indexed work cannot fail.
-			_ = eng.Add(old)
-		}
-	}
-}
-
-// engAddBatch indexes a stored batch into the writer's not-yet-published
-// clone, honoring the test-only fault hook.
-func (ix *Index) engAddBatch(eng *query.Engine, batch []*model.Work) error {
-	if engineAddFault != nil {
-		for _, w := range batch {
-			if err := engineAddFault(w); err != nil {
-				return err
-			}
-		}
-	}
-	return eng.AddBatch(batch)
-}
-
-// uniqueIDs drops duplicate IDs (a batch may legally carry the same
-// explicit ID twice) so a rollback DeleteBatch never double-deletes.
-func uniqueIDs(ids []WorkID) []WorkID {
-	seen := make(map[WorkID]struct{}, len(ids))
-	out := ids[:0:0]
-	for _, id := range ids {
-		if _, dup := seen[id]; dup {
-			continue
-		}
-		seen[id] = struct{}{}
-		out = append(out, id)
-	}
-	return out
 }
 
 // DeleteBatch removes N works everywhere under a single lock
@@ -682,7 +586,8 @@ func (ix *Index) DeleteBatch(ids []WorkID) error {
 	return ix.DeleteBatchCtx(context.Background(), ids)
 }
 
-// Delete removes a work everywhere. ErrNotFound if the ID is unknown.
+// Delete removes a work everywhere: a DeleteBatch of one ID, so it is
+// one group commit. ErrNotFound if the ID is unknown.
 func (ix *Index) Delete(id WorkID) error {
 	return ix.DeleteCtx(context.Background(), id)
 }

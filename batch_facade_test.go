@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"strings"
 	"testing"
 )
 
@@ -101,8 +100,8 @@ func TestAddBatchSingleFsync(t *testing.T) {
 func facadeFingerprint(t *testing.T, ix *Index) string {
 	t.Helper()
 	st := ix.Stats()
-	// Zero the observability counters: they are monotonic (a rolled-back
-	// batch still counts its WAL traffic) and are not index state.
+	// Zero the observability counters: they are monotonic and are not
+	// index state. Callers compare WALBytes on its own.
 	st.QueriesServed, st.WorksCloned, st.PostingsScanned = 0, 0, 0
 	st.WALBytes, st.WALSyncs, st.BatchesCommitted, st.FsyncsSaved = 0, 0, 0, 0
 	var buf bytes.Buffer
@@ -113,42 +112,101 @@ func facadeFingerprint(t *testing.T, ix *Index) string {
 	return fmt.Sprintf("%+v|%s|%s", st, gfp, buf.String())
 }
 
-func TestAddBatchFailureIsAtomic(t *testing.T) {
+// rejections lists one invalid work per error Engine.AddBatch can
+// return for a work the facade hands it (the facade always assigns an
+// ID, so the engine's zero-ID check is unreachable from here). Each one
+// fails validation, which runs before anything commits.
+var rejections = []struct {
+	name  string
+	spoil func(*Work)
+}{
+	{"empty title", func(w *Work) { w.Title = "" }},
+	{"control-character title", func(w *Work) { w.Title = "Tab\tTitle" }},
+	{"invalid kind", func(w *Work) { w.Kind = Kind(200) }},
+	{"no authors", func(w *Work) { w.Authors = nil }},
+	{"invalid author", func(w *Work) { w.Authors = append(w.Authors, Author{Given: "No Family"}) }},
+	{"invalid citation", func(w *Work) { w.Citation.Year = 1200 }},
+	{"empty subject", func(w *Work) { w.Subjects = append(w.Subjects, "") }},
+	{"control-character subject", func(w *Work) { w.Subjects = append(w.Subjects, "Line\nBreak") }},
+}
+
+// checkRejectionsAtomic sends every rejection through Add (fresh and
+// overwriting) and AddBatch (fresh IDs, and explicit IDs spanning the
+// shards with the bad work on the batch's highest shard), and asserts
+// each left the index, the WAL and the next assigned ID unchanged —
+// then that a reopen agrees nothing was written.
+func checkRejectionsAtomic(t *testing.T, shards int) {
 	dir := t.TempDir()
-	ix := openT(t, dir)
+	ix := openShards(t, dir, shards)
 	if _, err := ix.AddBatch(batchOf(30, 1)); err != nil {
 		t.Fatal(err)
 	}
 	before := facadeFingerprint(t, ix)
 	beforeWAL := ix.Stats().WALBytes
+	beforeNext := ix.store.Stats().NextID
 
-	bad := batchOf(20, 2)
-	bad[13].Title = "" // invalid: rejected by validation before anything commits
-	if _, err := ix.AddBatch(bad); err == nil {
-		t.Fatal("invalid batch accepted")
+	explicit := batchOf(8, 3)
+	maxShard, last := -1, 0
+	hit := map[int]bool{}
+	for i := range explicit {
+		explicit[i].ID = WorkID(1000 + i)
+		si := ix.shards.ForWork(explicit[i].ID)
+		hit[si] = true
+		if si >= maxShard {
+			maxShard, last = si, i
+		}
 	}
-	if after := facadeFingerprint(t, ix); after != before {
-		t.Fatal("failed AddBatch left storage/engine/metrics/graph changed")
+	if shards > 1 && len(hit) < 2 {
+		t.Fatalf("explicit batch landed on %d shard(s), need >= 2", len(hit))
 	}
-	if got := ix.Stats().WALBytes; got != beforeWAL {
-		t.Errorf("failed AddBatch wrote %d WAL bytes", got-beforeWAL)
+	for _, rc := range rejections {
+		single := batchOf(1, 2)[0]
+		rc.spoil(&single)
+		overwrite := single
+		overwrite.ID = 7
+		fresh := batchOf(20, 2)
+		rc.spoil(&fresh[13])
+		spanning := append([]Work(nil), explicit...)
+		rc.spoil(&spanning[last])
+		for _, write := range []struct {
+			name string
+			do   func() error
+		}{
+			{"Add", func() error { _, err := ix.Add(single); return err }},
+			{"Add overwrite", func() error { _, err := ix.Add(overwrite); return err }},
+			{"AddBatch", func() error { _, err := ix.AddBatch(fresh); return err }},
+			{"AddBatch explicit IDs", func() error { _, err := ix.AddBatch(spanning); return err }},
+		} {
+			if err := write.do(); err == nil {
+				t.Fatalf("%s with %s accepted", write.name, rc.name)
+			}
+			if after := facadeFingerprint(t, ix); after != before {
+				t.Fatalf("%s with %s left storage/engine/metrics/graph changed", write.name, rc.name)
+			}
+			if got := ix.Stats().WALBytes; got != beforeWAL {
+				t.Fatalf("%s with %s wrote %d WAL bytes", write.name, rc.name, got-beforeWAL)
+			}
+			if got := ix.store.Stats().NextID; got != beforeNext {
+				t.Fatalf("%s with %s moved the next ID %d -> %d", write.name, rc.name, beforeNext, got)
+			}
+		}
 	}
 	if err := ix.Verify(); err != nil {
-		t.Fatalf("Verify after failed batch: %v", err)
+		t.Fatalf("Verify after failed writes: %v", err)
 	}
 	// IDs must continue exactly where the committed state left them.
-	ids, err := ix.AddBatch(batchOf(2, 3))
+	ids, err := ix.AddBatch(batchOf(2, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ids[0] != 31 || ids[1] != 32 {
 		t.Errorf("post-failure ids = %v, want [31 32]", ids)
 	}
-	// And a reopen must agree the failed batch never existed.
+	// And a reopen must agree the failed writes never existed.
 	if err := ix.Close(); err != nil {
 		t.Fatal(err)
 	}
-	ix = openT(t, dir)
+	ix = openShards(t, dir, shards)
 	defer ix.Close()
 	if ix.Len() != 32 {
 		t.Errorf("recovered Len = %d, want 32", ix.Len())
@@ -158,85 +216,7 @@ func TestAddBatchFailureIsAtomic(t *testing.T) {
 	}
 }
 
-// Satellite regression: the store-accepted/engine-rejected window must
-// roll the stored work back, for the single and the batched path alike.
-func TestEngineFailureRollsBackStore(t *testing.T) {
-	fail := errors.New("injected engine failure")
-	engineAddFault = func(w *Work) error {
-		if strings.Contains(w.Title, "poison") {
-			return fail
-		}
-		return nil
-	}
-	defer func() { engineAddFault = nil }()
-
-	dir := t.TempDir()
-	ix := openT(t, dir)
-	if _, err := ix.Add(sampleWork("Healthy Work", "90:100 (1985)", "Sound, Safe")); err != nil {
-		t.Fatal(err)
-	}
-	before := facadeFingerprint(t, ix)
-
-	if _, err := ix.Add(sampleWork("poison single", "90:101 (1985)", "Trouble, Tom")); !errors.Is(err, fail) {
-		t.Fatalf("Add with engine failure: %v", err)
-	}
-	if after := facadeFingerprint(t, ix); after != before {
-		t.Fatal("engine-failed Add left store and engine divergent")
-	}
-	if err := ix.Verify(); err != nil {
-		t.Fatalf("Verify after rolled-back Add: %v", err)
-	}
-
-	batch := batchOf(6, 4)
-	batch[4].Title = "poison batch member"
-	if _, err := ix.AddBatch(batch); !errors.Is(err, fail) {
-		t.Fatalf("AddBatch with engine failure: %v", err)
-	}
-	if after := facadeFingerprint(t, ix); after != before {
-		t.Fatal("engine-failed AddBatch left store and engine divergent")
-	}
-	if err := ix.Verify(); err != nil {
-		t.Fatalf("Verify after rolled-back AddBatch: %v", err)
-	}
-
-	// The overwrite case: a failing work whose explicit ID targets a
-	// committed record must restore the original, not tombstone it.
-	poisonOverwrite := sampleWork("poison overwrite", "90:100 (1985)", "Trouble, Tom")
-	poisonOverwrite.ID = 1 // the healthy work's ID
-	if _, err := ix.Add(poisonOverwrite); !errors.Is(err, fail) {
-		t.Fatalf("overwriting Add with engine failure: %v", err)
-	}
-	if after := facadeFingerprint(t, ix); after != before {
-		t.Fatal("engine-failed overwrite Add did not restore the original work")
-	}
-	overwriteBatch := batchOf(3, 7)
-	overwriteBatch[1] = poisonOverwrite
-	if _, err := ix.AddBatch(overwriteBatch); !errors.Is(err, fail) {
-		t.Fatalf("overwriting AddBatch with engine failure: %v", err)
-	}
-	if after := facadeFingerprint(t, ix); after != before {
-		t.Fatal("engine-failed overwrite AddBatch did not restore the original work")
-	}
-	if w, ok := ix.Get(1); !ok || w.Title != "Healthy Work" {
-		t.Fatalf("original work not restored: %v, %v", w, ok)
-	}
-	if err := ix.Verify(); err != nil {
-		t.Fatalf("Verify after rolled-back overwrite: %v", err)
-	}
-
-	// Recovery must see only the healthy work: the rollback is durable.
-	if err := ix.Close(); err != nil {
-		t.Fatal(err)
-	}
-	ix = openT(t, dir)
-	defer ix.Close()
-	if ix.Len() != 1 {
-		t.Fatalf("recovered Len = %d, want 1", ix.Len())
-	}
-	if _, ok := ix.Author("Sound, Safe"); !ok {
-		t.Error("healthy work lost in rollback")
-	}
-}
+func TestAddBatchFailureIsAtomic(t *testing.T) { checkRejectionsAtomic(t, 1) }
 
 func TestDeleteBatch(t *testing.T) {
 	dir := t.TempDir()

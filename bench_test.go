@@ -204,7 +204,7 @@ func BenchmarkRecovery(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, w := range works {
-			if _, err := st.Put(w); err != nil {
+			if _, err := st.PutBatch([]*model.Work{w}); err != nil {
 				b.Fatal(err)
 			}
 		}

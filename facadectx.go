@@ -3,7 +3,6 @@ package authorindex
 import (
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"sort"
 	"time"
@@ -38,22 +37,11 @@ func degradedAttr(sp *trace.Span, err error) {
 	}
 }
 
-// lockShardTraced acquires one shard's writer mutex, recording the wait
-// as one child span and opening the hold span annotated with the shard
-// ID. The returned context parents the store/engine work under the hold
-// span; the caller must End it right after Unlock.
-func (ix *Index) lockShardTraced(ctx context.Context, s *shard.Shard) (context.Context, *trace.Span) {
-	sp := trace.FromContext(ctx)
-	wait := sp.StartChild("lock.wait")
-	s.Lock()
-	wait.End()
-	hold := sp.StartChild("lock.hold")
-	hold.SetInt("shard", int64(s.ID()))
-	return trace.ContextWith(ctx, hold), hold
-}
-
 // lockShardsTraced locks the given shards — ascending IDs, the global
-// lock order — under one lock.wait/lock.hold span pair.
+// lock order — recording the wait as one lock.wait child span and
+// opening the lock.hold span. The returned context parents the store
+// work under the hold span; the caller must End it right after
+// unlockShards.
 func (ix *Index) lockShardsTraced(ctx context.Context, ids []int) (context.Context, *trace.Span) {
 	sp := trace.FromContext(ctx)
 	wait := sp.StartChild("lock.wait")
@@ -235,63 +223,22 @@ func (ix *Index) TopCentralCtx(ctx context.Context, limit int) []CentralAuthor {
 	return out
 }
 
-// AddCtx is Add carrying a trace context; the store commit (and its
-// WAL encode/fsync children) nests under the lock.hold span.
+// AddCtx is Add carrying a trace context: the facade.add span over
+// the same group commit AddBatchCtx runs, with one work.
 func (ix *Index) AddCtx(ctx context.Context, w Work) (WorkID, error) {
 	defer ix.timeOp(opAdd)()
 	ctx, sp := trace.StartSpan(ctx, "facade.add")
 	defer sp.End()
-	if w.ID == 0 {
-		// Reserve the ID before touching the store, as AddBatchCtx does,
-		// so the home shard is known and its lock brackets the commit.
-		ids, err := ix.store.ReserveBatchIDs([]*model.Work{&w})
-		if err != nil {
-			degradedAttr(sp, err)
-			return 0, err
-		}
-		w.ID = ids[0]
-	}
-	// Capture the version the ID overwrites under the shard lock;
-	// rollback must restore it.
-	s := ix.shards.Shard(ix.shards.ForWork(w.ID))
-	hctx, hold := ix.lockShardTraced(ctx, s)
-	defer hold.End()
-	defer s.Unlock()
-	old, _ := s.Head().WorkView(w.ID)
-	if _, err := ix.store.PutCtx(hctx, &w); err != nil {
-		degradedAttr(sp, err)
+	ids, err := ix.commitAdds(ctx, sp, []Work{w})
+	if err != nil {
 		return 0, err
 	}
-	return ix.commitAdd(s, &w, old)
-}
-
-// commitAdd indexes one stored work into a clone of its home shard's
-// head and publishes it. An engine failure discards the partly mutated
-// clone — readers never glimpse it — and rolls the committed store
-// mutation back (old version restored, fresh ID deleted). The caller
-// holds the shard lock.
-func (ix *Index) commitAdd(s *shard.Shard, w *Work, old *model.Work) (WorkID, error) {
-	start := time.Now()
-	eng := s.Head().Clone()
-	if err := ix.engAdd(eng, w); err != nil {
-		var derr error
-		if old != nil {
-			_, derr = ix.store.Put(old)
-		} else {
-			derr = ix.store.Delete(w.ID)
-		}
-		if derr != nil {
-			return 0, fmt.Errorf("%w (rollback also failed: %v)", err, derr)
-		}
-		return 0, err
-	}
-	ix.publish(start, map[int]*query.Engine{s.ID(): eng})
-	return w.ID, nil
+	return ids[0], nil
 }
 
 // AddBatchCtx is AddBatch carrying a trace context; the group commit
-// (one WAL append, one fsync) and the two-phase index pass over the
-// touched shards both nest under lock.hold.
+// (one WAL append, one fsync) and the index pass over the touched
+// shards both nest under lock.hold.
 func (ix *Index) AddBatchCtx(ctx context.Context, works []Work) ([]WorkID, error) {
 	if len(works) == 0 {
 		return nil, nil
@@ -300,6 +247,13 @@ func (ix *Index) AddBatchCtx(ctx context.Context, works []Work) ([]WorkID, error
 	ctx, sp := trace.StartSpan(ctx, "facade.add_batch")
 	sp.SetInt("works", int64(len(works)))
 	defer sp.End()
+	return ix.commitAdds(ctx, sp, works)
+}
+
+// commitAdds is the one write path for works: validate and reserve
+// IDs, commit the store, then index every touched shard's group into a
+// clone and publish all clones in one root.
+func (ix *Index) commitAdds(ctx context.Context, sp *trace.Span, works []Work) ([]WorkID, error) {
 	batch := make([]*model.Work, len(works))
 	for i := range works {
 		cp := works[i]
@@ -308,72 +262,40 @@ func (ix *Index) AddBatchCtx(ctx context.Context, works []Work) ([]WorkID, error
 	// Reserve the batch's IDs before committing anything: fresh IDs
 	// cannot be contended (the counter only moves forward) and explicit
 	// IDs keep theirs, so every home shard is known — and can be locked —
-	// before the store commit. The shard locks must bracket both the
-	// prev capture and the commit: otherwise two writers on the same
-	// explicit ID could commit to the store in one order and publish to
-	// the shard engines in the other, leaving store and index
-	// permanently divergent.
+	// before the store commit. The shard locks must bracket the commit
+	// and the publish: otherwise two writers on the same explicit ID
+	// could commit to the store in one order and publish to the shard
+	// engines in the other, leaving store and index permanently
+	// divergent.
 	ids, err := ix.store.ReserveBatchIDs(batch)
 	if err != nil {
 		degradedAttr(sp, err)
 		return nil, err
 	}
-	for i := range batch {
-		batch[i].ID = ids[i]
-	}
-	// Two-phase across exactly the touched shards: group by home shard,
-	// lock ascending, commit the store, index every group into a clone,
-	// and publish all clones in one root only once every group has
-	// succeeded — a failure anywhere discards every clone and rolls the
-	// store back, and a reader sees the whole batch or none of it.
 	groups := make(map[int][]*model.Work)
-	for _, w := range batch {
+	for i, w := range batch {
+		w.ID = ids[i]
 		si := ix.shards.ForWork(w.ID)
 		groups[si] = append(groups[si], w)
 	}
-	touched := make([]int, 0, len(groups))
-	for si := range groups {
-		touched = append(touched, si)
-	}
-	sort.Ints(touched)
+	touched := sortedShards(groups)
 	hctx, hold := ix.lockShardsTraced(ctx, touched)
 	defer hold.End()
 	defer ix.unlockShards(touched)
-	// Capture the versions the batch overwrites — under the shard locks,
-	// so no concurrent writer can slide a new version in between capture
-	// and commit. The store's copies are identical to the engines' (both
-	// share the same read-only records), and a rollback must restore
-	// them rather than tombstone committed records; freshly reserved IDs
-	// have no stored version and roll back to deletion.
-	prev := make(map[WorkID]*model.Work)
-	for _, w := range batch {
-		if _, seen := prev[w.ID]; seen {
-			continue
-		}
-		if old, ok := ix.store.Get(w.ID); ok {
-			prev[w.ID] = old
-		}
-	}
 	if _, err := ix.store.PutBatchCtx(hctx, batch); err != nil {
 		degradedAttr(sp, err)
 		return nil, err
 	}
 	start := time.Now()
 	clones := make(map[int]*query.Engine, len(touched))
-	for i, si := range touched {
+	for _, si := range touched {
 		eng := ix.shards.Shard(si).Head().Clone()
-		if err := ix.engAddBatch(eng, groups[si]); err != nil {
-			// Each per-shard AddBatch is internally atomic, but the
-			// metrics and graph trackers are shared across all shard
-			// engines: groups already indexed into (about-to-be-
-			// discarded) clones have mutated them, and those effects
-			// must be reversed work by work.
-			for _, sj := range touched[:i] {
-				ix.undoTrackerAdds(clones[sj], groups[sj], prev)
-			}
-			if derr := ix.rollbackStored(ids, prev); derr != nil {
-				return nil, fmt.Errorf("%w (rollback also failed: %v)", err, derr)
-			}
+		if err := eng.AddBatch(groups[si]); err != nil {
+			// The store validated every work, and validation is all
+			// the engine can reject, so this cannot happen. Should it,
+			// the disk holds a commit memory lacks: latch read-only and
+			// publish nothing; a reopen rebuilds from disk.
+			ix.store.Degrade(err)
 			return nil, err
 		}
 		clones[si] = eng
@@ -382,25 +304,13 @@ func (ix *Index) AddBatchCtx(ctx context.Context, works []Work) ([]WorkID, error
 	return ids, nil
 }
 
-// DeleteCtx is Delete carrying a trace context.
+// DeleteCtx is Delete carrying a trace context: the facade.delete span
+// over the same group commit DeleteBatchCtx runs, with one ID.
 func (ix *Index) DeleteCtx(ctx context.Context, id WorkID) error {
 	defer ix.timeOp(opDelete)()
 	ctx, sp := trace.StartSpan(ctx, "facade.delete")
 	defer sp.End()
-	s := ix.shards.Shard(ix.shards.ForWork(id))
-	_, hold := ix.lockShardTraced(ctx, s)
-	defer hold.End()
-	defer s.Unlock()
-	if err := ix.store.Delete(id); err != nil {
-		degradedAttr(sp, err)
-		return err
-	}
-	start := time.Now()
-	eng := s.Head().Clone()
-	eng.Remove(id)
-	maybeCompactArena(eng)
-	ix.publish(start, map[int]*query.Engine{s.ID(): eng})
-	return nil
+	return ix.commitDeletes(ctx, sp, []WorkID{id})
 }
 
 // DeleteBatchCtx is DeleteBatch carrying a trace context.
@@ -408,19 +318,23 @@ func (ix *Index) DeleteBatchCtx(ctx context.Context, ids []WorkID) error {
 	if len(ids) == 0 {
 		return nil
 	}
+	defer ix.timeOp(opDeleteBatch)()
 	ctx, sp := trace.StartSpan(ctx, "facade.delete_batch")
 	sp.SetInt("works", int64(len(ids)))
 	defer sp.End()
+	return ix.commitDeletes(ctx, sp, ids)
+}
+
+// commitDeletes is the one delete path: lock the touched shards, commit
+// the store, then unindex every group in a clone and publish all clones
+// in one root.
+func (ix *Index) commitDeletes(ctx context.Context, sp *trace.Span, ids []WorkID) error {
 	groups := make(map[int][]WorkID)
 	for _, id := range ids {
 		si := ix.shards.ForWork(id)
 		groups[si] = append(groups[si], id)
 	}
-	touched := make([]int, 0, len(groups))
-	for si := range groups {
-		touched = append(touched, si)
-	}
-	sort.Ints(touched)
+	touched := sortedShards(groups)
 	_, hold := ix.lockShardsTraced(ctx, touched)
 	defer hold.End()
 	defer ix.unlockShards(touched)
@@ -440,6 +354,17 @@ func (ix *Index) DeleteBatchCtx(ctx context.Context, ids []WorkID) error {
 	}
 	ix.publish(start, clones)
 	return nil
+}
+
+// sortedShards returns the shard IDs a write's groups touch in
+// ascending order, the global lock order.
+func sortedShards[T any](groups map[int][]T) []int {
+	touched := make([]int, 0, len(groups))
+	for si := range groups {
+		touched = append(touched, si)
+	}
+	sort.Ints(touched)
+	return touched
 }
 
 // maybeCompactArena compacts the writer clone's bulk-load arena when

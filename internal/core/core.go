@@ -182,38 +182,10 @@ func (ix *Index) Remove(w *model.Work) {
 }
 
 // AddSeeAlso records a cross-reference from one heading to another,
-// creating the source heading if needed. Duplicate references are
-// ignored; a self-reference is an error.
+// creating the source heading if needed: AddSeeAlsoBatch of one.
+// Duplicate references are ignored; a self-reference is an error.
 func (ix *Index) AddSeeAlso(from, to model.Author) error {
-	if err := from.Validate(); err != nil {
-		return err
-	}
-	if err := to.Validate(); err != nil {
-		return err
-	}
-	if from.Display() == to.Display() {
-		return fmt.Errorf("core: see-also from %q to itself", from.Display())
-	}
-	key := collate.KeyAuthor(from, ix.opts)
-	e, ok := ix.entries.Get(key)
-	if ok {
-		for _, existing := range e.SeeAlso {
-			if existing == to {
-				return nil
-			}
-		}
-		e = e.mutableCopy()
-	} else {
-		e = &Entry{Author: from}
-	}
-	e.SeeAlso = append(e.SeeAlso, to)
-	sort.Slice(e.SeeAlso, func(i, j int) bool {
-		return string(collate.KeyAuthor(e.SeeAlso[i], ix.opts)) <
-			string(collate.KeyAuthor(e.SeeAlso[j], ix.opts))
-	})
-	ix.entries.Set(key, e)
-	ix.crossRef++
-	return nil
+	return ix.AddSeeAlsoBatch([]SeeAlsoRef{{From: from, To: to}})
 }
 
 // RemoveSeeAlso deletes a cross-reference; the source heading is removed
@@ -444,12 +416,11 @@ type SeeAlsoRef struct {
 }
 
 // AddSeeAlsoBatch records a batch of cross-references under one
-// validation pass and one SeeAlso sort per touched heading, instead of
-// the per-ref validate + linear-dedupe + re-sort that N sequential
-// AddSeeAlso calls pay. Every ref is validated before anything is
+// validation pass, copying each touched heading once and sorting its
+// SeeAlso list once. Every ref is validated before anything is
 // recorded, so an invalid ref anywhere in the batch leaves the index
 // unchanged. Duplicate refs (in the batch or already recorded) are
-// ignored, exactly like AddSeeAlso.
+// ignored.
 func (ix *Index) AddSeeAlsoBatch(refs []SeeAlsoRef) error {
 	if len(refs) == 0 {
 		return nil

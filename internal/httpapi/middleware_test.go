@@ -225,7 +225,7 @@ func TestReadyzVerifyOnBoot(t *testing.T) {
 // request metrics, the op histograms, the Stats promotions and the
 // process gauges.
 func TestDebugMetricsExposition(t *testing.T) {
-	ts, _, reg := testServerReg(t)
+	ts, ix, reg := testServerReg(t)
 	for _, p := range []string{"/stats", "/search?q=mining", "/works/1", "/authors?prefix=le"} {
 		resp, err := http.Get(ts.URL + p)
 		if err != nil {
@@ -260,6 +260,51 @@ func TestDebugMetricsExposition(t *testing.T) {
 	}
 	if n := reg.SeriesCount(); n < 20 {
 		t.Errorf("only %d series exposed, want >= 20:\n%s", n, out)
+	}
+
+	// Every write call records exactly one op-latency sample, under its
+	// own op label: single writes run the batch commit but keep theirs.
+	writes := []string{"add", "add_batch", "delete", "delete_batch"}
+	samples := func() map[string]int64 {
+		m := make(map[string]int64, len(writes))
+		for _, op := range writes {
+			m[op] = reg.Histogram("authdex_op_duration_seconds", "", "op", op).Count()
+		}
+		return m
+	}
+	w := authorindex.Work{
+		Title:    "Timed Write",
+		Citation: authorindex.Citation{Volume: 81, Page: 1, Year: 1978},
+		Authors:  []authorindex.Author{{Family: "Clock", Given: "Stop W."}},
+	}
+	var ids []authorindex.WorkID
+	for _, c := range []struct {
+		op string
+		do func() error
+	}{
+		{"add", func() error { id, err := ix.Add(w); ids = append(ids, id); return err }},
+		{"add_batch", func() error {
+			got, err := ix.AddBatch([]authorindex.Work{w, w})
+			ids = append(ids, got...)
+			return err
+		}},
+		{"delete", func() error { return ix.Delete(ids[0]) }},
+		{"delete_batch", func() error { return ix.DeleteBatch(ids[1:]) }},
+	} {
+		before := samples()
+		if err := c.do(); err != nil {
+			t.Fatalf("%s: %v", c.op, err)
+		}
+		after := samples()
+		for _, op := range writes {
+			want := before[op]
+			if op == c.op {
+				want++
+			}
+			if after[op] != want {
+				t.Errorf("after one %s call, op=%q has %d samples, want %d", c.op, op, after[op], want)
+			}
+		}
 	}
 }
 

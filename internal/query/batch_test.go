@@ -1,7 +1,10 @@
 package query
 
 import (
+	"bytes"
 	"fmt"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/collate"
@@ -191,5 +194,50 @@ func TestAddBatchEmptyAndSubjectDuplicates(t *testing.T) {
 	}
 	if got := e.BySubject("Mining Law", 0); len(got) != 1 {
 		t.Fatalf("duplicate subject filed %d postings, want 1", len(got))
+	}
+}
+
+// TestPostingRunMerge checks the subject-posting merge AddBatch files
+// with against a reference: every filed ref and run entry, stably
+// sorted by key, keeping the first of equal keys — so a filed entry
+// beats a run entry with its key, and a work listed twice files once.
+func TestPostingRunMerge(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	entry := func(k int) *workEntry {
+		return &workEntry{key: []byte(fmt.Sprintf("%06d", k))}
+	}
+	for iter := 0; iter < 500; iter++ {
+		var filed []*workEntry
+		for k := 0; k < 200; k++ {
+			if r.Intn(4) == 0 {
+				filed = append(filed, entry(k))
+			}
+		}
+		var run []*workEntry
+		for n := r.Intn(12); len(run) < n; {
+			if len(run) > 0 && r.Intn(5) == 0 {
+				run = append(run, run[r.Intn(len(run))]) // the same work again
+				continue
+			}
+			run = append(run, entry(r.Intn(220)))
+		}
+		ref := append(append([]*workEntry(nil), filed...), run...)
+		sort.SliceStable(ref, func(i, j int) bool { return bytes.Compare(ref[i].key, ref[j].key) < 0 })
+		want := ref[:0:0]
+		for _, we := range ref {
+			if n := len(want); n == 0 || !bytes.Equal(want[n-1].key, we.key) {
+				want = append(want, we)
+			}
+		}
+		pr := &postingRun{filed: filed, run: append([]*workEntry(nil), run...)}
+		got := pr.merge().refs
+		if len(got) != len(want) {
+			t.Fatalf("iter %d: merged %d refs, want %d", iter, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("iter %d: ref %d = %s, want %s (filed entry must win a tie)", iter, i, got[i].key, want[i].key)
+			}
+		}
 	}
 }

@@ -11,7 +11,7 @@ import (
 
 // TestEngineFeedsMetrics proves the engine keeps its tracker in sync
 // through adds, replacements and removals, and that the incremental
-// state matches a recovery-path rebuild exactly.
+// state matches a from-scratch rebuild over the indexed corpus exactly.
 func TestEngineFeedsMetrics(t *testing.T) {
 	works := gen.Generate(gen.Config{Seed: 3, Works: 200, ZipfS: 1.1})
 	e := New(collate.Default())
@@ -35,25 +35,10 @@ func TestEngineFeedsMetrics(t *testing.T) {
 	if sum.Works != e.Len() {
 		t.Fatalf("metrics track %d works, engine %d", sum.Works, e.Len())
 	}
-	e.RebuildMetrics()
-	after := e.Metrics().TopAuthors(metrics.ByWeighted, 0)
-	if !reflect.DeepEqual(before, after) {
+	fresh := metrics.NewEngine(metrics.Harmonic)
+	fresh.Rebuild(e.AllWorks())
+	if after := fresh.TopAuthors(metrics.ByWeighted, 0); !reflect.DeepEqual(before, after) {
 		t.Fatal("incremental metrics differ from rebuilt metrics")
-	}
-
-	// Scheme swap rebuilds under the new weighting and keeps totals.
-	e.SetMetricsScheme(metrics.Fractional)
-	if got := e.Metrics().Weighting(); got != metrics.Fractional {
-		t.Fatalf("scheme = %v", got)
-	}
-	if s := e.Metrics().Summary(); s.Works != sum.Works || s.Postings != sum.Postings {
-		t.Fatalf("summary changed across scheme swap: %+v vs %+v", s, sum)
-	}
-	// Swapping to the current scheme is a no-op.
-	tr := e.Metrics()
-	e.SetMetricsScheme(metrics.Fractional)
-	if e.Metrics() != tr {
-		t.Error("same-scheme swap replaced the tracker")
 	}
 }
 

@@ -39,7 +39,6 @@ import (
 const mutHelp = "Latency of engine index mutations across all indexes."
 
 var (
-	mutAdd      = obs.Default.Histogram("authdex_index_mutation_duration_seconds", mutHelp, "op", "add")
 	mutAddBatch = obs.Default.Histogram("authdex_index_mutation_duration_seconds", mutHelp, "op", "add_batch")
 	mutRemove   = obs.Default.Histogram("authdex_index_mutation_duration_seconds", mutHelp, "op", "remove")
 )
@@ -217,60 +216,24 @@ func (e *Engine) Index() *core.Index { return e.idx }
 // Len returns the number of indexed works.
 func (e *Engine) Len() int { return e.byID.Len() }
 
-// Add indexes w everywhere. Re-adding an existing ID replaces the old
-// version atomically (remove + add).
+// Add indexes w everywhere: AddBatch of one work. Re-adding an
+// existing ID replaces the old version.
 func (e *Engine) Add(w *model.Work) error {
-	defer mutAdd.Since(time.Now())
-	if err := w.Validate(); err != nil {
-		return err
-	}
-	if w.ID == 0 {
-		return fmt.Errorf("query: work %q has no ID", w.Title)
-	}
-	if _, exists := e.byID.Get(idKey(w.ID)); exists {
-		e.Remove(w.ID)
-	}
-	cp := w.Clone()
-	if err := e.idx.Add(cp); err != nil {
-		return err
-	}
-	e.inv.Add(cp.ID, cp.Title)
-	we := &workEntry{w: cp, key: citationKey(cp)}
-	e.byYear.Set(yearKey(cp.Citation.Year, we.key), we)
-	e.byCitation.Set(we.key, we)
-	if len(cp.Subjects) > 0 {
-		we.subjKeys = make([][]byte, len(cp.Subjects))
-	}
-	for i, s := range cp.Subjects {
-		key := collate.KeyString(s, e.coll)
-		we.subjKeys[i] = key
-		if p, ok := e.bySubject.Get(key); ok {
-			if np, changed := p.withRef(we); changed {
-				e.bySubject.Set(key, np)
-			}
-		} else {
-			e.bySubject.Set(key, &subjectPosting{display: s, refs: []*workEntry{we}})
-		}
-	}
-	e.trkMu.Lock()
-	e.met.Add(cp)
-	e.gr.Add(cp)
-	e.trkMu.Unlock()
-	e.byID.Set(idKey(cp.ID), we)
-	return nil
+	return e.AddBatch([]*model.Work{w})
 }
 
-// AddBatch indexes a batch of works in one pass, amortizing the
-// per-work overhead Add cannot avoid: subject postings take unsorted
-// appends and are key-sorted once per touched posting instead of paying
-// one binary-search insertion per work, and the metrics, graph,
-// inverted and citation-key indexes are all fed inside a single loop.
-// Duplicate IDs within the batch behave like sequential Adds (the last
-// occurrence wins); IDs already indexed are replaced.
+// AddBatch indexes a batch of works in one pass: subject postings take
+// the batch's works as one key-sorted run merged into the filed refs
+// once per touched posting, and the metrics, graph, inverted and
+// citation-key indexes are all fed inside a single loop. Duplicate IDs
+// within the batch behave like sequential adds (the last occurrence
+// wins); IDs already indexed are replaced.
 //
-// Every work is validated before anything is touched, and no mutation
-// after that point can fail, so an invalid work anywhere in the batch
-// leaves the engine byte-identical to its pre-batch state.
+// Every work is validated before anything is touched, so an invalid
+// work anywhere in the batch leaves the engine byte-identical to its
+// pre-batch state. No mutation after validation can fail; should one
+// ever report an error, the engine is left partly mutated and must be
+// discarded, as the facade discards its writer clone.
 func (e *Engine) AddBatch(works []*model.Work) error {
 	if len(works) == 0 {
 		return nil
@@ -284,10 +247,10 @@ func (e *Engine) AddBatch(works []*model.Work) error {
 			return fmt.Errorf("query: work %q has no ID", w.Title)
 		}
 	}
-	// Sequential-Add semantics for duplicate IDs: only the last
+	// Sequential-add semantics for duplicate IDs: only the last
 	// occurrence survives, so index exactly that one.
 	effective := works
-	if hasDuplicateIDs(works) {
+	if len(works) > 1 && hasDuplicateIDs(works) {
 		last := make(map[model.WorkID]int, len(works))
 		for i, w := range works {
 			last[w.ID] = i
@@ -300,38 +263,17 @@ func (e *Engine) AddBatch(works []*model.Work) error {
 		}
 	}
 	// Replacements first, so the batch loop below only ever inserts.
-	// Keep what was removed so the (unreachable) failure path below can
-	// reinstate it.
-	var replaced []*model.Work
 	for _, w := range effective {
-		if _, exists := e.byID.Get(idKey(w.ID)); exists {
-			if old, ok := e.Remove(w.ID); ok {
-				replaced = append(replaced, old)
-			}
-		}
+		e.Remove(w.ID)
 	}
-	// Batch-touched postings are accumulated in private copies (first
-	// touch copies the filed posting, or starts a fresh one) that take
-	// unsorted appends, then are key-sorted and filed once at the end —
-	// the filed postings themselves are never mutated, so snapshot
+	// Each touched posting collects the batch's entries as an unsorted
+	// run beside its filed refs; merge files them once at the end.
+	// The filed postings themselves are never mutated, so snapshot
 	// readers iterating them stay undisturbed.
-	touched := make(map[string]*subjectPosting)
-	var added []model.WorkID
+	touched := make(map[string]*postingRun)
 	for _, w := range effective {
 		cp := w.Clone()
 		if err := e.idx.Add(cp); err != nil {
-			// Unreachable: Add only rejects what the validation pass
-			// already accepted. Unwind anyway so the atomicity contract
-			// holds even if a new failure mode appears: discard the
-			// private posting copies (never filed), remove this batch's
-			// works, reinstate the replaced versions (previously indexed,
-			// so re-adding cannot fail).
-			for _, id := range added {
-				e.Remove(id)
-			}
-			for _, old := range replaced {
-				e.Add(old)
-			}
 			return err
 		}
 		e.inv.Add(cp.ID, cp.Title)
@@ -344,28 +286,24 @@ func (e *Engine) AddBatch(works []*model.Work) error {
 		for i, s := range cp.Subjects {
 			key := collate.KeyString(s, e.coll)
 			we.subjKeys[i] = key
-			p, ok := touched[string(key)]
+			r, ok := touched[string(key)]
 			if !ok {
+				r = &postingRun{display: s}
 				if filed, inTree := e.bySubject.Get(key); inTree {
-					p = &subjectPosting{display: filed.display,
-						refs: append(make([]*workEntry, 0, len(filed.refs)+1), filed.refs...)}
-				} else {
-					p = &subjectPosting{display: s}
+					r.display, r.filed = filed.display, filed.refs
 				}
-				touched[string(key)] = p
+				touched[string(key)] = r
 			}
-			p.refs = append(p.refs, we) // private copy; key-sorted below
+			r.run = append(r.run, we)
 		}
 		e.trkMu.Lock()
 		e.met.Add(cp)
 		e.gr.Add(cp)
 		e.trkMu.Unlock()
 		e.byID.Set(idKey(cp.ID), we)
-		added = append(added, cp.ID)
 	}
-	for k, p := range touched {
-		p.restore()
-		e.bySubject.Set([]byte(k), p)
+	for k, r := range touched {
+		e.bySubject.Set([]byte(k), r.merge())
 	}
 	return nil
 }
@@ -757,24 +695,10 @@ func (e *Engine) Remove(id model.WorkID) (*model.Work, bool) {
 	return w.Clone(), true
 }
 
-// withRef returns a copy of p with we inserted in citation-key order,
-// or (p, false) when an equal key is already filed. Filed postings are
-// never mutated in place — snapshot readers may be iterating them — so
-// every mutation goes copy, modify, re-file.
-func (p *subjectPosting) withRef(we *workEntry) (*subjectPosting, bool) {
-	i := sort.Search(len(p.refs), func(i int) bool { return bytes.Compare(p.refs[i].key, we.key) >= 0 })
-	if i < len(p.refs) && bytes.Equal(p.refs[i].key, we.key) {
-		return p, false
-	}
-	refs := make([]*workEntry, len(p.refs)+1)
-	copy(refs, p.refs[:i])
-	refs[i] = we
-	copy(refs[i+1:], p.refs[i:])
-	return &subjectPosting{display: p.display, refs: refs}, true
-}
-
 // withoutRef returns a copy of p with we removed, or (p, false) when it
-// is not filed. See withRef for the copy-on-write discipline.
+// is not filed. Filed postings are never mutated in place — snapshot
+// readers may be iterating them — so every mutation goes copy, modify,
+// re-file.
 func (p *subjectPosting) withoutRef(we *workEntry) (*subjectPosting, bool) {
 	i := sort.Search(len(p.refs), func(i int) bool { return bytes.Compare(p.refs[i].key, we.key) >= 0 })
 	if i >= len(p.refs) || p.refs[i] != we {
@@ -786,21 +710,42 @@ func (p *subjectPosting) withoutRef(we *workEntry) (*subjectPosting, bool) {
 	return &subjectPosting{display: p.display, refs: refs}, true
 }
 
-// restore re-establishes the sorted-by-key invariant on a private
-// (batch-owned, not yet filed) posting after a batch of unsorted
-// appends: one sort per touched posting instead of one insertion per
-// work, plus a compaction that drops duplicate keys (a work listing the
-// same subject twice) exactly as withRef would have.
-func (p *subjectPosting) restore() {
-	sort.Slice(p.refs, func(i, j int) bool { return bytes.Compare(p.refs[i].key, p.refs[j].key) < 0 })
-	out := p.refs[:0]
-	for i, we := range p.refs {
-		if i > 0 && bytes.Equal(we.key, out[len(out)-1].key) {
+// postingRun is one subject posting an AddBatch touches: the refs
+// already filed under the heading (sorted, shared with snapshots, never
+// written) and the batch's own entries, appended in batch order.
+type postingRun struct {
+	display string
+	filed   []*workEntry
+	run     []*workEntry
+}
+
+// merge returns a fresh posting holding the filed refs and the run in
+// key order: the run is sorted, then each run entry finds its place in
+// the filed refs by one binary search and the filed span before it is
+// appended whole. Keys end in the work ID, so equal keys are the same
+// work — listed under two collation-equal subjects, or already filed —
+// and only the first (the filed one, if any) is kept.
+func (r *postingRun) merge() *subjectPosting {
+	run := r.run
+	if len(run) > 1 {
+		sort.Slice(run, func(i, j int) bool { return bytes.Compare(run[i].key, run[j].key) < 0 })
+	}
+	refs := make([]*workEntry, 0, len(r.filed)+len(run))
+	filed := r.filed
+	for _, we := range run {
+		i := sort.Search(len(filed), func(i int) bool { return bytes.Compare(filed[i].key, we.key) >= 0 })
+		refs = append(refs, filed[:i]...)
+		filed = filed[i:]
+		if len(filed) > 0 && bytes.Equal(filed[0].key, we.key) {
 			continue
 		}
-		out = append(out, we)
+		if n := len(refs); n > 0 && bytes.Equal(refs[n-1].key, we.key) {
+			continue
+		}
+		refs = append(refs, we)
 	}
-	p.refs = out
+	refs = append(refs, filed...)
+	return &subjectPosting{display: r.display, refs: refs}
 }
 
 // Subjects returns every subject heading in collation order, with the
@@ -1203,66 +1148,6 @@ func (e *Engine) GraphConsistent() bool {
 	e.trkMu.RLock()
 	defer e.trkMu.RUnlock()
 	return fresh.Fingerprint() == e.gr.Fingerprint()
-}
-
-// corpusWorks collects live references to every indexed work in ID
-// order — the input for whole-corpus tracker rebuilds.
-func (e *Engine) corpusWorks() []*model.Work {
-	works := make([]*model.Work, 0, e.byID.Len())
-	e.byID.Ascend(func(_ []byte, we *workEntry) bool {
-		works = append(works, we.w)
-		return true
-	})
-	return works
-}
-
-// RebuildGraph discards the incremental graph state and recomputes it
-// from the indexed corpus — the recovery path when incremental state is
-// suspect. The replacement is built off to the side and swapped in
-// whole, so concurrent tracker readers never observe a half-built
-// graph; the engine (a not-yet-published clone on the facade's recovery
-// path) then carries the fresh graph forward.
-func (e *Engine) RebuildGraph() {
-	e.trkMu.RLock()
-	fresh := graph.New(e.gr.Damping())
-	e.trkMu.RUnlock()
-	fresh.Rebuild(e.corpusWorks())
-	e.trkMu.Lock()
-	e.gr = fresh
-	e.trkMu.Unlock()
-}
-
-// SetMetricsScheme swaps the credit-weighting scheme, rebuilding the
-// tracker from the corpus (the recovery path, O(corpus)). Like
-// RebuildGraph, the replacement tracker is built aside and swapped in
-// whole.
-func (e *Engine) SetMetricsScheme(scheme metrics.Scheme) {
-	e.trkMu.RLock()
-	same := e.met.Weighting() == scheme
-	e.trkMu.RUnlock()
-	if same {
-		return
-	}
-	fresh := metrics.NewEngine(scheme)
-	for _, w := range e.corpusWorks() {
-		fresh.Add(w)
-	}
-	e.trkMu.Lock()
-	e.met = fresh
-	e.trkMu.Unlock()
-}
-
-// RebuildMetrics discards the incremental metrics state and recomputes
-// it from the indexed corpus. Like RebuildGraph, the replacement
-// tracker is built aside and swapped in whole.
-func (e *Engine) RebuildMetrics() {
-	e.trkMu.RLock()
-	fresh := metrics.NewEngine(e.met.Weighting())
-	e.trkMu.RUnlock()
-	fresh.Rebuild(e.corpusWorks())
-	e.trkMu.Lock()
-	e.met = fresh
-	e.trkMu.Unlock()
 }
 
 // CorpusFingerprint hashes the engine's corpus — every work ID and

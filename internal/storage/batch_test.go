@@ -29,7 +29,7 @@ func TestReserveBatchIDsMatchesPutBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if _, err := s.Put(work("Seed", 1, 1, 1980)); err != nil {
+	if _, err := put(s, work("Seed", 1, 1, 1980)); err != nil {
 		t.Fatal(err)
 	}
 	// Zero, explicit-high, zero: sequential-Put assignment is 2, 50, 51.
@@ -61,7 +61,7 @@ func TestReserveBatchIDsMatchesPutBatch(t *testing.T) {
 	if _, err := s.ReserveBatchIDs(batchWorks(2)); err != nil {
 		t.Fatal(err)
 	}
-	id, err := s.Put(work("After Gap", 2, 1, 1981))
+	id, err := put(s, work("After Gap", 2, 1, 1981))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestReserveBatchIDsMatchesPutBatch(t *testing.T) {
 	if _, err := s.ReserveBatchIDs(bad); err == nil {
 		t.Error("ReserveBatchIDs accepted an invalid work")
 	}
-	id, err = s.Put(work("Counter Unmoved", 2, 2, 1981))
+	id, err = put(s, work("Counter Unmoved", 2, 2, 1981))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestPutBatchAssignsSequentialIDs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if _, err := s.Put(work("Seed", 1, 1, 1980)); err != nil {
+	if _, err := put(s, work("Seed", 1, 1, 1980)); err != nil {
 		t.Fatal(err)
 	}
 	ids, err := s.PutBatch(batchWorks(5))
@@ -100,14 +100,14 @@ func TestPutBatchAssignsSequentialIDs(t *testing.T) {
 		if want := model.WorkID(i + 2); id != want {
 			t.Errorf("ids[%d] = %d, want %d", i, id, want)
 		}
-		if _, ok := s.Get(id); !ok {
+		if _, ok := get(s, id); !ok {
 			t.Errorf("work %d missing after batch", id)
 		}
 	}
 	if s.Len() != 6 {
 		t.Errorf("Len = %d, want 6", s.Len())
 	}
-	// Explicit IDs overwrite, mixed with zero IDs, like sequential Puts.
+	// Explicit IDs overwrite, mixed with zero IDs, like sequential one-work puts.
 	mixed := batchWorks(3)
 	mixed[0].ID = 2  // overwrite
 	mixed[1].ID = 50 // explicit insert, raises nextID
@@ -118,7 +118,7 @@ func TestPutBatchAssignsSequentialIDs(t *testing.T) {
 	if ids[0] != 2 || ids[1] != 50 || ids[2] != 51 {
 		t.Errorf("mixed batch ids = %v, want [2 50 51]", ids)
 	}
-	if got, _ := s.Get(2); got.Title != mixed[0].Title {
+	if got, _ := get(s, 2); got.Title != mixed[0].Title {
 		t.Errorf("overwrite lost: %q", got.Title)
 	}
 }
@@ -170,7 +170,7 @@ func TestPutBatchFailureLeavesStoreUnchanged(t *testing.T) {
 		t.Error("failed batch counted as committed")
 	}
 	// The next assigned ID must be unaffected by the failed batch.
-	id, err := s.Put(work("After Failure", 1, 1, 1990))
+	id, err := put(s, work("After Failure", 1, 1, 1990))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,14 +191,14 @@ func TestPutBatchFailureLeavesStoreUnchanged(t *testing.T) {
 func TestPutBatchReplaysAfterReopen(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir)
-	if _, err := s.Put(work("Single A", 1, 1, 1980)); err != nil {
+	if _, err := put(s, work("Single A", 1, 1, 1980)); err != nil {
 		t.Fatal(err)
 	}
 	ids, err := s.PutBatch(batchWorks(10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Delete(ids[3]); err != nil {
+	if err := del(s, ids[3]); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.DeleteBatch([]model.WorkID{ids[0], ids[7]}); err != nil {
@@ -213,12 +213,12 @@ func TestPutBatchReplaysAfterReopen(t *testing.T) {
 		t.Fatalf("recovered %d works, want 8", s2.Len())
 	}
 	for _, id := range []model.WorkID{ids[0], ids[3], ids[7]} {
-		if _, ok := s2.Get(id); ok {
+		if _, ok := get(s2, id); ok {
 			t.Errorf("deleted work %d resurrected by replay", id)
 		}
 	}
 	for _, id := range []model.WorkID{1, ids[1], ids[9]} {
-		if _, ok := s2.Get(id); !ok {
+		if _, ok := get(s2, id); !ok {
 			t.Errorf("work %d lost in replay", id)
 		}
 	}
@@ -279,7 +279,7 @@ func TestDeleteBatchMissingIDUnchanged(t *testing.T) {
 	if after.Works != before.Works || after.WALBytes != before.WALBytes {
 		t.Error("failed DeleteBatch mutated the store")
 	}
-	if _, ok := s.Get(ids[0]); !ok {
+	if _, ok := get(s, ids[0]); !ok {
 		t.Error("failed DeleteBatch removed a work")
 	}
 }
@@ -383,7 +383,7 @@ func TestCrashRecoveryBatchTornTailEveryOffset(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := s.Put(work(fmt.Sprintf("Committed %d", i), 10, i+1, 1975)); err != nil {
+		if _, err := put(s, work(fmt.Sprintf("Committed %d", i), 10, i+1, 1975)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -424,12 +424,12 @@ func TestCrashRecoveryBatchTornTailEveryOffset(t *testing.T) {
 			t.Fatalf("cut=%d: recovered %d works, want %d (partial batch visible?)", cut, got, want)
 		}
 		for i := model.WorkID(1); i <= 3; i++ {
-			if _, ok := s2.Get(i); !ok {
+			if _, ok := get(s2, i); !ok {
 				t.Fatalf("cut=%d: committed work %d lost", cut, i)
 			}
 		}
 		// The recovered store must accept new writes.
-		if _, err := s2.Put(work("Post Crash", 11, 1, 1990)); err != nil {
+		if _, err := put(s2, work("Post Crash", 11, 1, 1990)); err != nil {
 			t.Fatalf("cut=%d: post-recovery Put: %v", cut, err)
 		}
 		if err := s2.Close(); err != nil {

@@ -31,7 +31,7 @@ func TestFaultCompactRenameCleansTemp(t *testing.T) {
 	in := fault.NewInjector(nil)
 	s := openFault(t, dir, in)
 	for i := 0; i < 3; i++ {
-		if _, err := s.Put(work("W", 1, i+1, 2000, "Alpha")); err != nil {
+		if _, err := put(s, work("W", 1, i+1, 2000, "Alpha")); err != nil {
 			t.Fatalf("put %d: %v", i, err)
 		}
 	}
@@ -46,7 +46,7 @@ func TestFaultCompactRenameCleansTemp(t *testing.T) {
 	if deg, _ := s.Degraded(); !deg {
 		t.Fatal("failed compaction rename did not degrade the store")
 	}
-	if _, err := s.Put(work("X", 1, 9, 2000, "Beta")); !errors.Is(err, ErrDegraded) {
+	if _, err := put(s, work("X", 1, 9, 2000, "Beta")); !errors.Is(err, ErrDegraded) {
 		t.Fatalf("put after degrade = %v, want ErrDegraded", err)
 	}
 	// Reads keep serving on the degraded handle.
@@ -67,7 +67,7 @@ func TestFaultCompactRenameCleansTemp(t *testing.T) {
 	if deg, _ := s2.Degraded(); deg {
 		t.Fatal("reopened store inherited the degraded latch")
 	}
-	if _, err := s2.Put(work("Y", 2, 1, 2001, "Gamma")); err != nil {
+	if _, err := put(s2, work("Y", 2, 1, 2001, "Gamma")); err != nil {
 		t.Fatalf("put after reopen: %v", err)
 	}
 }
@@ -80,7 +80,7 @@ func TestFaultDegradedRejectsEveryWrite(t *testing.T) {
 	in := fault.NewInjector(nil)
 	s := openFault(t, dir, in)
 	defer s.Close()
-	id, err := s.Put(work("Kept", 1, 1, 2000, "Alpha"))
+	id, err := put(s, work("Kept", 1, 1, 2000, "Alpha"))
 	if err != nil {
 		t.Fatalf("put: %v", err)
 	}
@@ -91,7 +91,7 @@ func TestFaultDegradedRejectsEveryWrite(t *testing.T) {
 
 	in.Arm()
 	in.Fail(fault.Rule{Op: fault.OpSync, Nth: 1, Err: syscall.EIO})
-	if _, err := s.Put(work("Doomed", 1, 2, 2000, "Beta")); err == nil {
+	if _, err := put(s, work("Doomed", 1, 2, 2000, "Beta")); err == nil {
 		t.Fatal("put with failing fsync succeeded")
 	}
 	if deg, cause := s.Degraded(); !deg || !errors.Is(cause, syscall.EIO) {
@@ -102,8 +102,8 @@ func TestFaultDegradedRejectsEveryWrite(t *testing.T) {
 		name string
 		op   func() error
 	}{
-		{"Put", func() error { _, err := s.Put(work("n", 1, 3, 2000, "C")); return err }},
-		{"Delete", func() error { return s.Delete(id) }},
+		{"Put", func() error { _, err := put(s, work("n", 1, 3, 2000, "C")); return err }},
+		{"Delete", func() error { return del(s, id) }},
 		{"PutBatch", func() error { _, err := s.PutBatch([]*model.Work{work("n", 1, 4, 2000, "D")}); return err }},
 		{"DeleteBatch", func() error { return s.DeleteBatch([]model.WorkID{id}) }},
 		{"ReserveBatchIDs", func() error { _, err := s.ReserveBatchIDs([]*model.Work{work("n", 1, 5, 2000, "E")}); return err }},
@@ -118,7 +118,7 @@ func TestFaultDegradedRejectsEveryWrite(t *testing.T) {
 	}
 
 	// Reads and the committed state are untouched.
-	if got, ok := s.Get(id); !ok || got.Title != "Kept" {
+	if got, ok := get(s, id); !ok || got.Title != "Kept" {
 		t.Fatalf("degraded Get = %v,%v", got, ok)
 	}
 	if len(s.CrossRefs()) != 1 {
@@ -145,13 +145,13 @@ func TestFaultAutoCompactFailureKeepsCommit(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	if _, err := s.Put(work("First", 1, 1, 2000, "Alpha")); err != nil {
+	if _, err := put(s, work("First", 1, 1, 2000, "Alpha")); err != nil {
 		t.Fatalf("put 1: %v", err)
 	}
 	in.Arm()
 	// The second put trips CompactEvery; fail the snapshot temp create.
 	in.Fail(fault.Rule{Op: fault.OpCreate, Nth: 1, Err: syscall.ENOSPC})
-	id, err := s.Put(work("Second", 1, 2, 2000, "Beta"))
+	id, err := put(s, work("Second", 1, 2, 2000, "Beta"))
 	if err != nil {
 		t.Fatalf("put whose auto-compact failed must still report success, got %v", err)
 	}
@@ -163,7 +163,7 @@ func TestFaultAutoCompactFailureKeepsCommit(t *testing.T) {
 	}
 	s2 := openT(t, dir)
 	defer s2.Close()
-	if got, ok := s2.Get(id); !ok || got.Title != "Second" {
+	if got, ok := get(s2, id); !ok || got.Title != "Second" {
 		t.Fatalf("committed-then-degraded work lost on reopen: %v,%v", got, ok)
 	}
 }

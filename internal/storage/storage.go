@@ -3,11 +3,13 @@
 // write-ahead log and periodic snapshots.
 //
 // Every mutation is appended to the WAL before being applied, so a crash
-// at any instant loses at most the in-flight operation. Batched
-// mutations (PutBatch, DeleteBatch) group-commit: the whole batch is
-// encoded into one WAL frame, appended and fsynced once, and applied —
-// or replayed — atomically, so a torn tail can never surface half a
-// batch. Compact writes a CRC-protected snapshot (atomically, via
+// at any instant loses at most the in-flight operation. Works are
+// written only in batches (PutBatch, DeleteBatch; a single work is a
+// batch of one), and each batch group-commits: it is encoded into one
+// WAL frame, appended and fsynced once, and applied — or replayed —
+// atomically, so a torn tail can never surface half a batch. Replay
+// still decodes the single-work put and delete records older logs
+// hold; a one-work put batch frame is the same size as such a put. Compact writes a CRC-protected snapshot (atomically, via
 // rename) and resets the WAL; recovery loads the newest snapshot and
 // replays the WAL suffix.
 //
@@ -55,10 +57,11 @@ var (
 	ErrDegraded = fault.ErrDegraded
 )
 
-// WAL operation tags.
+// WAL operation tags. opPut and opDelete are replayed but no longer
+// written: logs from before every write became a batch hold them.
 const (
-	opPut      = 1
-	opDelete   = 2
+	opPut      = 1 // one work encoding
+	opDelete   = 2 // one uvarint ID
 	opXRefAdd  = 3
 	opXRefDel  = 4
 	opPutBatch = 5 // work encodings, back to back until the frame ends
@@ -172,72 +175,11 @@ func Open(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// Put stores a validated work. A zero ID is assigned the next free ID;
-// an explicit ID inserts or overwrites. The assigned ID is returned.
-func (s *Store) Put(w *model.Work) (model.WorkID, error) {
-	return s.PutCtx(context.Background(), w)
-}
-
-// PutCtx is Put carrying a trace context: the whole store mutation is
-// one "store.put" span whose WAL children (encode, fsync) attribute
-// commit latency.
-func (s *Store) PutCtx(ctx context.Context, w *model.Work) (model.WorkID, error) {
-	ctx, span := trace.StartSpan(ctx, "store.put")
-	defer span.End()
-	if err := w.Validate(); err != nil {
-		return 0, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.writableLocked(); err != nil {
-		return 0, err
-	}
-	clone := w.Clone()
-	if clone.ID == 0 {
-		clone.ID = s.nextID
-	}
-	if err := s.logOpCtx(ctx, s.encodePut(clone)); err != nil {
-		return 0, err
-	}
-	s.applyPut(clone)
-	if err := s.maybeCompactLocked(); err != nil {
-		return 0, err
-	}
-	return clone.ID, nil
-}
-
-// Get returns a copy of the work stored under id.
-func (s *Store) Get(id model.WorkID) (*model.Work, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	w, ok := s.works[id]
-	if !ok {
-		return nil, false
-	}
-	return w.Clone(), true
-}
-
-// Delete removes the work stored under id.
-func (s *Store) Delete(id model.WorkID) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.writableLocked(); err != nil {
-		return err
-	}
-	if _, ok := s.works[id]; !ok {
-		return fmt.Errorf("%w: id %d", ErrNotFound, id)
-	}
-	if err := s.logOp(s.encodeDelete(id)); err != nil {
-		return err
-	}
-	delete(s.works, id)
-	return s.maybeCompactLocked()
-}
-
-// PutBatch stores N validated works under one group commit: IDs are
-// assigned exactly as N sequential Puts would assign them, every record
-// is encoded into a single opPutBatch WAL frame, the frame is appended
-// and fsynced once, and only then is the in-memory map updated. One
+// PutBatch stores N validated works under one group commit: a zero ID
+// takes the next free ID, an explicit ID inserts or overwrites (and
+// moves the counter past it), every record is encoded into a single
+// opPutBatch WAL frame, the frame is appended and fsynced once, and
+// only then is the in-memory map updated. One
 // frame is also the crash-atomicity unit: recovery replays the whole
 // batch or none of it, so a batch that would encode past the frame cap
 // (~60 MiB) is rejected — issue several batches instead. The ordering
@@ -287,7 +229,7 @@ func (s *Store) PutBatchCtx(ctx context.Context, works []*model.Work) ([]model.W
 		if err != nil {
 			return nil, err
 		}
-		if err := s.logBatchCtx(ctx, frame, len(clones)); err != nil {
+		if err := s.logLocked(ctx, frame, len(clones)); err != nil {
 			return nil, err
 		}
 	}
@@ -366,7 +308,7 @@ func (s *Store) DeleteBatch(ids []model.WorkID) error {
 		if len(payload) > batchFrameBytes {
 			return fmt.Errorf("storage: delete batch encodes to %d bytes, over the %d-byte frame cap; issue several batches", len(payload), batchFrameBytes)
 		}
-		if err := s.logBatchCtx(context.Background(), payload, len(ids)); err != nil {
+		if err := s.logLocked(context.Background(), payload, len(ids)); err != nil {
 			return err
 		}
 	}
@@ -407,9 +349,9 @@ func (s *Store) Len() int {
 // Works returns every stored work as one slice, in unspecified order —
 // the bulk hand-off Open feeds to the engine's LoadAll, so a cold start
 // sees the whole decoded corpus at once instead of a per-work callback
-// chain. Unlike Get, the returned works are the store's own records,
-// shared on the immutability contract every layer already honors: a
-// stored work is never mutated in place (Put swaps in a fresh clone),
+// chain. The returned works are the store's own records, shared on
+// the immutability contract every layer already honors: a stored work
+// is never mutated in place (PutBatch swaps in a fresh clone),
 // so callers may retain the references but must treat them as
 // read-only. Callers needing private copies should Clone them.
 func (s *Store) Works() []*model.Work {
@@ -456,7 +398,7 @@ func (s *Store) AddCrossRef(ref CrossRef) error {
 	if s.findXRef(ref) >= 0 {
 		return nil
 	}
-	if err := s.logOp(s.encodeXRef(opXRefAdd, ref)); err != nil {
+	if err := s.logLocked(context.Background(), s.encodeXRef(opXRefAdd, ref), 1); err != nil {
 		return err
 	}
 	s.xrefs = append(s.xrefs, ref)
@@ -474,7 +416,7 @@ func (s *Store) DeleteCrossRef(ref CrossRef) error {
 	if i < 0 {
 		return fmt.Errorf("%w: cross-reference %s → %s", ErrNotFound, ref.From.Display(), ref.To.Display())
 	}
-	if err := s.logOp(s.encodeXRef(opXRefDel, ref)); err != nil {
+	if err := s.logLocked(context.Background(), s.encodeXRef(opXRefDel, ref), 1); err != nil {
 		return err
 	}
 	s.xrefs = append(s.xrefs[:i], s.xrefs[i+1:]...)
@@ -520,8 +462,8 @@ type Stats struct {
 	// DeleteBatch calls that succeeded).
 	BatchesCommitted int64
 	// FsyncsSaved counts WAL commits avoided by batching: a committed
-	// batch of N records costs one commit where the per-work path would
-	// have paid N.
+	// batch of N records costs one commit where N one-work batches
+	// would pay N.
 	FsyncsSaved int64
 	// WALSyncs is the number of fsyncs the WAL actually issued. Always
 	// zero for in-memory stores; under NoSync appends stop syncing but
@@ -571,6 +513,16 @@ func (s *Store) Degraded() (bool, error) {
 	return s.degraded, s.degradedErr
 }
 
+// Degrade latches the store read-only with err as the cause, exactly
+// as a write-path I/O failure does: for a caller whose follow-up to a
+// committed write failed, leaving memory behind the disk. Reopening
+// recovers from disk.
+func (s *Store) Degrade(err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.degradeLocked(err)
+}
+
 // Close flushes and closes the store.
 func (s *Store) Close() error {
 	s.mu.Lock()
@@ -614,31 +566,14 @@ func (s *Store) degradeLocked(err error) {
 	s.degradedWrites++
 }
 
-func (s *Store) logOp(payload []byte) error {
-	return s.logOpCtx(context.Background(), payload)
-}
-
-func (s *Store) logOpCtx(ctx context.Context, payload []byte) error {
+// logLocked appends one WAL frame carrying records operations,
+// degrading the store if the WAL latched failed. In-memory stores log
+// nothing.
+func (s *Store) logLocked(ctx context.Context, frame []byte, records int) error {
 	if s.log == nil {
 		return nil
 	}
-	if err := s.log.AppendCtx(ctx, payload); err != nil {
-		if failed, _ := s.log.Failed(); failed {
-			s.degradeLocked(err)
-		}
-		return err
-	}
-	s.opsSince++
-	return nil
-}
-
-// logBatchCtx appends one batch frame, degrading the store if the WAL
-// latched failed. records is how many operations the frame carries.
-func (s *Store) logBatchCtx(ctx context.Context, frame []byte, records int) error {
-	if s.log == nil {
-		return nil
-	}
-	if err := s.log.AppendBatchCtx(ctx, [][]byte{frame}); err != nil {
+	if err := s.log.AppendCtx(ctx, frame); err != nil {
 		if failed, _ := s.log.Failed(); failed {
 			s.degradeLocked(err)
 		}
@@ -660,20 +595,6 @@ func (s *Store) maybeCompactLocked() error {
 		s.compactLocked()
 	}
 	return nil
-}
-
-func (s *Store) encodePut(w *model.Work) []byte {
-	start := time.Now()
-	s.scratch = append(s.scratch[:0], opPut)
-	s.scratch = model.AppendWork(s.scratch, w)
-	encodeHist.Since(start)
-	return s.scratch
-}
-
-func (s *Store) encodeDelete(id model.WorkID) []byte {
-	s.scratch = append(s.scratch[:0], opDelete)
-	s.scratch = binary.AppendUvarint(s.scratch, uint64(id))
-	return s.scratch
 }
 
 func (s *Store) encodeXRef(op byte, ref CrossRef) []byte {

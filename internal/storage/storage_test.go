@@ -27,6 +27,32 @@ func work(title string, vol, page, year int, authors ...string) *model.Work {
 	return w
 }
 
+// put stores one work the way every caller writes: as a one-work
+// batch.
+func put(s *Store, w *model.Work) (model.WorkID, error) {
+	ids, err := s.PutBatch([]*model.Work{w})
+	if err != nil {
+		return 0, err
+	}
+	return ids[0], nil
+}
+
+// del removes one work as a one-ID batch.
+func del(s *Store, id model.WorkID) error {
+	return s.DeleteBatch([]model.WorkID{id})
+}
+
+// get returns a copy of the work stored under id.
+func get(s *Store, id model.WorkID) (*model.Work, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	w, ok := s.works[id]
+	if !ok {
+		return nil, false
+	}
+	return w.Clone(), true
+}
+
 func openT(t *testing.T, dir string) *Store {
 	t.Helper()
 	s, err := Open(dir, Options{WAL: wal.Options{NoSync: true}})
@@ -39,29 +65,29 @@ func openT(t *testing.T, dir string) *Store {
 func TestInMemoryCRUD(t *testing.T) {
 	s := openT(t, "")
 	defer s.Close()
-	id, err := s.Put(work("First", 1, 1, 2000, "Alpha"))
+	id, err := put(s, work("First", 1, 1, 2000, "Alpha"))
 	if err != nil {
 		t.Fatalf("Put: %v", err)
 	}
 	if id != 1 {
 		t.Errorf("first ID = %d, want 1", id)
 	}
-	got, ok := s.Get(id)
+	got, ok := get(s, id)
 	if !ok || got.Title != "First" {
 		t.Fatalf("Get = %v,%v", got, ok)
 	}
 	// Returned work is a copy.
 	got.Title = "mutated"
-	if again, _ := s.Get(id); again.Title != "First" {
+	if again, _ := get(s, id); again.Title != "First" {
 		t.Error("Get returned a shared pointer")
 	}
-	if err := s.Delete(id); err != nil {
+	if err := del(s, id); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
-	if _, ok := s.Get(id); ok {
+	if _, ok := get(s, id); ok {
 		t.Error("deleted work still present")
 	}
-	if err := s.Delete(id); !errors.Is(err, ErrNotFound) {
+	if err := del(s, id); !errors.Is(err, ErrNotFound) {
 		t.Errorf("double delete: %v", err)
 	}
 }
@@ -69,7 +95,7 @@ func TestInMemoryCRUD(t *testing.T) {
 func TestPutValidates(t *testing.T) {
 	s := openT(t, "")
 	defer s.Close()
-	if _, err := s.Put(&model.Work{Title: "no authors", Citation: model.Citation{Volume: 1, Page: 1, Year: 2000}}); err == nil {
+	if _, err := put(s, &model.Work{Title: "no authors", Citation: model.Citation{Volume: 1, Page: 1, Year: 2000}}); err == nil {
 		t.Error("invalid work accepted")
 	}
 }
@@ -77,21 +103,21 @@ func TestPutValidates(t *testing.T) {
 func TestIDAssignment(t *testing.T) {
 	s := openT(t, "")
 	defer s.Close()
-	a, _ := s.Put(work("A", 1, 1, 2000))
+	a, _ := put(s, work("A", 1, 1, 2000))
 	w := work("B", 1, 2, 2000)
 	w.ID = 50
-	b, _ := s.Put(w)
-	c, _ := s.Put(work("C", 1, 3, 2000))
+	b, _ := put(s, w)
+	c, _ := put(s, work("C", 1, 3, 2000))
 	if a != 1 || b != 50 || c != 51 {
 		t.Errorf("IDs = %d,%d,%d want 1,50,51", a, b, c)
 	}
 	// Overwrite via explicit ID.
 	w2 := work("B-revised", 1, 2, 2001)
 	w2.ID = 50
-	if _, err := s.Put(w2); err != nil {
+	if _, err := put(s, w2); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := s.Get(50); got.Title != "B-revised" {
+	if got, _ := get(s, 50); got.Title != "B-revised" {
 		t.Error("overwrite did not take")
 	}
 	if s.Len() != 3 {
@@ -104,13 +130,13 @@ func TestDurabilityAcrossReopen(t *testing.T) {
 	s := openT(t, dir)
 	var ids []model.WorkID
 	for i := 0; i < 20; i++ {
-		id, err := s.Put(work(fmt.Sprintf("W%02d", i), 90, i+1, 1990, "Fam"))
+		id, err := put(s, work(fmt.Sprintf("W%02d", i), 90, i+1, 1990, "Fam"))
 		if err != nil {
 			t.Fatal(err)
 		}
 		ids = append(ids, id)
 	}
-	s.Delete(ids[3])
+	del(s, ids[3])
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -120,14 +146,14 @@ func TestDurabilityAcrossReopen(t *testing.T) {
 	if s2.Len() != 19 {
 		t.Fatalf("recovered %d works, want 19", s2.Len())
 	}
-	if _, ok := s2.Get(ids[3]); ok {
+	if _, ok := get(s2, ids[3]); ok {
 		t.Error("deleted work resurrected")
 	}
-	if w, ok := s2.Get(ids[7]); !ok || w.Title != "W07" {
+	if w, ok := get(s2, ids[7]); !ok || w.Title != "W07" {
 		t.Errorf("Get(%d) = %v,%v", ids[7], w, ok)
 	}
 	// Fresh IDs must not collide with recovered ones.
-	nid, _ := s2.Put(work("new", 90, 99, 1990))
+	nid, _ := put(s2, work("new", 90, 99, 1990))
 	if nid != 21 {
 		t.Errorf("post-recovery ID = %d, want 21", nid)
 	}
@@ -137,7 +163,7 @@ func TestCompactAndRecoverFromSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir)
 	for i := 0; i < 50; i++ {
-		s.Put(work(fmt.Sprintf("W%02d", i), 90, i+1, 1990))
+		put(s, work(fmt.Sprintf("W%02d", i), 90, i+1, 1990))
 	}
 	if err := s.Compact(); err != nil {
 		t.Fatalf("Compact: %v", err)
@@ -150,7 +176,7 @@ func TestCompactAndRecoverFromSnapshot(t *testing.T) {
 		t.Errorf("WAL not reset: %d bytes", st.WALBytes)
 	}
 	// More writes after the snapshot land in the fresh WAL.
-	s.Put(work("post-snap", 90, 99, 1990))
+	put(s, work("post-snap", 90, 99, 1990))
 	s.Close()
 
 	s2 := openT(t, dir)
@@ -167,7 +193,7 @@ func TestAutoCompact(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 25; i++ {
-		s.Put(work(fmt.Sprintf("W%02d", i), 90, i+1, 1990))
+		put(s, work(fmt.Sprintf("W%02d", i), 90, i+1, 1990))
 	}
 	st := s.Stats()
 	if st.SnapshotBytes == 0 {
@@ -185,7 +211,7 @@ func TestCrashSimulationTornWAL(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir)
 	for i := 0; i < 10; i++ {
-		s.Put(work(fmt.Sprintf("W%02d", i), 90, i+1, 1990))
+		put(s, work(fmt.Sprintf("W%02d", i), 90, i+1, 1990))
 	}
 	s.Close()
 	// Tear bytes off the WAL tail: the last put may vanish, nothing else.
@@ -206,7 +232,7 @@ func TestCrashSimulationTornWAL(t *testing.T) {
 		t.Errorf("after torn WAL: %d works, want 9", got)
 	}
 	for i := 0; i < 9; i++ {
-		if _, ok := s2.Get(model.WorkID(i + 1)); !ok {
+		if _, ok := get(s2, model.WorkID(i+1)); !ok {
 			t.Errorf("work %d lost", i+1)
 		}
 	}
@@ -216,7 +242,7 @@ func TestCorruptSnapshotRejected(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir)
 	for i := 0; i < 5; i++ {
-		s.Put(work(fmt.Sprintf("W%d", i), 90, i+1, 1990))
+		put(s, work(fmt.Sprintf("W%d", i), 90, i+1, 1990))
 	}
 	s.Compact()
 	s.Close()
@@ -233,7 +259,7 @@ func TestForEach(t *testing.T) {
 	s := openT(t, "")
 	defer s.Close()
 	for i := 0; i < 10; i++ {
-		s.Put(work(fmt.Sprintf("W%d", i), 90, i+1, 1990))
+		put(s, work(fmt.Sprintf("W%d", i), 90, i+1, 1990))
 	}
 	seen := map[string]bool{}
 	err := s.ForEach(func(w *model.Work) error {
@@ -257,10 +283,10 @@ func TestForEach(t *testing.T) {
 func TestClosedOperations(t *testing.T) {
 	s := openT(t, t.TempDir())
 	s.Close()
-	if _, err := s.Put(work("x", 1, 1, 2000)); !errors.Is(err, ErrClosed) {
+	if _, err := put(s, work("x", 1, 1, 2000)); !errors.Is(err, ErrClosed) {
 		t.Errorf("Put after close: %v", err)
 	}
-	if err := s.Delete(1); !errors.Is(err, ErrClosed) {
+	if err := del(s, 1); !errors.Is(err, ErrClosed) {
 		t.Errorf("Delete after close: %v", err)
 	}
 	if err := s.Compact(); !errors.Is(err, ErrClosed) {
@@ -283,9 +309,9 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				switch r.Intn(3) {
 				case 0:
-					s.Put(work(fmt.Sprintf("g%d-%d", g, i), 90, 1+r.Intn(1000), 1990))
+					put(s, work(fmt.Sprintf("g%d-%d", g, i), 90, 1+r.Intn(1000), 1990))
 				case 1:
-					s.Get(model.WorkID(1 + r.Intn(100)))
+					get(s, model.WorkID(1+r.Intn(100)))
 				case 2:
 					s.Len()
 				}
@@ -307,14 +333,14 @@ func TestRecoveryModelCheck(t *testing.T) {
 			switch r.Intn(4) {
 			case 0, 1: // put
 				title := fmt.Sprintf("t-%d-%d", round, op)
-				id, err := s.Put(work(title, 90, 1+r.Intn(1000), 1990))
+				id, err := put(s, work(title, 90, 1+r.Intn(1000), 1990))
 				if err != nil {
 					t.Fatal(err)
 				}
 				mdl[id] = title
 			case 2: // delete random known id
 				for id := range mdl {
-					if err := s.Delete(id); err != nil {
+					if err := del(s, id); err != nil {
 						t.Fatal(err)
 					}
 					delete(mdl, id)
@@ -334,7 +360,7 @@ func TestRecoveryModelCheck(t *testing.T) {
 			t.Fatalf("round %d: recovered %d works, model has %d", round, s.Len(), len(mdl))
 		}
 		for id, title := range mdl {
-			w, ok := s.Get(id)
+			w, ok := get(s, id)
 			if !ok || w.Title != title {
 				t.Fatalf("round %d: id %d = %v,%v want %q", round, id, w, ok, title)
 			}
@@ -346,7 +372,7 @@ func TestRecoveryModelCheck(t *testing.T) {
 func TestUnknownWALOpIsCorrupt(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir)
-	s.Put(work("x", 1, 1, 2000))
+	put(s, work("x", 1, 1, 2000))
 	s.Close()
 	// Append a record with an op tag the store does not know.
 	l, err := wal.Open(filepath.Join(dir, walSubdir), wal.Options{NoSync: true})
@@ -421,7 +447,7 @@ func TestStats(t *testing.T) {
 	dir := t.TempDir()
 	s2 := openT(t, dir)
 	defer s2.Close()
-	s2.Put(work("x", 1, 1, 2000))
+	put(s2, work("x", 1, 1, 2000))
 	st = s2.Stats()
 	if st.InMemory || st.WALBytes == 0 || st.Works != 1 || st.NextID != 2 {
 		t.Errorf("durable stats = %+v", st)

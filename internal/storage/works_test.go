@@ -13,7 +13,7 @@ func TestWorksBulkLoadHandOff(t *testing.T) {
 	s := openT(t, "")
 	defer s.Close()
 	for i := 0; i < 40; i++ {
-		if _, err := s.Put(work("Bulk Title", 70, i+1, 1967, "Family")); err != nil {
+		if _, err := put(s, work("Bulk Title", 70, i+1, 1967, "Family")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -30,20 +30,20 @@ func TestWorksBulkLoadHandOff(t *testing.T) {
 		seen[uint64(w.ID)] = true
 	}
 	// Replacing and deleting in the store must not disturb the handed-out
-	// references: Put swaps in a fresh record rather than mutating.
+	// references: PutBatch swaps in a fresh record rather than mutating.
 	victim := got[0]
 	repl := work("Replacement", 71, 5, 1968, "Other")
 	repl.ID = victim.ID
-	if _, err := s.Put(repl); err != nil {
+	if _, err := put(s, repl); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Delete(got[1].ID); err != nil {
+	if err := del(s, got[1].ID); err != nil {
 		t.Fatal(err)
 	}
 	if victim.Title != "Bulk Title" || got[1].Title != "Bulk Title" {
 		t.Fatal("store mutation changed a handed-out work in place")
 	}
-	fresh, ok := s.Get(victim.ID)
+	fresh, ok := get(s, victim.ID)
 	if !ok || fresh.Title != "Replacement" {
 		t.Fatalf("store did not apply the replacement: %+v", fresh)
 	}

@@ -83,6 +83,9 @@ func TestFaultShortWriteTornFrameAbsentOnReplay(t *testing.T) {
 	if failed, _ := l.Failed(); !failed {
 		t.Fatal("short write did not latch the log")
 	}
+	if st := l.Stats(); st.Appends != 1 {
+		t.Fatalf("failed append counted in stats: %+v", st)
+	}
 	l.Close()
 	if got := replayStrings(t, dir); len(got) != 1 || got[0] != "committed" {
 		t.Fatalf("replayed %q, want just the committed record", got)
@@ -104,32 +107,6 @@ func TestFaultShortWriteTornFrameAbsentOnReplay(t *testing.T) {
 	}
 	if got := replayStrings(t, dir); len(got) != 2 || got[1] != "after" {
 		t.Fatalf("replayed %q, want committed+after", got)
-	}
-}
-
-func TestFaultBatchWriteFailureAtomicallyAbsent(t *testing.T) {
-	dir := t.TempDir()
-	in := fault.NewInjector(nil)
-	l, err := Open(dir, Options{FS: in})
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	in.Arm()
-	in.Fail(fault.Rule{Op: fault.OpWrite, Nth: 1, Err: syscall.ENOSPC})
-	err = l.AppendBatch([][]byte{[]byte("b1"), []byte("b2")})
-	if !errors.Is(err, syscall.ENOSPC) {
-		t.Fatalf("batch append = %v, want ENOSPC", err)
-	}
-	if err := l.AppendBatch([][]byte{[]byte("b3")}); !errors.Is(err, fault.ErrDegraded) {
-		t.Fatalf("batch after latch = %v, want ErrDegraded", err)
-	}
-	st := l.Stats()
-	if st.Appends != 0 || st.Records != 0 {
-		t.Fatalf("failed batch counted in stats: %+v", st)
-	}
-	l.Close()
-	if got := replayStrings(t, dir); len(got) != 0 {
-		t.Fatalf("replayed %q, want nothing", got)
 	}
 }
 

@@ -26,9 +26,6 @@ func FuzzReplay(f *testing.F) {
 			f.Fatal(err)
 		}
 	}
-	if err := l.AppendBatch([][]byte{[]byte("batched-1"), []byte("batched-2")}); err != nil {
-		f.Fatal(err)
-	}
 	if err := l.Close(); err != nil {
 		f.Fatal(err)
 	}

@@ -14,9 +14,11 @@
 // segment; Open truncates it and Replay tolerates it. A bad frame
 // anywhere else is real corruption and is reported as ErrCorrupt.
 //
-// AppendBatch is the group-commit primitive: N records in one buffered
-// write and one fsync. Stats counts appends, records and fsyncs so
-// callers can assert the amortization.
+// Append is the only write primitive: one record, one buffered write
+// and one fsync. Callers that group-commit (the storage layer does)
+// encode a whole batch as one record, which also makes the batch
+// all-or-nothing on replay. Stats counts appends and fsyncs so callers
+// can assert the amortization.
 package wal
 
 import (
@@ -123,11 +125,8 @@ type Log struct {
 // one fsync — is asserted against these counters by the storage and
 // facade test suites.
 type Stats struct {
-	// Appends is the number of append calls (Append and AppendBatch
-	// each count once, however many records they carry).
+	// Appends is the number of records appended.
 	Appends int64
-	// Records is the number of records written.
-	Records int64
 	// Syncs is the number of fsyncs issued (appends, explicit Sync,
 	// segment rotation and Close all count).
 	Syncs int64
@@ -238,79 +237,6 @@ func (l *Log) AppendCtx(ctx context.Context, p []byte) error {
 	l.size += n
 	l.total += n
 	l.st.Appends++
-	l.st.Records++
-	return nil
-}
-
-// AppendBatch writes N records as one group commit: every frame is
-// encoded into a single buffered write and made durable by a single
-// fsync (none under NoSync), so a batch of N records costs 1/N of the
-// per-record durability overhead. Frames are laid down contiguously in
-// append order; a crash mid-batch can tear the write at any byte, which
-// replay resolves to a prefix of the batch's frames — callers that need
-// all-or-nothing visibility must encode the batch as one record (the
-// storage layer does). An empty batch is a no-op.
-func (l *Log) AppendBatch(payloads [][]byte) error {
-	return l.AppendBatchCtx(context.Background(), payloads)
-}
-
-// AppendBatchCtx is AppendBatch carrying a trace context; see
-// AppendCtx for the spans recorded.
-func (l *Log) AppendBatchCtx(ctx context.Context, payloads [][]byte) error {
-	if len(payloads) == 0 {
-		return nil
-	}
-	total := 0
-	for _, p := range payloads {
-		if len(p) == 0 {
-			return errors.New("wal: empty payload")
-		}
-		if len(p) > MaxRecord {
-			return fmt.Errorf("wal: payload %d bytes exceeds frame limit", len(p))
-		}
-		total += headerSize + len(p)
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	if l.failed {
-		return fault.ErrDegraded
-	}
-	if l.size >= l.opts.segmentSize() {
-		if err := l.rotateLocked(); err != nil {
-			return err
-		}
-	}
-	if cap(l.scratch) < total {
-		l.scratch = make([]byte, 0, total)
-	}
-	encStart := time.Now()
-	encSpan := trace.FromContext(ctx).StartChild("wal.encode")
-	l.scratch = l.scratch[:0]
-	for _, p := range payloads {
-		l.scratch = appendFrame(l.scratch, p)
-	}
-	encSpan.SetInt("bytes", int64(len(l.scratch)))
-	encSpan.SetInt("records", int64(len(payloads)))
-	encSpan.End()
-	encodeHist.Since(encStart)
-	if _, err := l.f.Write(l.scratch); err != nil {
-		l.failLocked(err)
-		return fmt.Errorf("wal: append batch: %w", err)
-	}
-	if !l.opts.NoSync {
-		if err := l.syncLockedCtx(ctx); err != nil {
-			l.failLocked(err)
-			return fmt.Errorf("wal: sync: %w", err)
-		}
-	}
-	n := int64(len(l.scratch))
-	l.size += n
-	l.total += n
-	l.st.Appends++
-	l.st.Records += int64(len(payloads))
 	return nil
 }
 

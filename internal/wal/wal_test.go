@@ -62,10 +62,18 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 }
 
 func TestAppendValidation(t *testing.T) {
-	l := openT(t, t.TempDir(), Options{NoSync: true})
+	dir := t.TempDir()
+	l := openT(t, dir, Options{NoSync: true})
 	defer l.Close()
 	if err := l.Append(nil); err == nil {
 		t.Error("empty payload accepted")
+	}
+	// A rejected append writes and counts nothing.
+	if got := replayAll(t, dir); len(got) != 0 {
+		t.Errorf("rejected append leaked %d records into the log", len(got))
+	}
+	if st := l.Stats(); st.Appends != 0 {
+		t.Errorf("rejected append counted: %+v", st)
 	}
 }
 
@@ -326,6 +334,23 @@ func TestExplicitSync(t *testing.T) {
 	l.Close()
 	if got := replayAll(t, dir); len(got) != 1 {
 		t.Errorf("after sync: %d records", len(got))
+	}
+
+	// Without NoSync, every Append is one append and one fsync.
+	ls := openT(t, t.TempDir(), Options{})
+	defer ls.Close()
+	before := ls.Stats()
+	for i := 0; i < 3; i++ {
+		if err := ls.Append([]byte(fmt.Sprintf("durable-%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := ls.Stats()
+	if got := st.Appends - before.Appends; got != 3 {
+		t.Errorf("3 appends counted %d", got)
+	}
+	if got := st.Syncs - before.Syncs; got != 3 {
+		t.Errorf("3 appends issued %d fsyncs, want 3", got)
 	}
 }
 

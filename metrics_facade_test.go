@@ -101,10 +101,27 @@ func TestMetricsSurviveReopen(t *testing.T) {
 func TestSchemesDiffer(t *testing.T) {
 	ix := metricsFixture(t)
 	harmonic := ix.TopAuthors(ByWeighted, 0)
+	sum := ix.MetricsSummary()
 	if err := ix.SetMetricsScheme(SchemeFractional); err != nil {
 		t.Fatal(err)
 	}
 	fractional := ix.TopAuthors(ByWeighted, 0)
+	// The swap rebuilds under the new weighting and keeps the totals.
+	if got := ix.trackers().Metrics().Weighting(); got != SchemeFractional {
+		t.Fatalf("scheme after swap = %v", got)
+	}
+	if s := ix.MetricsSummary(); s.Works != sum.Works || s.Postings != sum.Postings {
+		t.Fatalf("summary changed across scheme swap: %+v vs %+v", s, sum)
+	}
+	// Swapping to the current scheme is a no-op: same tracker, no new
+	// root published.
+	tr, seq := ix.trackers().Metrics(), ix.shards.Load().Seq
+	if err := ix.SetMetricsScheme(SchemeFractional); err != nil {
+		t.Fatal(err)
+	}
+	if ix.trackers().Metrics() != tr || ix.shards.Load().Seq != seq {
+		t.Error("same-scheme swap replaced the tracker")
+	}
 	if reflect.DeepEqual(harmonic, fractional) {
 		t.Fatal("harmonic and fractional credit identical over a multi-author corpus")
 	}

@@ -44,70 +44,10 @@ func TestShardOptionValidation(t *testing.T) {
 	}
 }
 
-// TestShardBatchAtomicityCrossShard: a batch whose works span several
-// shards and whose engine pass fails on a later shard must leave every
-// shard — including the ones that had already indexed their group into
-// clones — and the store byte-identical to the pre-batch state.
-func TestShardBatchAtomicityCrossShard(t *testing.T) {
-	dir := t.TempDir()
-	ix := openShards(t, dir, 4)
-	if _, err := ix.AddBatch(batchOf(12, 1)); err != nil {
-		t.Fatal(err)
-	}
-
-	// Explicit fresh IDs chosen to span several shards, with the poison
-	// pill routed to the highest shard ID: the two-phase pass locks
-	// shards ascending, so every earlier shard has already built its
-	// clone when the failure hits — exactly the rollback worth testing.
-	batch := batchOf(8, 2)
-	shardsHit := map[int]bool{}
-	maxShard, poison := -1, -1
-	for i := range batch {
-		id := WorkID(1000 + i)
-		batch[i].ID = id
-		si := ix.shards.ForWork(id)
-		shardsHit[si] = true
-		if si > maxShard {
-			maxShard, poison = si, i
-		}
-	}
-	if len(shardsHit) < 2 {
-		t.Fatalf("test batch landed on %d shard(s), need >= 2", len(shardsHit))
-	}
-	batch[poison].Title = "poison " + batch[poison].Title
-
-	before := facadeFingerprint(t, ix)
-	engineAddFault = func(w *Work) error {
-		if strings.HasPrefix(w.Title, "poison ") {
-			return fmt.Errorf("injected engine failure")
-		}
-		return nil
-	}
-	defer func() { engineAddFault = nil }()
-	if _, err := ix.AddBatch(batch); err == nil {
-		t.Fatal("poisoned cross-shard batch accepted")
-	}
-	engineAddFault = nil
-
-	if after := facadeFingerprint(t, ix); after != before {
-		t.Fatal("failed cross-shard batch left some shard or the store changed")
-	}
-	if err := ix.Verify(); err != nil {
-		t.Fatalf("Verify after failed cross-shard batch: %v", err)
-	}
-	// A reopen (rebuilding every shard from the store) must agree.
-	if err := ix.Close(); err != nil {
-		t.Fatal(err)
-	}
-	ix = openShards(t, dir, 4)
-	defer ix.Close()
-	if got := ix.Len(); got != 12 {
-		t.Errorf("recovered Len = %d, want 12", got)
-	}
-	if err := ix.Verify(); err != nil {
-		t.Fatal(err)
-	}
-}
+// TestShardBatchAtomicityCrossShard: every rejected write, including a
+// batch spanning several shards whose bad work sits on the highest one
+// (the shard locked last), leaves every shard and the store unchanged.
+func TestShardBatchAtomicityCrossShard(t *testing.T) { checkRejectionsAtomic(t, 4) }
 
 // TestShardSameIDWritersConverge: concurrent writers colliding on the
 // SAME explicit IDs — a batch against single Adds — must leave store
@@ -270,18 +210,10 @@ func TestShardWritersIndependent(t *testing.T) {
 		t.Fatal("no second shard reachable")
 	}
 
-	release := make(chan struct{})
-	parked := make(chan struct{})
-	var once sync.Once
-	engineAddFault = func(w *Work) error {
-		if strings.HasPrefix(w.Title, "Slow") {
-			once.Do(func() { close(parked) })
-			<-release
-		}
-		return nil
-	}
-	defer func() { engineAddFault = nil }()
-
+	// Park shard A by holding its writer lock, as a writer stalled
+	// inside its critical section would; a writer queued on it waits.
+	sa := ix.shards.Shard(ix.shards.ForWork(idA))
+	sa.Lock()
 	slowDone := make(chan error, 1)
 	go func() {
 		w := sampleWork("Slow Shard Work", "90:1 (1988)", "Stall, Writer A.")
@@ -289,10 +221,8 @@ func TestShardWritersIndependent(t *testing.T) {
 		_, err := ix.Add(w)
 		slowDone <- err
 	}()
-	<-parked
 
-	// Shard A's writer is parked holding its shard lock; a writer on
-	// shard B must commit without waiting for it.
+	// A writer on shard B must commit without waiting for shard A.
 	fastDone := make(chan error, 1)
 	go func() {
 		w := sampleWork("Fast Shard Work", "90:2 (1988)", "Free, Writer B.")
@@ -308,17 +238,21 @@ func TestShardWritersIndependent(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("writer on shard B blocked behind a stalled writer on shard A")
 	}
+	select {
+	case err := <-slowDone:
+		t.Fatalf("Add on a held shard returned early: %v", err)
+	default:
+	}
 
 	// Reads must also proceed while the writer is parked.
 	if got := ix.Len(); got != 1 {
 		t.Errorf("Len during stalled write = %d, want 1", got)
 	}
 
-	close(release)
+	sa.Unlock()
 	if err := <-slowDone; err != nil {
 		t.Fatalf("slow Add: %v", err)
 	}
-	engineAddFault = nil
 	if err := ix.Verify(); err != nil {
 		t.Fatalf("Verify: %v", err)
 	}
