@@ -29,7 +29,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -383,43 +382,44 @@ func (ix *Index) RegisterMetrics(r *obs.Registry) {
 	}
 	ix.ops.Store(&set)
 
-	counter := func(name, help string, f func(Stats) float64) {
-		r.CounterFunc(name, help, func() float64 { return f(ix.Stats()) })
-	}
-	gauge := func(name, help string, f func(Stats) float64) {
-		r.GaugeFunc(name, help, func() float64 { return f(ix.Stats()) })
-	}
-	counter("authdex_queries_served_total", "Ordered read queries answered since open.",
-		func(s Stats) float64 { return float64(s.QueriesServed) })
-	counter("authdex_works_cloned_total", "Result works deep-copied for callers.",
-		func(s Stats) float64 { return float64(s.WorksCloned) })
-	counter("authdex_postings_scanned_total", "Bytes of posting entries examined by queries.",
-		func(s Stats) float64 { return float64(s.PostingsScanned) })
-	counter("authdex_batches_committed_total", "Group commits applied.",
-		func(s Stats) float64 { return float64(s.BatchesCommitted) })
-	counter("authdex_wal_syncs_total", "fsyncs the WAL issued.",
-		func(s Stats) float64 { return float64(s.WALSyncs) })
-	counter("authdex_fsyncs_saved_total", "WAL commits avoided by group commit.",
-		func(s Stats) float64 { return float64(s.FsyncsSaved) })
-	counter("authdex_degraded_commits_total", "Commits failed or rejected by the degraded latch.",
-		func(s Stats) float64 { return float64(s.DegradedWrites) })
-	gauge("authdex_degraded", "1 while the index is latched read-only after a write-path I/O failure.",
-		func(s Stats) float64 {
-			if s.Degraded {
+	// Each callback reads only its own source — the store counters, the
+	// shared query counters, per-shard sums or the heading merge — the
+	// same reads Stats makes, so a scrape walks the headings once.
+	engs := func() []*query.Engine { return ix.shards.Load().Engs }
+	queries := func() query.QueryStats { return engs()[0].QueryStats() }
+	sums := func() query.Stats { return shardSums(engs()) }
+	store := ix.store.Stats
+	r.CounterFunc("authdex_queries_served_total", "Ordered read queries answered since open.",
+		func() float64 { return float64(queries().Queries) })
+	r.CounterFunc("authdex_works_cloned_total", "Result works deep-copied for callers.",
+		func() float64 { return float64(queries().WorksCloned) })
+	r.CounterFunc("authdex_postings_scanned_total", "Bytes of posting entries examined by queries.",
+		func() float64 { return float64(queries().PostingsBytes) })
+	r.CounterFunc("authdex_batches_committed_total", "Group commits applied.",
+		func() float64 { return float64(store().BatchesCommitted) })
+	r.CounterFunc("authdex_wal_syncs_total", "fsyncs the WAL issued.",
+		func() float64 { return float64(store().WALSyncs) })
+	r.CounterFunc("authdex_fsyncs_saved_total", "WAL commits avoided by group commit.",
+		func() float64 { return float64(store().FsyncsSaved) })
+	r.CounterFunc("authdex_degraded_commits_total", "Commits failed or rejected by the degraded latch.",
+		func() float64 { return float64(store().DegradedWrites) })
+	r.GaugeFunc("authdex_degraded", "1 while the index is latched read-only after a write-path I/O failure.",
+		func() float64 {
+			if store().Degraded {
 				return 1
 			}
 			return 0
 		})
-	gauge("authdex_works", "Distinct works stored.",
-		func(s Stats) float64 { return float64(s.Works) })
-	gauge("authdex_authors", "Distinct author headings.",
-		func(s Stats) float64 { return float64(s.Authors) })
-	gauge("authdex_postings", "Author-work pairs indexed.",
-		func(s Stats) float64 { return float64(s.Postings) })
-	gauge("authdex_wal_bytes", "Current write-ahead-log size.",
-		func(s Stats) float64 { return float64(s.WALBytes) })
-	gauge("authdex_snapshot_bytes", "Last snapshot size.",
-		func(s Stats) float64 { return float64(s.SnapshotBytes) })
+	r.GaugeFunc("authdex_works", "Distinct works stored.",
+		func() float64 { return float64(sums().Works) })
+	r.GaugeFunc("authdex_authors", "Distinct author headings.",
+		func() float64 { return float64(shard.Headings(engs(), nil)) })
+	r.GaugeFunc("authdex_postings", "Author-work pairs indexed.",
+		func() float64 { return float64(sums().Postings) })
+	r.GaugeFunc("authdex_wal_bytes", "Current write-ahead-log size.",
+		func() float64 { return float64(store().WALBytes) })
+	r.GaugeFunc("authdex_snapshot_bytes", "Last snapshot size.",
+		func() float64 { return float64(store().SnapshotBytes) })
 	hs := make([]*obs.Histogram, ix.shards.N())
 	for i := range hs {
 		hs[i] = r.Histogram("authdex_snapshot_swap_duration_seconds",
@@ -986,39 +986,8 @@ func (ix *Index) Compact() error {
 // initialism variants), ordered by confidence. Editors review the list
 // and record see-also references for the real ones.
 func (ix *Index) DuplicateSuggestions() []Suggestion {
-	engs := ix.shards.Load().Engs
 	var authors []Author
-	if len(engs) == 1 {
-		engs[0].Index().Ascend(func(e *Entry) bool {
-			authors = append(authors, e.Author)
-			return true
-		})
-	} else {
-		// A heading can appear on several shards; deduplicate by
-		// collation key and restore the global print order the scanner
-		// expects.
-		type keyed struct {
-			key string
-			a   Author
-		}
-		seen := make(map[string]struct{})
-		var all []keyed
-		for _, eng := range engs {
-			eng.Index().Ascend(func(e *Entry) bool {
-				k := string(collate.KeyAuthor(e.Author, ix.coll))
-				if _, dup := seen[k]; !dup {
-					seen[k] = struct{}{}
-					all = append(all, keyed{key: k, a: e.Author})
-				}
-				return true
-			})
-		}
-		sort.Slice(all, func(i, j int) bool { return all[i].key < all[j].key })
-		authors = make([]Author, len(all))
-		for i, ka := range all {
-			authors[i] = ka.a
-		}
-	}
+	shard.Headings(ix.shards.Load().Engs, func(a Author) { authors = append(authors, a) })
 	return dedupe.Suggest(authors)
 }
 
@@ -1134,41 +1103,23 @@ func (ix *Index) Verify() error {
 // counts distinct headings, since one heading's works can spread over
 // several shards; Terms is summed per shard, so with several shards it
 // is an upper bound on globally distinct terms. Query counters and
-// graph counts come from the shared trackers, read once.
+// graph counts come from the shared trackers, read once. Each field is
+// read from the same source as the metric RegisterMetrics exports for
+// it.
 func (ix *Index) Stats() Stats {
 	engs := ix.shards.Load().Engs
 	e0 := engs[0]
-	var works, authors, postings, students, crossRefs, terms int
-	if len(engs) == 1 {
-		es := e0.Stats()
-		works, authors, postings = es.Works, es.Authors, es.Postings
-		students, crossRefs, terms = es.StudentNotes, es.CrossRefs, es.Terms
-	} else {
-		seen := make(map[string]struct{})
-		for _, eng := range engs {
-			es := eng.Stats()
-			works += es.Works
-			postings += es.Postings
-			students += es.StudentNotes
-			crossRefs += es.CrossRefs
-			terms += es.Terms
-			eng.Index().Ascend(func(e *Entry) bool {
-				seen[string(collate.KeyAuthor(e.Author, ix.coll))] = struct{}{}
-				return true
-			})
-		}
-		authors = len(seen)
-	}
+	sum := shardSums(engs)
 	qs := e0.QueryStats()
 	ss := ix.store.Stats()
 	nodes, edges, components := e0.GraphCounts()
 	return Stats{
-		Works:           works,
-		Authors:         authors,
-		Postings:        postings,
-		StudentNotes:    students,
-		CrossRefs:       crossRefs,
-		Terms:           terms,
+		Works:           sum.Works,
+		Authors:         shard.Headings(engs, nil),
+		Postings:        sum.Postings,
+		StudentNotes:    sum.StudentNotes,
+		CrossRefs:       sum.CrossRefs,
+		Terms:           sum.Terms,
 		GraphNodes:      nodes,
 		GraphEdges:      edges,
 		GraphComponents: components,
@@ -1189,6 +1140,23 @@ func (ix *Index) Stats() Stats {
 		Collation:     ix.coll.Scheme.String(),
 		Shards:        ix.shards.N(),
 	}
+}
+
+// shardSums adds up the per-shard counters of one root. Works,
+// postings, student notes and cross-references are disjoint across
+// shards, so their sums are exact. Authors is left zero: a heading's
+// works can sit on several shards (see shard.Headings).
+func shardSums(engs []*query.Engine) query.Stats {
+	var sum query.Stats
+	for _, eng := range engs {
+		es := eng.Stats()
+		sum.Works += es.Works
+		sum.Postings += es.Postings
+		sum.StudentNotes += es.StudentNotes
+		sum.CrossRefs += es.CrossRefs
+		sum.Terms += es.Terms
+	}
+	return sum
 }
 
 // Degraded reports whether a write-path I/O failure has latched the

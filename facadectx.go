@@ -19,13 +19,14 @@ import (
 // Ctx variants of the facade entry points. Each wraps its operation in
 // one facade span annotated with the snapshot epoch (root sequence)
 // that served it. Reads load the current root and run lock-free, so
-// their engine spans nest directly under the facade span — there is no
-// lock wait to record; with more than one shard the fan-out records one
-// facade.shard_scan child per shard. Writes serialize only on the
-// mutexes of the shards they touch: their spans keep the lock.wait /
-// lock.hold children (which parent the store/WAL spans) plus the
-// copy-on-write turnover measured by the per-shard snapshot-swap
-// histograms. The non-ctx methods delegate through
+// their engine spans nest under the facade span — there is no lock wait
+// to record. Span shape does not depend on the shard count: an ordered
+// read records one facade.shard_scan child per shard (one at shards=1),
+// and a render gathers render.sections before it encodes. Writes
+// serialize only on the mutexes of the shards they touch: their spans
+// keep the lock.wait / lock.hold children (which parent the store/WAL
+// spans) plus the copy-on-write turnover measured by the per-shard
+// snapshot-swap histograms. The non-ctx methods delegate through
 // context.Background(), which is the zero-allocation disabled path.
 
 // degradedAttr marks a write span whose commit was refused by the
@@ -61,14 +62,12 @@ func (ix *Index) unlockShards(ids []int) {
 	}
 }
 
-// loadTraced loads the current root and stamps its sequence (and the
-// shard count, when sharded) on the span.
+// loadTraced loads the current root and stamps its sequence and shard
+// count on the span.
 func (ix *Index) loadTraced(sp *trace.Span) *shard.Root {
 	r := ix.shards.Load()
 	sp.SetInt("epoch", int64(r.Seq))
-	if len(r.Engs) > 1 {
-		sp.SetInt("shards", int64(len(r.Engs)))
-	}
+	sp.SetInt("shards", int64(len(r.Engs)))
 	return r
 }
 
@@ -84,13 +83,10 @@ func cloneTraced(ctx context.Context, eng *query.Engine, view []*model.Work) []*
 
 // scatterWorks fans one ordered read out across every shard of a root
 // and k-way merges the per-shard views — each already citation-ordered
-// and truncated by its engine — into one view capped at limit. A single
-// shard runs the query inline with no extra span, so the unsharded
-// configuration traces exactly as before.
+// and truncated by its engine — into one view capped at limit. Each
+// shard's query runs under its own facade.shard_scan span. At one shard
+// Gather runs the query inline and MergeWorks passes its view through.
 func scatterWorks(ctx context.Context, r *shard.Root, limit int, fn func(ctx context.Context, eng *query.Engine) []*model.Work) []*model.Work {
-	if len(r.Engs) == 1 {
-		return fn(ctx, r.Engs[0])
-	}
 	parts := shard.Gather(r.Engs, func(i int, eng *query.Engine) []*model.Work {
 		sctx, ssp := trace.StartSpan(ctx, "facade.shard_scan")
 		ssp.SetInt("shard", int64(i))
@@ -157,9 +153,7 @@ func (ix *Index) GetCtx(ctx context.Context, id WorkID) (*Work, bool) {
 	si := ix.shards.ForWork(id)
 	r := ix.shards.Load()
 	sp.SetInt("epoch", int64(r.Seq))
-	if len(r.Engs) > 1 {
-		sp.SetInt("shard", int64(si))
-	}
+	sp.SetInt("shard", int64(si))
 	eng := r.Engs[si]
 	w, ok := eng.WorkView(id)
 	if !ok {
@@ -394,10 +388,9 @@ func appendixLimit(n int) int {
 // the render itself (sections, per-letter text output) record child
 // spans, and a canceled ctx aborts the render between sections. The
 // whole render runs against one snapshot root, so a long render holds
-// that root alive — but blocks no writer — for the duration. With
-// more than one shard, per-shard sections are gathered and merged in
-// print order under a render.sections span, then encoded exactly as
-// the single-engine path encodes its own sections.
+// that root alive — but blocks no writer — for the duration. Per-shard
+// sections are gathered and merged in print order under a
+// render.sections span, then encoded under a render span.
 func (ix *Index) RenderCtx(ctx context.Context, w io.Writer, opts RenderOptions) error {
 	defer ix.timeOp(opRender)()
 	ctx, sp := trace.StartSpan(ctx, "facade.render")
@@ -418,9 +411,6 @@ func (ix *Index) RenderCtx(ctx context.Context, w io.Writer, opts RenderOptions)
 		})
 		ssp.End()
 	}
-	if len(engs) == 1 {
-		return render.RenderCtx(ctx, w, e0.Index(), opts)
-	}
 	_, secSpan := trace.StartSpan(ctx, "render.sections")
 	parts := shard.Gather(engs, func(_ int, eng *query.Engine) []Section {
 		return eng.Index().Sections()
@@ -428,8 +418,5 @@ func (ix *Index) RenderCtx(ctx context.Context, w io.Writer, opts RenderOptions)
 	sections := shard.MergeSections(parts, ix.coll)
 	secSpan.SetInt("sections", int64(len(sections)))
 	secSpan.End()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
 	return render.RenderSectionsCtx(ctx, w, sections, opts)
 }

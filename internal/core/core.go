@@ -221,11 +221,13 @@ func (ix *Index) Lookup(a model.Author) (*Entry, bool) {
 	return e.clone(), true
 }
 
-// Ascend visits every entry in print order until fn returns false.
-// Entries passed to fn are live; fn must not mutate or retain them —
-// use Lookup for a stable copy.
-func (ix *Index) Ascend(fn func(*Entry) bool) {
-	ix.entries.Ascend(func(_ []byte, e *Entry) bool { return fn(e) })
+// Ascend visits every entry in print order, with the collation key it
+// is filed under, until fn returns false. Keys and entries passed to fn
+// are live; fn must not mutate them, and may hold them only while the
+// index is no longer mutated (a published snapshot) — use Lookup for a
+// stable copy.
+func (ix *Index) Ascend(fn func(key []byte, e *Entry) bool) {
+	ix.entries.Ascend(fn)
 }
 
 // AscendPrefix visits entries whose primary collation text starts with
@@ -239,13 +241,12 @@ func (ix *Index) AscendPrefix(prefix string, fn func(*Entry) bool) {
 // print order, until fn returns false. Use the zero Author to start from
 // the beginning. The heading itself need not exist.
 func (ix *Index) AscendAfter(after model.Author, fn func(*Entry) bool) {
-	if after.IsZero() {
-		ix.Ascend(fn)
-		return
-	}
 	// The smallest possible key strictly greater than after's key is the
-	// key with a zero byte appended.
-	lo := append(collate.KeyAuthor(after, ix.opts), 0)
+	// key with a zero byte appended; a nil lo starts at the beginning.
+	var lo []byte
+	if !after.IsZero() {
+		lo = append(collate.KeyAuthor(after, ix.opts), 0)
+	}
 	ix.entries.AscendRange(lo, nil, func(_ []byte, e *Entry) bool { return fn(e) })
 }
 

@@ -35,7 +35,7 @@ func parseCite(s string) (model.Citation, error) {
 
 func headings(ix *Index) []string {
 	var out []string
-	ix.Ascend(func(e *Entry) bool {
+	ix.Ascend(func(_ []byte, e *Entry) bool {
 		out = append(out, e.Author.Display())
 		return true
 	})
@@ -70,6 +70,14 @@ func TestAddAndOrder(t *testing.T) {
 			t.Fatalf("headings = %v, want %v", got, want)
 		}
 	}
+	// Ascend hands out the key each heading is filed under: the shard
+	// merges compare these instead of rebuilding them.
+	ix.Ascend(func(key []byte, e *Entry) bool {
+		if want := collate.KeyAuthor(e.Author, ix.Options()); string(key) != string(want) {
+			t.Errorf("Ascend key for %q = %q, want %q", e.Author.Display(), key, want)
+		}
+		return true
+	})
 }
 
 func TestMultiAuthorWork(t *testing.T) {
@@ -310,7 +318,7 @@ func TestIncrementalEqualsRebuild(t *testing.T) {
 	}
 	flatten := func(ix *Index) []flat {
 		var out []flat
-		ix.Ascend(func(e *Entry) bool {
+		ix.Ascend(func(_ []byte, e *Entry) bool {
 			f := flat{heading: e.Author.Display()}
 			for _, w := range e.Works {
 				f.ids = append(f.ids, w.ID)

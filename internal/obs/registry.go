@@ -46,9 +46,10 @@ type series struct {
 
 // family groups every series sharing a metric name.
 type family struct {
-	name, help string
-	kind       metricKind
-	series     map[string]*series // keyed by label signature
+	name   string
+	header string // "# HELP" and "# TYPE" lines, built at registration
+	kind   metricKind
+	series map[string]*series // keyed by label signature
 }
 
 // Registry is a concurrency-safe collection of metric families. The
@@ -124,7 +125,7 @@ func (r *Registry) getOrCreate(kind metricKind, name, help string, labels []stri
 	defer r.mu.Unlock()
 	f, ok := r.families[name]
 	if !ok {
-		f = &family{name: name, help: help, kind: kind, series: make(map[string]*series)}
+		f = &family{name: name, header: familyHeader(name, help, kind), kind: kind, series: make(map[string]*series)}
 		r.families[name] = f
 	} else if f.kind != kind {
 		panic(fmt.Sprintf("obs: metric %q registered as %s, requested as %s", name, f.kind, kind))
@@ -186,10 +187,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			sigs = append(sigs, sig)
 		}
 		sort.Strings(sigs)
-		if f.help != "" {
-			fmt.Fprintf(&b, "# HELP %s %s\n", f.name, escapeHelp(f.help))
-		}
-		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.kind)
+		b.WriteString(f.header)
 		for _, sig := range sigs {
 			s := f.series[sig]
 			switch f.kind {
@@ -218,6 +216,17 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.RUnlock()
 	_, err := io.WriteString(w, b.String())
 	return err
+}
+
+// familyHeader builds a family's "# HELP" and "# TYPE" lines once, so
+// a scrape copies them rather than formatting them through fmt, whose
+// pooled printer state makes allocation counts vary from run to run.
+func familyHeader(name, help string, kind metricKind) string {
+	h := "# TYPE " + name + " " + kind.String() + "\n"
+	if help != "" {
+		h = "# HELP " + name + " " + escapeHelp(help) + "\n" + h
+	}
+	return h
 }
 
 // writeSample emits one exposition line. le, when non-empty, is

@@ -121,32 +121,15 @@ func (o Options) pageWidth() int {
 
 // Render writes the index to w in the selected format.
 func Render(w io.Writer, ix *core.Index, opts Options) error {
-	return RenderCtx(context.Background(), w, ix, opts)
+	return RenderSectionsCtx(context.Background(), w, ix.Sections(), opts)
 }
 
-// RenderCtx is Render carrying a trace context: section collection and
-// encoding are recorded as child spans (text output gets one span per
-// letter section), and cancellation is honored between phases — a
-// client that hung up stops a large render early with ctx.Err().
-func RenderCtx(ctx context.Context, w io.Writer, ix *core.Index, opts Options) error {
-	ctx, sp := trace.StartSpan(ctx, "render")
-	sp.SetAttr("format", opts.Format.String())
-	defer sp.End()
-	_, secSpan := trace.StartSpan(ctx, "render.sections")
-	sections := ix.Sections()
-	secSpan.SetInt("sections", int64(len(sections)))
-	secSpan.End()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return encodeSections(ctx, w, sections, opts)
-}
-
-// RenderSectionsCtx renders pre-collected sections in the selected
-// format — the scatter-gather path: the sharded facade merges per-shard
-// sections in print order and hands the result here. The span shape and
-// output are identical to RenderCtx fed an index holding the same
-// entries.
+// RenderSectionsCtx renders collected sections in the selected format
+// under one render span (text output gets one child span per letter
+// section). The facade gathers each shard's sections and merges them
+// in print order before handing them here. Cancellation is checked
+// before encoding and, for text, between letter sections: a client
+// that hung up stops a large render early with ctx.Err().
 func RenderSectionsCtx(ctx context.Context, w io.Writer, sections []core.Section, opts Options) error {
 	ctx, sp := trace.StartSpan(ctx, "render")
 	sp.SetAttr("format", opts.Format.String())

@@ -15,17 +15,16 @@ import (
 // is a min-pick over one cursor per shard. Ties break toward the lower
 // shard index, which makes every merge deterministic. With one
 // non-empty input — always the case at shards=1 — the input is
-// returned as-is, so the unsharded configuration pays nothing.
+// returned as-is, so the unsharded configuration pays nothing. This
+// pass-through is the only place the read path looks at the shard
+// count.
 
 // MergeWorks merges per-shard citation-ordered work lists into one
 // citation-ordered list, capped at limit (<=0: no cap). Inputs are
 // consumed as-is; callers must not reuse them.
 func MergeWorks(parts [][]*model.Work, limit int) []*model.Work {
-	if single, only := singleWorks(parts); single {
-		if limit > 0 && len(only) > limit {
-			only = only[:limit]
-		}
-		return only
+	if only, ok := single(parts); ok {
+		return capped(only, limit)
 	}
 	idx := make([]int, len(parts))
 	total := 0
@@ -58,21 +57,27 @@ func MergeWorks(parts [][]*model.Work, limit int) []*model.Work {
 	return out
 }
 
-func singleWorks(parts [][]*model.Work) (bool, []*model.Work) {
-	nonEmpty, last := 0, -1
-	for i, p := range parts {
+// single reports whether at most one part is non-empty and returns
+// that part (nil when every part is empty): the pass-through case.
+func single[T any](parts [][]T) ([]T, bool) {
+	var only []T
+	for _, p := range parts {
 		if len(p) > 0 {
-			nonEmpty++
-			last = i
+			if only != nil {
+				return nil, false
+			}
+			only = p
 		}
 	}
-	if nonEmpty == 0 {
-		return true, nil
+	return only, true
+}
+
+// capped truncates s to limit elements (<=0: no cap) without copying.
+func capped[T any](s []T, limit int) []T {
+	if limit > 0 && len(s) > limit {
+		return s[:limit]
 	}
-	if nonEmpty == 1 {
-		return true, parts[last]
-	}
-	return false, nil
+	return s
 }
 
 // MergeEntries merges per-shard print-ordered author entries into one
@@ -82,22 +87,8 @@ func singleWorks(parts [][]*model.Work) (bool, []*model.Work) {
 // union of their cross-references, with the display form taken from the
 // lowest shard. Inputs are consumed as-is; callers must not reuse them.
 func MergeEntries(parts [][]*core.Entry, coll collate.Options, limit int) []*core.Entry {
-	nonEmpty, last := 0, -1
-	for i, p := range parts {
-		if len(p) > 0 {
-			nonEmpty++
-			last = i
-		}
-	}
-	if nonEmpty == 0 {
-		return nil
-	}
-	if nonEmpty == 1 {
-		out := parts[last]
-		if limit > 0 && len(out) > limit {
-			out = out[:limit]
-		}
-		return out
+	if only, ok := single(parts); ok {
+		return capped(only, limit)
 	}
 	idx := make([]int, len(parts))
 	keys := make([][]byte, len(parts))
@@ -142,6 +133,68 @@ func MergeEntries(parts [][]*core.Entry, coll collate.Options, limit int) []*cor
 		}
 	}
 	return out
+}
+
+// Headings visits every distinct author heading of a root once, in
+// print order, and returns how many there are. It k-way merges the
+// per-shard heading trees by the collation key each index files its
+// entries under, so no key is rebuilt. A heading filed on several
+// shards is visited with the lowest shard's Author, the display form
+// MergeEntries keeps. A nil fn only counts. With one non-empty shard
+// the count is its Len and fn walks it directly.
+func Headings(engs []*query.Engine, fn func(model.Author)) int {
+	idxs := make([]*core.Index, 0, len(engs))
+	for _, eng := range engs {
+		if idx := eng.Index(); idx.Len() > 0 {
+			idxs = append(idxs, idx)
+		}
+	}
+	if len(idxs) == 0 {
+		return 0
+	}
+	if len(idxs) == 1 {
+		if fn != nil {
+			idxs[0].Ascend(func(_ []byte, e *core.Entry) bool {
+				fn(e.Author)
+				return true
+			})
+		}
+		return idxs[0].Len()
+	}
+	// A root is immutable, so its stored keys and entries stay valid
+	// for the whole merge.
+	type heading struct {
+		key []byte
+		e   *core.Entry
+	}
+	parts := make([][]heading, len(idxs))
+	for i, idx := range idxs {
+		parts[i] = make([]heading, 0, idx.Len())
+		idx.Ascend(func(key []byte, e *core.Entry) bool {
+			parts[i] = append(parts[i], heading{key, e})
+			return true
+		})
+	}
+	for n := 0; ; n++ {
+		best := -1
+		for i, p := range parts {
+			if len(p) > 0 && (best < 0 || bytes.Compare(p[0].key, parts[best][0].key) < 0) {
+				best = i
+			}
+		}
+		if best < 0 {
+			return n
+		}
+		h := parts[best][0]
+		for i := best; i < len(parts); i++ {
+			if len(parts[i]) > 0 && bytes.Equal(parts[i][0].key, h.key) {
+				parts[i] = parts[i][1:]
+			}
+		}
+		if fn != nil {
+			fn(h.e.Author)
+		}
+	}
 }
 
 // mergeEntry combines two same-heading entries from different shards:
@@ -212,25 +265,9 @@ func mergeSeeAlso(a, b []model.Author, coll collate.Options) []model.Author {
 // summing the work counts of headings present on several shards. The
 // display form comes from the lowest shard. Inputs carry the collation
 // keys their engines filed them under (KeyedSubjects), so the merge
-// never computes a key.
+// never computes a key. The output drops the keys, so one non-empty
+// input is copied by the same loop rather than passed through.
 func MergeSubjects(parts [][]query.KeyedSubject) []query.SubjectCount {
-	nonEmpty, last := 0, -1
-	for i, p := range parts {
-		if len(p) > 0 {
-			nonEmpty++
-			last = i
-		}
-	}
-	if nonEmpty == 0 {
-		return nil
-	}
-	if nonEmpty == 1 {
-		out := make([]query.SubjectCount, len(parts[last]))
-		for i, ks := range parts[last] {
-			out[i] = ks.SubjectCount
-		}
-		return out
-	}
 	idx := make([]int, len(parts))
 	var out []query.SubjectCount
 	for {
@@ -264,18 +301,8 @@ func MergeSubjects(parts [][]query.KeyedSubject) []query.SubjectCount {
 // flattened, merged in print order, and regrouped by first letter —
 // the same grouping core.Index.Sections applies.
 func MergeSections(parts [][]core.Section, coll collate.Options) []core.Section {
-	nonEmpty, last := 0, -1
-	for i, p := range parts {
-		if len(p) > 0 {
-			nonEmpty++
-			last = i
-		}
-	}
-	if nonEmpty == 0 {
-		return nil
-	}
-	if nonEmpty == 1 {
-		return parts[last]
+	if only, ok := single(parts); ok {
+		return only
 	}
 	entryParts := make([][]*core.Entry, len(parts))
 	for i, secs := range parts {

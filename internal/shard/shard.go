@@ -133,9 +133,6 @@ func (m *Map) Publish(engs map[int]*query.Engine) {
 // ForWork routes a work ID to its home shard: a fibonacci-style
 // multiplicative scramble so sequentially assigned IDs spread evenly.
 func (m *Map) ForWork(id model.WorkID) int {
-	if len(m.shards) == 1 {
-		return 0
-	}
 	return int((uint64(id) * 0x9E3779B97F4A7C15) % uint64(len(m.shards)))
 }
 
@@ -143,9 +140,6 @@ func (m *Map) ForWork(id model.WorkID) int {
 // via FNV-1a, so cross-references land deterministically across
 // restarts.
 func (m *Map) ForKey(key []byte) int {
-	if len(m.shards) == 1 {
-		return 0
-	}
 	const offset64, prime64 = uint64(14695981039346656037), uint64(1099511628211)
 	h := offset64
 	for _, c := range key {

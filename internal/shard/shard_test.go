@@ -384,3 +384,61 @@ func TestMergeSectionsRegroupsLetters(t *testing.T) {
 		t.Fatal("single-input fast path did not pass through")
 	}
 }
+
+func TestHeadingsDistinctInPrintOrder(t *testing.T) {
+	coll := collate.Default()
+	eng := func(authors ...string) *query.Engine {
+		e := query.New(coll)
+		for i, a := range authors {
+			w := work(len(authors)*100+i+1, 70, i+1, 1968, "Work "+a)
+			w.Authors = []model.Author{{Family: a, Given: "A."}}
+			if err := e.Add(w); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return e
+	}
+	engs := []*query.Engine{
+		eng("Shared", "Delta", "Alpha"),
+		eng(),
+		eng("Bravo", "Shared", "Echo"),
+		eng("Alpha", "Charlie", "Shared", "Muller", "Müller"),
+	}
+	// Reference: every heading of every shard, deduplicated by
+	// collation key and sorted by it.
+	byKey := map[string]string{}
+	for _, e := range engs {
+		e.Index().Ascend(func(_ []byte, en *core.Entry) bool {
+			byKey[string(collate.KeyAuthor(en.Author, coll))] = en.Author.Display()
+			return true
+		})
+	}
+	keys := make([]string, 0, len(byKey))
+	for k := range byKey {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var want []string
+	for _, k := range keys {
+		want = append(want, byKey[k])
+	}
+
+	var got []string
+	n := Headings(engs, func(a model.Author) { got = append(got, a.Display()) })
+	if fmt.Sprint(got) != fmt.Sprint(want) || n != len(want) {
+		t.Errorf("Headings = %d %v, want %d %v", n, got, len(want), want)
+	}
+	if n := Headings(engs, nil); n != len(want) {
+		t.Errorf("Headings count = %d, want %d", n, len(want))
+	}
+
+	// One non-empty shard is walked directly; none counts zero.
+	got = nil
+	if n := Headings([]*query.Engine{engs[1], engs[2]}, func(a model.Author) { got = append(got, a.Display()) }); n != 3 ||
+		fmt.Sprint(got) != "[Bravo, A. Echo, A. Shared, A.]" {
+		t.Errorf("single shard: Headings = %d %v", n, got)
+	}
+	if n := Headings([]*query.Engine{engs[1]}, nil); n != 0 {
+		t.Errorf("empty shards: Headings = %d, want 0", n)
+	}
+}

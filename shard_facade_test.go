@@ -260,12 +260,26 @@ func TestShardWritersIndependent(t *testing.T) {
 
 // TestShardedReadsMatchUnsharded: the same corpus opened at shards=1
 // and shards=4 must be observably identical — renders byte for byte,
-// plus author, search, subject, pagination and stats agreement. This
-// pins down every k-way merge at once.
+// plus author, search, subject, pagination, duplicate-suggestion and
+// stats agreement. This pins down every k-way merge at once.
 func TestShardedReadsMatchUnsharded(t *testing.T) {
 	dir := t.TempDir()
 	ix1 := openT(t, dir)
 	if _, err := ix1.AddBatch(batchOf(40, 7)); err != nil {
+		t.Fatal(err)
+	}
+	// A spelling-variant pair and a student/professional pair, each
+	// split across shards at shards=4 (checked below), and the
+	// professional heading filed on two works.
+	variants := []Work{
+		sampleWork("Variant Spelling", "90:1 (1988)", "Müller, Karl"),
+		sampleWork("Plain Spelling", "90:2 (1988)", "Muller, Karl"),
+		sampleWork("Student Note", "90:3 (1988)", "Barrett, Joshua I.*"),
+		sampleWork("Professional Article", "90:4 (1988)", "Barrett, Joshua I."),
+		sampleWork("Professional Sequel", "90:5 (1988)", "Barrett, Joshua I."),
+	}
+	variantIDs, err := ix1.AddBatch(variants)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := ix1.AddSeeAlso("Batch, Author 0.", "Batch, Author 1."); err != nil {
@@ -304,7 +318,20 @@ func TestShardedReadsMatchUnsharded(t *testing.T) {
 	wantSearch := fmt.Sprintf("%+v", ix1.Search("batch", 0))
 	wantYears := fmt.Sprintf("%+v", ix1.YearRange(1960, 1999, 0))
 	wantSubjects := fmt.Sprintf("%+v", ix1.Subjects())
+	dups1 := ix1.DuplicateSuggestions()
+	var spelling, student bool
+	for _, d := range dups1 {
+		spelling = spelling || d.Reason == SpellingVariant
+		student = student || d.Reason == StudentVariant
+	}
+	if !spelling || !student {
+		t.Fatalf("DuplicateSuggestions at shards=1 lacks a spelling or student pair: %+v", dups1)
+	}
+	wantDups := fmt.Sprintf("%+v", dups1)
 	st1 := ix1.Stats()
+	if st1.StudentNotes == 0 {
+		t.Fatal("corpus has no student notes")
+	}
 	if err := ix1.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -313,6 +340,12 @@ func TestShardedReadsMatchUnsharded(t *testing.T) {
 	defer ix4.Close()
 	if err := ix4.Verify(); err != nil {
 		t.Fatalf("Verify at shards=4: %v", err)
+	}
+	for _, pair := range [][2]int{{0, 1}, {2, 3}} {
+		a, b := variantIDs[pair[0]], variantIDs[pair[1]]
+		if ix4.shards.ForWork(a) == ix4.shards.ForWork(b) {
+			t.Fatalf("works %d and %d share a shard; the pair must be split", a, b)
+		}
 	}
 	if got := render(ix4, Text); got != wantText {
 		t.Error("text render differs between shards=1 and shards=4")
@@ -341,9 +374,13 @@ func TestShardedReadsMatchUnsharded(t *testing.T) {
 	if got := fmt.Sprintf("%+v", ix4.Subjects()); got != wantSubjects {
 		t.Error("Subjects differ between shards=1 and shards=4")
 	}
+	if got := fmt.Sprintf("%+v", ix4.DuplicateSuggestions()); got != wantDups {
+		t.Errorf("DuplicateSuggestions differ:\nshards=1 %s\nshards=4 %s", wantDups, got)
+	}
 	st4 := ix4.Stats()
 	if st4.Works != st1.Works || st4.Authors != st1.Authors ||
-		st4.Postings != st1.Postings || st4.CrossRefs != st1.CrossRefs {
+		st4.Postings != st1.Postings || st4.CrossRefs != st1.CrossRefs ||
+		st4.StudentNotes != st1.StudentNotes {
 		t.Errorf("core stats differ: shards=1 %+v, shards=4 %+v", st1, st4)
 	}
 	if st4.Shards != 4 {

@@ -28,10 +28,34 @@ func findSpan(d *trace.SpanData, name string) *trace.SpanData {
 	return nil
 }
 
-// tracedIndex is openT plus three works, so scans have something to hit.
-func tracedIndex(t *testing.T) *Index {
+// spanShape renders a span subtree as nested names, e.g. "a(b(c),d)",
+// so a test can pin a whole tree at once.
+func spanShape(d *trace.SpanData) string {
+	if len(d.Children) == 0 {
+		return d.Name
+	}
+	kids := make([]string, len(d.Children))
+	for i := range d.Children {
+		kids[i] = spanShape(&d.Children[i])
+	}
+	return d.Name + "(" + strings.Join(kids, ",") + ")"
+}
+
+// spanAttr returns the value of a span's attribute.
+func spanAttr(d *trace.SpanData, key string) (string, bool) {
+	for _, a := range d.Attrs {
+		if a.Key == key {
+			return a.Val, true
+		}
+	}
+	return "", false
+}
+
+// tracedIndex opens an index of n shards holding three works, so scans
+// have something to hit.
+func tracedIndex(t *testing.T, n int) *Index {
 	t.Helper()
-	ix := openT(t, t.TempDir())
+	ix := openShards(t, t.TempDir(), n)
 	t.Cleanup(func() { ix.Close() })
 	for _, w := range []Work{
 		sampleWork("Surface Mining Reclamation", "75:319 (1973)", "Cardi, Vincent P."),
@@ -45,56 +69,58 @@ func tracedIndex(t *testing.T) *Index {
 	return ix
 }
 
-// TestTracedSearchSpanTree pins the per-layer shape of a read: the
-// snapshot read path takes no lock, so the engine scan (with its
-// postings-intersection child) and the clone pass nest directly under
-// the facade span — there are no lock.rwait/lock.rhold spans left to
-// record — and the span carries the epoch that served it.
+// TestTracedSearchSpanTree pins the exact per-layer shape of a read at
+// shards 1 and 4: one facade.shard_scan per shard, stamped with its
+// shard and the epoch that served the read, each over the engine scan
+// and its postings intersection, then the clone pass. The snapshot read
+// path takes no lock, so no lock spans appear anywhere in the tree.
 func TestTracedSearchSpanTree(t *testing.T) {
-	ix := tracedIndex(t)
-	tracer := trace.NewTracer(trace.Config{})
-	ctx, tr := tracer.StartRoot(context.Background(), "req-1", "test search")
-	if got := ix.SearchCtx(ctx, "mining or nuisance", 10); len(got) != 2 {
-		t.Fatalf("SearchCtx = %d works", len(got))
-	}
-	tr.Finish("test")
-	if err := tr.Check(); err != nil {
-		t.Fatalf("malformed trace: %v", err)
-	}
-
-	root := tr.Data().Root
-	search := findSpan(&root, "facade.search")
-	if search == nil {
-		t.Fatalf("no facade.search span:\n%v", root)
-	}
-	for _, name := range []string{"engine.title_scan", "facade.clone"} {
-		found := false
-		for i := range search.Children {
-			if search.Children[i].Name == name {
-				found = true
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			ix := tracedIndex(t, shards)
+			tracer := trace.NewTracer(trace.Config{})
+			ctx, tr := tracer.StartRoot(context.Background(), "req-1", "test search")
+			if got := ix.SearchCtx(ctx, "mining or nuisance", 10); len(got) != 2 {
+				t.Fatalf("SearchCtx = %d works", len(got))
 			}
-		}
-		if !found {
-			t.Errorf("facade.search lacks direct child %q", name)
-		}
-	}
-	for _, stale := range []string{"lock.rwait", "lock.rhold"} {
-		if findSpan(search, stale) != nil {
-			t.Errorf("lock-free facade.search still records %q", stale)
-		}
-	}
-	scan := findSpan(search, "engine.title_scan")
-	if findSpan(scan, "inverted.intersect") == nil {
-		t.Error("engine.title_scan lacks inverted.intersect child")
-	}
-	hasEpoch := false
-	for _, a := range search.Attrs {
-		if a.Key == "epoch" {
-			hasEpoch = true
-		}
-	}
-	if !hasEpoch {
-		t.Error("facade.search span lacks epoch attribute")
+			tr.Finish("test")
+			if err := tr.Check(); err != nil {
+				t.Fatalf("malformed trace: %v", err)
+			}
+
+			root := tr.Data().Root
+			search := findSpan(&root, "facade.search")
+			if search == nil {
+				t.Fatalf("no facade.search span:\n%v", root)
+			}
+			scan := "facade.shard_scan(engine.title_scan(inverted.intersect))"
+			want := "facade.search(" + strings.Repeat(scan+",", shards) + "facade.clone)"
+			if got := spanShape(search); got != want {
+				t.Fatalf("span tree\n got %s\nwant %s", got, want)
+			}
+			epoch, ok := spanAttr(search, "epoch")
+			if !ok {
+				t.Error("facade.search span lacks epoch attribute")
+			}
+			if got, _ := spanAttr(search, "shards"); got != fmt.Sprint(shards) {
+				t.Errorf("facade.search shards = %q, want %d", got, shards)
+			}
+			seen := map[string]bool{}
+			for i := 0; i < shards; i++ {
+				c := &search.Children[i]
+				if got, _ := spanAttr(c, "epoch"); got != epoch {
+					t.Errorf("shard_scan epoch = %q, want the read's %q", got, epoch)
+				}
+				sh, ok := spanAttr(c, "shard")
+				if !ok {
+					t.Error("shard_scan lacks shard attribute")
+				}
+				seen[sh] = true
+			}
+			if len(seen) != shards {
+				t.Errorf("shard_scan spans cover shards %v, want %d distinct", seen, shards)
+			}
+		})
 	}
 }
 
@@ -143,44 +169,41 @@ func TestTracedWriteSpanTree(t *testing.T) {
 	}
 }
 
-// TestTracedRenderSpanTree: rendering records the appendix builds and
-// one span per section, all nested under the read hold.
+// TestTracedRenderSpanTree: at shards 1 and 4 a render records the
+// same tree — the gathered sections, then the render span with one
+// child per letter section (the fixture headings file under C, L and
+// P).
 func TestTracedRenderSpanTree(t *testing.T) {
-	ix := tracedIndex(t)
-	tracer := trace.NewTracer(trace.Config{})
-	ctx, tr := tracer.StartRoot(context.Background(), "req-3", "test render")
-	var sb strings.Builder
-	if err := ix.RenderCtx(ctx, &sb, RenderOptions{Format: Text}); err != nil {
-		t.Fatal(err)
-	}
-	tr.Finish("test")
-	if err := tr.Check(); err != nil {
-		t.Fatalf("malformed trace: %v", err)
-	}
-	root := tr.Data().Root
-	rnd := findSpan(&root, "render")
-	if rnd == nil {
-		t.Fatal("no render span")
-	}
-	if findSpan(rnd, "render.sections") == nil {
-		t.Error("render lacks render.sections child")
-	}
-	// Fixture headings span C, L and P: at least one per-letter span.
-	var sections int
-	for i := range rnd.Children {
-		if strings.HasPrefix(rnd.Children[i].Name, "render.section ") {
-			sections++
-		}
-	}
-	if sections < 3 {
-		t.Errorf("render recorded %d section spans, want >= 3", sections)
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			ix := tracedIndex(t, shards)
+			tracer := trace.NewTracer(trace.Config{})
+			ctx, tr := tracer.StartRoot(context.Background(), "req-3", "test render")
+			var sb strings.Builder
+			if err := ix.RenderCtx(ctx, &sb, RenderOptions{Format: Text}); err != nil {
+				t.Fatal(err)
+			}
+			tr.Finish("test")
+			if err := tr.Check(); err != nil {
+				t.Fatalf("malformed trace: %v", err)
+			}
+			root := tr.Data().Root
+			fac := findSpan(&root, "facade.render")
+			if fac == nil {
+				t.Fatal("no facade.render span")
+			}
+			want := "facade.render(render.sections,render(render.section C,render.section L,render.section P))"
+			if got := spanShape(fac); got != want {
+				t.Errorf("span tree\n got %s\nwant %s", got, want)
+			}
+		})
 	}
 }
 
 // TestTracedRenderHonorsCancel: a context canceled mid-render aborts
 // between sections with ctx.Err instead of writing the whole artifact.
 func TestTracedRenderHonorsCancel(t *testing.T) {
-	ix := tracedIndex(t)
+	ix := tracedIndex(t, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	err := ix.RenderCtx(ctx, io.Discard, RenderOptions{Format: Text})
@@ -194,7 +217,7 @@ func TestTracedRenderHonorsCancel(t *testing.T) {
 // exactly as much as an untraced call. The whole tracing subsystem
 // rides on this: the facade threads contexts unconditionally.
 func TestTracingDisabledPathAllocs(t *testing.T) {
-	ix := tracedIndex(t)
+	ix := tracedIndex(t, 1)
 	ctx := context.Background()
 	plain := testing.AllocsPerRun(200, func() {
 		if got := ix.Search("mining", 4); len(got) == 0 {
@@ -216,7 +239,7 @@ func TestTracingDisabledPathAllocs(t *testing.T) {
 // (spans ended exactly once, children nested), proving the context
 // propagation does not race even while the lock spans interleave.
 func TestTracedFacadeHammer(t *testing.T) {
-	ix := tracedIndex(t)
+	ix := tracedIndex(t, 1)
 	tracer := trace.NewTracer(trace.Config{RingSize: 4})
 
 	const (
