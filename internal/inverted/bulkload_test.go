@@ -16,13 +16,13 @@ import (
 // two must stay identical under subsequent Add/Remove traffic.
 func TestBulkLoadMatchesIncremental(t *testing.T) {
 	works := gen.Generate(gen.Config{Seed: 9, Works: 1200, ZipfS: 1.1})
-	inc := New()
-	docs := make([]Doc, 0, len(works))
+	inc := New(byID)
+	docs := make([]Doc[model.WorkID], 0, len(works))
 	for _, w := range works {
 		inc.Add(w.ID, w.Title)
-		docs = append(docs, Doc{ID: w.ID, Text: w.Title})
+		docs = append(docs, Doc[model.WorkID]{Ref: w.ID, Text: w.Title})
 	}
-	bulk := Load(docs)
+	bulk := Load(byID, docs)
 	compareIndexes(t, bulk, inc, works)
 
 	// Subsequent mutations on a bulk-built index behave identically.
@@ -43,9 +43,9 @@ func TestBulkLoadMatchesIncremental(t *testing.T) {
 }
 
 func TestBulkLoadEmptyAndStopwordDocs(t *testing.T) {
-	bulk := Load([]Doc{
-		{ID: 1, Text: "the of and"}, // all stopwords: indexes nothing
-		{ID: 2, Text: "Coalbed Methane"},
+	bulk := Load(byID, []Doc[model.WorkID]{
+		{Ref: 1, Text: "the of and"}, // all stopwords: indexes nothing
+		{Ref: 2, Text: "Coalbed Methane"},
 	})
 	if bulk.Docs() != 1 {
 		t.Fatalf("Docs = %d, want 1 (stopword-only doc contributes nothing)", bulk.Docs())
@@ -53,12 +53,23 @@ func TestBulkLoadEmptyAndStopwordDocs(t *testing.T) {
 	if got := bulk.Postings("coalbed"); len(got) != 1 || got[0] != 2 {
 		t.Fatalf("Postings(coalbed) = %v", got)
 	}
-	if empty := Load(nil); empty.Docs() != 0 || empty.Terms() != 0 {
+	if empty := Load(byID, nil); empty.Docs() != 0 || empty.Terms() != 0 {
 		t.Fatalf("Load(nil) not empty: %d docs, %d terms", empty.Docs(), empty.Terms())
 	}
 }
 
-func compareIndexes(t *testing.T, bulk, inc *Index, works []*model.Work) {
+// TestBulkLoadRejectsUnorderedDocs: ascending refs are Load's
+// precondition, not something it repairs.
+func TestBulkLoadRejectsUnorderedDocs(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Load accepted docs out of ref order")
+		}
+	}()
+	Load(byID, []Doc[model.WorkID]{{Ref: 2, Text: "Coalbed Methane"}, {Ref: 1, Text: "Surface Mining"}})
+}
+
+func compareIndexes(t *testing.T, bulk, inc *Index[model.WorkID], works []*model.Work) {
 	t.Helper()
 	if bulk.Docs() != inc.Docs() {
 		t.Fatalf("Docs: bulk %d, incremental %d", bulk.Docs(), inc.Docs())

@@ -1,15 +1,18 @@
 package inverted
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/model"
 )
 
 // FuzzTokenize checks the tokenizer's invariants on arbitrary input: it
 // never panics, every token is non-empty, lower-case alphanumeric and
 // stopword-free, it is idempotent (tokenizing the joined tokens yields
-// the same tokens), and an index round-trip through Add/Remove leaves
-// no residue.
+// the same tokens), an index round-trip through Add/Remove leaves no
+// residue, and AddBatch files the text as sequential Adds do.
 func FuzzTokenize(f *testing.F) {
 	for _, seed := range []string{
 		"Surface Mining Control and Reclamation",
@@ -50,7 +53,7 @@ func FuzzTokenize(f *testing.F) {
 			}
 		}
 		// Add/Remove round trip leaves the index empty.
-		ix := New()
+		ix := New(byID)
 		ix.Add(1, s)
 		if len(toks) == 0 && ix.Terms() != 0 {
 			t.Fatalf("tokenless text %q still indexed %d terms", s, ix.Terms())
@@ -58,6 +61,21 @@ func FuzzTokenize(f *testing.F) {
 		ix.Remove(1, s)
 		if ix.Terms() != 0 || ix.Docs() != 0 {
 			t.Fatalf("index not empty after Add/Remove of %q: %d terms, %d docs", s, ix.Terms(), ix.Docs())
+		}
+		// A batch files the text exactly as sequential Adds do.
+		docs := []Doc[model.WorkID]{{Ref: 2, Text: s}, {Ref: 1, Text: s + " fuzz"}}
+		seq, bat := New(byID), New(byID)
+		for _, d := range docs {
+			seq.Add(d.Ref, d.Text)
+		}
+		bat.AddBatch(docs)
+		if seq.Docs() != bat.Docs() || seq.Terms() != bat.Terms() {
+			t.Fatalf("AddBatch of %q: %d docs/%d terms, sequential %d/%d", s, bat.Docs(), bat.Terms(), seq.Docs(), seq.Terms())
+		}
+		for _, tok := range append(toks, "fuzz") {
+			if b, q := bat.Postings(tok), seq.Postings(tok); !reflect.DeepEqual(b, q) {
+				t.Fatalf("AddBatch of %q: Postings(%q) = %v, sequential %v", s, tok, b, q)
+			}
 		}
 	})
 }

@@ -1,15 +1,17 @@
 // Package inverted implements a small inverted index over work titles:
-// folded tokens map to sorted postings lists of work IDs, with boolean
-// AND/OR/NOT evaluation and trailing-* prefix expansion. Terms live in a
-// B+tree so prefix queries are ordered scans.
+// folded tokens map to ordered postings lists, with boolean AND/OR/NOT
+// evaluation and trailing-* prefix expansion. Terms live in a B+tree so
+// prefix queries are ordered scans. The index is generic over the
+// posting ref and its order: work IDs in ID order, or the query
+// engine's work entries in citation order.
 package inverted
 
 import (
-	"sort"
+	"bytes"
+	"slices"
 	"strings"
 
 	"repro/internal/btree"
-	"repro/internal/model"
 	"repro/internal/names"
 )
 
@@ -56,53 +58,62 @@ func appendTokens(toks []string, text string) []string {
 	return toks
 }
 
-// Index maps terms to postings. It is not safe for concurrent mutation.
+// Index maps terms to postings of refs of type T, each list kept
+// ascending under the comparator given to New or Load. It is not safe
+// for concurrent mutation.
+//
+// The comparator decides the order every evaluation streams out in: a
+// plain work-ID index orders numerically, while the query engine files
+// its work entries in citation-key order, so a search answer is the
+// first limit refs of the evaluation, with no lookup and no sort.
+// cmp(a, b) == 0 must mean a and b are the same document.
 //
 // Mutations are copy-on-write at postings granularity: a filed
 // *postings value is never edited in place — the mutating method builds
 // a fresh list and replaces the tree value — so a Clone taken before
 // the mutation keeps a frozen view that readers may borrow from
 // without coordination.
-type Index struct {
-	terms *btree.Tree[*postings]
+type Index[T comparable] struct {
+	terms *btree.Tree[*postings[T]]
 	docs  int
+	cmp   func(a, b T) int
 }
 
-type postings struct {
-	ids []model.WorkID // sorted, unique, immutable once filed
+type postings[T any] struct {
+	refs []T // ascending under the index's cmp, unique, immutable once filed
 }
 
-// New returns an empty index.
-func New() *Index { return &Index{terms: btree.New[*postings]()} }
+// New returns an empty index whose postings ascend under cmp.
+func New[T comparable](cmp func(a, b T) int) *Index[T] {
+	return &Index[T]{terms: btree.New[*postings[T]](), cmp: cmp}
+}
 
 // Clone returns an O(1) copy-on-write snapshot sharing every term node
 // and postings list until one side mutates.
-func (ix *Index) Clone() *Index {
+func (ix *Index[T]) Clone() *Index[T] {
 	cp := *ix
 	cp.terms = ix.terms.Clone()
 	return &cp
 }
 
-// Doc is one (id, text) item for Load.
-type Doc struct {
-	ID   model.WorkID
+// Doc is one (ref, text) item for Load and AddBatch.
+type Doc[T any] struct {
+	Ref  T
 	Text string
 }
 
-// Load bulk-builds an index over a complete corpus: docs are ordered by
-// ID once so every postings list is sorted by construction, postings
-// accumulate in a map, and the term tree is constructed bottom-up — no
-// per-term tree descent, no per-ID binary-search insertion, no per-list
-// sort. For docs with unique IDs (the engine's cold-start contract) the
-// result is identical to Add-ing every doc to an empty index.
-//
-// Like the other bulk loaders, Load takes the slice over: it sorts docs
-// in place, so callers must not rely on their ordering afterwards.
-func Load(docs []Doc) *Index {
-	// One integer sort up front replaces a sort per postings list: IDs
-	// append in ascending order for every term.
-	sort.Sort(byDocID(docs))
-	terms := make(map[string][]model.WorkID)
+// Load bulk-builds an index over a complete corpus of distinct refs:
+// postings accumulate in a map in doc order and the term tree is
+// constructed bottom-up — no per-term tree descent, no per-ref
+// binary-search insertion, no per-list sort. Docs must already ascend
+// under cmp (the engine hands over its citation-sorted corpus); Load
+// checks that once and panics otherwise. The result is identical to
+// Add-ing every doc to an empty index.
+func Load[T comparable](cmp func(a, b T) int, docs []Doc[T]) *Index[T] {
+	if !slices.IsSortedFunc(docs, func(a, b Doc[T]) int { return cmp(a.Ref, b.Ref) }) {
+		panic("inverted: Load docs do not ascend under cmp")
+	}
+	terms := make(map[string][]T)
 	n := 0
 	var scratch []string // one token buffer for the whole corpus
 	for _, d := range docs {
@@ -112,64 +123,72 @@ func Load(docs []Doc) *Index {
 		}
 		n++
 		for _, tok := range scratch {
-			ids := terms[tok]
+			refs := terms[tok]
 			// Adjacent duplicates are the only possible ones (ascending
-			// IDs), mirroring Add's re-add idempotence.
-			if len(ids) > 0 && ids[len(ids)-1] == d.ID {
+			// refs), mirroring Add's re-add idempotence.
+			if len(refs) > 0 && refs[len(refs)-1] == d.Ref {
 				continue
 			}
-			terms[tok] = append(ids, d.ID)
+			terms[tok] = append(refs, d.Ref)
 		}
 	}
-	pairs := make([]btree.Pair[*postings], 0, len(terms))
-	for tok, ids := range terms {
-		pairs = append(pairs, btree.Pair[*postings]{Key: []byte(tok), Value: &postings{ids: ids}})
+	pairs := make([]btree.Pair[*postings[T]], 0, len(terms))
+	for tok, refs := range terms {
+		pairs = append(pairs, btree.Pair[*postings[T]]{Key: []byte(tok), Value: &postings[T]{refs: refs}})
 	}
-	sort.Slice(pairs, func(i, j int) bool { return string(pairs[i].Key) < string(pairs[j].Key) })
+	slices.SortFunc(pairs, func(a, b btree.Pair[*postings[T]]) int { return bytes.Compare(a.Key, b.Key) })
 	tree, err := btree.BulkLoad(pairs)
 	if err != nil {
 		// Unreachable: map keys are unique and just sorted.
 		panic(err)
 	}
-	return &Index{terms: tree, docs: n}
+	return &Index[T]{terms: tree, docs: n, cmp: cmp}
 }
-
-// byDocID sorts docs ascending by work ID.
-type byDocID []Doc
-
-func (s byDocID) Len() int           { return len(s) }
-func (s byDocID) Less(i, j int) bool { return s[i].ID < s[j].ID }
-func (s byDocID) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
 
 // Docs returns the number of documents added (and not yet removed).
-func (ix *Index) Docs() int { return ix.docs }
+func (ix *Index[T]) Docs() int { return ix.docs }
 
 // Terms returns the number of distinct terms currently indexed.
-func (ix *Index) Terms() int { return ix.terms.Len() }
+func (ix *Index[T]) Terms() int { return ix.terms.Len() }
 
-// Add indexes text under id. Adding the same id twice with the same text
-// is idempotent.
-func (ix *Index) Add(id model.WorkID, text string) {
-	added := false
-	for _, tok := range uniq(Tokenize(text)) {
+// Add indexes text under ref: AddBatch of one doc. Adding the same ref
+// twice with the same text is idempotent.
+func (ix *Index[T]) Add(ref T, text string) { ix.AddBatch([]Doc[T]{{Ref: ref, Text: text}}) }
+
+// AddBatch indexes every doc as Adding them in turn would, but files
+// each touched term once: the batch's refs under a term are gathered
+// into one run and merged into the filed postings in a single pass
+// (MergeRun), so a common term's list is copied once per batch rather
+// than once per doc. The refs of one batch must be distinct, except
+// that a doc repeated with the same text files once, like a repeated
+// Add.
+func (ix *Index[T]) AddBatch(docs []Doc[T]) {
+	runs := make(map[string][]T)
+	var toks []string
+	for _, d := range docs {
+		toks = uniq(appendTokens(toks[:0], d.Text))
+		for _, tok := range toks {
+			runs[tok] = append(runs[tok], d.Ref)
+		}
+	}
+	added := make(map[T]struct{})
+	for tok, run := range runs {
 		key := []byte(tok)
-		p, ok := ix.terms.Get(key)
-		if !ok {
-			p = &postings{}
+		var filed []T
+		if p, ok := ix.terms.Get(key); ok {
+			filed = p.refs
 		}
-		if np, ok := p.withID(id); ok {
-			ix.terms.Set(key, np)
-			added = true
+		refs := MergeRun(filed, run, ix.cmp, func(ref T) { added[ref] = struct{}{} })
+		if len(refs) > len(filed) {
+			ix.terms.Set(key, &postings[T]{refs: refs})
 		}
 	}
-	if added {
-		ix.docs++
-	}
+	ix.docs += len(added)
 }
 
-// Remove un-indexes text for id; text must be the same string that was
-// added. Terms whose postings become empty are deleted.
-func (ix *Index) Remove(id model.WorkID, text string) {
+// Remove un-indexes text for ref; text must be the same string that
+// was added. Terms whose postings become empty are deleted.
+func (ix *Index[T]) Remove(ref T, text string) {
 	removed := false
 	for _, tok := range uniq(Tokenize(text)) {
 		key := []byte(tok)
@@ -177,15 +196,15 @@ func (ix *Index) Remove(id model.WorkID, text string) {
 		if !ok {
 			continue
 		}
-		np, changed := p.withoutID(id)
+		refs, changed := Without(p.refs, ref, ix.cmp)
 		if !changed {
 			continue
 		}
 		removed = true
-		if len(np.ids) == 0 {
+		if len(refs) == 0 {
 			ix.terms.Delete(key)
 		} else {
-			ix.terms.Set(key, np)
+			ix.terms.Set(key, &postings[T]{refs: refs})
 		}
 	}
 	if removed {
@@ -193,25 +212,50 @@ func (ix *Index) Remove(id model.WorkID, text string) {
 	}
 }
 
+// Remap returns a copy of the index with every posting ref replaced by
+// f(ref), built bottom-up from one ascent of the terms. f must keep
+// each ref's place under cmp (the engine moves entries to a fresh slab
+// without changing their keys). ix itself is not modified, so
+// snapshots sharing it keep the old refs.
+func (ix *Index[T]) Remap(f func(T) T) *Index[T] {
+	pairs := make([]btree.Pair[*postings[T]], 0, ix.terms.Len())
+	ix.terms.Ascend(func(k []byte, p *postings[T]) bool {
+		refs := make([]T, len(p.refs))
+		for i, ref := range p.refs {
+			refs[i] = f(ref)
+		}
+		// Term key bytes are allocated apart from the tree nodes, so the
+		// new tree may share them.
+		pairs = append(pairs, btree.Pair[*postings[T]]{Key: k, Value: &postings[T]{refs: refs}})
+		return true
+	})
+	tree, err := btree.BulkLoad(pairs)
+	if err != nil {
+		// Unreachable: an ascent hands over unique sorted keys.
+		panic(err)
+	}
+	return &Index[T]{terms: tree, docs: ix.docs, cmp: ix.cmp}
+}
+
 // Postings returns a copy of the postings list for an exact term.
-func (ix *Index) Postings(term string) []model.WorkID {
+func (ix *Index[T]) Postings(term string) []T {
 	p, ok := ix.terms.Get([]byte(names.Fold(term)))
 	if !ok {
 		return nil
 	}
-	return append([]model.WorkID(nil), p.ids...)
+	return append([]T(nil), p.refs...)
 }
 
 // ExpandPrefix returns the union of postings for every term starting
 // with prefix, capped at limit terms (0 = no cap). Matching lists are
 // gathered first and merged in one sort+compact pass, instead of paying
 // a reallocating pairwise union per term.
-func (ix *Index) ExpandPrefix(prefix string, limit int) []model.WorkID {
-	var lists [][]model.WorkID
+func (ix *Index[T]) ExpandPrefix(prefix string, limit int) []T {
+	var lists [][]T
 	total, n := 0, 0
-	ix.terms.AscendPrefix([]byte(names.Fold(prefix)), func(_ []byte, p *postings) bool {
-		lists = append(lists, p.ids)
-		total += len(p.ids)
+	ix.terms.AscendPrefix([]byte(names.Fold(prefix)), func(_ []byte, p *postings[T]) bool {
+		lists = append(lists, p.refs)
+		total += len(p.refs)
 		n++
 		return limit == 0 || n < limit
 	})
@@ -219,48 +263,63 @@ func (ix *Index) ExpandPrefix(prefix string, limit int) []model.WorkID {
 	case 0:
 		return nil
 	case 1:
-		return append([]model.WorkID(nil), lists[0]...)
+		return append([]T(nil), lists[0]...)
 	}
-	acc := make([]model.WorkID, 0, total)
+	acc := make([]T, 0, total)
 	for _, l := range lists {
 		acc = append(acc, l...)
 	}
-	sort.Slice(acc, func(i, j int) bool { return acc[i] < acc[j] })
-	out := acc[:1]
-	for _, x := range acc[1:] {
-		if x != out[len(out)-1] {
-			out = append(out, x)
+	slices.SortFunc(acc, ix.cmp)
+	return slices.CompactFunc(acc, func(a, b T) bool { return ix.cmp(a, b) == 0 })
+}
+
+// MergeRun returns a fresh list holding filed and run in cmp order.
+// filed must ascend and hold distinct refs; it may be shared with
+// snapshot readers and is never written. run is sorted in place, then
+// each run ref finds its place in filed by one binary search and the
+// filed span before it is copied whole. Refs comparing equal are the
+// same document, kept once: a run ref already filed, or repeated in the
+// run, is dropped. inserted, if non-nil, is called with each run ref
+// the merge adds.
+//
+// This is the one ordered-list merge the engine files postings with:
+// title terms here and subject headings in the query engine.
+func MergeRun[T any](filed, run []T, cmp func(a, b T) int, inserted func(T)) []T {
+	if len(run) > 1 {
+		slices.SortFunc(run, cmp)
+	}
+	out := make([]T, 0, len(filed)+len(run))
+	for _, ref := range run {
+		i, found := slices.BinarySearchFunc(filed, ref, cmp)
+		out = append(out, filed[:i]...)
+		filed = filed[i:]
+		if found {
+			continue
+		}
+		if n := len(out); n > 0 && cmp(out[n-1], ref) == 0 {
+			continue
+		}
+		out = append(out, ref)
+		if inserted != nil {
+			inserted(ref)
 		}
 	}
-	return out
+	return append(out, filed...)
 }
 
-// withID returns a fresh postings list with id inserted in order, or
-// (p, false) when id was already present. The receiver is never
-// modified: borrowed views of it stay valid.
-func (p *postings) withID(id model.WorkID) (*postings, bool) {
-	i := sort.Search(len(p.ids), func(i int) bool { return p.ids[i] >= id })
-	if i < len(p.ids) && p.ids[i] == id {
-		return p, false
+// Without returns a fresh copy of list with ref removed, or (list,
+// false) when ref is not filed there. The slot is found by cmp and must
+// then hold ref itself, so a stale ref that merely compares equal is
+// never mistaken for the filed one. list is never modified: borrowed
+// views of it stay valid.
+func Without[T comparable](list []T, ref T, cmp func(a, b T) int) ([]T, bool) {
+	i, found := slices.BinarySearchFunc(list, ref, cmp)
+	if !found || list[i] != ref {
+		return list, false
 	}
-	ids := make([]model.WorkID, len(p.ids)+1)
-	copy(ids, p.ids[:i])
-	ids[i] = id
-	copy(ids[i+1:], p.ids[i:])
-	return &postings{ids: ids}, true
-}
-
-// withoutID returns a fresh postings list with id removed, or (p,
-// false) when id was absent. The receiver is never modified.
-func (p *postings) withoutID(id model.WorkID) (*postings, bool) {
-	i := sort.Search(len(p.ids), func(i int) bool { return p.ids[i] >= id })
-	if i >= len(p.ids) || p.ids[i] != id {
-		return p, false
-	}
-	ids := make([]model.WorkID, len(p.ids)-1)
-	copy(ids, p.ids[:i])
-	copy(ids[i:], p.ids[i+1:])
-	return &postings{ids: ids}, true
+	out := make([]T, 0, len(list)-1)
+	out = append(out, list[:i]...)
+	return append(out, list[i+1:]...), true
 }
 
 // Query is a parsed boolean title query.
@@ -342,61 +401,66 @@ type ScanStats struct {
 	// PostingsBytes counts 8 bytes per posting entry in every list the
 	// evaluator materialized or intersected against.
 	PostingsBytes int
+	// Matches counts every ref the query matched, before any limit.
+	Matches int
 }
 
-// Eval runs the query and returns matching IDs in ascending order. An
-// empty query returns nil.
-func (ix *Index) Eval(q Query) []model.WorkID {
-	ids, _ := ix.EvalWithStats(q)
-	return ids
+// Eval runs the query and returns every matching ref in ascending
+// order. An empty query returns nil.
+func (ix *Index[T]) Eval(q Query) []T {
+	refs, _ := ix.EvalWithStats(q, 0)
+	return refs
 }
 
-// EvalWithStats is Eval plus a report of the postings volume scanned.
+// EvalWithStats returns the first limit matching refs (<=0: all), in
+// ascending order, plus a report of the postings volume scanned. Only
+// the returned refs are copied out of the index, so a one-term query
+// costs its limit, not its match count.
 //
 // Positive lists are intersected smallest-first: exact-term postings are
 // borrowed from the index (zero copy), the running intersection lives in
 // one scratch buffer reused across terms, and when one list is much
 // longer than the accumulator the merge gallops (exponential search)
 // through it instead of stepping linearly.
-func (ix *Index) EvalWithStats(q Query) ([]model.WorkID, ScanStats) {
+func (ix *Index[T]) EvalWithStats(q Query, limit int) ([]T, ScanStats) {
 	var st ScanStats
 	if q.IsEmpty() {
 		return nil, st
 	}
-	matchAtom := func(a Atom) []model.WorkID {
-		var ids []model.WorkID
+	matchAtom := func(a Atom) []T {
+		var refs []T
 		if a.Prefix {
-			ids = ix.ExpandPrefix(a.Term, 0)
+			refs = ix.ExpandPrefix(a.Term, 0)
 		} else if p, ok := ix.terms.Get([]byte(names.Fold(a.Term))); ok {
-			ids = p.ids // borrowed: read-only until copied below
+			refs = p.refs // borrowed: read-only until copied below
 		}
-		st.PostingsBytes += 8 * len(ids)
-		return ids
+		st.PostingsBytes += 8 * len(refs)
+		return refs
 	}
-	lists := make([][]model.WorkID, 0, len(q.All)+1)
+	lists := make([][]T, 0, len(q.All)+1)
 	for _, a := range q.All {
-		ids := matchAtom(a)
-		if len(ids) == 0 {
+		refs := matchAtom(a)
+		if len(refs) == 0 {
 			return nil, st
 		}
-		lists = append(lists, ids)
+		lists = append(lists, refs)
 	}
 	if len(q.Any) > 0 {
-		var anyIDs []model.WorkID
+		var anyRefs []T
 		for _, a := range q.Any {
-			anyIDs = union(anyIDs, matchAtom(a))
+			anyRefs = union(anyRefs, matchAtom(a), ix.cmp)
 		}
 		// The OR group behaves as one more AND operand, like the classic
-		// evaluator's trailing acc ∩ anyIDs step.
-		lists = append(lists, anyIDs)
+		// evaluator's trailing acc ∩ anyRefs step.
+		lists = append(lists, anyRefs)
 	}
 	if len(lists) == 0 {
 		// NOT-only queries match nothing: there is no universe to subtract
 		// from without a positive term.
 		return nil, st
 	}
-	// Smallest-first insertion sort: query atom counts are tiny, and
-	// sort.Slice's closure would be the hot path's only allocations.
+	// Smallest-first insertion sort: query atom counts are tiny, and a
+	// sort call's closure would be the hot path's only allocations.
 	for i := 1; i < len(lists); i++ {
 		for j := i; j > 0 && len(lists[j]) < len(lists[j-1]); j-- {
 			lists[j], lists[j-1] = lists[j-1], lists[j]
@@ -409,10 +473,10 @@ func (ix *Index) EvalWithStats(q Query) ([]model.WorkID, ScanStats) {
 			break
 		}
 		if !owned {
-			acc = intersectInto(make([]model.WorkID, 0, len(acc)), acc, l)
+			acc = intersectInto(make([]T, 0, len(acc)), acc, l, ix.cmp)
 			owned = true
 		} else {
-			acc = intersectInto(acc, acc, l)
+			acc = intersectInto(acc, acc, l, ix.cmp)
 		}
 	}
 	for _, a := range q.None {
@@ -424,21 +488,25 @@ func (ix *Index) EvalWithStats(q Query) ([]model.WorkID, ScanStats) {
 			continue
 		}
 		if !owned {
-			acc = subtractInto(make([]model.WorkID, 0, len(acc)), acc, ex)
+			acc = subtractInto(make([]T, 0, len(acc)), acc, ex, ix.cmp)
 			owned = true
 		} else {
-			acc = subtractInto(acc, acc, ex)
+			acc = subtractInto(acc, acc, ex, ix.cmp)
 		}
+	}
+	st.Matches = len(acc)
+	if limit > 0 && len(acc) > limit {
+		acc = acc[:limit]
 	}
 	if !owned {
 		// Single positive term: hand out a copy, never the live postings.
-		acc = append([]model.WorkID(nil), acc...)
+		acc = append([]T(nil), acc...)
 	}
 	return acc, st
 }
 
 // Search parses and evaluates q in one step.
-func (ix *Index) Search(q string) []model.WorkID { return ix.Eval(ParseQuery(q)) }
+func (ix *Index[T]) Search(q string) []T { return ix.Eval(ParseQuery(q)) }
 
 // gallopRatio is the size skew at which the intersection switches from
 // a linear merge to galloping through the longer list; near-equal lists
@@ -447,7 +515,7 @@ const gallopRatio = 8
 
 // intersectInto writes a ∩ b into dst[:0] and returns it. dst may alias
 // a or b: the write index never catches up with either read frontier.
-func intersectInto(dst, a, b []model.WorkID) []model.WorkID {
+func intersectInto[T any](dst, a, b []T, cmp func(a, b T) int) []T {
 	if len(a) > len(b) {
 		a, b = b, a
 	}
@@ -455,11 +523,11 @@ func intersectInto(dst, a, b []model.WorkID) []model.WorkID {
 	if len(b) >= gallopRatio*len(a) {
 		j := 0
 		for _, x := range a {
-			j = seek(b, j, x)
+			j = seek(b, j, x, cmp)
 			if j >= len(b) {
 				break
 			}
-			if b[j] == x {
+			if cmp(b[j], x) == 0 {
 				out = append(out, x)
 				j++
 			}
@@ -468,10 +536,10 @@ func intersectInto(dst, a, b []model.WorkID) []model.WorkID {
 	}
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
+		switch c := cmp(a[i], b[j]); {
+		case c < 0:
 			i++
-		case a[i] > b[j]:
+		case c > 0:
 			j++
 		default:
 			out = append(out, a[i])
@@ -484,31 +552,29 @@ func intersectInto(dst, a, b []model.WorkID) []model.WorkID {
 
 // seek returns the smallest index >= from with b[index] >= x, galloping
 // forward exponentially and then binary-searching the final window.
-func seek(b []model.WorkID, from int, x model.WorkID) int {
-	if from >= len(b) || b[from] >= x {
+func seek[T any](b []T, from int, x T, cmp func(a, b T) int) int {
+	if from >= len(b) || cmp(b[from], x) >= 0 {
 		return from
 	}
 	step := 1
-	for from+step < len(b) && b[from+step] < x {
+	for from+step < len(b) && cmp(b[from+step], x) < 0 {
 		step <<= 1
 	}
-	hi := from + step
-	if hi > len(b) {
-		hi = len(b)
-	}
+	hi := min(from+step, len(b))
 	lo := from + step>>1 // b[lo] < x: either b[from] or the last passed probe
-	return lo + sort.Search(hi-lo, func(i int) bool { return b[lo+i] >= x })
+	i, _ := slices.BinarySearchFunc(b[lo:hi], x, cmp)
+	return lo + i
 }
 
-func union(a, b []model.WorkID) []model.WorkID {
-	out := make([]model.WorkID, 0, len(a)+len(b))
+func union[T any](a, b []T, cmp func(a, b T) int) []T {
+	out := make([]T, 0, len(a)+len(b))
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
+		switch c := cmp(a[i], b[j]); {
+		case c < 0:
 			out = append(out, a[i])
 			i++
-		case a[i] > b[j]:
+		case c > 0:
 			out = append(out, b[j])
 			j++
 		default:
@@ -524,12 +590,12 @@ func union(a, b []model.WorkID) []model.WorkID {
 
 // subtractInto writes a \ b into dst[:0] and returns it. dst may alias
 // a; b is galloped through like the intersection path.
-func subtractInto(dst, a, b []model.WorkID) []model.WorkID {
+func subtractInto[T any](dst, a, b []T, cmp func(a, b T) int) []T {
 	out := dst[:0]
 	j := 0
 	for _, x := range a {
-		j = seek(b, j, x)
-		if j < len(b) && b[j] == x {
+		j = seek(b, j, x, cmp)
+		if j < len(b) && cmp(b[j], x) == 0 {
 			continue
 		}
 		out = append(out, x)

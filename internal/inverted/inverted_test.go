@@ -1,6 +1,7 @@
 package inverted
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -11,6 +12,9 @@ import (
 
 	"repro/internal/model"
 )
+
+// byID orders the work-ID instantiation every test here uses.
+var byID = cmp.Compare[model.WorkID]
 
 func TestTokenize(t *testing.T) {
 	tests := []struct {
@@ -35,7 +39,7 @@ func TestTokenize(t *testing.T) {
 }
 
 func TestAddRemovePostings(t *testing.T) {
-	ix := New()
+	ix := New(byID)
 	ix.Add(1, "Surface Mining Control")
 	ix.Add(2, "Surface Rights in West Virginia")
 	ix.Add(3, "Deep Coal Mines")
@@ -62,7 +66,7 @@ func TestAddRemovePostings(t *testing.T) {
 }
 
 func TestAddIdempotent(t *testing.T) {
-	ix := New()
+	ix := New(byID)
 	ix.Add(5, "Coal Coal Coal")
 	ix.Add(5, "Coal Coal Coal")
 	if got := ix.Postings("coal"); !reflect.DeepEqual(got, []model.WorkID{5}) {
@@ -95,8 +99,8 @@ func TestParseQuery(t *testing.T) {
 	}
 }
 
-func buildCorpus() (*Index, map[model.WorkID]string) {
-	ix := New()
+func buildCorpus() (*Index[model.WorkID], map[model.WorkID]string) {
+	ix := New(byID)
 	docs := map[model.WorkID]string{
 		1: "Surface Mining Control and Reclamation",
 		2: "Reclamation of Orphaned Mined Lands",
@@ -240,7 +244,7 @@ func TestEvalMatchesBruteForceQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		docs := randomDocs(r, 1+r.Intn(60))
-		ix := New()
+		ix := New(byID)
 		for id, title := range docs {
 			ix.Add(id, title)
 		}
@@ -266,7 +270,7 @@ func TestEvalMatchesBruteForceQuick(t *testing.T) {
 func TestRemoveEverythingEmptiesIndex(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	docs := randomDocs(r, 50)
-	ix := New()
+	ix := New(byID)
 	for id, title := range docs {
 		ix.Add(id, title)
 	}
@@ -279,7 +283,7 @@ func TestRemoveEverythingEmptiesIndex(t *testing.T) {
 }
 
 func TestExpandPrefixLimit(t *testing.T) {
-	ix := New()
+	ix := New(byID)
 	for i := 0; i < 10; i++ {
 		ix.Add(model.WorkID(i+1), fmt.Sprintf("term%02d unique", i))
 	}
@@ -296,16 +300,16 @@ func TestExpandPrefixLimit(t *testing.T) {
 func TestSetOps(t *testing.T) {
 	a := []model.WorkID{1, 3, 5, 7}
 	b := []model.WorkID{3, 4, 5, 8}
-	if got := intersectInto(nil, a, b); !reflect.DeepEqual(got, []model.WorkID{3, 5}) {
+	if got := intersectInto(nil, a, b, byID); !reflect.DeepEqual(got, []model.WorkID{3, 5}) {
 		t.Errorf("intersect = %v", got)
 	}
-	if got := union(a, b); !reflect.DeepEqual(got, []model.WorkID{1, 3, 4, 5, 7, 8}) {
+	if got := union(a, b, byID); !reflect.DeepEqual(got, []model.WorkID{1, 3, 4, 5, 7, 8}) {
 		t.Errorf("union = %v", got)
 	}
-	if got := subtractInto(nil, a, b); !reflect.DeepEqual(got, []model.WorkID{1, 7}) {
+	if got := subtractInto(nil, a, b, byID); !reflect.DeepEqual(got, []model.WorkID{1, 7}) {
 		t.Errorf("subtract = %v", got)
 	}
-	if got := union(nil, nil); len(got) != 0 {
+	if got := union(nil, nil, byID); len(got) != 0 {
 		t.Errorf("union(nil,nil) = %v", got)
 	}
 }
@@ -324,11 +328,11 @@ func TestSeek(t *testing.T) {
 		{10, 5, 10}, {0, 19, 9},
 	}
 	for _, tt := range tests {
-		if got := seek(b, tt.from, tt.x); got != tt.want {
+		if got := seek(b, tt.from, tt.x, byID); got != tt.want {
 			t.Errorf("seek(b, %d, %d) = %d, want %d", tt.from, tt.x, got, tt.want)
 		}
 	}
-	if got := seek(nil, 0, 1); got != 0 {
+	if got := seek(nil, 0, 1, byID); got != 0 {
 		t.Errorf("seek(nil) = %d", got)
 	}
 }
@@ -363,17 +367,17 @@ func TestIntersectGallopEquivalence(t *testing.T) {
 				want = append(want, x)
 			}
 		}
-		got := intersectInto(nil, a, b)
+		got := intersectInto(nil, a, b, byID)
 		if !reflect.DeepEqual(append([]model.WorkID{}, got...), want) {
 			t.Fatalf("round %d: intersect(|%d|,|%d|) = %v, want %v", round, na, nb, got, want)
 		}
 		// In-place over the owned accumulator, both argument orders.
 		acc := append([]model.WorkID(nil), a...)
-		if got := intersectInto(acc, acc, b); !reflect.DeepEqual(append([]model.WorkID{}, got...), want) {
+		if got := intersectInto(acc, acc, b, byID); !reflect.DeepEqual(append([]model.WorkID{}, got...), want) {
 			t.Fatalf("round %d: in-place intersect diverged", round)
 		}
 		acc = append([]model.WorkID(nil), b...)
-		if got := intersectInto(acc, acc, a); !reflect.DeepEqual(append([]model.WorkID{}, got...), want) {
+		if got := intersectInto(acc, acc, a, byID); !reflect.DeepEqual(append([]model.WorkID{}, got...), want) {
 			t.Fatalf("round %d: in-place swapped intersect diverged", round)
 		}
 		// Subtract against the same reference.
@@ -383,7 +387,7 @@ func TestIntersectGallopEquivalence(t *testing.T) {
 				wantSub = append(wantSub, x)
 			}
 		}
-		if got := subtractInto(nil, a, b); !reflect.DeepEqual(append([]model.WorkID{}, got...), wantSub) {
+		if got := subtractInto(nil, a, b, byID); !reflect.DeepEqual(append([]model.WorkID{}, got...), wantSub) {
 			t.Fatalf("round %d: subtract diverged", round)
 		}
 	}
@@ -394,7 +398,7 @@ func TestIntersectGallopEquivalence(t *testing.T) {
 func TestEvalMatchesNaive(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	vocab := []string{"surface", "mining", "coal", "gas", "water", "law", "tax", "mine", "mineral", "rights"}
-	ix := New()
+	ix := New(byID)
 	docs := map[model.WorkID][]string{}
 	for i := 1; i <= 300; i++ {
 		n := 1 + r.Intn(5)
@@ -413,7 +417,7 @@ func TestEvalMatchesNaive(t *testing.T) {
 	}
 	for _, qs := range queries {
 		q := ParseQuery(qs)
-		got, st := ix.EvalWithStats(q)
+		got, st := ix.EvalWithStats(q, 0)
 		var want []model.WorkID
 		for id := model.WorkID(1); id <= 300; id++ {
 			if matchNaive(docs[id], q) {
@@ -476,7 +480,7 @@ func matchNaive(toks []string, q Query) bool {
 // TestEvalDoesNotAliasPostings: mutating a result must never corrupt the
 // index's internal postings.
 func TestEvalDoesNotAliasPostings(t *testing.T) {
-	ix := New()
+	ix := New(byID)
 	ix.Add(1, "coal mining")
 	ix.Add(2, "coal washing")
 	got := ix.Eval(ParseQuery("coal"))

@@ -17,9 +17,10 @@
 package metrics
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/model"
@@ -472,40 +473,96 @@ func (e *Engine) snapshot(heading string, st *authorStats) AuthorMetrics {
 		}
 	}
 	if len(st.coauthors) > 0 {
-		cs := make([]Collaborator, 0, len(st.coauthors))
-		for h, n := range st.coauthors {
-			cs = append(cs, Collaborator{Heading: h, Works: n})
-		}
-		sort.Slice(cs, func(i, j int) bool {
-			if cs[i].Works != cs[j].Works {
-				return cs[i].Works > cs[j].Works
+		top := newTopK(topCollaborators, len(st.coauthors), func(a, b Collaborator) int {
+			if a.Works != b.Works {
+				return cmp.Compare(b.Works, a.Works)
 			}
-			return cs[i].Heading < cs[j].Heading
+			return strings.Compare(a.Heading, b.Heading)
 		})
-		if len(cs) > topCollaborators {
-			cs = cs[:topCollaborators]
+		for h, n := range st.coauthors {
+			top.push(Collaborator{Heading: h, Works: n})
 		}
-		m.TopCollaborators = cs
+		m.TopCollaborators = top.sorted()
 	}
 	return m
 }
 
 // hIndex computes the productivity h-index over per-year counts: the
-// largest h such that h years have at least h works each.
+// largest h such that h years have at least h works each. It raises h
+// while more than h years hold more than h works, one pass over the
+// map per step, so it allocates nothing: rank by h-index calls it once
+// per author.
 func hIndex(byYear map[int]int) int {
-	counts := make([]int, 0, len(byYear))
-	for _, n := range byYear {
-		counts = append(counts, n)
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(counts)))
 	h := 0
-	for i, n := range counts {
-		if n < i+1 {
-			break
+	for {
+		above := 0
+		for _, n := range byYear {
+			if n > h {
+				above++
+			}
 		}
-		h = i + 1
+		if above <= h {
+			return h
+		}
+		h++
 	}
-	return h
+}
+
+// topK keeps the best k of the items pushed into it, where order(a, b)
+// < 0 ranks a before b and must be a total order. The kept items form a
+// heap with the worst at its root, so n pushes cost O(n log k) time and
+// O(k) space however large n grows, and the result equals the first k
+// of a full sort. k <= 0 keeps every item.
+type topK[T any] struct {
+	k     int
+	order func(a, b T) int
+	items []T
+}
+
+// newTopK returns an empty selection of the best k of about n items.
+func newTopK[T any](k, n int, order func(a, b T) int) *topK[T] {
+	if k > 0 && k < n {
+		n = k
+	}
+	return &topK[T]{k: k, order: order, items: make([]T, 0, n)}
+}
+
+func (t *topK[T]) push(x T) {
+	switch {
+	case t.k <= 0:
+		t.items = append(t.items, x)
+	case len(t.items) < t.k:
+		t.items = append(t.items, x)
+		for i := len(t.items) - 1; i > 0; {
+			p := (i - 1) / 2
+			if t.order(t.items[p], t.items[i]) >= 0 {
+				break
+			}
+			t.items[p], t.items[i] = t.items[i], t.items[p]
+			i = p
+		}
+	case t.order(x, t.items[0]) < 0:
+		t.items[0] = x
+		for i := 0; ; {
+			w := i
+			for _, c := range [2]int{2*i + 1, 2*i + 2} {
+				if c < len(t.items) && t.order(t.items[c], t.items[w]) > 0 {
+					w = c
+				}
+			}
+			if w == i {
+				break
+			}
+			t.items[w], t.items[i] = t.items[i], t.items[w]
+			i = w
+		}
+	}
+}
+
+// sorted returns the kept items, best first.
+func (t *topK[T]) sorted() []T {
+	slices.SortFunc(t.items, t.order)
+	return t.items
 }
 
 // rankValue returns the sort key for one heading under a rank key. All
@@ -530,25 +587,25 @@ func rankValue(by RankKey, st *authorStats) int64 {
 
 // TopAuthors returns up to limit snapshots ordered by the rank key
 // descending, ties broken by heading ascending. limit <= 0 means all.
+// A positive limit keeps only the best limit authors while it walks
+// them, so a page of the ranking costs O(authors · log limit), not a
+// sort of every author.
 func (e *Engine) TopAuthors(by RankKey, limit int) []AuthorMetrics {
 	type ranked struct {
 		heading string
 		st      *authorStats
 		value   int64
 	}
-	rs := make([]ranked, 0, len(e.authors))
-	for h, st := range e.authors {
-		rs = append(rs, ranked{heading: h, st: st, value: rankValue(by, st)})
-	}
-	sort.Slice(rs, func(i, j int) bool {
-		if rs[i].value != rs[j].value {
-			return rs[i].value > rs[j].value
+	top := newTopK(limit, len(e.authors), func(a, b ranked) int {
+		if a.value != b.value {
+			return cmp.Compare(b.value, a.value)
 		}
-		return rs[i].heading < rs[j].heading
+		return strings.Compare(a.heading, b.heading)
 	})
-	if limit > 0 && len(rs) > limit {
-		rs = rs[:limit]
+	for h, st := range e.authors {
+		top.push(ranked{heading: h, st: st, value: rankValue(by, st)})
 	}
+	rs := top.sorted()
 	out := make([]AuthorMetrics, len(rs))
 	for i, r := range rs {
 		out[i] = e.snapshot(r.heading, r.st)

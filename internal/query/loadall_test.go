@@ -53,7 +53,11 @@ func engineFingerprint(e *Engine) string {
 	})
 	fmt.Fprintf(&b, "inv: %d terms, %d docs\n", e.inv.Terms(), e.inv.Docs())
 	for _, q := range []string{"surface mining", "coal or gas", "mining -surface", "reclam*", "liability", "taxation"} {
-		fmt.Fprintf(&b, "search %q: %v\n", q, e.inv.Search(q))
+		fmt.Fprintf(&b, "search %q:", q)
+		for _, we := range e.inv.Search(q) {
+			fmt.Fprintf(&b, " %d", we.w.ID)
+		}
+		fmt.Fprintf(&b, "\n")
 	}
 	fmt.Fprintf(&b, "metrics: %+v\n", e.met.Summary())
 	for _, m := range e.met.TopAuthors(metrics.ByWorks, 0) {

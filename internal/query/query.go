@@ -15,7 +15,9 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -86,7 +88,10 @@ func ClampLimit(n, def int) int {
 // defined over the corpus indexes; tracker reads are current-state.
 type Engine struct {
 	idx *core.Index
-	inv *inverted.Index
+	// inv is the title index. Its postings hold the entries themselves,
+	// in citation-key order, so a search streams out in the order it is
+	// printed and its answer is the first limit matches.
+	inv *inverted.Index[*workEntry]
 	// byID keys works on the big-endian work ID: point lookups descend
 	// the tree, and a full ascent is the corpus in ID order.
 	byID *btree.Tree[*workEntry]
@@ -197,7 +202,7 @@ func New(opts collate.Options) *Engine {
 func NewWithScheme(opts collate.Options, scheme metrics.Scheme) *Engine {
 	return &Engine{
 		idx:        core.New(opts),
-		inv:        inverted.New(),
+		inv:        inverted.New(compareRefs),
 		byID:       btree.New[*workEntry](),
 		byYear:     btree.New[*workEntry](),
 		byCitation: btree.New[*workEntry](),
@@ -222,12 +227,12 @@ func (e *Engine) Add(w *model.Work) error {
 	return e.AddBatch([]*model.Work{w})
 }
 
-// AddBatch indexes a batch of works in one pass: subject postings take
-// the batch's works as one key-sorted run merged into the filed refs
-// once per touched posting, and the metrics, graph, inverted and
-// citation-key indexes are all fed inside a single loop. Duplicate IDs
-// within the batch behave like sequential adds (the last occurrence
-// wins); IDs already indexed are replaced.
+// AddBatch indexes a batch of works in one pass: subject postings and
+// title terms take the batch's works as one key-sorted run merged into
+// the filed refs once per touched posting (inverted.MergeRun), and the
+// metrics, graph and citation-key indexes are all fed inside a single
+// loop. Duplicate IDs within the batch behave like sequential adds (the
+// last occurrence wins); IDs already indexed are replaced.
 //
 // Every work is validated before anything is touched, so an invalid
 // work anywhere in the batch leaves the engine byte-identical to its
@@ -271,13 +276,14 @@ func (e *Engine) AddBatch(works []*model.Work) error {
 	// The filed postings themselves are never mutated, so snapshot
 	// readers iterating them stay undisturbed.
 	touched := make(map[string]*postingRun)
+	titles := make([]inverted.Doc[*workEntry], 0, len(effective))
 	for _, w := range effective {
 		cp := w.Clone()
 		if err := e.idx.Add(cp); err != nil {
 			return err
 		}
-		e.inv.Add(cp.ID, cp.Title)
 		we := &workEntry{w: cp, key: citationKey(cp)}
+		titles = append(titles, inverted.Doc[*workEntry]{Ref: we, Text: cp.Title})
 		e.byYear.Set(yearKey(cp.Citation.Year, we.key), we)
 		e.byCitation.Set(we.key, we)
 		if len(cp.Subjects) > 0 {
@@ -305,6 +311,7 @@ func (e *Engine) AddBatch(works []*model.Work) error {
 	for k, r := range touched {
 		e.bySubject.Set([]byte(k), r.merge())
 	}
+	e.inv.AddBatch(titles)
 	return nil
 }
 
@@ -313,10 +320,10 @@ func (e *Engine) AddBatch(works []*model.Work) error {
 // time. Every work is validated up front, citation sort keys are
 // computed and sorted once, and each index is built bottom-up from the
 // sorted corpus (btree.BulkLoad for the author, year, citation and
-// subject trees; one sort per subject posting; the inverted index's map
-// accumulator) while the metrics tracker and the coauthorship graph —
-// both whole-corpus recomputations by definition — rebuild on parallel
-// goroutines. The result is indistinguishable from Add-ing every work
+// subject trees; subject and title postings appended from the sorted
+// pass, so no posting list is ever sorted) while the metrics tracker
+// and the coauthorship graph — both whole-corpus recomputations by
+// definition — rebuild on parallel goroutines. The result is indistinguishable from Add-ing every work
 // to a fresh engine, at a fraction of the cost.
 //
 // Works must carry unique non-zero IDs. Unlike Add, LoadAll retains
@@ -424,7 +431,7 @@ func (e *Engine) loadAll(ctx context.Context, works []*model.Work, withTrackers 
 	var (
 		wg         sync.WaitGroup
 		idx        *core.Index
-		inv        *inverted.Index
+		inv        *inverted.Index[*workEntry]
 		byID       *btree.Tree[*workEntry]
 		byYear     *btree.Tree[*workEntry]
 		byCitation *btree.Tree[*workEntry]
@@ -448,11 +455,11 @@ func (e *Engine) loadAll(ctx context.Context, works []*model.Work, withTrackers 
 		defer wg.Done()
 		defer loadPhase("inverted").Since(time.Now())
 		defer load.StartChild("load.inverted").End()
-		docs := make([]inverted.Doc, len(works))
-		for i, w := range works {
-			docs[i] = inverted.Doc{ID: w.ID, Text: w.Title}
+		docs := make([]inverted.Doc[*workEntry], len(sorted))
+		for i, we := range sorted {
+			docs[i] = inverted.Doc[*workEntry]{Ref: we, Text: we.w.Title}
 		}
-		inv = inverted.Load(docs)
+		inv = inverted.Load(compareRefs, docs)
 	}()
 	go func() {
 		defer wg.Done()
@@ -531,6 +538,11 @@ func relaxGC() func() {
 		s.mu.Unlock()
 	}
 }
+
+// compareRefs orders work entries by citation key: the order of every
+// ref list the engine keeps (title and subject postings) and of every
+// ordered answer.
+func compareRefs(a, b *workEntry) int { return bytes.Compare(a.key, b.key) }
 
 // byCitKey sorts work entries by citation key bytes; a concrete
 // sort.Interface keeps the corpus-wide bulk-load sort free of
@@ -670,16 +682,16 @@ func (e *Engine) Remove(id model.WorkID) (*model.Work, bool) {
 	defer mutRemove.Since(time.Now())
 	w := we.w
 	e.idx.Remove(w)
-	e.inv.Remove(id, w.Title)
+	e.inv.Remove(we, w.Title)
 	e.byYear.Delete(yearKey(w.Citation.Year, we.key))
 	e.byCitation.Delete(we.key)
 	for _, key := range we.subjKeys {
 		if p, ok := e.bySubject.Get(key); ok {
-			if np, changed := p.withoutRef(we); changed {
-				if len(np.refs) == 0 {
+			if refs, changed := inverted.Without(p.refs, we, compareRefs); changed {
+				if len(refs) == 0 {
 					e.bySubject.Delete(key)
 				} else {
-					e.bySubject.Set(key, np)
+					e.bySubject.Set(key, &subjectPosting{display: p.display, refs: refs})
 				}
 			}
 		}
@@ -695,21 +707,6 @@ func (e *Engine) Remove(id model.WorkID) (*model.Work, bool) {
 	return w.Clone(), true
 }
 
-// withoutRef returns a copy of p with we removed, or (p, false) when it
-// is not filed. Filed postings are never mutated in place — snapshot
-// readers may be iterating them — so every mutation goes copy, modify,
-// re-file.
-func (p *subjectPosting) withoutRef(we *workEntry) (*subjectPosting, bool) {
-	i := sort.Search(len(p.refs), func(i int) bool { return bytes.Compare(p.refs[i].key, we.key) >= 0 })
-	if i >= len(p.refs) || p.refs[i] != we {
-		return p, false
-	}
-	refs := make([]*workEntry, 0, len(p.refs)-1)
-	refs = append(refs, p.refs[:i]...)
-	refs = append(refs, p.refs[i+1:]...)
-	return &subjectPosting{display: p.display, refs: refs}, true
-}
-
 // postingRun is one subject posting an AddBatch touches: the refs
 // already filed under the heading (sorted, shared with snapshots, never
 // written) and the batch's own entries, appended in batch order.
@@ -720,32 +717,12 @@ type postingRun struct {
 }
 
 // merge returns a fresh posting holding the filed refs and the run in
-// key order: the run is sorted, then each run entry finds its place in
-// the filed refs by one binary search and the filed span before it is
-// appended whole. Keys end in the work ID, so equal keys are the same
-// work — listed under two collation-equal subjects, or already filed —
-// and only the first (the filed one, if any) is kept.
+// key order, through the same merge title terms file with. Keys end in
+// the work ID, so equal keys are the same work — listed under two
+// collation-equal subjects, or already filed — and only the first (the
+// filed one, if any) is kept.
 func (r *postingRun) merge() *subjectPosting {
-	run := r.run
-	if len(run) > 1 {
-		sort.Slice(run, func(i, j int) bool { return bytes.Compare(run[i].key, run[j].key) < 0 })
-	}
-	refs := make([]*workEntry, 0, len(r.filed)+len(run))
-	filed := r.filed
-	for _, we := range run {
-		i := sort.Search(len(filed), func(i int) bool { return bytes.Compare(filed[i].key, we.key) >= 0 })
-		refs = append(refs, filed[:i]...)
-		filed = filed[i:]
-		if len(filed) > 0 && bytes.Equal(filed[0].key, we.key) {
-			continue
-		}
-		if n := len(refs); n > 0 && bytes.Equal(refs[n-1].key, we.key) {
-			continue
-		}
-		refs = append(refs, we)
-	}
-	refs = append(refs, filed...)
-	return &subjectPosting{display: r.display, refs: refs}
+	return &subjectPosting{display: r.display, refs: inverted.MergeRun(r.filed, r.run, compareRefs, nil)}
 }
 
 // Subjects returns every subject heading in collation order, with the
@@ -914,19 +891,14 @@ func (e *Engine) TitleSearchViewCtx(ctx context.Context, q string, limit int) []
 	defer scan.End()
 	e.qs.queries.Add(1)
 	_, isect := trace.StartSpan(ctx, "inverted.intersect")
-	ids, st := e.inv.EvalWithStats(inverted.ParseQuery(q))
+	// Title postings are in citation order, so the first limit matches
+	// are the answer: no lookup per match, no sort.
+	refs, st := e.inv.EvalWithStats(inverted.ParseQuery(q), limit)
 	isect.SetInt("postings_bytes", int64(st.PostingsBytes))
-	isect.SetInt("matches", int64(len(ids)))
+	isect.SetInt("matches", int64(st.Matches))
 	isect.End()
 	e.qs.scanned.Add(uint64(st.PostingsBytes))
-	refs := make([]*workEntry, 0, len(ids))
-	for _, id := range ids {
-		if we, ok := e.byID.Get(idKey(id)); ok {
-			refs = append(refs, we)
-		}
-	}
-	sortRefs(refs)
-	out := worksOf(truncateRefs(refs, limit))
+	out := worksOf(refs)
 	scan.SetInt("hits", int64(len(out)))
 	return out
 }
@@ -944,22 +916,34 @@ func (e *Engine) YearRangeView(from, to int, limit int) []*model.Work {
 		return nil
 	}
 	e.qs.queries.Add(1)
-	// A single-year scan streams out of byYear already in citation
-	// order, so it can stop at limit; a multi-year scan concatenates
-	// per-year citation-ordered runs and may need one key sort (skipped
-	// when volumes track years, the common corpus shape).
-	single := from == to
+	// Each year's byYear run is already in citation order, so no year
+	// can put more than its first limit works into the answer. The scan
+	// takes at most limit per year: once a year has given limit, the
+	// ascent restarts at the next year's first key. The per-year runs
+	// may interleave in citation order, so the ≤ years×limit refs get
+	// one key sort (free when they already ascend, as a single year
+	// always does).
 	var refs []*workEntry
-	scanned := 0
-	e.byYear.AscendRange(yearKeyMin(from), yearKeyMin(to+1), func(_ []byte, we *workEntry) bool {
-		refs = append(refs, we)
-		scanned += 8
-		return !(single && limit > 0 && len(refs) >= limit)
-	})
-	e.qs.scanned.Add(uint64(scanned))
-	if !single {
-		sortRefs(refs)
+	end := yearKeyMin(to + 1)
+	for start := yearKeyMin(from); start != nil; {
+		var year uint32
+		n, next := 0, []byte(nil)
+		e.byYear.AscendRange(start, end, func(k []byte, we *workEntry) bool {
+			if y := binary.BigEndian.Uint32(k); n == 0 || y != year {
+				year, n = y, 0
+			}
+			refs = append(refs, we)
+			n++
+			if limit > 0 && n >= limit && year < math.MaxUint32 {
+				next = yearKeyMin(int(year) + 1)
+				return false
+			}
+			return true
+		})
+		start = next
 	}
+	e.qs.scanned.Add(uint64(8 * len(refs)))
+	sortRefs(refs)
 	return worksOf(truncateRefs(refs, limit))
 }
 
@@ -1223,17 +1207,12 @@ func (e *Engine) Stats() Stats {
 }
 
 // sortRefs orders refs by their precomputed citation keys. The check
-// pass makes already-ordered inputs (single-year scans, volume scans,
-// year ranges whose volumes track years) free; unordered inputs pay one
-// memcmp sort — no Citation.Compare calls, no clones.
+// pass makes already-ordered inputs (single-year scans, year ranges
+// whose volumes track years) free; unordered inputs pay one memcmp
+// sort — no Citation.Compare calls, no clones.
 func sortRefs(refs []*workEntry) {
-	for i := 1; i < len(refs); i++ {
-		if bytes.Compare(refs[i-1].key, refs[i].key) > 0 {
-			sort.Slice(refs, func(a, b int) bool {
-				return bytes.Compare(refs[a].key, refs[b].key) < 0
-			})
-			return
-		}
+	if !slices.IsSortedFunc(refs, compareRefs) {
+		slices.SortFunc(refs, compareRefs)
 	}
 }
 

@@ -26,7 +26,7 @@ import (
 func (e *Engine) NewPeer() *Engine {
 	return &Engine{
 		idx:        core.New(e.coll),
-		inv:        inverted.New(),
+		inv:        inverted.New(compareRefs),
 		byID:       btree.New[*workEntry](),
 		byYear:     btree.New[*workEntry](),
 		byCitation: btree.New[*workEntry](),
@@ -215,6 +215,7 @@ func (e *Engine) CompactArena() {
 		// old slab rather than publish half-rebuilt trees.
 		return
 	}
+	e.inv = e.inv.Remap(func(we *workEntry) *workEntry { return remap[we] })
 	e.byID, e.byYear, e.byCitation, e.bySubject = byID, byYear, byCitation, bySubject
 	e.arena = &arenaInfo{total: len(fresh)}
 }
