@@ -432,16 +432,6 @@ func (ix *Index) RegisterMetrics(r *obs.Registry) {
 			func() float64 { return float64(ix.shards.Load().Engs[i].Len()) },
 			"shard", strconv.Itoa(i))
 	}
-	r.GaugeFunc("authdex_arena_dead_slots",
-		"Removed works still referenced by bulk-load arena slabs, awaiting compaction.",
-		func() float64 {
-			dead := 0
-			for _, eng := range ix.shards.Load().Engs {
-				_, d := eng.ArenaStats()
-				dead += d
-			}
-			return float64(dead)
-		})
 	r.GaugeFunc("authdex_epochs_alive",
 		"Engine snapshot roots not yet collected; 1 when quiescent.",
 		func() float64 { return float64(ix.EpochsAlive()) })
@@ -488,10 +478,10 @@ func Open(dir string, opts *Options) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The seed engine owns the metrics tracker, coauthorship graph and
-	// query counters; peer engines on the other shards share those
-	// trackers (trackers are corpus-global, not per-shard) while keeping
-	// their own index trees.
+	// The seed engine owns the tracker (with its coauthorship graph) and
+	// the query counters; peer engines on the other shards share them
+	// (the tracker is corpus-global, not per-shard) while keeping their
+	// own index trees.
 	seed := query.NewWithScheme(coll, o.MetricsScheme)
 	if o.GraphDamping != 0 {
 		seed.Graph().SetDamping(o.GraphDamping)
@@ -509,7 +499,7 @@ func Open(dir string, opts *Options) (*Index, error) {
 	// its indexes bottom-up over its partition. The first root was
 	// published by shard.New before the index is visible to any reader,
 	// so loading its engines in place is unobservable. The shared
-	// trackers rebuild once over the whole corpus, beside the shard
+	// tracker rebuilds once over the whole corpus, beside the shard
 	// loads.
 	works := st.Works()
 	parts := make([][]*model.Work, nShards)
@@ -517,19 +507,19 @@ func Open(dir string, opts *Options) (*Index, error) {
 		si := ix.shards.ForWork(w.ID)
 		parts[si] = append(parts[si], w)
 	}
-	trackersDone := make(chan struct{})
+	trackerDone := make(chan struct{})
 	go func() {
-		defer close(trackersDone)
+		defer close(trackerDone)
 		seed.RebuildTrackers(works)
 	}()
 	for i, eng := range ix.shards.Load().Engs {
 		if err := eng.LoadCorpus(context.Background(), parts[i]); err != nil {
-			<-trackersDone
+			<-trackerDone
 			st.Close()
 			return nil, fmt.Errorf("authorindex: rebuild shard %d from store: %w", i, err)
 		}
 	}
-	<-trackersDone
+	<-trackerDone
 	if refs := st.CrossRefs(); len(refs) > 0 {
 		groups := make([][]core.SeeAlsoRef, nShards)
 		for _, ref := range refs {
@@ -739,7 +729,7 @@ func (ix *Index) AuthorMetrics(heading string) (AuthorMetrics, bool) {
 }
 
 // trackers returns shard 0's current engine for a metrics or graph
-// read. The trackers are corpus-global and shared by every shard's
+// read. The tracker is corpus-global and shared by every shard's
 // engines, so any shard would do; reading one avoids a pointless
 // fan-out.
 func (ix *Index) trackers() *query.Engine { return ix.shards.Load().Engs[0] }
@@ -756,60 +746,51 @@ func (ix *Index) MetricsSummary() MetricsSummary {
 }
 
 // SetMetricsScheme swaps the credit-weighting scheme, rebuilding the
-// metrics state from the corpus (O(corpus), a recovery-grade path).
-// The trackers are corpus-global, so the rebuild is coordinator-level:
-// it excludes every writer, constructs the fresh tracker off to the
-// side, and republishes every shard pointing at it — concurrent
-// readers never observe a half-built tracker.
+// tracker — graph included — from the corpus (O(corpus), a
+// recovery-grade path). Swapping to the scheme in effect is a no-op.
 func (ix *Index) SetMetricsScheme(s Scheme) error {
 	if !s.Valid() {
 		return fmt.Errorf("authorindex: invalid metrics scheme %d", s)
 	}
-	ix.shards.LockAll()
-	defer ix.shards.UnlockAll()
-	var same bool
-	var gr *graph.Graph
-	ix.trackers().ReadTrackers(func(met metrics.Tracker, g *graph.Graph) {
-		same = met.Weighting() == s
-		gr = g
-	})
-	if same {
-		return nil
-	}
-	fresh := metrics.NewEngine(s)
-	fresh.Rebuild(ix.allWorksView())
-	ix.replaceTrackers(fresh, gr)
+	ix.rebuildTrackers(&s)
 	return nil
 }
 
-// replaceTrackers clones every shard head, points the clones at the
-// given tracker pair, and publishes them all in one root — the tail of
-// every whole-corpus tracker rebuild. Callers hold LockAll.
-func (ix *Index) replaceTrackers(met metrics.Tracker, gr *graph.Graph) {
+// RebuildMetrics discards the incrementally maintained tracker state
+// and recomputes it from the indexed corpus — the recovery path when
+// incremental state is suspect.
+func (ix *Index) RebuildMetrics() { ix.rebuildTrackers(nil) }
+
+// rebuildTrackers builds a fresh tracker over the whole corpus under
+// scheme (nil: the current one) and the current damping factor, then
+// clones every shard head, points the clones at it and publishes them
+// all in one root. The tracker is corpus-global, so the rebuild is
+// coordinator-level: it excludes every writer, builds off to the side,
+// and concurrent readers never observe a half-built tracker. PageRank
+// recomputes lazily on the fresh graph.
+func (ix *Index) rebuildTrackers(scheme *Scheme) {
+	ix.shards.LockAll()
+	defer ix.shards.UnlockAll()
+	// Every tracker writer holds a shard lock, so LockAll alone makes
+	// reading the current tracker safe.
+	cur := ix.trackers().Metrics()
+	s := cur.Weighting()
+	if scheme != nil {
+		if *scheme == s {
+			return
+		}
+		s = *scheme
+	}
+	fresh := metrics.NewEngine(s)
+	fresh.Graph().SetDamping(cur.Graph().Damping())
+	fresh.Rebuild(ix.allWorksView())
 	start := time.Now()
 	clones := make(map[int]*query.Engine, ix.shards.N())
 	for i, eng := range ix.shards.Load().Engs {
 		clones[i] = eng.Clone()
-		clones[i].ReplaceTrackers(met, gr)
+		clones[i].ReplaceTrackers(fresh)
 	}
 	ix.publish(start, clones)
-}
-
-// RebuildMetrics discards the incrementally maintained metrics state
-// and recomputes it from the indexed corpus — the recovery path when
-// incremental state is suspect.
-func (ix *Index) RebuildMetrics() {
-	ix.shards.LockAll()
-	defer ix.shards.UnlockAll()
-	var scheme Scheme
-	var gr *graph.Graph
-	ix.trackers().ReadTrackers(func(met metrics.Tracker, g *graph.Graph) {
-		scheme = met.Weighting()
-		gr = g
-	})
-	fresh := metrics.NewEngine(scheme)
-	fresh.Rebuild(ix.allWorksView())
-	ix.replaceTrackers(fresh, gr)
 }
 
 // CollaborationPath returns the shortest coauthorship chain between two
@@ -848,20 +829,9 @@ func (ix *Index) TopCentral(limit int) []CentralAuthor {
 
 // RebuildGraph discards the incrementally maintained coauthorship graph
 // and recomputes it from the indexed corpus — the recovery path when
-// incremental state is suspect.
-func (ix *Index) RebuildGraph() {
-	ix.shards.LockAll()
-	defer ix.shards.UnlockAll()
-	var met metrics.Tracker
-	var damping float64
-	ix.trackers().ReadTrackers(func(m metrics.Tracker, g *graph.Graph) {
-		met = m
-		damping = g.Damping()
-	})
-	fresh := graph.New(damping)
-	fresh.Rebuild(ix.allWorksView())
-	ix.replaceTrackers(met, fresh)
-}
+// incremental state is suspect. The graph is part of the tracker, so
+// this is RebuildMetrics.
+func (ix *Index) RebuildGraph() { ix.rebuildTrackers(nil) }
 
 // Sections returns the index grouped by letter, in print order; entries
 // are deep copies, merged across shards.
@@ -1063,37 +1033,27 @@ func (ix *Index) Verify() error {
 	if worksTotal != storeCount {
 		return fmt.Errorf("authorindex: verify: author index counts %d works, store %d", worksTotal, storeCount)
 	}
-	// The trackers are corpus-global and shared by every shard, so
+	// The tracker is corpus-global and shared by every shard, so
 	// tracker-level checks read one head.
-	ms := heads[0].Metrics().Summary()
+	met := heads[0].Metrics()
+	ms := met.Summary()
 	if ms.Works != storeCount {
 		return fmt.Errorf("authorindex: verify: metrics track %d works, store %d", ms.Works, storeCount)
 	}
 	if ms.Postings != postings {
 		return fmt.Errorf("authorindex: verify: metrics count %d postings, index %d", ms.Postings, postings)
 	}
-	g := heads[0].Graph()
-	if g.Works() != storeCount {
-		return fmt.Errorf("authorindex: verify: graph tracks %d works, store %d", g.Works(), storeCount)
-	}
-	// The graph and the metrics tracker maintain the collaboration
-	// structure independently; their node and pair counts must agree.
-	if g.Nodes() != ms.Authors {
-		return fmt.Errorf("authorindex: verify: graph holds %d nodes, metrics %d authors", g.Nodes(), ms.Authors)
-	}
-	if g.Edges() != ms.Pairs {
-		return fmt.Errorf("authorindex: verify: graph holds %d edges, metrics %d pairs", g.Edges(), ms.Pairs)
-	}
-	// The incremental graph must be byte-identical to one rebuilt from
-	// scratch over the union of every shard's corpus.
-	fresh := graph.New(g.Damping())
+	// The incremental tracker — graph and credit counters — must be
+	// byte-identical to one rebuilt from scratch over the union of every
+	// shard's corpus.
+	fresh := metrics.NewEngine(met.Weighting())
 	for _, h := range heads {
 		for _, w := range h.AllWorksView() {
 			fresh.Add(w)
 		}
 	}
-	if fresh.Fingerprint() != g.Fingerprint() {
-		return fmt.Errorf("authorindex: verify: incremental graph state differs from a from-scratch rebuild")
+	if fresh.Fingerprint() != met.Fingerprint() {
+		return fmt.Errorf("authorindex: verify: incremental tracker state differs from a from-scratch rebuild")
 	}
 	return nil
 }
@@ -1103,7 +1063,7 @@ func (ix *Index) Verify() error {
 // counts distinct headings, since one heading's works can spread over
 // several shards; Terms is summed per shard, so with several shards it
 // is an upper bound on globally distinct terms. Query counters and
-// graph counts come from the shared trackers, read once. Each field is
+// graph counts come from the shared tracker, read once. Each field is
 // read from the same source as the metric RegisterMetrics exports for
 // it.
 func (ix *Index) Stats() Stats {

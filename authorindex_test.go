@@ -358,6 +358,36 @@ func TestVerify(t *testing.T) {
 	}
 }
 
+// TestVerifyCatchesCreditDrift: a tracker whose credit counters drift
+// from the corpus fails Verify even when every work, posting and
+// co-author count still agrees. One work is swapped in the tracker for
+// a clone with the same ID and authors but another year and kind.
+func TestVerifyCatchesCreditDrift(t *testing.T) {
+	ix := openT(t, t.TempDir())
+	defer ix.Close()
+	for _, w := range GenerateCorpus(CorpusConfig{Seed: 61, Works: 50}) {
+		if _, err := ix.Add(*w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ix.Verify(); err != nil {
+		t.Fatalf("fresh index fails Verify: %v", err)
+	}
+	eng := ix.trackers()
+	w, ok := eng.WorkView(7)
+	if !ok {
+		t.Fatal("work 7 missing")
+	}
+	drift := w.Clone()
+	drift.Citation.Year = w.Citation.Year + 1
+	drift.Kind = (w.Kind + 1) % (KindTribute + 1)
+	eng.Metrics().Remove(w)
+	eng.Metrics().Add(drift)
+	if err := ix.Verify(); err == nil {
+		t.Fatal("Verify passed with a tracker that files work 7 under another year and kind")
+	}
+}
+
 func TestAuthorsPageCursor(t *testing.T) {
 	ix := openT(t, "")
 	defer ix.Close()

@@ -577,7 +577,7 @@ func BenchmarkWriteBatch(b *testing.B) {
 
 // E14 — cold start: Open over a compacted store of growing size. Open
 // bulk-loads the decoded corpus through every index bottom-up (with the
-// metrics and graph trackers rebuilding in parallel), so wall time per
+// tracker, graph included, rebuilding beside them), so wall time per
 // work should stay near-flat as the corpus grows instead of paying
 // per-work tree descents. The 1M corpus is skipped under -short so the
 // CI smoke run stays cheap. Each store also holds cross-references, so

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/graph"
 	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/query"
@@ -343,7 +342,6 @@ func (ix *Index) commitDeletes(ctx context.Context, sp *trace.Span, ids []WorkID
 		for _, id := range groups[si] {
 			eng.Remove(id)
 		}
-		maybeCompactArena(eng)
 		clones[si] = eng
 	}
 	ix.publish(start, clones)
@@ -359,17 +357,6 @@ func sortedShards[T any](groups map[int][]T) []int {
 	}
 	sort.Ints(touched)
 	return touched
-}
-
-// maybeCompactArena compacts the writer clone's bulk-load arena when
-// the dead-slot ratio crosses the threshold, so delete-heavy workloads
-// stop pinning removed works once the pre-compaction snapshots drain.
-// It runs on the not-yet-published clone, where rebuilding the slab is
-// invisible to readers.
-func maybeCompactArena(eng *query.Engine) {
-	if total, dead := eng.ArenaStats(); total > 0 && float64(dead) >= query.ArenaCompactRatio*float64(total) {
-		eng.CompactArena()
-	}
 }
 
 // appendixLimit normalizes a render appendix limit through the shared
@@ -399,14 +386,14 @@ func (ix *Index) RenderCtx(ctx context.Context, w io.Writer, opts RenderOptions)
 	e0 := engs[0]
 	if opts.Network && opts.NetworkAppendix == nil && render.NetworkSupported(opts.Format) {
 		_, nsp := trace.StartSpan(ctx, "render.network_appendix")
-		e0.ReadTrackers(func(_ metrics.Tracker, gr *graph.Graph) {
-			opts.NetworkAppendix = render.BuildNetwork(gr, appendixLimit(opts.NetworkLimit))
+		e0.ReadTrackers(func(met *metrics.Engine) {
+			opts.NetworkAppendix = render.BuildNetwork(met.Graph(), appendixLimit(opts.NetworkLimit))
 		})
 		nsp.End()
 	}
 	if opts.Statistics && opts.Appendix == nil && render.StatisticsSupported(opts.Format) {
 		_, ssp := trace.StartSpan(ctx, "render.stats_appendix")
-		e0.ReadTrackers(func(met metrics.Tracker, _ *graph.Graph) {
+		e0.ReadTrackers(func(met *metrics.Engine) {
 			opts.Appendix = render.BuildStatistics(met, appendixLimit(opts.StatsLimit))
 		})
 		ssp.End()

@@ -6,17 +6,17 @@
 // edge deletion), degree and weighted degree, and an iterative
 // PageRank-style centrality with a configurable damping factor.
 //
-// The engine is incremental under the same discipline as
-// metrics.Tracker: Add and Remove update the adjacency structure in
-// O(authors-per-work²) time with no dependence on corpus size, and a
-// Remove exactly inverts the matching Add, so an incrementally
-// maintained graph is indistinguishable from one rebuilt from scratch
-// (Fingerprint renders the canonical state byte-for-byte for that
-// cross-check). Derived views — components, centrality — are cached and
+// The engine is incremental: Add and Remove update the adjacency
+// structure in O(authors-per-work²) time with no dependence on corpus
+// size, and a Remove exactly inverts the matching Add, so an
+// incrementally maintained graph is indistinguishable from one rebuilt
+// from scratch (Fingerprint renders the canonical state byte-for-byte
+// for that cross-check). Derived views — components, centrality — are cached and
 // recomputed deterministically when the structure has changed.
 //
-// The package consumes the corpus rather than indexing it; the query
-// engine owns a Graph and feeds it every mutation.
+// The package consumes the corpus rather than indexing it. It is the
+// one co-author structure: the metrics tracker owns a Graph, feeds it
+// every mutation, and reads collaboration counts back from it.
 package graph
 
 import (
@@ -167,14 +167,15 @@ func (g *Graph) headings(w *model.Work) []string {
 func (g *Graph) heading(a model.Author) string { return g.display.Display(a) }
 
 // Add folds w into the network in O(len(w.Authors)²) time (the
-// quadratic term is the pairwise edge update; author lists are short).
-// Adding an ID that is already tracked is a no-op.
-func (g *Graph) Add(w *model.Work) {
+// quadratic term is the pairwise edge update; author lists are short)
+// and reports whether it did. Adding an ID that is already tracked is a
+// no-op that reports false.
+func (g *Graph) Add(w *model.Work) bool {
 	if w == nil || len(w.Authors) == 0 {
-		return
+		return false
 	}
 	if _, dup := g.tracked[w.ID]; dup {
-		return
+		return false
 	}
 	g.tracked[w.ID] = struct{}{}
 	hs := g.headings(w)
@@ -206,17 +207,19 @@ func (g *Graph) Add(w *model.Work) {
 		}
 	}
 	g.prDirty = true
+	return true
 }
 
-// Remove exactly inverts the Add of the same work. Removing an
-// untracked ID is a no-op. Deleting an edge or a node marks the
-// component structure dirty; the next component query rebuilds it.
-func (g *Graph) Remove(w *model.Work) {
+// Remove exactly inverts the Add of the same work and reports whether
+// the ID was tracked; removing an untracked ID is a no-op. Deleting an
+// edge or a node marks the component structure dirty; the next
+// component query rebuilds it.
+func (g *Graph) Remove(w *model.Work) bool {
 	if w == nil || len(w.Authors) == 0 {
-		return
+		return false
 	}
 	if _, ok := g.tracked[w.ID]; !ok {
-		return
+		return false
 	}
 	delete(g.tracked, w.ID)
 	hs := g.headings(w)
@@ -249,6 +252,7 @@ func (g *Graph) Remove(w *model.Work) {
 		}
 	}
 	g.prDirty = true
+	return true
 }
 
 // Rebuild resets the graph and re-adds the corpus in one pass — the
@@ -307,6 +311,16 @@ func (g *Graph) Neighbors(heading string) []Neighbor {
 		return out[i].Heading < out[j].Heading
 	})
 	return out
+}
+
+// EachNeighbor calls fn for each of a heading's co-authors with the
+// shared-work count, in no particular order and without allocating.
+func (g *Graph) EachNeighbor(heading string, fn func(coauthor string, works int)) {
+	if n, ok := g.nodes[heading]; ok {
+		for h, w := range n.adj {
+			fn(h, w)
+		}
+	}
 }
 
 // Neighbor pairs a co-author heading with the number of shared works.

@@ -212,31 +212,6 @@ func (ix *Index[T]) Remove(ref T, text string) {
 	}
 }
 
-// Remap returns a copy of the index with every posting ref replaced by
-// f(ref), built bottom-up from one ascent of the terms. f must keep
-// each ref's place under cmp (the engine moves entries to a fresh slab
-// without changing their keys). ix itself is not modified, so
-// snapshots sharing it keep the old refs.
-func (ix *Index[T]) Remap(f func(T) T) *Index[T] {
-	pairs := make([]btree.Pair[*postings[T]], 0, ix.terms.Len())
-	ix.terms.Ascend(func(k []byte, p *postings[T]) bool {
-		refs := make([]T, len(p.refs))
-		for i, ref := range p.refs {
-			refs[i] = f(ref)
-		}
-		// Term key bytes are allocated apart from the tree nodes, so the
-		// new tree may share them.
-		pairs = append(pairs, btree.Pair[*postings[T]]{Key: k, Value: &postings[T]{refs: refs}})
-		return true
-	})
-	tree, err := btree.BulkLoad(pairs)
-	if err != nil {
-		// Unreachable: an ascent hands over unique sorted keys.
-		panic(err)
-	}
-	return &Index[T]{terms: tree, docs: ix.docs, cmp: ix.cmp}
-}
-
 // Postings returns a copy of the postings list for an exact term.
 func (ix *Index[T]) Postings(term string) []T {
 	p, ok := ix.terms.Get([]byte(names.Fold(term)))

@@ -2,7 +2,8 @@
 // indexed corpus: work counts by kind and year, fractional and
 // position-weighted authorship credit (Abbas-style counting schemes),
 // an h-index-style productivity score over per-year output, and
-// co-author collaboration degree.
+// co-author collaboration degree, read from the coauthorship graph the
+// engine owns.
 //
 // The engine is incremental: Add and Remove update every statistic in
 // O(authors-per-work) time with no dependence on corpus size, and a
@@ -13,7 +14,7 @@
 // where floating-point accumulation would drift with mutation order.
 //
 // The package consumes the corpus rather than building an index of it;
-// the query engine owns a Tracker and feeds it every mutation.
+// the query engine owns one Engine and feeds it every mutation.
 package metrics
 
 import (
@@ -23,6 +24,7 @@ import (
 	"slices"
 	"strings"
 
+	"repro/internal/graph"
 	"repro/internal/model"
 )
 
@@ -84,10 +86,9 @@ const (
 	ByHIndex
 	ByCollaborators
 	ByFirstAuthored
-	// ByCentrality ranks by coauthorship-network PageRank. The score
-	// lives in the graph engine, not this tracker, so the query layer
-	// resolves this key against its graph; a bare metrics Engine falls
-	// back to ByWorks ordering for it.
+	// ByCentrality ranks by coauthorship-network PageRank. The query
+	// layer resolves this key against the engine's graph; Engine's own
+	// TopAuthors falls back to ByWorks ordering for it.
 	ByCentrality
 )
 
@@ -174,54 +175,34 @@ type Summary struct {
 	MeanAuthorsPerWork float64 `json:"meanAuthorsPerWork"`
 }
 
-// Tracker is the interface the query engine programs against, so later
-// work (caching, sharding) can swap the implementation.
-type Tracker interface {
-	// Add folds one work into every statistic. Adding an ID that is
-	// already tracked is a no-op; replace by Remove then Add.
-	Add(w *model.Work)
-	// Remove exactly inverts the Add of the same work.
-	Remove(w *model.Work)
-	// Rebuild resets the tracker and re-adds the given corpus — the
-	// recovery path when incremental state is suspect.
-	Rebuild(works []*model.Work)
-	// Author returns the snapshot for one heading in Display form.
-	Author(heading string) (AuthorMetrics, bool)
-	// TopAuthors returns up to limit snapshots ordered by the rank key
-	// descending (ties broken by heading ascending). limit <= 0: all.
-	TopAuthors(by RankKey, limit int) []AuthorMetrics
-	// Summary returns corpus-level aggregates.
-	Summary() Summary
-	// Len returns the number of tracked headings.
-	Len() int
-	// Weighting returns the position-weighting scheme in effect.
-	Weighting() Scheme
-}
-
 // topCollaborators caps the per-author co-author list in snapshots.
 const topCollaborators = 5
 
 // microUnit is the integer credit resolution: one work = 1e6 micro.
 const microUnit = 1_000_000
 
-// authorStats is the live per-heading state. Counters only — snapshots
-// are materialized on read.
+// authorStats is the live per-heading credit state. Counters only —
+// snapshots are materialized on read, and collaboration counts live in
+// the engine's graph.
 type authorStats struct {
-	author    model.Author
 	works     int
 	first     int
 	byKind    map[model.Kind]int
 	byYear    map[int]int
 	fracMicro int64
 	wgtMicro  int64
-	coauthors map[string]int // heading -> shared works
 }
 
-// Engine is the incremental Tracker implementation.
+// Engine is the incremental bibliometrics tracker. It owns the
+// coauthorship graph, the one co-author structure: the graph records
+// which works are folded in and how many works each pair of headings
+// shares, and the engine keeps only per-heading credit counters beside
+// it. Mutations (Add, Remove, Rebuild) are not safe for concurrent use;
+// the owning layer serializes them.
 type Engine struct {
 	scheme   Scheme
 	authors  map[string]*authorStats // keyed by Author.Display()
-	tracked  map[model.WorkID]struct{}
+	graph    *graph.Graph
 	postings int
 	solo     int
 	// display memoizes heading construction during Rebuild; nil (a
@@ -236,9 +217,10 @@ type Engine struct {
 // heading returns a.Display(), memoized while a Rebuild is running.
 func (e *Engine) heading(a model.Author) string { return e.display.Display(a) }
 
-// NewEngine returns an empty tracker using the given counting scheme.
-// An invalid scheme falls back to Harmonic rather than silently zeroing
-// every weight; callers that want an error should check Scheme.Valid.
+// NewEngine returns an empty tracker using the given counting scheme,
+// over an empty graph with the default damping factor. An invalid
+// scheme falls back to Harmonic rather than silently zeroing every
+// weight; callers that want an error should check Scheme.Valid.
 func NewEngine(scheme Scheme) *Engine {
 	if !scheme.Valid() {
 		scheme = Harmonic
@@ -246,12 +228,18 @@ func NewEngine(scheme Scheme) *Engine {
 	return &Engine{
 		scheme:  scheme,
 		authors: make(map[string]*authorStats),
-		tracked: make(map[model.WorkID]struct{}),
+		graph:   graph.New(0),
 	}
 }
 
 // Weighting returns the scheme the engine divides credit with.
 func (e *Engine) Weighting() Scheme { return e.scheme }
+
+// Graph returns the coauthorship network the engine owns. Callers may
+// read it and set its damping factor, but must not Add or Remove works
+// on it directly: the engine's credit counters follow the graph's
+// membership.
+func (e *Engine) Graph() *graph.Graph { return e.graph }
 
 // Len returns the number of tracked headings.
 func (e *Engine) Len() int { return len(e.authors) }
@@ -259,7 +247,7 @@ func (e *Engine) Len() int { return len(e.authors) }
 // delta is the per-(work, heading) contribution, computed identically
 // by Add and Remove so removal inverts addition exactly.
 type delta struct {
-	author    model.Author
+	heading   string
 	first     bool
 	fracMicro int64
 	wgtMicro  int64
@@ -274,7 +262,7 @@ func (e *Engine) deltas(w *model.Work) []delta {
 	k := len(w.Authors)
 	if k == 1 {
 		e.dscratch[0] = delta{
-			author:    w.Authors[0],
+			heading:   e.heading(w.Authors[0]),
 			first:     true,
 			fracMicro: microUnit,
 			wgtMicro:  positionMicro(e.scheme, 1, 1),
@@ -289,7 +277,7 @@ func (e *Engine) deltas(w *model.Work) []delta {
 		if !ok {
 			j = len(out)
 			index[h] = j
-			out = append(out, delta{author: a, first: i == 0})
+			out = append(out, delta{heading: h, first: i == 0})
 		}
 		out[j].fracMicro += microUnit / int64(k)
 		out[j].wgtMicro += positionMicro(e.scheme, i+1, k)
@@ -320,123 +308,79 @@ func positionMicro(s Scheme, i, k int) int64 {
 	return int64(math.Round(w * microUnit))
 }
 
-// Add folds w into every statistic in O(len(w.Authors)²) time (the
-// quadratic term is the co-author matrix; author lists are short).
+// Add folds w into the graph and every credit counter in
+// O(len(w.Authors)²) time (the quadratic term is the graph's pairwise
+// edge update; author lists are short). Adding an ID that is already
+// tracked is a no-op; replace by Remove then Add.
 func (e *Engine) Add(w *model.Work) {
-	if w == nil || len(w.Authors) == 0 {
-		return
-	}
-	if _, dup := e.tracked[w.ID]; dup {
-		return
-	}
-	e.tracked[w.ID] = struct{}{}
-	ds := e.deltas(w)
-	for _, d := range ds {
-		h := e.heading(d.author)
-		st, ok := e.authors[h]
-		if !ok {
-			st = &authorStats{
-				author:    d.author,
-				byKind:    make(map[model.Kind]int),
-				byYear:    make(map[int]int),
-				coauthors: make(map[string]int),
-			}
-			e.authors[h] = st
-		}
-		st.works++
-		if d.first {
-			st.first++
-		}
-		st.byKind[w.Kind]++
-		if w.Citation.Year > 0 {
-			st.byYear[w.Citation.Year]++
-		}
-		st.fracMicro += d.fracMicro
-		st.wgtMicro += d.wgtMicro
-		e.postings++
-	}
-	if len(ds) == 1 {
-		e.solo++
-	}
-	for i := range ds {
-		hi := e.heading(ds[i].author)
-		for j := range ds {
-			if i != j {
-				e.authors[hi].coauthors[e.heading(ds[j].author)]++
-			}
-		}
+	if e.graph.Add(w) {
+		e.credit(w, 1)
 	}
 }
 
-// Remove inverts the Add of the same work. Removing an untracked ID is
-// a no-op.
+// Remove exactly inverts the Add of the same work. Removing an
+// untracked ID is a no-op.
 func (e *Engine) Remove(w *model.Work) {
-	if w == nil || len(w.Authors) == 0 {
-		return
-	}
-	if _, ok := e.tracked[w.ID]; !ok {
-		return
-	}
-	delete(e.tracked, w.ID)
-	ds := e.deltas(w)
-	for i := range ds {
-		hi := ds[i].author.Display()
-		st := e.authors[hi]
-		if st == nil {
-			continue
-		}
-		for j := range ds {
-			if i == j {
-				continue
-			}
-			hj := ds[j].author.Display()
-			if st.coauthors[hj]--; st.coauthors[hj] <= 0 {
-				delete(st.coauthors, hj)
-			}
-		}
-	}
-	for _, d := range ds {
-		h := d.author.Display()
-		st := e.authors[h]
-		if st == nil {
-			continue
-		}
-		st.works--
-		if d.first {
-			st.first--
-		}
-		if st.byKind[w.Kind]--; st.byKind[w.Kind] <= 0 {
-			delete(st.byKind, w.Kind)
-		}
-		if y := w.Citation.Year; y > 0 {
-			if st.byYear[y]--; st.byYear[y] <= 0 {
-				delete(st.byYear, y)
-			}
-		}
-		st.fracMicro -= d.fracMicro
-		st.wgtMicro -= d.wgtMicro
-		e.postings--
-		if st.works <= 0 {
-			delete(e.authors, h)
-		}
-	}
-	if len(ds) == 1 {
-		e.solo--
+	if e.graph.Remove(w) {
+		e.credit(w, -1)
 	}
 }
 
-// Rebuild resets the engine and re-adds the corpus in one pass, with
-// heading construction memoized across the whole corpus.
+// credit adds (sign 1) or subtracts (sign -1) w's per-heading deltas,
+// dropping a heading once it has no works left.
+func (e *Engine) credit(w *model.Work, sign int) {
+	ds := e.deltas(w)
+	for _, d := range ds {
+		st := e.authors[d.heading]
+		if st == nil {
+			st = &authorStats{byKind: make(map[model.Kind]int), byYear: make(map[int]int)}
+			e.authors[d.heading] = st
+		}
+		st.works += sign
+		if d.first {
+			st.first += sign
+		}
+		bump(st.byKind, w.Kind, sign)
+		if y := w.Citation.Year; y > 0 {
+			bump(st.byYear, y, sign)
+		}
+		st.fracMicro += int64(sign) * d.fracMicro
+		st.wgtMicro += int64(sign) * d.wgtMicro
+		if st.works <= 0 {
+			delete(e.authors, d.heading)
+		}
+	}
+	e.postings += sign * len(ds)
+	if len(ds) == 1 {
+		e.solo += sign
+	}
+}
+
+// bump adds n to m[k], deleting the key once its count reaches zero.
+func bump[K comparable](m map[K]int, k K, n int) {
+	if m[k] += n; m[k] <= 0 {
+		delete(m, k)
+	}
+}
+
+// Rebuild resets the engine and re-adds the corpus — the recovery path
+// when incremental state is suspect. The graph rebuilds first, then one
+// pass fills the credit counters; each pass memoizes heading
+// construction across the whole corpus. Works must carry distinct IDs,
+// as every indexed corpus does: the graph folds a repeated ID in once,
+// where the credit pass would count it twice.
 func (e *Engine) Rebuild(works []*model.Work) {
+	e.graph.Rebuild(works)
 	// Presize for the common author-to-work ratio so a cold rebuild does
 	// not pay map growth rehashes all the way up.
 	e.authors = make(map[string]*authorStats, max(len(e.authors), len(works)/3))
-	e.tracked = make(map[model.WorkID]struct{}, len(works))
 	e.postings, e.solo = 0, 0
 	e.display = make(model.DisplayMemo)
 	defer func() { e.display = nil }()
 	for _, w := range works {
-		e.Add(w)
+		if w != nil && len(w.Authors) > 0 {
+			e.credit(w, 1)
+		}
 	}
 }
 
@@ -458,8 +402,8 @@ func (e *Engine) snapshot(heading string, st *authorStats) AuthorMetrics {
 		Fractional:    float64(st.fracMicro) / microUnit,
 		Weighted:      float64(st.wgtMicro) / microUnit,
 		HIndex:        hIndex(st.byYear),
-		Collaborators: len(st.coauthors),
 	}
+	m.Collaborators, _ = e.graph.Degree(heading)
 	if len(st.byKind) > 0 {
 		m.ByKind = make(map[string]int, len(st.byKind))
 		for k, n := range st.byKind {
@@ -472,16 +416,16 @@ func (e *Engine) snapshot(heading string, st *authorStats) AuthorMetrics {
 			m.ByYear[y] = n
 		}
 	}
-	if len(st.coauthors) > 0 {
-		top := newTopK(topCollaborators, len(st.coauthors), func(a, b Collaborator) int {
+	if m.Collaborators > 0 {
+		top := newTopK(topCollaborators, m.Collaborators, func(a, b Collaborator) int {
 			if a.Works != b.Works {
 				return cmp.Compare(b.Works, a.Works)
 			}
 			return strings.Compare(a.Heading, b.Heading)
 		})
-		for h, n := range st.coauthors {
+		e.graph.EachNeighbor(heading, func(h string, n int) {
 			top.push(Collaborator{Heading: h, Works: n})
-		}
+		})
 		m.TopCollaborators = top.sorted()
 	}
 	return m
@@ -568,7 +512,7 @@ func (t *topK[T]) sorted() []T {
 // rankValue returns the sort key for one heading under a rank key. All
 // keys compare descending; raw integer counters avoid materializing
 // snapshots for headings that will not make the cut.
-func rankValue(by RankKey, st *authorStats) int64 {
+func (e *Engine) rankValue(by RankKey, heading string, st *authorStats) int64 {
 	switch by {
 	case ByWeighted:
 		return st.wgtMicro
@@ -577,7 +521,8 @@ func rankValue(by RankKey, st *authorStats) int64 {
 	case ByHIndex:
 		return int64(hIndex(st.byYear))
 	case ByCollaborators:
-		return int64(len(st.coauthors))
+		d, _ := e.graph.Degree(heading)
+		return int64(d)
 	case ByFirstAuthored:
 		return int64(st.first)
 	default:
@@ -603,7 +548,7 @@ func (e *Engine) TopAuthors(by RankKey, limit int) []AuthorMetrics {
 		return strings.Compare(a.heading, b.heading)
 	})
 	for h, st := range e.authors {
-		top.push(ranked{heading: h, st: st, value: rankValue(by, st)})
+		top.push(ranked{heading: h, st: st, value: e.rankValue(by, h, st)})
 	}
 	rs := top.sorted()
 	out := make([]AuthorMetrics, len(rs))
@@ -613,23 +558,52 @@ func (e *Engine) TopAuthors(by RankKey, limit int) []AuthorMetrics {
 	return out
 }
 
-// Summary returns corpus-level aggregates. Pair counting walks the
-// co-author maps (O(authors)); everything else is pre-maintained.
+// Summary returns corpus-level aggregates in O(1): the work and pair
+// counts come from the graph, everything else is pre-maintained.
 func (e *Engine) Summary() Summary {
 	s := Summary{
 		Scheme:    e.scheme.String(),
 		Authors:   len(e.authors),
-		Works:     len(e.tracked),
+		Works:     e.graph.Works(),
 		Postings:  e.postings,
 		SoloWorks: e.solo,
+		Pairs:     e.graph.Edges(),
 	}
-	edges := 0
-	for _, st := range e.authors {
-		edges += len(st.coauthors)
-	}
-	s.Pairs = edges / 2
 	if s.Works > 0 {
 		s.MeanAuthorsPerWork = float64(s.Postings) / float64(s.Works)
 	}
 	return s
+}
+
+// Fingerprint renders the canonical tracker state — the graph's
+// Fingerprint, then every heading's credit counters in heading order —
+// as a deterministic byte string. Two engines under the same scheme
+// over the same corpus are byte-identical here whatever mutation order
+// produced them, so Verify compares the incremental tracker with a
+// from-scratch rebuild this way.
+func (e *Engine) Fingerprint() string {
+	b := []byte(e.graph.Fingerprint())
+	b = fmt.Appendf(b, "\npostings=%d solo=%d\n", e.postings, e.solo)
+	for _, h := range sortedKeys(e.authors) {
+		st := e.authors[h]
+		b = fmt.Appendf(b, "%s\t%d\t%d\t%d\t%d", h, st.works, st.first, st.fracMicro, st.wgtMicro)
+		for _, k := range sortedKeys(st.byKind) {
+			b = fmt.Appendf(b, "\tk%d=%d", k, st.byKind[k])
+		}
+		for _, y := range sortedKeys(st.byYear) {
+			b = fmt.Appendf(b, "\ty%d=%d", y, st.byYear[y])
+		}
+		b = append(b, '\n')
+	}
+	return string(b)
+}
+
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	ks := make([]K, 0, len(m))
+	for k := range m {
+		ks = append(ks, k)
+	}
+	slices.Sort(ks)
+	return ks
 }

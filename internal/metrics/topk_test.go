@@ -114,11 +114,11 @@ func TestTopCollaboratorsMatchesFullSort(t *testing.T) {
 	e := NewEngine(Harmonic)
 	e.Rebuild(tiedCorpus())
 	tied := 0
-	for h, st := range e.authors {
-		all := make([]Collaborator, 0, len(st.coauthors))
-		for c, n := range st.coauthors {
+	for h := range e.authors {
+		var all []Collaborator
+		e.graph.EachNeighbor(h, func(c string, n int) {
 			all = append(all, Collaborator{Heading: c, Works: n})
-		}
+		})
 		sort.Slice(all, func(i, j int) bool {
 			if all[i].Works != all[j].Works {
 				return all[i].Works > all[j].Works

@@ -9,16 +9,17 @@ import (
 
 	"repro/internal/collate"
 	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/model"
 )
 
 // fingerprintEngine reduces an engine to everything AddBatch touches:
-// index stats, term count, metrics summary, graph fingerprint, subject
+// index stats, term count, metrics summary, tracker fingerprint, subject
 // headings with counts, and a citation-ordered ID walk of the corpus.
 func fingerprintEngine(t *testing.T, e *Engine) string {
 	t.Helper()
-	out := fmt.Sprintf("stats=%+v terms=%d metrics=%+v graph=%s subjects=%v ids=",
-		e.idx.Stats(), e.inv.Terms(), e.met.Summary(), e.gr.Fingerprint(), e.Subjects())
+	out := fmt.Sprintf("stats=%+v terms=%d metrics=%+v tracker=%s subjects=%v ids=",
+		e.idx.Stats(), e.inv.Terms(), e.met.Summary(), e.met.Fingerprint(), e.Subjects())
 	e.byCitation.Ascend(func(_ []byte, we *workEntry) bool {
 		out += fmt.Sprint(we.w.ID, ";")
 		return true
@@ -61,7 +62,7 @@ func TestAddBatchMatchesSequentialAdd(t *testing.T) {
 				}
 			}
 		}
-		if !batch.GraphConsistent() {
+		if batch.Graph().Fingerprint() != graph.NewFromWorks(0, batch.AllWorks()).Fingerprint() {
 			t.Fatalf("chunk=%d: incremental graph differs from rebuild", chunk)
 		}
 	}
@@ -157,7 +158,7 @@ func TestAddBatchReplacesExistingIDs(t *testing.T) {
 	if got := e.BySubject("Replacement Studies", 0); len(got) != 10 {
 		t.Fatalf("subject posting holds %d works, want 10", len(got))
 	}
-	if !e.GraphConsistent() {
+	if e.Graph().Fingerprint() != graph.NewFromWorks(0, e.AllWorks()).Fingerprint() {
 		t.Fatal("graph inconsistent after replacement batch")
 	}
 	// Removing everything batched must leave a pristine engine.

@@ -63,7 +63,7 @@ func engineFingerprint(e *Engine) string {
 	for _, m := range e.met.TopAuthors(metrics.ByWorks, 0) {
 		fmt.Fprintf(&b, " %+v\n", m)
 	}
-	fmt.Fprintf(&b, "graph: %s damping=%g\n", e.gr.Fingerprint(), e.gr.Damping())
+	fmt.Fprintf(&b, "graph: %s damping=%g\n", e.Graph().Fingerprint(), e.Graph().Damping())
 	fmt.Fprintf(&b, "works: %d\n", e.byID.Len())
 	return b.String()
 }

@@ -81,11 +81,11 @@ func ClampLimit(n, def int) int {
 // is therefore a frozen snapshot that any number of readers may use
 // with no lock at all.
 //
-// The two trackers (met, gr) are the exception: they are live mutable
-// structures shared across clones, guarded by trkMu — writers hold it
-// only for the µs-scale incremental update, never across I/O, and the
-// tracker read surfaces take the read side. Snapshot consistency is
-// defined over the corpus indexes; tracker reads are current-state.
+// The tracker (met) is the exception: it is a live mutable structure
+// shared across clones, guarded by trkMu — writers hold it only for the
+// µs-scale incremental update, never across I/O, and the tracker read
+// surfaces take the read side. Snapshot consistency is defined over the
+// corpus indexes; tracker reads are current-state.
 type Engine struct {
 	idx *core.Index
 	// inv is the title index. Its postings hold the entries themselves,
@@ -107,36 +107,23 @@ type Engine struct {
 	// bySubject maps collation keys of subject headings to their display
 	// form and posting list, for subject lookups and enumeration.
 	bySubject *btree.Tree[*subjectPosting]
-	// met maintains per-author bibliometrics incrementally; every Add
-	// and Remove feeds it. Behind the Tracker interface so later layers
-	// (caching, sharding) can swap the implementation. Shared across
-	// clones; guarded by trkMu.
-	met metrics.Tracker
-	// gr maintains the coauthorship network incrementally; every Add and
-	// Remove feeds it alongside the metrics tracker. Shared across
-	// clones; guarded by trkMu.
-	gr *graph.Graph
-	// trkMu guards met and gr: mutations hold the write side for the
+	// met maintains per-author bibliometrics and, in the graph it owns,
+	// the coauthorship network incrementally; every Add and Remove feeds
+	// it. Shared across clones; guarded by trkMu.
+	met *metrics.Engine
+	// trkMu guards met: mutations hold the write side for the
 	// incremental update only; lock-free snapshot readers that consult
-	// the trackers hold the read side. Shared across clones.
+	// the tracker hold the read side. Shared across clones.
 	trkMu *sync.RWMutex
 	coll  collate.Options
 	// qs is shared across clones so read-path counters accumulate
 	// globally no matter which snapshot served the query.
 	qs *queryCounters
-	// arena tracks the bulk-load slab the engine's entries live in:
-	// a removed work stays reachable through the shared slab until
-	// CompactArena copies the survivors out. Shared by pointer across
-	// clones (the slab is shared too), so the dead-slot count keeps
-	// accumulating as the head engine is cloned per commit;
-	// CompactArena installs a fresh one on the clone it runs against.
-	// Nil when the engine was built by incremental Adds only.
-	arena *arenaInfo
 }
 
 // Clone returns an O(1) copy-on-write snapshot of the engine: every
 // corpus index shares its nodes with the original until one side
-// mutates, and the trackers, counters and tracker lock are shared
+// mutates, and the tracker, counters and tracker lock are shared
 // outright. The caller mutates the clone (under its write lock) and
 // publishes it; the original — and every previously published clone —
 // keeps a frozen, internally consistent corpus view.
@@ -163,26 +150,7 @@ type workEntry struct {
 	// subjKeys caches collate.KeyString for each of w.Subjects, so
 	// Remove does not pay for collation keys Add already built.
 	subjKeys [][]byte
-	// inArena marks entries allocated in a bulk-load slab; Remove
-	// counts them against the engine's arenaInfo so delete-heavy
-	// workloads know when compaction pays.
-	inArena bool
 }
-
-// arenaInfo is the occupancy ledger of one bulk-load slab: total slots
-// and slots whose works have been removed but stay reachable while any
-// slab sibling survives. dead is atomic because clones sharing the
-// ledger publish concurrently with gauge reads; it may overcount by
-// removals on clones that were later discarded (failed commits), which
-// can only make compaction run early, never late.
-type arenaInfo struct {
-	total int
-	dead  atomic.Int64
-}
-
-// ArenaCompactRatio is the dead-slot ratio at which the facade's
-// delete paths trigger CompactArena on the writer clone.
-const ArenaCompactRatio = 0.5
 
 type subjectPosting struct {
 	display string
@@ -208,7 +176,6 @@ func NewWithScheme(opts collate.Options, scheme metrics.Scheme) *Engine {
 		byCitation: btree.New[*workEntry](),
 		bySubject:  btree.New[*subjectPosting](),
 		met:        metrics.NewEngine(scheme),
-		gr:         graph.New(0),
 		trkMu:      &sync.RWMutex{},
 		coll:       opts,
 		qs:         &queryCounters{},
@@ -230,9 +197,9 @@ func (e *Engine) Add(w *model.Work) error {
 // AddBatch indexes a batch of works in one pass: subject postings and
 // title terms take the batch's works as one key-sorted run merged into
 // the filed refs once per touched posting (inverted.MergeRun), and the
-// metrics, graph and citation-key indexes are all fed inside a single
-// loop. Duplicate IDs within the batch behave like sequential adds (the
-// last occurrence wins); IDs already indexed are replaced.
+// tracker and citation-key indexes are all fed inside a single loop.
+// Duplicate IDs within the batch behave like sequential adds (the last
+// occurrence wins); IDs already indexed are replaced.
 //
 // Every work is validated before anything is touched, so an invalid
 // work anywhere in the batch leaves the engine byte-identical to its
@@ -304,7 +271,6 @@ func (e *Engine) AddBatch(works []*model.Work) error {
 		}
 		e.trkMu.Lock()
 		e.met.Add(cp)
-		e.gr.Add(cp)
 		e.trkMu.Unlock()
 		e.byID.Set(idKey(cp.ID), we)
 	}
@@ -321,9 +287,9 @@ func (e *Engine) AddBatch(works []*model.Work) error {
 // computed and sorted once, and each index is built bottom-up from the
 // sorted corpus (btree.BulkLoad for the author, year, citation and
 // subject trees; subject and title postings appended from the sorted
-// pass, so no posting list is ever sorted) while the metrics tracker
-// and the coauthorship graph — both whole-corpus recomputations by
-// definition — rebuild on parallel goroutines. The result is indistinguishable from Add-ing every work
+// pass, so no posting list is ever sorted) while the tracker — a
+// whole-corpus recomputation by definition — rebuilds on a goroutine
+// beside them. The result is indistinguishable from Add-ing every work
 // to a fresh engine, at a fraction of the cost.
 //
 // Works must carry unique non-zero IDs. Unlike Add, LoadAll retains
@@ -335,33 +301,42 @@ func (e *Engine) LoadAll(works []*model.Work) error {
 	return e.LoadAllCtx(context.Background(), works)
 }
 
-// LoadAllCtx is LoadAll carrying a trace context: the load is one
-// "engine.load_all" span with a child per build phase, including one
-// per parallel goroutine — the span tree shows which index dominated a
-// slow cold start. The parallel children are attached and ended on
-// their own goroutines; wg.Wait orders every child End before the
-// parent's, keeping the tree well-formed.
+// LoadAllCtx is LoadAll carrying a trace context: the corpus load is
+// one "engine.load_all" span with a child per build phase, beside a
+// "load.metrics" span for the tracker rebuild — the span tree shows
+// which index dominated a slow cold start.
 func (e *Engine) LoadAllCtx(ctx context.Context, works []*model.Work) error {
-	return e.loadAll(ctx, works, true)
+	if err := e.checkEmpty(); err != nil {
+		return err
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_, sp := trace.StartSpan(ctx, "load.metrics")
+		defer sp.End()
+		e.RebuildTrackers(works)
+	}()
+	err := e.LoadCorpus(ctx, works)
+	<-done
+	if err != nil {
+		// A failed load leaves the engine empty; empty the tracker too.
+		e.met.Rebuild(nil)
+	}
+	return err
 }
 
 // LoadCorpus is LoadAll minus the tracker rebuild: it loads one
-// shard's partition of the corpus into a peer engine whose metrics
-// tracker and coauthorship graph are shared with every other shard.
-// Rebuilding those per partition would clobber the other shards'
-// contributions, so the shard coordinator loads every partition first
-// and then calls RebuildTrackers once with the full corpus.
+// shard's partition of the corpus into a peer engine whose tracker is
+// shared with every other shard. Rebuilding it per partition would
+// clobber the other shards' contributions, so the shard coordinator
+// loads every partition and calls RebuildTrackers once with the full
+// corpus, beside the loads. The build phases run on parallel
+// goroutines, each a child span attached and ended on its own
+// goroutine; wg.Wait orders every child End before the parent's,
+// keeping the tree well-formed.
 func (e *Engine) LoadCorpus(ctx context.Context, works []*model.Work) error {
-	return e.loadAll(ctx, works, false)
-}
-
-func (e *Engine) loadAll(ctx context.Context, works []*model.Work, withTrackers bool) error {
-	if e.byID.Len() > 0 || e.idx.Len() > 0 {
-		// idx.Len counts headings, so see-also-only entries (a
-		// cross-reference recorded before any work) block the load too
-		// rather than being silently discarded with the replaced index.
-		return fmt.Errorf("query: bulk load into an engine already holding %d works, %d headings",
-			e.byID.Len(), e.idx.Len())
+	if err := e.checkEmpty(); err != nil {
+		return err
 	}
 	if len(works) == 0 {
 		return nil
@@ -398,16 +373,14 @@ func (e *Engine) loadAll(ctx context.Context, works []*model.Work, withTrackers 
 	}
 	validateSpan.End()
 	loadPhase("validate").Since(validateStart)
-	// One arena allocation for every entry: the structs are tiny, live
-	// together for the index's whole life, and number in the corpus size.
+	// Each entry is its own allocation, so a removed work becomes
+	// garbage as soon as no snapshot holds it.
 	keysStart := time.Now()
 	keysSpan := load.StartChild("load.sort_keys")
-	arena := make([]workEntry, len(works))
 	entries := make([]*workEntry, len(works))
 	if err := parallel.Ranges(len(works), func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
-			arena[i] = workEntry{w: works[i], key: citationKey(works[i]), inArena: true}
-			entries[i] = &arena[i]
+			entries[i] = &workEntry{w: works[i], key: citationKey(works[i])}
 		}
 		return nil
 	}); err != nil {
@@ -423,11 +396,10 @@ func (e *Engine) loadAll(ctx context.Context, works []*model.Work, withTrackers 
 
 	// The index builds run concurrently: the author index (the most
 	// expensive — it clones one work per posting), the inverted title
-	// index, the ordered trees, the subject postings, and the two
-	// whole-corpus trackers. Each build is independent and writes only
-	// its own slot; errors (all unreachable after the validation pass
-	// above, since it mirrors every builder's checks) propagate and
-	// leave the engine empty.
+	// index, the ordered trees and the subject postings. Each build is
+	// independent and writes only its own slot; errors (all unreachable
+	// after the validation pass above, since it mirrors every builder's
+	// checks) propagate and leave the engine empty.
 	var (
 		wg         sync.WaitGroup
 		idx        *core.Index
@@ -473,36 +445,26 @@ func (e *Engine) loadAll(ctx context.Context, works []*model.Work, withTrackers 
 		defer load.StartChild("load.subjects").End()
 		bySubject, errs[3] = e.loadSubjects(entries, sorted)
 	}()
-	if withTrackers {
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			defer loadPhase("metrics").Since(time.Now())
-			defer load.StartChild("load.metrics").End()
-			e.met.Rebuild(works)
-		}()
-		go func() {
-			defer wg.Done()
-			defer loadPhase("graph").Since(time.Now())
-			defer load.StartChild("load.graph").End()
-			e.gr.Rebuild(works)
-		}()
-	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			if withTrackers {
-				// Reset the trackers the parallel rebuilds touched so the
-				// engine is left exactly as empty as it started.
-				e.met.Rebuild(nil)
-				e.gr.Rebuild(nil)
-			}
 			return err
 		}
 	}
 	e.idx, e.inv, e.byID = idx, inv, byID
 	e.byYear, e.byCitation, e.bySubject = byYear, byCitation, bySubject
-	e.arena = &arenaInfo{total: len(works)}
+	return nil
+}
+
+// checkEmpty rejects a bulk load into an engine that already holds
+// works or headings. idx.Len counts headings, so see-also-only entries
+// (a cross-reference recorded before any work) block the load too
+// rather than being silently discarded with the replaced index.
+func (e *Engine) checkEmpty() error {
+	if e.byID.Len() > 0 || e.idx.Len() > 0 {
+		return fmt.Errorf("query: bulk load into an engine already holding %d works, %d headings",
+			e.byID.Len(), e.idx.Len())
+	}
 	return nil
 }
 
@@ -671,9 +633,8 @@ func hasDuplicateIDs(works []*model.Work) bool {
 
 // Remove un-indexes the work with the given ID, returning it. The
 // unlinked entry is left intact, never zeroed: a pinned snapshot may
-// still hold it in its own trees and postings. (Bulk-loaded entries
-// live in a shared arena, so a removed work stays reachable while any
-// arena sibling survives — the price of torn-read-free snapshots.)
+// still hold it in its own trees and postings, and it becomes garbage
+// once the last such snapshot is dropped.
 func (e *Engine) Remove(id model.WorkID) (*model.Work, bool) {
 	we, ok := e.byID.Get(idKey(id))
 	if !ok {
@@ -698,12 +659,8 @@ func (e *Engine) Remove(id model.WorkID) (*model.Work, bool) {
 	}
 	e.trkMu.Lock()
 	e.met.Remove(w)
-	e.gr.Remove(w)
 	e.trkMu.Unlock()
 	e.byID.Delete(idKey(id))
-	if we.inArena && e.arena != nil {
-		e.arena.dead.Add(1)
-	}
 	return w.Clone(), true
 }
 
@@ -989,11 +946,11 @@ func (e *Engine) CloneWork(w *model.Work) *model.Work {
 	return w.Clone()
 }
 
-// Metrics exposes the bibliometrics tracker. The tracker is shared and
-// mutable across clones: callers outside the facade's write lock must
-// go through the locked wrappers (MetricsSummary, AuthorMetrics,
-// TopAuthors) or ReadTrackers instead.
-func (e *Engine) Metrics() metrics.Tracker { return e.met }
+// Metrics exposes the tracker. It is shared and mutable across clones:
+// callers outside the facade's write lock must go through the locked
+// wrappers (MetricsSummary, AuthorMetrics, TopAuthors) or ReadTrackers
+// instead.
+func (e *Engine) Metrics() *metrics.Engine { return e.met }
 
 // MetricsSummary returns the corpus-wide bibliometrics summary under
 // the shared tracker read lock.
@@ -1004,14 +961,14 @@ func (e *Engine) MetricsSummary() metrics.Summary {
 }
 
 // ReadTrackers runs fn with the shared tracker read lock held, handing
-// it the metrics tracker and the coauthorship graph. Lock-free snapshot
-// readers that need multiple tracker reads to be mutually consistent
-// (rendering appendices, stats aggregation) use this instead of the
-// individual wrappers.
-func (e *Engine) ReadTrackers(fn func(met metrics.Tracker, gr *graph.Graph)) {
+// it the tracker (whose Graph is the coauthorship network). Lock-free
+// snapshot readers that need multiple tracker reads to be mutually
+// consistent (rendering appendices, stats aggregation) use this instead
+// of the individual wrappers.
+func (e *Engine) ReadTrackers(fn func(met *metrics.Engine)) {
 	e.trkMu.RLock()
 	defer e.trkMu.RUnlock()
-	fn(e.met, e.gr)
+	fn(e.met)
 }
 
 // AuthorMetrics returns the bibliometrics snapshot for one heading
@@ -1028,14 +985,13 @@ func (e *Engine) AuthorMetrics(heading string) (metrics.AuthorMetrics, bool) {
 
 // TopAuthors returns up to limit author snapshots ranked by the given
 // key, best first. ByCentrality is resolved against the coauthorship
-// graph (the metrics tracker has no network view); every other key goes
-// straight to the tracker.
+// graph's PageRank; every other key goes straight to the tracker.
 func (e *Engine) TopAuthors(by metrics.RankKey, limit int) []metrics.AuthorMetrics {
 	limit = ClampLimit(limit, 10)
 	e.trkMu.RLock()
 	defer e.trkMu.RUnlock()
 	if by == metrics.ByCentrality {
-		central := e.gr.TopCentral(limit)
+		central := e.met.Graph().TopCentral(limit)
 		out := make([]metrics.AuthorMetrics, 0, len(central))
 		for _, c := range central {
 			if m, ok := e.met.Author(c.Heading); ok {
@@ -1047,10 +1003,10 @@ func (e *Engine) TopAuthors(by metrics.RankKey, limit int) []metrics.AuthorMetri
 	return e.met.TopAuthors(by, limit)
 }
 
-// Graph exposes the coauthorship network. Shared and mutable across
-// clones, like Metrics — callers outside the facade's write lock go
-// through the locked wrappers or ReadTrackers.
-func (e *Engine) Graph() *graph.Graph { return e.gr }
+// Graph exposes the coauthorship network the tracker owns. Shared and
+// mutable across clones, like Metrics — callers outside the facade's
+// write lock go through the locked wrappers or ReadTrackers.
+func (e *Engine) Graph() *graph.Graph { return e.met.Graph() }
 
 // GraphNeighbors returns a heading's coauthors, strongest tie first,
 // under the shared tracker read lock.
@@ -1061,7 +1017,7 @@ func (e *Engine) GraphNeighbors(heading string) []graph.Neighbor {
 	}
 	e.trkMu.RLock()
 	defer e.trkMu.RUnlock()
-	return e.gr.Neighbors(a.Display())
+	return e.met.Graph().Neighbors(a.Display())
 }
 
 // GraphSummary returns the coauthorship network summary under the
@@ -1069,7 +1025,7 @@ func (e *Engine) GraphNeighbors(heading string) []graph.Neighbor {
 func (e *Engine) GraphSummary() graph.Summary {
 	e.trkMu.RLock()
 	defer e.trkMu.RUnlock()
-	return e.gr.Summarize()
+	return e.met.Graph().Summarize()
 }
 
 // TopCentral returns the limit most central authors under the shared
@@ -1077,7 +1033,7 @@ func (e *Engine) GraphSummary() graph.Summary {
 func (e *Engine) TopCentral(limit int) []graph.CentralAuthor {
 	e.trkMu.RLock()
 	defer e.trkMu.RUnlock()
-	return e.gr.TopCentral(limit)
+	return e.met.Graph().TopCentral(limit)
 }
 
 // GraphCounts returns the network's node, edge and component counts
@@ -1085,7 +1041,7 @@ func (e *Engine) TopCentral(limit int) []graph.CentralAuthor {
 func (e *Engine) GraphCounts() (nodes, edges, components int) {
 	e.trkMu.RLock()
 	defer e.trkMu.RUnlock()
-	return e.gr.Nodes(), e.gr.Edges(), e.gr.Components()
+	return e.met.Graph().Nodes(), e.met.Graph().Edges(), e.met.Graph().Components()
 }
 
 // CollaborationPath returns the shortest coauthorship chain between two
@@ -1102,7 +1058,7 @@ func (e *Engine) CollaborationPath(from, to string) ([]string, bool) {
 	}
 	e.trkMu.RLock()
 	defer e.trkMu.RUnlock()
-	return e.gr.Path(fa.Display(), ta.Display())
+	return e.met.Graph().Path(fa.Display(), ta.Display())
 }
 
 // Centrality returns a heading's PageRank score in the coauthorship
@@ -1114,24 +1070,7 @@ func (e *Engine) Centrality(heading string) (float64, bool) {
 	}
 	e.trkMu.RLock()
 	defer e.trkMu.RUnlock()
-	return e.gr.Centrality(a.Display())
-}
-
-// GraphConsistent reports whether the incremental coauthorship graph is
-// byte-identical to one rebuilt from scratch over the indexed corpus.
-// It reads the corpus in place (graph construction retains nothing), so
-// verification costs no work copies.
-func (e *Engine) GraphConsistent() bool {
-	e.trkMu.RLock()
-	fresh := graph.New(e.gr.Damping())
-	e.trkMu.RUnlock()
-	e.byID.Ascend(func(_ []byte, we *workEntry) bool {
-		fresh.Add(we.w)
-		return true
-	})
-	e.trkMu.RLock()
-	defer e.trkMu.RUnlock()
-	return fresh.Fingerprint() == e.gr.Fingerprint()
+	return e.met.Graph().Centrality(a.Display())
 }
 
 // CorpusFingerprint hashes the engine's corpus — every work ID and

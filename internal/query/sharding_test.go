@@ -1,6 +1,6 @@
 // Engine-level tests for the sharding primitives: XOR fingerprints
-// that combine across partitions, peer engines sharing one tracker
-// view, and arena compaction on delete-heavy engines.
+// that combine across partitions and peer engines sharing one
+// tracker.
 package query
 
 import (
@@ -79,84 +79,5 @@ func TestShardPeerSharesTrackers(t *testing.T) {
 	}
 	if b.Len() != 0 {
 		t.Fatal("peer corpus must stay disjoint")
-	}
-}
-
-// TestCompactArenaDropsDeadSlots: compaction on a delete-heavy engine
-// resets the slab to exactly the survivors while every surviving work
-// and the fingerprint stay intact.
-func TestCompactArenaDropsDeadSlots(t *testing.T) {
-	works := gen.Generate(gen.Config{Seed: 5, Works: 100, ZipfS: 1.1})
-	e := New(collate.Default())
-	clones := make([]*model.Work, len(works))
-	for i, w := range works {
-		clones[i] = w.Clone()
-	}
-	if err := e.LoadAll(clones); err != nil {
-		t.Fatal(err)
-	}
-	if total, dead := e.ArenaStats(); total != 100 || dead != 0 {
-		t.Fatalf("arena after LoadAll = (%d, %d), want (100, 0)", total, dead)
-	}
-	for _, w := range works[:60] {
-		if _, ok := e.Remove(w.ID); !ok {
-			t.Fatalf("Remove(%d) missed", w.ID)
-		}
-	}
-	if total, dead := e.ArenaStats(); total != 100 || dead != 60 {
-		t.Fatalf("arena after removals = (%d, %d), want (100, 60)", total, dead)
-	}
-	before := e.XorFingerprint()
-
-	e.CompactArena()
-	if total, dead := e.ArenaStats(); total != 40 || dead != 0 {
-		t.Fatalf("arena after compaction = (%d, %d), want (40, 0)", total, dead)
-	}
-	if got := e.XorFingerprint(); got != before {
-		t.Fatalf("compaction changed the fingerprint: %016x -> %016x", before, got)
-	}
-	if e.Len() != 40 {
-		t.Fatalf("Len after compaction = %d, want 40", e.Len())
-	}
-	for _, w := range works[60:] {
-		got, ok := e.WorkView(w.ID)
-		if !ok {
-			t.Fatalf("survivor %d missing after compaction", w.ID)
-		}
-		if got.Title != w.Title {
-			t.Fatalf("survivor %d corrupted: %q", w.ID, got.Title)
-		}
-	}
-	// The compacted engine keeps working: mutations and re-compaction.
-	if _, ok := e.Remove(works[60].ID); !ok {
-		t.Fatal("Remove after compaction failed")
-	}
-	if total, dead := e.ArenaStats(); total != 40 || dead != 1 {
-		t.Fatalf("arena after post-compaction removal = (%d, %d), want (40, 1)", total, dead)
-	}
-	e.CompactArena()
-	if total, dead := e.ArenaStats(); total != 39 || dead != 0 {
-		t.Fatalf("arena after second compaction = (%d, %d), want (39, 0)", total, dead)
-	}
-}
-
-// TestCompactArenaEmptyEngine: compacting an engine whose corpus was
-// fully deleted clears the slab entirely.
-func TestCompactArenaEmptyEngine(t *testing.T) {
-	works := gen.Generate(gen.Config{Seed: 6, Works: 10, ZipfS: 1.1})
-	e := New(collate.Default())
-	clones := make([]*model.Work, len(works))
-	for i, w := range works {
-		clones[i] = w.Clone()
-	}
-	if err := e.LoadAll(clones); err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range works {
-		e.Remove(w.ID)
-	}
-	e.CompactArena()
-	if total, dead := e.ArenaStats(); total != 0 || dead != 0 {
-		t.Fatalf("arena after compacting empty engine = (%d, %d), want (0, 0)", total, dead)
 	}
 }

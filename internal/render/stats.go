@@ -55,7 +55,7 @@ func StatisticsSupported(f Format) bool {
 // BuildStatistics assembles the appendix from a metrics tracker: the
 // corpus summary plus the top contributors by position-weighted credit.
 // limit <= 0 defaults to 10.
-func BuildStatistics(t metrics.Tracker, limit int) *Statistics {
+func BuildStatistics(t *metrics.Engine, limit int) *Statistics {
 	if t == nil {
 		return nil
 	}

@@ -9,9 +9,11 @@
 // WAL frame, appended and fsynced once, and applied — or replayed —
 // atomically, so a torn tail can never surface half a batch. Replay
 // still decodes the single-work put and delete records older logs
-// hold; a one-work put batch frame is the same size as such a put. Compact writes a CRC-protected snapshot (atomically, via
-// rename) and resets the WAL; recovery loads the newest snapshot and
-// replays the WAL suffix.
+// hold; a one-work put batch frame is the same size as such a put.
+//
+// Compact writes a CRC-protected snapshot (atomically, via rename) and
+// resets the WAL; recovery loads the newest snapshot and replays the
+// WAL suffix.
 //
 // A Store opened with an empty directory path is purely in-memory: same
 // API, no durability — useful for tests and benchmarks.

@@ -1,8 +1,8 @@
 // Facade-level sharding tests: cross-shard batch atomicity, writer
 // independence across shards (runs under -race in CI), cross-shard
 // batches becoming visible to readers all at once, sharded reads
-// matching the unsharded engine byte for byte, and arena compaction
-// actually releasing deleted works once the old roots are collected.
+// matching the unsharded engine byte for byte, and a deleted
+// bulk-loaded work actually released once the old roots are collected.
 package authorindex
 
 import (
@@ -392,19 +392,18 @@ func TestShardedReadsMatchUnsharded(t *testing.T) {
 	}
 }
 
-// TestArenaCompactionReclaimsMemory: after a bulk delete crosses the
-// dead-slot threshold, the writer compacts the bulk-load arena; once
-// the pre-compaction roots are collected, the deleted works become
-// garbage — observed directly with a finalizer.
-func TestArenaCompactionReclaimsMemory(t *testing.T) {
+// TestDeleteReclaimsBulkLoadedWork: deleting one of 40 bulk-loaded
+// works makes it garbage once the roots that still hold it are
+// collected, even though its 39 siblings stay indexed — observed
+// directly with a finalizer.
+func TestDeleteReclaimsBulkLoadedWork(t *testing.T) {
 	dir := t.TempDir()
 	ix := openT(t, dir)
 	ids, err := ix.AddBatch(batchOf(40, 9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Reopen: the cold start bulk-loads the corpus into the arena slab,
-	// which is what pins deleted works until compaction.
+	// Reopen, so the cold start bulk-loads the corpus.
 	if err := ix.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -413,42 +412,35 @@ func TestArenaCompactionReclaimsMemory(t *testing.T) {
 
 	freed := make(chan struct{})
 	func() {
-		eng := ix.shards.Load().Engs[0]
-		if total, dead := eng.ArenaStats(); total != 40 || dead != 0 {
-			t.Fatalf("arena after reopen = (%d, %d), want (40, 0)", total, dead)
-		}
-		victim, ok := eng.WorkView(ids[0])
+		victim, ok := ix.shards.Load().Engs[0].WorkView(ids[0])
 		if !ok {
 			t.Fatal("work 0 missing after reopen")
 		}
 		runtime.SetFinalizer(victim, func(*model.Work) { close(freed) })
 	}()
-
-	// Delete 30 of 40: the dead ratio crosses the 0.5 threshold inside
-	// the batch, so the published engine carries a compacted arena.
-	if err := ix.DeleteBatch(ids[:30]); err != nil {
+	if err := ix.Delete(ids[0]); err != nil {
 		t.Fatal(err)
 	}
-	if total, dead := ix.shards.Load().Engs[0].ArenaStats(); total != 10 || dead != 0 {
-		t.Errorf("arena after compacting delete = (%d, %d), want (10, 0)", total, dead)
-	}
 
-	// Wait for the pre-compaction roots to be collected, then force GC
-	// until the finalizer proves the deleted work was actually released.
+	// Wait for the pre-delete roots to be collected, then force GC until
+	// the finalizer proves the deleted work was actually released.
 	waitQuiescent(t, ix)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		runtime.GC()
 		select {
 		case <-freed:
+			if got := ix.Len(); got != 39 {
+				t.Fatalf("Len after delete = %d, want 39", got)
+			}
 			if err := ix.Verify(); err != nil {
-				t.Fatalf("Verify after compaction: %v", err)
+				t.Fatalf("Verify after delete: %v", err)
 			}
 			return
 		default:
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("deleted arena work never became collectible after compaction + root collection")
+			t.Fatal("deleted bulk-loaded work never became collectible while its siblings stay indexed")
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
