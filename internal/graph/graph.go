@@ -6,13 +6,27 @@
 // edge deletion), degree and weighted degree, and an iterative
 // PageRank-style centrality with a configurable damping factor.
 //
+// Storage is flat. Each heading is interned once to a dense uint32 ID;
+// an ID is freed, and later reused, when the heading's last work is
+// removed. Per-heading state lives in columns indexed by ID, and each
+// heading's co-authors form one pointer-free adjacency row of
+// (ID, weight) edges sorted by ID. Union-find, BFS and PageRank run over
+// []uint32 and []float64 indexed the same way. The metrics tracker that
+// owns a Graph keys its credit columns by the same IDs.
+//
+// The public API stays keyed by heading string, and every ordered output
+// (paths, neighbor lists, centrality ties, Fingerprint) follows heading
+// order, never ID order, so results do not depend on which IDs a
+// mutation history happened to assign.
+//
 // The engine is incremental: Add and Remove update the adjacency
-// structure in O(authors-per-work²) time with no dependence on corpus
-// size, and a Remove exactly inverts the matching Add, so an
+// structure in O(authors-per-work²) edge updates, each a binary search
+// in a row, and a Remove exactly inverts the matching Add, so an
 // incrementally maintained graph is indistinguishable from one rebuilt
 // from scratch (Fingerprint renders the canonical state byte-for-byte
-// for that cross-check). Derived views — components, centrality — are cached and
-// recomputed deterministically when the structure has changed.
+// for that cross-check). Derived views — components, centrality — are
+// cached and recomputed deterministically when the structure has
+// changed.
 //
 // The package consumes the corpus rather than indexing it. It is the
 // one co-author structure: the metrics tracker owns a Graph, feeds it
@@ -20,6 +34,8 @@
 package graph
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -42,16 +58,15 @@ const pageRankEpsilon = 1e-10
 // topCentral caps the ranked list embedded in a Summary.
 const topCentral = 5
 
-// node is the live per-heading state. Counters only — derived views are
-// materialized on read.
-type node struct {
-	// adj maps co-author heading to the number of shared works.
-	adj map[string]int
-	// works counts works this heading appears on; the node exists while
-	// it is positive (a solo author is an isolated node).
-	works int
-	// wdegree is the sum of adj weights, maintained incrementally.
-	wdegree int
+// NoID stands in RemoveIDs' result for an author position whose heading
+// is not in the graph.
+const NoID = ^uint32(0)
+
+// Edge is one entry of an adjacency row: a co-author's heading ID and
+// the number of works the two headings share.
+type Edge struct {
+	ID    uint32
+	Works int32
 }
 
 // Graph is the incremental coauthorship network engine. Mutations
@@ -62,7 +77,21 @@ type node struct {
 // callers holding only a read lock on the owning layer stay race-free.
 type Graph struct {
 	damping float64
-	nodes   map[string]*node
+
+	// ids interns each live heading to its ID; names is the inverse, ""
+	// at a freed ID. free holds freed IDs for reuse.
+	ids   map[string]uint32
+	names []string
+	free  []uint32
+
+	// Columns indexed by ID. works counts the works a heading appears on
+	// (a solo author is an isolated node; 0 marks a freed ID), wdeg is
+	// the sum of its row's weights, and rows[id] lists its co-authors
+	// sorted by ID.
+	works []int32
+	wdeg  []int32
+	rows  [][]Edge
+
 	tracked map[model.WorkID]struct{}
 	edges   int // distinct undirected pairs with weight > 0
 
@@ -71,24 +100,26 @@ type Graph struct {
 	// primary structures above need no lock.
 	mu sync.Mutex
 
-	// comp is the union-find parent map over headings. Additions union
-	// incrementally; deletions mark it dirty and the next component query
-	// rebuilds it from the adjacency structure.
-	comp      map[string]string
+	// comp is the union-find parent column, one entry per ID. Additions
+	// union incrementally; deletions mark it dirty and the next component
+	// query rebuilds it from the adjacency rows.
+	comp      []uint32
 	compDirty bool
 	compCount int
 
-	// pr caches the last PageRank vector; any mutation invalidates it.
-	pr      map[string]float64
+	// pr caches the last PageRank vector by ID; any mutation invalidates
+	// it.
+	pr      []float64
 	prDirty bool
 
 	// display memoizes heading construction during Rebuild; nil (a
 	// plain Display pass-through) outside it.
 	display model.DisplayMemo
-	// hscratch is the reusable headings buffer. Mutations are serialized
-	// by the owning layer and no caller retains the slice past its call,
-	// so one buffer suffices.
-	hscratch []string
+	// pscratch (an ID per author position) and hscratch (distinct IDs)
+	// are reusable buffers. Mutations are serialized by the owning layer
+	// and no caller retains them past the next mutation, so one each
+	// suffices.
+	pscratch, hscratch []uint32
 }
 
 // New returns an empty graph. A damping factor outside (0, 1) — NaN
@@ -99,9 +130,8 @@ func New(damping float64) *Graph {
 	}
 	return &Graph{
 		damping: damping,
-		nodes:   make(map[string]*node),
+		ids:     make(map[string]uint32),
 		tracked: make(map[model.WorkID]struct{}),
-		comp:    make(map[string]string),
 	}
 }
 
@@ -132,7 +162,7 @@ func (g *Graph) SetDamping(d float64) {
 }
 
 // Nodes returns the number of authors in the network.
-func (g *Graph) Nodes() int { return len(g.nodes) }
+func (g *Graph) Nodes() int { return len(g.ids) }
 
 // Edges returns the number of distinct collaborating pairs.
 func (g *Graph) Edges() int { return g.edges }
@@ -140,65 +170,143 @@ func (g *Graph) Edges() int { return g.edges }
 // Works returns the number of works folded into the graph.
 func (g *Graph) Works() int { return len(g.tracked) }
 
-// headings returns one entry per distinct heading on w, in first-seen
-// order — computed identically by Add and Remove so removal inverts
-// addition exactly. A heading listed at several positions (a
-// self-collaboration) counts once and earns no self-edge.
-func (g *Graph) headings(w *model.Work) []string {
-	out := g.hscratch[:0]
-	for _, a := range w.Authors {
-		h := g.heading(a)
-		dup := false
-		for _, x := range out {
-			if x == h {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			out = append(out, h)
+// ---- heading IDs ----
+
+// HeadingIDs returns the heading → ID map of every live heading. The
+// caller must not modify it. Rebuild replaces the map, so a caller that
+// keeps it re-reads it after each Rebuild.
+func (g *Graph) HeadingIDs() map[string]uint32 { return g.ids }
+
+// Heading returns the heading interned as id ("" for a freed ID).
+func (g *Graph) Heading(id uint32) string { return g.names[id] }
+
+// Row returns id's adjacency row, sorted by co-author ID. The caller
+// must not modify it, and it is valid until the next mutation.
+func (g *Graph) Row(id uint32) []Edge { return g.rows[id] }
+
+// Sorted returns every live heading ID in heading order.
+func (g *Graph) Sorted() []uint32 {
+	out := make([]uint32, 0, len(g.ids))
+	for id, n := range g.works {
+		if n > 0 {
+			out = append(out, uint32(id))
 		}
 	}
-	g.hscratch = out
+	slices.SortFunc(out, g.byHeading)
 	return out
 }
 
-// heading returns a.Display(), memoized while a Rebuild is running.
-func (g *Graph) heading(a model.Author) string { return g.display.Display(a) }
+// byHeading orders two IDs by their headings.
+func (g *Graph) byHeading(a, b uint32) int { return strings.Compare(g.names[a], g.names[b]) }
 
-// Add folds w into the network in O(len(w.Authors)²) time (the
+// intern assigns a freed or a new ID to a heading the graph has not
+// seen.
+func (g *Graph) intern(h string) uint32 {
+	var id uint32
+	if n := len(g.free); n > 0 {
+		id, g.free = g.free[n-1], g.free[:n-1]
+		g.names[id] = h
+	} else {
+		id = uint32(len(g.names))
+		g.names = append(g.names, h)
+		g.works = append(g.works, 0)
+		g.wdeg = append(g.wdeg, 0)
+		g.rows = append(g.rows, nil)
+		g.comp = append(g.comp, id)
+	}
+	g.ids[h] = id
+	if !g.compDirty {
+		g.comp[id] = id
+		g.compCount++
+	}
+	return id
+}
+
+// release frees the ID of a heading whose last work is gone. Its row is
+// already empty: every edge needs a shared work.
+func (g *Graph) release(id uint32) {
+	delete(g.ids, g.names[id])
+	g.names[id] = ""
+	g.works[id], g.wdeg[id], g.rows[id] = 0, 0, nil
+	g.free = append(g.free, id)
+	g.compDirty = true
+}
+
+// resolve returns the heading ID at each of w's author positions and the
+// distinct IDs in first-seen order — computed identically by Add and
+// Remove so removal inverts addition exactly. A heading listed at
+// several positions (a self-collaboration) counts once and earns no
+// self-edge. add interns unseen headings; otherwise they resolve to
+// NoID and are left out of the distinct list.
+func (g *Graph) resolve(w *model.Work, add bool) (pos, distinct []uint32) {
+	pos, distinct = g.pscratch[:0], g.hscratch[:0]
+	for _, a := range w.Authors {
+		h := g.display.Display(a)
+		id, ok := g.ids[h]
+		if !ok && add {
+			id, ok = g.intern(h), true
+		}
+		if !ok {
+			pos = append(pos, NoID)
+			continue
+		}
+		pos = append(pos, id)
+		if !slices.Contains(distinct, id) {
+			distinct = append(distinct, id)
+		}
+	}
+	g.pscratch, g.hscratch = pos, distinct
+	return pos, distinct
+}
+
+// link adds n to the weight of a's edge to b, inserting the edge when it
+// is new and deleting it when its weight reaches zero, and returns the
+// new weight.
+func (g *Graph) link(a, b uint32, n int32) int32 {
+	row := g.rows[a]
+	i, found := slices.BinarySearchFunc(row, b, func(e Edge, id uint32) int { return cmp.Compare(e.ID, id) })
+	if !found {
+		row = slices.Insert(row, i, Edge{ID: b})
+	}
+	row[i].Works += n
+	w := row[i].Works
+	if w <= 0 {
+		if row = slices.Delete(row, i, i+1); len(row) == 0 {
+			row = nil
+		}
+	}
+	g.rows[a] = row
+	g.wdeg[a] += n
+	return w
+}
+
+// Add folds w into the network in O(len(w.Authors)²) edge updates (the
 // quadratic term is the pairwise edge update; author lists are short)
 // and reports whether it did. Adding an ID that is already tracked is a
 // no-op that reports false.
 func (g *Graph) Add(w *model.Work) bool {
+	_, ok := g.AddIDs(w)
+	return ok
+}
+
+// AddIDs is Add, also returning the heading ID at each of w's author
+// positions. The slice is valid until the next mutation.
+func (g *Graph) AddIDs(w *model.Work) ([]uint32, bool) {
 	if w == nil || len(w.Authors) == 0 {
-		return false
+		return nil, false
 	}
 	if _, dup := g.tracked[w.ID]; dup {
-		return false
+		return nil, false
 	}
 	g.tracked[w.ID] = struct{}{}
-	hs := g.headings(w)
-	for _, h := range hs {
-		n, ok := g.nodes[h]
-		if !ok {
-			n = &node{adj: make(map[string]int)}
-			g.nodes[h] = n
-			if !g.compDirty {
-				g.comp[h] = h
-				g.compCount++
-			}
-		}
-		n.works++
+	pos, hs := g.resolve(w, true)
+	for _, id := range hs {
+		g.works[id]++
 	}
 	for i := 0; i < len(hs); i++ {
 		for j := i + 1; j < len(hs); j++ {
-			a, b := g.nodes[hs[i]], g.nodes[hs[j]]
-			a.adj[hs[j]]++
-			a.wdegree++
-			b.adj[hs[i]]++
-			b.wdegree++
-			if a.adj[hs[j]] == 1 {
+			g.link(hs[j], hs[i], 1)
+			if g.link(hs[i], hs[j], 1) == 1 {
 				g.edges++
 				if !g.compDirty {
 					g.union(hs[i], hs[j])
@@ -207,7 +315,7 @@ func (g *Graph) Add(w *model.Work) bool {
 		}
 	}
 	g.prDirty = true
-	return true
+	return pos, true
 }
 
 // Remove exactly inverts the Add of the same work and reports whether
@@ -215,60 +323,61 @@ func (g *Graph) Add(w *model.Work) bool {
 // edge or a node marks the component structure dirty; the next
 // component query rebuilds it.
 func (g *Graph) Remove(w *model.Work) bool {
+	_, ok := g.RemoveIDs(w)
+	return ok
+}
+
+// RemoveIDs is Remove, also returning the heading ID at each of w's
+// author positions (NoID where the heading is unknown). An ID whose
+// heading lost its last work is already free, but is not reused before
+// the next mutation. The slice is valid until then.
+func (g *Graph) RemoveIDs(w *model.Work) ([]uint32, bool) {
 	if w == nil || len(w.Authors) == 0 {
-		return false
+		return nil, false
 	}
 	if _, ok := g.tracked[w.ID]; !ok {
-		return false
+		return nil, false
 	}
 	delete(g.tracked, w.ID)
-	hs := g.headings(w)
+	pos, hs := g.resolve(w, false)
 	for i := 0; i < len(hs); i++ {
 		for j := i + 1; j < len(hs); j++ {
-			a, b := g.nodes[hs[i]], g.nodes[hs[j]]
-			if a == nil || b == nil {
-				continue
-			}
-			a.adj[hs[j]]--
-			a.wdegree--
-			b.adj[hs[i]]--
-			b.wdegree--
-			if a.adj[hs[j]] <= 0 {
-				delete(a.adj, hs[j])
-				delete(b.adj, hs[i])
+			g.link(hs[j], hs[i], -1)
+			if g.link(hs[i], hs[j], -1) <= 0 {
 				g.edges--
 				g.compDirty = true
 			}
 		}
 	}
-	for _, h := range hs {
-		n := g.nodes[h]
-		if n == nil {
-			continue
-		}
-		if n.works--; n.works <= 0 {
-			delete(g.nodes, h)
-			g.compDirty = true
+	for _, id := range hs {
+		if g.works[id]--; g.works[id] <= 0 {
+			g.release(id)
 		}
 	}
 	g.prDirty = true
-	return true
+	return pos, true
 }
 
 // Rebuild resets the graph and re-adds the corpus in one pass — the
 // recovery path when incremental state is suspect.
-func (g *Graph) Rebuild(works []*model.Work) {
+func (g *Graph) Rebuild(works []*model.Work) { g.RebuildIDs(works, nil) }
+
+// RebuildIDs is Rebuild, calling each (when non-nil) with every work
+// folded in and its per-position heading IDs, as AddIDs returns them.
+func (g *Graph) RebuildIDs(works []*model.Work, each func(w *model.Work, ids []uint32)) {
 	// Presize for the common author-to-work ratio so a cold rebuild does
 	// not pay map growth rehashes all the way up.
-	g.nodes = make(map[string]*node, max(len(g.nodes), len(works)/3))
+	g.ids = make(map[string]uint32, max(len(g.ids), len(works)/3))
+	g.names, g.free, g.works, g.wdeg, g.rows, g.comp = nil, nil, nil, nil, nil, nil
 	g.tracked = make(map[model.WorkID]struct{}, len(works))
-	g.comp = make(map[string]string, len(works)/3)
 	g.edges, g.compCount = 0, 0
 	g.compDirty, g.prDirty = false, true
 	g.display = make(model.DisplayMemo)
 	defer func() { g.display = nil }()
 	for _, w := range works {
-		g.Add(w)
+		if ids, ok := g.AddIDs(w); ok && each != nil {
+			each(w, ids)
+		}
 	}
 }
 
@@ -276,33 +385,33 @@ func (g *Graph) Rebuild(works []*model.Work) {
 
 // Degree returns the number of distinct co-authors of a heading.
 func (g *Graph) Degree(heading string) (int, bool) {
-	n, ok := g.nodes[heading]
+	id, ok := g.ids[heading]
 	if !ok {
 		return 0, false
 	}
-	return len(n.adj), true
+	return len(g.rows[id]), true
 }
 
 // WeightedDegree returns the total shared-work count across all of a
 // heading's collaborations.
 func (g *Graph) WeightedDegree(heading string) (int, bool) {
-	n, ok := g.nodes[heading]
+	id, ok := g.ids[heading]
 	if !ok {
 		return 0, false
 	}
-	return n.wdegree, true
+	return int(g.wdeg[id]), true
 }
 
 // Neighbors returns a heading's co-authors with shared-work counts,
 // heaviest first (ties broken by heading ascending).
 func (g *Graph) Neighbors(heading string) []Neighbor {
-	n, ok := g.nodes[heading]
+	id, ok := g.ids[heading]
 	if !ok {
 		return nil
 	}
-	out := make([]Neighbor, 0, len(n.adj))
-	for h, w := range n.adj {
-		out = append(out, Neighbor{Heading: h, Works: w})
+	out := make([]Neighbor, 0, len(g.rows[id]))
+	for _, e := range g.rows[id] {
+		out = append(out, Neighbor{Heading: g.names[e.ID], Works: int(e.Works)})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Works != out[j].Works {
@@ -316,9 +425,9 @@ func (g *Graph) Neighbors(heading string) []Neighbor {
 // EachNeighbor calls fn for each of a heading's co-authors with the
 // shared-work count, in no particular order and without allocating.
 func (g *Graph) EachNeighbor(heading string, fn func(coauthor string, works int)) {
-	if n, ok := g.nodes[heading]; ok {
-		for h, w := range n.adj {
-			fn(h, w)
+	if id, ok := g.ids[heading]; ok {
+		for _, e := range g.rows[id] {
+			fn(g.names[e.ID], int(e.Works))
 		}
 	}
 }
@@ -332,25 +441,23 @@ type Neighbor struct {
 // ---- components (union-find with lazy rebuild) ----
 
 // find resolves the union-find root with path compression.
-func (g *Graph) find(h string) string {
-	root := h
+func (g *Graph) find(x uint32) uint32 {
+	root := x
 	for g.comp[root] != root {
 		root = g.comp[root]
 	}
-	for g.comp[h] != root {
-		g.comp[h], h = root, g.comp[h]
+	for g.comp[x] != root {
+		g.comp[x], x = root, g.comp[x]
 	}
 	return root
 }
 
 // union merges the components of a and b.
-func (g *Graph) union(a, b string) {
+func (g *Graph) union(a, b uint32) {
 	ra, rb := g.find(a), g.find(b)
 	if ra == rb {
 		return
 	}
-	// Deterministic orientation (smaller root wins) keeps the structure
-	// independent of map iteration order.
 	if rb < ra {
 		ra, rb = rb, ra
 	}
@@ -358,17 +465,16 @@ func (g *Graph) union(a, b string) {
 	g.compCount--
 }
 
-// rebuildComponents recomputes the union-find from the adjacency
-// structure, O(nodes + edges) — the lazy path after a deletion.
+// rebuildComponents recomputes the union-find from the adjacency rows,
+// O(nodes + edges) — the lazy path after a deletion.
 func (g *Graph) rebuildComponents() {
-	g.comp = make(map[string]string, len(g.nodes))
-	g.compCount = len(g.nodes)
-	for h := range g.nodes {
-		g.comp[h] = h
+	for id := range g.comp {
+		g.comp[id] = uint32(id)
 	}
-	for h, n := range g.nodes {
-		for other := range n.adj {
-			g.union(h, other)
+	g.compCount = len(g.ids)
+	for id, row := range g.rows {
+		for _, e := range row {
+			g.union(uint32(id), e.ID)
 		}
 	}
 	g.compDirty = false
@@ -388,10 +494,12 @@ func (g *Graph) Components() int {
 // SameComponent reports whether two headings are connected by any chain
 // of collaborations. Unknown headings are in no component.
 func (g *Graph) SameComponent(a, b string) bool {
-	if _, ok := g.nodes[a]; !ok {
+	ia, ok := g.ids[a]
+	if !ok {
 		return false
 	}
-	if _, ok := g.nodes[b]; !ok {
+	ib, ok := g.ids[b]
+	if !ok {
 		return false
 	}
 	g.mu.Lock()
@@ -399,12 +507,12 @@ func (g *Graph) SameComponent(a, b string) bool {
 	if g.compDirty {
 		g.rebuildComponents()
 	}
-	return g.find(a) == g.find(b)
+	return g.find(ia) == g.find(ib)
 }
 
 // LargestComponent returns the size of the biggest connected component.
 func (g *Graph) LargestComponent() int {
-	if len(g.nodes) == 0 {
+	if len(g.ids) == 0 {
 		return 0
 	}
 	g.mu.Lock()
@@ -412,16 +520,18 @@ func (g *Graph) LargestComponent() int {
 	if g.compDirty {
 		g.rebuildComponents()
 	}
-	sizes := make(map[string]int, g.compCount)
-	best := 0
-	for h := range g.nodes {
-		r := g.find(h)
-		sizes[r]++
-		if sizes[r] > best {
+	sizes := make([]int32, len(g.comp))
+	best := int32(0)
+	for id, n := range g.works {
+		if n <= 0 {
+			continue
+		}
+		r := g.find(uint32(id))
+		if sizes[r]++; sizes[r] > best {
 			best = sizes[r]
 		}
 	}
-	return best
+	return int(best)
 }
 
 // ---- collaboration paths ----
@@ -432,10 +542,12 @@ func (g *Graph) LargestComponent() int {
 // with a single-element path. The union-find answers the reachability
 // question first, so cross-component queries never pay for a BFS.
 func (g *Graph) Path(from, to string) ([]string, bool) {
-	if _, ok := g.nodes[from]; !ok {
+	src, ok := g.ids[from]
+	if !ok {
 		return nil, false
 	}
-	if _, ok := g.nodes[to]; !ok {
+	dst, ok := g.ids[to]
+	if !ok {
 		return nil, false
 	}
 	if from == to {
@@ -444,34 +556,38 @@ func (g *Graph) Path(from, to string) ([]string, bool) {
 	if !g.SameComponent(from, to) {
 		return nil, false
 	}
-	// BFS with sorted neighbor expansion: among equal-length paths the
-	// lexicographically earliest is found, so results are deterministic.
-	prev := map[string]string{from: from}
-	queue := []string{from}
+	// BFS with neighbor expansion in heading order: among equal-length
+	// paths the lexicographically earliest is found, so results are
+	// deterministic.
+	prev := make([]uint32, len(g.names))
+	for i := range prev {
+		prev[i] = NoID
+	}
+	prev[src] = src
+	queue := []uint32{src}
+	var next []uint32
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		next := make([]string, 0, len(g.nodes[cur].adj))
-		for h := range g.nodes[cur].adj {
-			if _, seen := prev[h]; !seen {
-				next = append(next, h)
+		next = next[:0]
+		for _, e := range g.rows[cur] {
+			if prev[e.ID] == NoID {
+				next = append(next, e.ID)
 			}
 		}
-		sort.Strings(next)
-		for _, h := range next {
-			prev[h] = cur
-			if h == to {
+		slices.SortFunc(next, g.byHeading)
+		for _, id := range next {
+			prev[id] = cur
+			if id == dst {
 				var path []string
-				for at := to; at != from; at = prev[at] {
-					path = append(path, at)
+				for at := dst; at != src; at = prev[at] {
+					path = append(path, g.names[at])
 				}
 				path = append(path, from)
-				for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-					path[i], path[j] = path[j], path[i]
-				}
+				slices.Reverse(path)
 				return path, true
 			}
-			queue = append(queue, h)
+			queue = append(queue, id)
 		}
 	}
 	return nil, false // unreachable: SameComponent said yes
@@ -489,65 +605,62 @@ func (g *Graph) Distance(from, to string) (int, bool) {
 
 // ---- centrality (weighted PageRank) ----
 
-// pageRank computes (or returns the cached) PageRank vector. Rank flows
-// along edges proportional to their weight; isolated authors hold the
-// teleport mass only. Iteration order is sorted, so the result is
-// deterministic for a given structure. A fresh map is built on every
-// recompute, so callers may keep reading a previously returned vector.
-func (g *Graph) pageRank() map[string]float64 {
+// pageRank computes (or returns the cached) PageRank vector, indexed by
+// ID. Rank flows along edges proportional to their weight; isolated
+// authors hold the teleport mass only. Every pass visits headings in
+// heading order, so each score's floating-point sums run in the same
+// order whatever IDs the headings hold, and the result is deterministic
+// for a given structure. A fresh vector is built on every recompute, so
+// callers may keep reading a previously returned one.
+func (g *Graph) pageRank() []float64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if !g.prDirty && g.pr != nil {
 		return g.pr
 	}
-	n := len(g.nodes)
-	pr := make(map[string]float64, n)
+	order := g.Sorted()
+	n := len(order)
+	pr := make([]float64, len(g.names))
 	if n == 0 {
 		g.pr, g.prDirty = pr, false
 		return pr
 	}
-	order := make([]string, 0, n)
-	for h := range g.nodes {
-		order = append(order, h)
-	}
-	sort.Strings(order)
-	for _, h := range order {
-		pr[h] = 1 / float64(n)
+	for _, id := range order {
+		pr[id] = 1 / float64(n)
 	}
 	d := g.damping
 	base := (1 - d) / float64(n)
-	next := make(map[string]float64, n)
+	next := make([]float64, len(g.names))
 	for iter := 0; iter < pageRankIters; iter++ {
 		// Isolated nodes (weighted degree 0) have nowhere to send their
 		// damped mass; redistribute it uniformly so rank still sums to 1.
 		dangling := 0.0
-		for _, h := range order {
-			if g.nodes[h].wdegree == 0 {
-				dangling += pr[h]
+		for _, id := range order {
+			if g.wdeg[id] == 0 {
+				dangling += pr[id]
 			}
 		}
 		spread := base + d*dangling/float64(n)
-		for _, h := range order {
-			next[h] = spread
+		for _, id := range order {
+			next[id] = spread
 		}
-		for _, h := range order {
-			node := g.nodes[h]
-			if node.wdegree == 0 {
+		for _, id := range order {
+			if g.wdeg[id] == 0 {
 				continue
 			}
-			share := d * pr[h] / float64(node.wdegree)
-			for other, w := range node.adj {
-				next[other] += share * float64(w)
+			share := d * pr[id] / float64(g.wdeg[id])
+			for _, e := range g.rows[id] {
+				next[e.ID] += share * float64(e.Works)
 			}
 		}
 		delta := 0.0
-		for _, h := range order {
-			diff := next[h] - pr[h]
+		for _, id := range order {
+			diff := next[id] - pr[id]
 			if diff < 0 {
 				diff = -diff
 			}
 			delta += diff
-			pr[h] = next[h]
+			pr[id] = next[id]
 		}
 		if delta < pageRankEpsilon*float64(n) {
 			break
@@ -560,10 +673,11 @@ func (g *Graph) pageRank() map[string]float64 {
 // Centrality returns a heading's PageRank score (scores across the
 // network sum to 1).
 func (g *Graph) Centrality(heading string) (float64, bool) {
-	if _, ok := g.nodes[heading]; !ok {
+	id, ok := g.ids[heading]
+	if !ok {
 		return 0, false
 	}
-	return g.pageRank()[heading], true
+	return g.pageRank()[id], true
 }
 
 // CentralAuthor pairs a heading with its centrality score.
@@ -576,9 +690,11 @@ type CentralAuthor struct {
 // broken by heading ascending). limit <= 0 means all.
 func (g *Graph) TopCentral(limit int) []CentralAuthor {
 	pr := g.pageRank()
-	out := make([]CentralAuthor, 0, len(pr))
-	for h, s := range pr {
-		out = append(out, CentralAuthor{Heading: h, Score: s})
+	out := make([]CentralAuthor, 0, len(g.ids))
+	for id, n := range g.works {
+		if n > 0 {
+			out = append(out, CentralAuthor{Heading: g.names[id], Score: pr[id]})
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Score != out[j].Score {
@@ -615,7 +731,7 @@ type Summary struct {
 // Density returns edges over possible pairs, 2E / (V·(V−1)); zero for
 // graphs with fewer than two nodes.
 func (g *Graph) Density() float64 {
-	v, e := len(g.nodes), g.edges
+	v, e := len(g.ids), g.edges
 	if v < 2 {
 		return 0
 	}
@@ -637,31 +753,23 @@ func (g *Graph) Summarize() Summary {
 }
 
 // Fingerprint renders the canonical graph state — every node with its
-// work count and sorted weighted adjacency, plus the tracked work IDs —
-// as a deterministic byte string. Two graphs over the same corpus are
-// byte-identical here regardless of the mutation order that produced
-// them; Verify paths compare an incremental graph against
-// NewFromWorks this way.
+// work count and its adjacency in heading order, plus the tracked work
+// IDs — as a deterministic byte string. Two graphs over the same corpus
+// are byte-identical here regardless of the mutation order that
+// produced them, or the IDs it assigned; Verify paths compare an
+// incremental graph against NewFromWorks this way.
 func (g *Graph) Fingerprint() string {
-	hs := make([]string, 0, len(g.nodes))
-	for h := range g.nodes {
-		hs = append(hs, h)
-	}
-	sort.Strings(hs)
 	var b strings.Builder
-	for _, h := range hs {
-		n := g.nodes[h]
-		b.WriteString(h)
-		writeInt(&b, n.works)
-		ns := make([]string, 0, len(n.adj))
-		for o := range n.adj {
-			ns = append(ns, o)
-		}
-		sort.Strings(ns)
-		for _, o := range ns {
+	var row []Edge
+	for _, id := range g.Sorted() {
+		b.WriteString(g.names[id])
+		writeInt(&b, int(g.works[id]))
+		row = append(row[:0], g.rows[id]...)
+		slices.SortFunc(row, func(x, y Edge) int { return g.byHeading(x.ID, y.ID) })
+		for _, e := range row {
 			b.WriteByte('\t')
-			b.WriteString(o)
-			writeInt(&b, n.adj[o])
+			b.WriteString(g.names[e.ID])
+			writeInt(&b, int(e.Works))
 		}
 		b.WriteByte('\n')
 	}
@@ -669,7 +777,7 @@ func (g *Graph) Fingerprint() string {
 	for id := range g.tracked {
 		ids = append(ids, uint64(id))
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	for _, id := range ids {
 		writeInt(&b, int(id))
 	}

@@ -252,6 +252,7 @@ func TestDebugMetricsExposition(t *testing.T) {
 		"authdex_queries_served_total",
 		"authdex_works 3",
 		"authdex_go_goroutines",
+		"authdex_go_heap_objects",
 		"authdex_process_uptime_seconds",
 	} {
 		if !strings.Contains(out, want) {

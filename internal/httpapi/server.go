@@ -279,9 +279,7 @@ func writeJSON(ctx context.Context, w http.ResponseWriter, v any) {
 	_, sp := trace.StartSpan(ctx, "http.encode")
 	defer sp.End()
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	if err := json.NewEncoder(w).Encode(v); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
 }

@@ -5,6 +5,16 @@
 // co-author collaboration degree, read from the coauthorship graph the
 // engine owns.
 //
+// The engine keys its state by the graph's heading IDs, so the tracker
+// has one ID space: each heading is interned once, to a dense uint32,
+// and every counter is a column indexed by that ID. Works, first
+// authorships and both credit totals are flat integer columns; the
+// per-kind counts are a [model.KindCount]int32 per heading and the
+// per-year counts a short (year, count) slice sorted by year. A ranked
+// read is therefore one pass over a column, with heading strings read
+// only to break ties and to build the returned snapshots. Every output
+// is ordered by heading string, never by ID.
+//
 // The engine is incremental: Add and Remove update every statistic in
 // O(authors-per-work) time with no dependence on corpus size, and a
 // Remove exactly inverts the matching Add, so an incrementally
@@ -181,41 +191,39 @@ const topCollaborators = 5
 // microUnit is the integer credit resolution: one work = 1e6 micro.
 const microUnit = 1_000_000
 
-// authorStats is the live per-heading credit state. Counters only —
-// snapshots are materialized on read, and collaboration counts live in
-// the engine's graph.
-type authorStats struct {
-	works     int
-	first     int
-	byKind    map[model.Kind]int
-	byYear    map[int]int
-	fracMicro int64
-	wgtMicro  int64
+// yearCount is one entry of a heading's per-year output.
+type yearCount struct {
+	year, works int32
 }
 
 // Engine is the incremental bibliometrics tracker. It owns the
-// coauthorship graph, the one co-author structure: the graph records
-// which works are folded in and how many works each pair of headings
-// shares, and the engine keeps only per-heading credit counters beside
-// it. Mutations (Add, Remove, Rebuild) are not safe for concurrent use;
-// the owning layer serializes them.
+// coauthorship graph, the one co-author structure: the graph interns
+// headings, records which works are folded in and how many works each
+// pair of headings shares, and the engine keeps only per-heading credit
+// columns beside it, indexed by the graph's heading IDs. Mutations
+// (Add, Remove, Rebuild) are not safe for concurrent use; the owning
+// layer serializes them.
 type Engine struct {
-	scheme   Scheme
-	authors  map[string]*authorStats // keyed by Author.Display()
-	graph    *graph.Graph
+	scheme Scheme
+	graph  *graph.Graph
+	// authors is the graph's heading → ID map: the live headings.
+	authors map[string]uint32
+
+	// Credit columns, indexed by heading ID and all zero at a freed ID.
+	works     []int32
+	first     []int32
+	fracMicro []int64
+	wgtMicro  []int64
+	byKind    [][model.KindCount]int32
+	byYear    [][]yearCount // sorted by year; nil when empty
+
 	postings int
 	solo     int
-	// display memoizes heading construction during Rebuild; nil (a
-	// plain Display pass-through) outside it.
-	display model.DisplayMemo
-	// dscratch is the reusable deltas buffer for the single-author fast
-	// path. Mutations are serialized by the owning layer and no caller
-	// retains the slice past its call, so one buffer suffices.
-	dscratch [1]delta
+	// dscratch is the reusable deltas buffer. Mutations are serialized
+	// by the owning layer and no caller retains the slice past its call,
+	// so one buffer suffices.
+	dscratch []delta
 }
-
-// heading returns a.Display(), memoized while a Rebuild is running.
-func (e *Engine) heading(a model.Author) string { return e.display.Display(a) }
 
 // NewEngine returns an empty tracker using the given counting scheme,
 // over an empty graph with the default damping factor. An invalid
@@ -225,11 +233,8 @@ func NewEngine(scheme Scheme) *Engine {
 	if !scheme.Valid() {
 		scheme = Harmonic
 	}
-	return &Engine{
-		scheme:  scheme,
-		authors: make(map[string]*authorStats),
-		graph:   graph.New(0),
-	}
+	g := graph.New(0)
+	return &Engine{scheme: scheme, graph: g, authors: g.HeadingIDs()}
 }
 
 // Weighting returns the scheme the engine divides credit with.
@@ -237,8 +242,8 @@ func (e *Engine) Weighting() Scheme { return e.scheme }
 
 // Graph returns the coauthorship network the engine owns. Callers may
 // read it and set its damping factor, but must not Add or Remove works
-// on it directly: the engine's credit counters follow the graph's
-// membership.
+// on it directly: the engine's credit columns follow the graph's
+// membership and IDs.
 func (e *Engine) Graph() *graph.Graph { return e.graph }
 
 // Len returns the number of tracked headings.
@@ -247,41 +252,34 @@ func (e *Engine) Len() int { return len(e.authors) }
 // delta is the per-(work, heading) contribution, computed identically
 // by Add and Remove so removal inverts addition exactly.
 type delta struct {
-	heading   string
+	id        uint32
 	first     bool
 	fracMicro int64
 	wgtMicro  int64
 }
 
-// deltas returns one entry per distinct heading on w, in first-position
-// order. A heading listed at several positions earns the credit of each
-// position but counts as one work. Solo works — the bulk of any
-// bibliography — take an allocation-free fast path over a reusable
-// buffer; callers never retain the slice past their call.
-func (e *Engine) deltas(w *model.Work) []delta {
-	k := len(w.Authors)
-	if k == 1 {
-		e.dscratch[0] = delta{
-			heading:   e.heading(w.Authors[0]),
-			first:     true,
-			fracMicro: microUnit,
-			wgtMicro:  positionMicro(e.scheme, 1, 1),
+// deltas returns one entry per distinct heading among a work's author
+// positions, given the heading ID at each, in first-position order. A
+// heading listed at several positions earns the credit of each position
+// but counts as one work. Positions the graph could not resolve
+// (graph.NoID) earn nothing. Callers never retain the slice past their
+// call.
+func (e *Engine) deltas(ids []uint32) []delta {
+	k := len(ids)
+	out := e.dscratch[:0]
+	for i, id := range ids {
+		if id == graph.NoID {
+			continue
 		}
-		return e.dscratch[:]
-	}
-	index := make(map[string]int, k)
-	out := make([]delta, 0, k)
-	for i, a := range w.Authors {
-		h := e.heading(a)
-		j, ok := index[h]
-		if !ok {
+		j := slices.IndexFunc(out, func(d delta) bool { return d.id == id })
+		if j < 0 {
 			j = len(out)
-			index[h] = j
-			out = append(out, delta{heading: h, first: i == 0})
+			out = append(out, delta{id: id, first: i == 0})
 		}
 		out[j].fracMicro += microUnit / int64(k)
 		out[j].wgtMicro += positionMicro(e.scheme, i+1, k)
 	}
+	e.dscratch = out
 	return out
 }
 
@@ -313,120 +311,134 @@ func positionMicro(s Scheme, i, k int) int64 {
 // edge update; author lists are short). Adding an ID that is already
 // tracked is a no-op; replace by Remove then Add.
 func (e *Engine) Add(w *model.Work) {
-	if e.graph.Add(w) {
-		e.credit(w, 1)
+	if ids, ok := e.graph.AddIDs(w); ok {
+		e.credit(w, ids, 1)
 	}
 }
 
 // Remove exactly inverts the Add of the same work. Removing an
 // untracked ID is a no-op.
 func (e *Engine) Remove(w *model.Work) {
-	if e.graph.Remove(w) {
-		e.credit(w, -1)
+	if ids, ok := e.graph.RemoveIDs(w); ok {
+		e.credit(w, ids, -1)
 	}
 }
 
 // credit adds (sign 1) or subtracts (sign -1) w's per-heading deltas,
-// dropping a heading once it has no works left.
-func (e *Engine) credit(w *model.Work, sign int) {
-	ds := e.deltas(w)
+// zeroing a heading's columns once it has no works left, as the graph
+// frees its ID.
+func (e *Engine) credit(w *model.Work, ids []uint32, sign int32) {
+	ds := e.deltas(ids)
 	for _, d := range ds {
-		st := e.authors[d.heading]
-		if st == nil {
-			st = &authorStats{byKind: make(map[model.Kind]int), byYear: make(map[int]int)}
-			e.authors[d.heading] = st
+		id := d.id
+		for int(id) >= len(e.works) {
+			e.works = append(e.works, 0)
+			e.first = append(e.first, 0)
+			e.fracMicro = append(e.fracMicro, 0)
+			e.wgtMicro = append(e.wgtMicro, 0)
+			e.byKind = append(e.byKind, [model.KindCount]int32{})
+			e.byYear = append(e.byYear, nil)
 		}
-		st.works += sign
+		if e.works[id] += sign; e.works[id] <= 0 {
+			e.works[id], e.first[id], e.fracMicro[id], e.wgtMicro[id] = 0, 0, 0, 0
+			e.byKind[id], e.byYear[id] = [model.KindCount]int32{}, nil
+			continue
+		}
 		if d.first {
-			st.first += sign
+			e.first[id] += sign
 		}
-		bump(st.byKind, w.Kind, sign)
+		if w.Kind.Valid() { // indexed works always are: Validate rejects others
+			e.byKind[id][w.Kind] += sign
+		}
 		if y := w.Citation.Year; y > 0 {
-			bump(st.byYear, y, sign)
+			e.byYear[id] = bumpYear(e.byYear[id], int32(y), sign)
 		}
-		st.fracMicro += int64(sign) * d.fracMicro
-		st.wgtMicro += int64(sign) * d.wgtMicro
-		if st.works <= 0 {
-			delete(e.authors, d.heading)
-		}
+		e.fracMicro[id] += int64(sign) * d.fracMicro
+		e.wgtMicro[id] += int64(sign) * d.wgtMicro
 	}
-	e.postings += sign * len(ds)
+	e.postings += int(sign) * len(ds)
 	if len(ds) == 1 {
-		e.solo += sign
+		e.solo += int(sign)
 	}
 }
 
-// bump adds n to m[k], deleting the key once its count reaches zero.
-func bump[K comparable](m map[K]int, k K, n int) {
-	if m[k] += n; m[k] <= 0 {
-		delete(m, k)
+// bumpYear adds n to year's count in ys, inserting the year in order or
+// dropping it once its count reaches zero.
+func bumpYear(ys []yearCount, year, n int32) []yearCount {
+	i, found := slices.BinarySearchFunc(ys, year, func(yc yearCount, y int32) int { return cmp.Compare(yc.year, y) })
+	if !found {
+		ys = slices.Insert(ys, i, yearCount{year: year})
 	}
+	if ys[i].works += n; ys[i].works <= 0 {
+		if ys = slices.Delete(ys, i, i+1); len(ys) == 0 {
+			ys = nil
+		}
+	}
+	return ys
 }
 
 // Rebuild resets the engine and re-adds the corpus — the recovery path
-// when incremental state is suspect. The graph rebuilds first, then one
-// pass fills the credit counters; each pass memoizes heading
-// construction across the whole corpus. Works must carry distinct IDs,
-// as every indexed corpus does: the graph folds a repeated ID in once,
-// where the credit pass would count it twice.
+// when incremental state is suspect. One pass folds each work into the
+// graph, which memoizes heading construction across the whole corpus,
+// and credits it under the IDs the graph assigned. A repeated work ID
+// is folded in once.
 func (e *Engine) Rebuild(works []*model.Work) {
-	e.graph.Rebuild(works)
-	// Presize for the common author-to-work ratio so a cold rebuild does
-	// not pay map growth rehashes all the way up.
-	e.authors = make(map[string]*authorStats, max(len(e.authors), len(works)/3))
+	e.works, e.first, e.fracMicro, e.wgtMicro, e.byKind, e.byYear = nil, nil, nil, nil, nil, nil
 	e.postings, e.solo = 0, 0
-	e.display = make(model.DisplayMemo)
-	defer func() { e.display = nil }()
-	for _, w := range works {
-		if w != nil && len(w.Authors) > 0 {
-			e.credit(w, 1)
-		}
-	}
+	e.graph.RebuildIDs(works, func(w *model.Work, ids []uint32) { e.credit(w, ids, 1) })
+	e.authors = e.graph.HeadingIDs()
 }
 
 // Author returns the snapshot for one heading in Display form.
 func (e *Engine) Author(heading string) (AuthorMetrics, bool) {
-	st, ok := e.authors[heading]
+	id, ok := e.authors[heading]
 	if !ok {
 		return AuthorMetrics{}, false
 	}
-	return e.snapshot(heading, st), true
+	return e.snapshot(id), true
 }
 
-// snapshot materializes one AuthorMetrics from live counters.
-func (e *Engine) snapshot(heading string, st *authorStats) AuthorMetrics {
+// snapshot materializes one AuthorMetrics from the columns at id.
+func (e *Engine) snapshot(id uint32) AuthorMetrics {
+	row := e.graph.Row(id)
 	m := AuthorMetrics{
-		Heading:       heading,
-		Works:         st.works,
-		FirstAuthored: st.first,
-		Fractional:    float64(st.fracMicro) / microUnit,
-		Weighted:      float64(st.wgtMicro) / microUnit,
-		HIndex:        hIndex(st.byYear),
+		Heading:       e.graph.Heading(id),
+		Works:         int(e.works[id]),
+		FirstAuthored: int(e.first[id]),
+		Fractional:    float64(e.fracMicro[id]) / microUnit,
+		Weighted:      float64(e.wgtMicro[id]) / microUnit,
+		HIndex:        hIndex(e.byYear[id]),
+		Collaborators: len(row),
 	}
-	m.Collaborators, _ = e.graph.Degree(heading)
-	if len(st.byKind) > 0 {
-		m.ByKind = make(map[string]int, len(st.byKind))
-		for k, n := range st.byKind {
-			m.ByKind[k.String()] = n
+	for k, n := range e.byKind[id] {
+		if n != 0 {
+			if m.ByKind == nil {
+				m.ByKind = make(map[string]int, model.KindCount)
+			}
+			m.ByKind[model.Kind(k).String()] = int(n)
 		}
 	}
-	if len(st.byYear) > 0 {
-		m.ByYear = make(map[int]int, len(st.byYear))
-		for y, n := range st.byYear {
-			m.ByYear[y] = n
+	if ys := e.byYear[id]; len(ys) > 0 {
+		m.ByYear = make(map[int]int, len(ys))
+		for _, yc := range ys {
+			m.ByYear[int(yc.year)] = int(yc.works)
 		}
 	}
-	if m.Collaborators > 0 {
-		top := newTopK(topCollaborators, m.Collaborators, func(a, b Collaborator) int {
+	if len(row) > 0 {
+		top := newTopK(topCollaborators, len(row), func(a, b graph.Edge) int {
 			if a.Works != b.Works {
 				return cmp.Compare(b.Works, a.Works)
 			}
-			return strings.Compare(a.Heading, b.Heading)
+			return strings.Compare(e.graph.Heading(a.ID), e.graph.Heading(b.ID))
 		})
-		e.graph.EachNeighbor(heading, func(h string, n int) {
-			top.push(Collaborator{Heading: h, Works: n})
-		})
-		m.TopCollaborators = top.sorted()
+		for _, edge := range row {
+			top.push(edge)
+		}
+		best := top.sorted()
+		m.TopCollaborators = make([]Collaborator, len(best))
+		for i, edge := range best {
+			m.TopCollaborators[i] = Collaborator{Heading: e.graph.Heading(edge.ID), Works: int(edge.Works)}
+		}
 	}
 	return m
 }
@@ -434,14 +446,14 @@ func (e *Engine) snapshot(heading string, st *authorStats) AuthorMetrics {
 // hIndex computes the productivity h-index over per-year counts: the
 // largest h such that h years have at least h works each. It raises h
 // while more than h years hold more than h works, one pass over the
-// map per step, so it allocates nothing: rank by h-index calls it once
-// per author.
-func hIndex(byYear map[int]int) int {
+// slice per step, so it allocates nothing: rank by h-index calls it
+// once per author.
+func hIndex(byYear []yearCount) int {
 	h := 0
 	for {
 		above := 0
-		for _, n := range byYear {
-			if n > h {
+		for _, yc := range byYear {
+			if int(yc.works) > h {
 				above++
 			}
 		}
@@ -509,51 +521,53 @@ func (t *topK[T]) sorted() []T {
 	return t.items
 }
 
-// rankValue returns the sort key for one heading under a rank key. All
-// keys compare descending; raw integer counters avoid materializing
-// snapshots for headings that will not make the cut.
-func (e *Engine) rankValue(by RankKey, heading string, st *authorStats) int64 {
+// rankValue returns the sort key under a rank key as a function of a
+// heading ID. All keys compare descending; raw integer counters avoid
+// materializing snapshots for headings that will not make the cut.
+func (e *Engine) rankValue(by RankKey) func(id uint32) int64 {
 	switch by {
 	case ByWeighted:
-		return st.wgtMicro
+		return func(id uint32) int64 { return e.wgtMicro[id] }
 	case ByFractional:
-		return st.fracMicro
+		return func(id uint32) int64 { return e.fracMicro[id] }
 	case ByHIndex:
-		return int64(hIndex(st.byYear))
+		return func(id uint32) int64 { return int64(hIndex(e.byYear[id])) }
 	case ByCollaborators:
-		d, _ := e.graph.Degree(heading)
-		return int64(d)
+		return func(id uint32) int64 { return int64(len(e.graph.Row(id))) }
 	case ByFirstAuthored:
-		return int64(st.first)
+		return func(id uint32) int64 { return int64(e.first[id]) }
 	default:
-		return int64(st.works)
+		return func(id uint32) int64 { return int64(e.works[id]) }
 	}
 }
 
 // TopAuthors returns up to limit snapshots ordered by the rank key
 // descending, ties broken by heading ascending. limit <= 0 means all.
-// A positive limit keeps only the best limit authors while it walks
-// them, so a page of the ranking costs O(authors · log limit), not a
-// sort of every author.
+// A positive limit keeps only the best limit authors while it scans the
+// rank key's column, so a page of the ranking costs
+// O(authors · log limit), not a sort of every author, and reads a
+// heading string only to break a tie.
 func (e *Engine) TopAuthors(by RankKey, limit int) []AuthorMetrics {
 	type ranked struct {
-		heading string
-		st      *authorStats
-		value   int64
+		id    uint32
+		value int64
 	}
+	value := e.rankValue(by)
 	top := newTopK(limit, len(e.authors), func(a, b ranked) int {
 		if a.value != b.value {
 			return cmp.Compare(b.value, a.value)
 		}
-		return strings.Compare(a.heading, b.heading)
+		return strings.Compare(e.graph.Heading(a.id), e.graph.Heading(b.id))
 	})
-	for h, st := range e.authors {
-		top.push(ranked{heading: h, st: st, value: e.rankValue(by, h, st)})
+	for id, n := range e.works {
+		if n > 0 {
+			top.push(ranked{id: uint32(id), value: value(uint32(id))})
+		}
 	}
 	rs := top.sorted()
 	out := make([]AuthorMetrics, len(rs))
 	for i, r := range rs {
-		out[i] = e.snapshot(r.heading, r.st)
+		out[i] = e.snapshot(r.id)
 	}
 	return out
 }
@@ -579,31 +593,22 @@ func (e *Engine) Summary() Summary {
 // Fingerprint, then every heading's credit counters in heading order —
 // as a deterministic byte string. Two engines under the same scheme
 // over the same corpus are byte-identical here whatever mutation order
-// produced them, so Verify compares the incremental tracker with a
-// from-scratch rebuild this way.
+// produced them, or whatever IDs it assigned, so Verify compares the
+// incremental tracker with a from-scratch rebuild this way.
 func (e *Engine) Fingerprint() string {
 	b := []byte(e.graph.Fingerprint())
 	b = fmt.Appendf(b, "\npostings=%d solo=%d\n", e.postings, e.solo)
-	for _, h := range sortedKeys(e.authors) {
-		st := e.authors[h]
-		b = fmt.Appendf(b, "%s\t%d\t%d\t%d\t%d", h, st.works, st.first, st.fracMicro, st.wgtMicro)
-		for _, k := range sortedKeys(st.byKind) {
-			b = fmt.Appendf(b, "\tk%d=%d", k, st.byKind[k])
+	for _, id := range e.graph.Sorted() {
+		b = fmt.Appendf(b, "%s\t%d\t%d\t%d\t%d", e.graph.Heading(id), e.works[id], e.first[id], e.fracMicro[id], e.wgtMicro[id])
+		for k, n := range e.byKind[id] {
+			if n != 0 {
+				b = fmt.Appendf(b, "\tk%d=%d", k, n)
+			}
 		}
-		for _, y := range sortedKeys(st.byYear) {
-			b = fmt.Appendf(b, "\ty%d=%d", y, st.byYear[y])
+		for _, yc := range e.byYear[id] {
+			b = fmt.Appendf(b, "\ty%d=%d", yc.year, yc.works)
 		}
 		b = append(b, '\n')
 	}
 	return string(b)
-}
-
-// sortedKeys returns m's keys in ascending order.
-func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
-	ks := make([]K, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	slices.Sort(ks)
-	return ks
 }

@@ -29,6 +29,9 @@ const (
 	kindMax // sentinel: all valid kinds are < kindMax
 )
 
+// KindCount is the number of defined kinds; every valid Kind is below it.
+const KindCount = int(kindMax)
+
 var kindNames = [...]string{
 	KindArticle:     "article",
 	KindStudentNote: "student-note",

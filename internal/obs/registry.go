@@ -60,6 +60,8 @@ type family struct {
 type Registry struct {
 	mu       sync.RWMutex
 	families map[string]*family
+	// beforeScrape, when set, runs at the start of every exposition.
+	beforeScrape func()
 }
 
 // NewRegistry returns an empty registry.
@@ -98,6 +100,15 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...str
 	s := r.getOrCreate(kindGaugeFunc, name, help, labels)
 	r.mu.Lock()
 	s.fn = fn
+	r.mu.Unlock()
+}
+
+// BeforeScrape sets fn to run at the start of every WritePrometheus,
+// before any callback series is sampled, so callbacks can share one
+// reading per scrape. A later call replaces fn.
+func (r *Registry) BeforeScrape(fn func()) {
+	r.mu.Lock()
+	r.beforeScrape = fn
 	r.mu.Unlock()
 }
 
@@ -173,6 +184,9 @@ func (r *Registry) SeriesCount() int {
 // `_sum` in seconds — the convention for *_seconds metrics.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.RLock()
+	if r.beforeScrape != nil {
+		r.beforeScrape()
+	}
 	names := make([]string, 0, len(r.families))
 	for name := range r.families {
 		names = append(names, name)

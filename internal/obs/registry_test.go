@@ -127,7 +127,7 @@ func TestRegisterProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	for _, want := range []string{"authdex_go_goroutines", "authdex_go_heap_inuse_bytes", "authdex_process_uptime_seconds"} {
+	for _, want := range []string{"authdex_go_goroutines", "authdex_go_heap_inuse_bytes", "authdex_go_heap_objects", "authdex_go_gc_cycles_total", "authdex_process_uptime_seconds"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("process exposition lacks %s:\n%s", want, out)
 		}
