@@ -493,15 +493,17 @@ func Open(dir string, opts *Options) (*Index, error) {
 		}
 		return seed.NewPeer()
 	})
-	// Cold start is a bulk load, not a replay: the store hands the whole
-	// decoded corpus to the engines as shared read-only records (neither
-	// side ever mutates a stored work in place), and each shard builds
-	// its indexes bottom-up over its partition. The first root was
-	// published by shard.New before the index is visible to any reader,
-	// so loading its engines in place is unobservable. The shared
-	// tracker rebuilds once over the whole corpus, beside the shard
-	// loads.
-	works := st.Works()
+	// Cold start is a bulk load, not a replay: the store decodes the
+	// corpus once, the engines keep it as the one in-RAM copy, and each
+	// shard builds its indexes bottom-up over its partition. The first
+	// root was published by shard.New before the index is visible to any
+	// reader, so loading its engines in place is unobservable. The shared
+	// tracker rebuilds once over the whole corpus, beside the shard loads.
+	works := make([]*model.Work, 0, st.Len())
+	if err := st.ForEach(func(w *model.Work) error { works = append(works, w); return nil }); err != nil {
+		st.Close()
+		return nil, fmt.Errorf("authorindex: read store: %w", err)
+	}
 	parts := make([][]*model.Work, nShards)
 	for _, w := range works {
 		si := ix.shards.ForWork(w.ID)
@@ -961,11 +963,12 @@ func (ix *Index) DuplicateSuggestions() []Suggestion {
 	return dedupe.Suggest(authors)
 }
 
-// Verify cross-checks every invariant between the durable store and the
-// in-memory indexes: each stored work must be retrievable, filed under
-// every one of its authors, findable by title search, and counted once;
-// no index may reference a work the store does not hold. It returns nil
-// when the index is internally consistent.
+// Verify cross-checks every invariant between the durable store, read
+// back from disk as a reopen would, and the in-memory indexes: each
+// stored work must be retrievable, filed under every one of its authors,
+// findable by title search, and counted once; no index may reference a
+// work the store does not hold. It returns nil when the index is
+// internally consistent.
 //
 // Verify takes every shard lock: it cross-checks the store against
 // every shard's head engine, so writers must be excluded for the

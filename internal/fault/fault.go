@@ -19,7 +19,6 @@ import (
 	"io"
 	iofs "io/fs"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 )
@@ -112,7 +111,6 @@ type Injector struct {
 	armed bool
 	calls int64
 	perOp map[Op]int64
-	log   []string
 	rules []*armedRule
 	hits  int64
 }
@@ -145,14 +143,13 @@ func (in *Injector) Disarm() {
 	in.armed = false
 }
 
-// Reset clears rules, counters and the call log; the armed state is
+// Reset clears rules and counters; the armed state is
 // unchanged.
 func (in *Injector) Reset() {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	in.calls = 0
 	in.perOp = make(map[Op]int64)
-	in.log = nil
 	in.rules = nil
 	in.hits = 0
 }
@@ -187,14 +184,6 @@ func (in *Injector) Hits() int64 {
 	return in.hits
 }
 
-// CallLog returns the armed calls seen so far as "op base-name" lines,
-// for failure messages in sweeping tests.
-func (in *Injector) CallLog() []string {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return append([]string(nil), in.log...)
-}
-
 // check records one armed call and consults the rules. The returned
 // short count is meaningful only for OpWrite when err is non-nil.
 func (in *Injector) check(op Op, path string) (short int, err error) {
@@ -205,7 +194,6 @@ func (in *Injector) check(op Op, path string) (short int, err error) {
 	}
 	in.calls++
 	in.perOp[op]++
-	in.log = append(in.log, string(op)+" "+filepath.Base(path))
 	for _, r := range in.rules {
 		if r.Err == nil {
 			continue

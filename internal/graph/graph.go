@@ -41,6 +41,7 @@ import (
 	"sync"
 
 	"repro/internal/model"
+	"repro/internal/topk"
 )
 
 // DefaultDamping is the PageRank damping factor used when none is
@@ -392,16 +393,6 @@ func (g *Graph) Degree(heading string) (int, bool) {
 	return len(g.rows[id]), true
 }
 
-// WeightedDegree returns the total shared-work count across all of a
-// heading's collaborations.
-func (g *Graph) WeightedDegree(heading string) (int, bool) {
-	id, ok := g.ids[heading]
-	if !ok {
-		return 0, false
-	}
-	return int(g.wdeg[id]), true
-}
-
 // Neighbors returns a heading's co-authors with shared-work counts,
 // heaviest first (ties broken by heading ascending).
 func (g *Graph) Neighbors(heading string) []Neighbor {
@@ -687,23 +678,25 @@ type CentralAuthor struct {
 }
 
 // TopCentral returns up to limit authors by centrality descending (ties
-// broken by heading ascending). limit <= 0 means all.
+// broken by heading ascending). limit <= 0 means all. A positive limit
+// costs O(authors · log limit) over the cached scores, not a full sort.
 func (g *Graph) TopCentral(limit int) []CentralAuthor {
 	pr := g.pageRank()
-	out := make([]CentralAuthor, 0, len(g.ids))
+	top := topk.New(limit, len(g.ids), func(a, b uint32) int {
+		if pr[a] != pr[b] {
+			return cmp.Compare(pr[b], pr[a])
+		}
+		return g.byHeading(a, b)
+	})
 	for id, n := range g.works {
 		if n > 0 {
-			out = append(out, CentralAuthor{Heading: g.names[id], Score: pr[id]})
+			top.Push(uint32(id))
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].Heading < out[j].Heading
-	})
-	if limit > 0 && len(out) > limit {
-		out = out[:limit]
+	ids := top.Sorted()
+	out := make([]CentralAuthor, len(ids))
+	for i, id := range ids {
+		out[i] = CentralAuthor{Heading: g.names[id], Score: pr[id]}
 	}
 	return out
 }

@@ -51,7 +51,7 @@ func TestAddRemoveBasics(t *testing.T) {
 	if d, _ := g.Degree("B"); d != 2 {
 		t.Errorf("deg(B) = %d, want 2", d)
 	}
-	if wd, _ := g.WeightedDegree("A"); wd != 2 {
+	if wd := g.wdeg[g.ids["A"]]; wd != 2 {
 		t.Errorf("wdeg(A) = %d, want 2 (two shared works with B)", wd)
 	}
 	if g.Components() != 2 { // {A,B,C} and {D}
@@ -145,7 +145,7 @@ func TestSelfCollaboration(t *testing.T) {
 	if g.Edges() != 1 {
 		t.Errorf("edges = %d, want 1 (A-B once)", g.Edges())
 	}
-	if wd, _ := g.WeightedDegree("A"); wd != 1 {
+	if wd := g.wdeg[g.ids["A"]]; wd != 1 {
 		t.Errorf("wdeg(A) = %d, want 1", wd)
 	}
 	g.Remove(work(2, "A", "B", "A"))

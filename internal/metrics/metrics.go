@@ -36,6 +36,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/model"
+	"repro/internal/topk"
 )
 
 // Scheme selects how one work's unit of credit is divided among its
@@ -425,16 +426,16 @@ func (e *Engine) snapshot(id uint32) AuthorMetrics {
 		}
 	}
 	if len(row) > 0 {
-		top := newTopK(topCollaborators, len(row), func(a, b graph.Edge) int {
+		top := topk.New(topCollaborators, len(row), func(a, b graph.Edge) int {
 			if a.Works != b.Works {
 				return cmp.Compare(b.Works, a.Works)
 			}
 			return strings.Compare(e.graph.Heading(a.ID), e.graph.Heading(b.ID))
 		})
 		for _, edge := range row {
-			top.push(edge)
+			top.Push(edge)
 		}
-		best := top.sorted()
+		best := top.Sorted()
 		m.TopCollaborators = make([]Collaborator, len(best))
 		for i, edge := range best {
 			m.TopCollaborators[i] = Collaborator{Heading: e.graph.Heading(edge.ID), Works: int(edge.Works)}
@@ -462,63 +463,6 @@ func hIndex(byYear []yearCount) int {
 		}
 		h++
 	}
-}
-
-// topK keeps the best k of the items pushed into it, where order(a, b)
-// < 0 ranks a before b and must be a total order. The kept items form a
-// heap with the worst at its root, so n pushes cost O(n log k) time and
-// O(k) space however large n grows, and the result equals the first k
-// of a full sort. k <= 0 keeps every item.
-type topK[T any] struct {
-	k     int
-	order func(a, b T) int
-	items []T
-}
-
-// newTopK returns an empty selection of the best k of about n items.
-func newTopK[T any](k, n int, order func(a, b T) int) *topK[T] {
-	if k > 0 && k < n {
-		n = k
-	}
-	return &topK[T]{k: k, order: order, items: make([]T, 0, n)}
-}
-
-func (t *topK[T]) push(x T) {
-	switch {
-	case t.k <= 0:
-		t.items = append(t.items, x)
-	case len(t.items) < t.k:
-		t.items = append(t.items, x)
-		for i := len(t.items) - 1; i > 0; {
-			p := (i - 1) / 2
-			if t.order(t.items[p], t.items[i]) >= 0 {
-				break
-			}
-			t.items[p], t.items[i] = t.items[i], t.items[p]
-			i = p
-		}
-	case t.order(x, t.items[0]) < 0:
-		t.items[0] = x
-		for i := 0; ; {
-			w := i
-			for _, c := range [2]int{2*i + 1, 2*i + 2} {
-				if c < len(t.items) && t.order(t.items[c], t.items[w]) > 0 {
-					w = c
-				}
-			}
-			if w == i {
-				break
-			}
-			t.items[w], t.items[i] = t.items[i], t.items[w]
-			i = w
-		}
-	}
-}
-
-// sorted returns the kept items, best first.
-func (t *topK[T]) sorted() []T {
-	slices.SortFunc(t.items, t.order)
-	return t.items
 }
 
 // rankValue returns the sort key under a rank key as a function of a
@@ -553,7 +497,7 @@ func (e *Engine) TopAuthors(by RankKey, limit int) []AuthorMetrics {
 		value int64
 	}
 	value := e.rankValue(by)
-	top := newTopK(limit, len(e.authors), func(a, b ranked) int {
+	top := topk.New(limit, len(e.authors), func(a, b ranked) int {
 		if a.value != b.value {
 			return cmp.Compare(b.value, a.value)
 		}
@@ -561,10 +505,10 @@ func (e *Engine) TopAuthors(by RankKey, limit int) []AuthorMetrics {
 	})
 	for id, n := range e.works {
 		if n > 0 {
-			top.push(ranked{id: uint32(id), value: value(uint32(id))})
+			top.Push(ranked{id: uint32(id), value: value(uint32(id))})
 		}
 	}
-	rs := top.sorted()
+	rs := top.Sorted()
 	out := make([]AuthorMetrics, len(rs))
 	for i, r := range rs {
 		out[i] = e.snapshot(r.id)

@@ -82,15 +82,35 @@ func DecodeWork(p []byte) (*Work, int, error) {
 // distinct string once. A nil interner decodes like DecodeWork. Titles
 // are never interned (they rarely repeat).
 func DecodeWorkInterned(p []byte, in *Interner) (*Work, int, error) {
-	d := decoder{p: p, in: in}
+	w := new(Work)
+	n, err := decodeWork(&decoder{p: p, in: in}, w)
+	if err != nil {
+		return nil, 0, err
+	}
+	return w, n, nil
+}
+
+// ScanWork reads the ID and byte length of the work encoding at the
+// front of p, version 1 or 2, without allocating: storage uses it to
+// copy snapshot records verbatim. It walks the record as DecodeWork
+// does, so it accepts exactly the encodings DecodeWork accepts.
+func ScanWork(p []byte) (WorkID, int, error) {
+	var w Work
+	n, err := decodeWork(&decoder{p: p, scan: true}, &w)
+	if err != nil {
+		return 0, 0, err
+	}
+	return w.ID, n, nil
+}
+
+// decodeWork fills w from the encoding at the front of d.p and returns
+// its length. A scanning decoder reads every field but keeps only the
+// scalars: strings come back empty and no slice is allocated.
+func decodeWork(d *decoder, w *Work) (int, error) {
 	version := d.byte()
 	if d.err == nil && (version < 1 || version > encodeVersion) {
-		d.err = fmt.Errorf("%w: version %d", ErrBadEncoding, version)
+		return 0, fmt.Errorf("%w: version %d", ErrBadEncoding, version)
 	}
-	if d.err != nil {
-		return nil, 0, d.err
-	}
-	var w Work
 	w.ID = WorkID(d.uvarint())
 	w.Kind = Kind(d.byte())
 	w.Title = d.string()
@@ -103,15 +123,17 @@ func DecodeWorkInterned(p []byte, in *Interner) (*Work, int, error) {
 		// student flag), so more authors than remaining bytes is corrupt.
 		d.err = fmt.Errorf("%w: author count %d exceeds input", ErrBadEncoding, n)
 	}
-	if d.err == nil && n > 0 {
+	if d.err == nil && n > 0 && !d.scan {
 		w.Authors = make([]Author, 0, n)
-		for i := uint64(0); i < n && d.err == nil; i++ {
-			var a Author
-			a.Family = d.internedString()
-			a.Given = d.internedString()
-			a.Particle = d.internedString()
-			a.Suffix = d.internedString()
-			a.Student = d.byte() != 0
+	}
+	for i := uint64(0); i < n && d.err == nil; i++ {
+		var a Author
+		a.Family = d.internedString()
+		a.Given = d.internedString()
+		a.Particle = d.internedString()
+		a.Suffix = d.internedString()
+		a.Student = d.byte() != 0
+		if !d.scan {
 			w.Authors = append(w.Authors, a)
 		}
 	}
@@ -120,17 +142,19 @@ func DecodeWorkInterned(p []byte, in *Interner) (*Work, int, error) {
 		if d.err == nil && m > uint64(len(d.p)) {
 			d.err = fmt.Errorf("%w: subject count %d exceeds input", ErrBadEncoding, m)
 		}
-		if d.err == nil && m > 0 {
+		if d.err == nil && m > 0 && !d.scan {
 			w.Subjects = make([]string, 0, m)
-			for i := uint64(0); i < m && d.err == nil; i++ {
-				w.Subjects = append(w.Subjects, d.internedString())
+		}
+		for i := uint64(0); i < m && d.err == nil; i++ {
+			if s := d.internedString(); !d.scan {
+				w.Subjects = append(w.Subjects, s)
 			}
 		}
 	}
 	if d.err != nil {
-		return nil, 0, d.err
+		return 0, d.err
 	}
-	return &w, d.off, nil
+	return d.off, nil
 }
 
 // AppendAuthor appends the binary encoding of a single author (the same
@@ -170,10 +194,11 @@ func appendString(dst []byte, s string) []byte {
 // decoder tracks position and the first error while pulling fields off a
 // byte slice; once err is set every accessor returns a zero value.
 type decoder struct {
-	p   []byte
-	off int
-	err error
-	in  *Interner // nil: no string deduplication
+	p    []byte
+	off  int
+	err  error
+	in   *Interner // nil: no string deduplication
+	scan bool      // skip strings: string() returns "" without allocating
 }
 
 func (d *decoder) fail(what string) {
@@ -226,7 +251,10 @@ func (d *decoder) stringBytes() []byte {
 }
 
 func (d *decoder) string() string {
-	return string(d.stringBytes())
+	if b := d.stringBytes(); !d.scan {
+		return string(b)
+	}
+	return ""
 }
 
 // internedString is string() resolved through the decoder's interner,

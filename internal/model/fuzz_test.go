@@ -3,8 +3,9 @@ package model
 import "testing"
 
 // FuzzDecodeWork feeds arbitrary bytes to the work decoder: it must
-// never panic, and any successful decode must re-encode to something
-// that decodes to an equal work.
+// never panic, any successful decode must re-encode to something that
+// decodes to an equal work, and ScanWork must accept exactly what
+// DecodeWork accepts, reporting the same ID and length.
 func FuzzDecodeWork(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1})
@@ -17,8 +18,15 @@ func FuzzDecodeWork(f *testing.F) {
 	}))
 	f.Fuzz(func(t *testing.T, p []byte) {
 		w, n, err := DecodeWork(p)
+		id, sn, serr := ScanWork(p)
+		if (err == nil) != (serr == nil) {
+			t.Fatalf("DecodeWork err %v, ScanWork err %v", err, serr)
+		}
 		if err != nil {
 			return
+		}
+		if id != w.ID || sn != n {
+			t.Fatalf("ScanWork = (%d, %d), DecodeWork = (%d, %d)", id, sn, w.ID, n)
 		}
 		if n > len(p) {
 			t.Fatalf("consumed %d of %d bytes", n, len(p))

@@ -404,3 +404,34 @@ func TestDecodeNeverPanicsQuick(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestScanWorkMatchesDecode pins ScanWork to DecodeWork on version-1
+// and version-2 records, back to back and truncated at every length,
+// and checks that a scan allocates nothing.
+func TestScanWorkMatchesDecode(t *testing.T) {
+	w := validWork()
+	w.Subjects = []string{"Mining Law", "Property"}
+	v2 := AppendWork(nil, w)
+	w.Subjects = nil
+	v1 := AppendWork(nil, w)
+	v1 = v1[:len(v1)-1] // drop the subject count
+	v1[0] = 1
+	for _, rec := range [][]byte{v1, v2} {
+		buf := append(append([]byte(nil), rec...), v2...)
+		id, n, err := ScanWork(buf)
+		if err != nil || id != w.ID || n != len(rec) {
+			t.Fatalf("version %d: ScanWork = (%d, %d, %v), want (%d, %d)", rec[0], id, n, err, w.ID, len(rec))
+		}
+		for i := 0; i < len(rec); i++ {
+			if _, _, err := ScanWork(rec[:i]); err == nil {
+				t.Errorf("version %d: truncated scan at %d bytes succeeded", rec[0], i)
+			}
+		}
+		if allocs := testing.AllocsPerRun(100, func() { ScanWork(buf) }); allocs != 0 {
+			t.Errorf("version %d: ScanWork allocates %.0f times", rec[0], allocs)
+		}
+	}
+	if _, _, err := ScanWork(append([]byte{9}, v2[1:]...)); err == nil {
+		t.Error("future version accepted")
+	}
+}

@@ -22,10 +22,7 @@
 //	defer lat.Since(time.Now())
 package obs
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "sync/atomic"
 
 // Counter is a monotonically increasing int64. The zero value is ready
 // to use, but counters almost always come from Registry.Counter so they
@@ -67,10 +64,3 @@ func (g *Gauge) Dec() { g.v.Add(-1) }
 
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
-
-// Timer returns a func that records the elapsed time since the call
-// into h — `defer obs.Timer(h)()` times a whole function body.
-func Timer(h *Histogram) func() {
-	start := time.Now()
-	return func() { h.Observe(time.Since(start)) }
-}

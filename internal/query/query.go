@@ -12,6 +12,7 @@ package query
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -389,8 +390,8 @@ func (e *Engine) LoadCorpus(ctx context.Context, works []*model.Work) error {
 	}
 	// One citation-key sort: every ordered index below derives from this
 	// pass instead of paying a per-work tree descent.
-	sorted := append(make(byCitKey, 0, len(entries)), entries...)
-	sort.Sort(sorted)
+	sorted := slices.Clone(entries)
+	slices.SortFunc(sorted, compareRefs)
 	keysSpan.End()
 	loadPhase("sort_keys").Since(keysStart)
 
@@ -506,27 +507,10 @@ func relaxGC() func() {
 // ordered answer.
 func compareRefs(a, b *workEntry) int { return bytes.Compare(a.key, b.key) }
 
-// byCitKey sorts work entries by citation key bytes; a concrete
-// sort.Interface keeps the corpus-wide bulk-load sort free of
-// reflection-based swapping.
-type byCitKey []*workEntry
-
-func (s byCitKey) Len() int           { return len(s) }
-func (s byCitKey) Less(i, j int) bool { return bytes.Compare(s[i].key, s[j].key) < 0 }
-func (s byCitKey) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
-
-// byWorkID sorts work entries by ID for the byID bulk build; a concrete
-// sort.Interface for the same reason as byCitKey.
-type byWorkID []*workEntry
-
-func (s byWorkID) Len() int           { return len(s) }
-func (s byWorkID) Less(i, j int) bool { return s[i].w.ID < s[j].w.ID }
-func (s byWorkID) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
-
 // loadIDTree bulk-builds the byID tree from the input-ordered entries.
 func loadIDTree(entries []*workEntry) (*btree.Tree[*workEntry], error) {
-	ordered := append(make(byWorkID, 0, len(entries)), entries...)
-	sort.Sort(ordered)
+	ordered := slices.Clone(entries)
+	slices.SortFunc(ordered, func(a, b *workEntry) int { return cmp.Compare(a.w.ID, b.w.ID) })
 	pairs := make([]btree.Pair[*workEntry], len(ordered))
 	for i, we := range ordered {
 		pairs[i] = btree.Pair[*workEntry]{Key: idKey(we.w.ID), Value: we}
@@ -549,7 +533,9 @@ func loadCitationTrees(sorted []*workEntry) (byCitation, byYear *btree.Tree[*wor
 	for i := 1; i < len(sorted); i++ {
 		if sorted[i-1].w.Citation.Year > sorted[i].w.Citation.Year {
 			byYearEntries = append([]*workEntry(nil), sorted...)
-			sort.Stable(byYearOrder(byYearEntries))
+			slices.SortStableFunc(byYearEntries, func(a, b *workEntry) int {
+				return cmp.Compare(a.w.Citation.Year, b.w.Citation.Year)
+			})
 			break
 		}
 	}
@@ -560,14 +546,6 @@ func loadCitationTrees(sorted []*workEntry) (byCitation, byYear *btree.Tree[*wor
 	byYear, yearErr = btree.BulkLoad(yearPairs)
 	return byCitation, byYear, citErr, yearErr
 }
-
-// byYearOrder stably re-sorts citation-ordered entries on the year
-// alone, yielding year ‖ citation-key order without reflection.
-type byYearOrder []*workEntry
-
-func (s byYearOrder) Len() int           { return len(s) }
-func (s byYearOrder) Less(i, j int) bool { return s[i].w.Citation.Year < s[j].w.Citation.Year }
-func (s byYearOrder) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
 
 // loadSubjects accumulates the subject postings in two passes: an
 // input-order pass creates each posting (so its display form comes from

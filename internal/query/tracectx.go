@@ -40,12 +40,3 @@ func (e *Engine) VolumeViewCtx(ctx context.Context, v, limit int) []*model.Work 
 	sp.End()
 	return out
 }
-
-// AllWorksViewCtx is AllWorksView carrying a trace context.
-func (e *Engine) AllWorksViewCtx(ctx context.Context) []*model.Work {
-	_, sp := trace.StartSpan(ctx, "engine.all_scan")
-	out := e.AllWorksView()
-	sp.SetInt("hits", int64(len(out)))
-	sp.End()
-	return out
-}

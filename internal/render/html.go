@@ -68,14 +68,8 @@ type htmlWork struct {
 	Citation string
 }
 
-// HTML renders the author index as a standalone HTML page.
-func HTML(w io.Writer, ix *core.Index, opts Options) error {
-	return htmlSections(w, ix.Sections(), opts)
-}
-
-// htmlSections renders pre-collected sections as the HTML page — the
-// shared body of HTML and the scatter-gather render path, which merges
-// per-shard sections before encoding.
+// htmlSections renders pre-collected sections as the HTML page; the
+// scatter-gather render path merges per-shard sections before encoding.
 func htmlSections(w io.Writer, sections []core.Section, opts Options) error {
 	doc := htmlDoc{Head: opts.runningHead(), Volume: opts.Volume.String()}
 	for _, sec := range sections {

@@ -17,23 +17,7 @@ import (
 // so replay must keep decoding those records.
 func TestReplayParentSingleRecordWAL(t *testing.T) {
 	dir := t.TempDir()
-	src := filepath.Join("testdata", "single-record-wal", "wal")
-	if err := os.MkdirAll(filepath.Join(dir, walSubdir), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	segs, err := os.ReadDir(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range segs {
-		data, err := os.ReadFile(filepath.Join(src, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, walSubdir, e.Name()), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	copyTestdata(t, "single-record-wal", dir)
 	s := openT(t, dir)
 	defer s.Close()
 
@@ -84,5 +68,27 @@ func TestReplayParentSingleRecordWAL(t *testing.T) {
 	defer s2.Close()
 	if got := s2.Len(); got != len(want)+1 {
 		t.Errorf("reopened store holds %d works, want %d", got, len(want)+1)
+	}
+}
+
+// copyTestdata copies the store under testdata/name into dir.
+func copyTestdata(t *testing.T, name, dir string) {
+	t.Helper()
+	src := filepath.Join("testdata", name)
+	if err := filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		dst := filepath.Join(dir, path[len(src):])
+		if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
+			return err
+		}
+		return os.WriteFile(dst, data, 0o644)
+	}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -1,6 +1,7 @@
 // Package storage implements the durable record store underneath the
-// author-index engine: an in-memory map of works made crash-safe by a
-// write-ahead log and periodic snapshots.
+// author-index engine: a snapshot of encoded works plus a write-ahead
+// log. It keeps no decoded copy of the corpus: in RAM it holds the live
+// IDs and the works put since the last compaction (the delta).
 //
 // Every mutation is appended to the WAL before being applied, so a crash
 // at any instant loses at most the in-flight operation. Works are
@@ -12,14 +13,17 @@
 // hold; a one-work put batch frame is the same size as such a put.
 //
 // Compact writes a CRC-protected snapshot (atomically, via rename) and
-// resets the WAL; recovery loads the newest snapshot and replays the
-// WAL suffix.
+// resets the WAL, copying the old snapshot's live records byte for byte
+// and encoding the delta. Recovery scans the snapshot for IDs, decoding
+// no work, and replays the WAL suffix into the delta.
 //
 // A Store opened with an empty directory path is purely in-memory: same
-// API, no durability — useful for tests and benchmarks.
+// API, no durability — useful for tests and benchmarks. It never
+// compacts, so its delta is the whole corpus.
 package storage
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -28,6 +32,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -107,8 +112,9 @@ type Options struct {
 }
 
 // Store is a durable map from WorkID to Work. All methods are safe for
-// concurrent use. Returned works are deep copies; mutating them never
-// affects the store.
+// concurrent use. Works it hands out are shared read-only: a stored
+// work is never mutated in place (PutBatch stores a fresh clone), so
+// callers may keep them but must Clone one to change it.
 type Store struct {
 	mu sync.RWMutex
 
@@ -123,15 +129,15 @@ type Store struct {
 	degradedErr    error
 	degradedWrites int64 // commits failed or rejected by the latch
 
-	works    map[model.WorkID]*model.Work
+	// ids holds every live work's ID. It has no pointers, so the
+	// collector never scans it.
+	ids map[model.WorkID]struct{}
+	// delta holds the works put since the last successful compaction. A
+	// snapshot record is live while its ID is in ids and not in delta.
+	delta    map[model.WorkID]*model.Work
 	xrefs    []CrossRef
 	nextID   model.WorkID
 	opsSince int // operations logged since the last snapshot
-	scratch  []byte
-	// interner deduplicates repeated strings (author name parts, subject
-	// headings) while the snapshot and WAL are decoded during Open; it is
-	// released once recovery finishes so steady-state writes pay nothing.
-	interner *model.Interner
 
 	batches     int64 // batch commits applied (PutBatch + DeleteBatch)
 	fsyncsSaved int64 // WAL commits avoided by batching (N records, 1 commit)
@@ -144,7 +150,8 @@ func Open(dir string, opts Options) (*Store, error) {
 		dir:    dir,
 		fs:     opts.FS,
 		opts:   opts,
-		works:  make(map[model.WorkID]*model.Work),
+		ids:    make(map[model.WorkID]struct{}),
+		delta:  make(map[model.WorkID]*model.Work),
 		nextID: 1,
 	}
 	if s.fs == nil {
@@ -156,15 +163,16 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("storage: open: %w", err)
 	}
-	s.interner = model.NewInterner()
 	if err := s.loadSnapshot(); err != nil {
 		return nil, err
 	}
+	// Replay interns repeated strings (author name parts, subject
+	// headings) across the whole log.
+	in := model.NewInterner()
 	walDir := filepath.Join(dir, walSubdir)
-	if _, err := wal.Replay(walDir, s.applyRecord); err != nil {
+	if _, err := wal.Replay(walDir, func(p []byte) error { return s.applyRecord(p, in) }); err != nil {
 		return nil, fmt.Errorf("storage: replay: %w", err)
 	}
-	s.interner = nil
 	wopts := opts.WAL
 	if wopts.FS == nil {
 		wopts.FS = opts.FS
@@ -181,7 +189,7 @@ func Open(dir string, opts Options) (*Store, error) {
 // takes the next free ID, an explicit ID inserts or overwrites (and
 // moves the counter past it), every record is encoded into a single
 // opPutBatch WAL frame, the frame is appended and fsynced once, and
-// only then is the in-memory map updated. One
+// only then are the clones added to the delta. One
 // frame is also the crash-atomicity unit: recovery replays the whole
 // batch or none of it, so a batch that would encode past the frame cap
 // (~60 MiB) is rejected — issue several batches instead. The ordering
@@ -297,7 +305,7 @@ func (s *Store) DeleteBatch(ids []model.WorkID) error {
 		return err
 	}
 	for _, id := range ids {
-		if _, ok := s.works[id]; !ok {
+		if _, ok := s.ids[id]; !ok {
 			return fmt.Errorf("%w: id %d", ErrNotFound, id)
 		}
 	}
@@ -315,7 +323,8 @@ func (s *Store) DeleteBatch(ids []model.WorkID) error {
 		}
 	}
 	for _, id := range ids {
-		delete(s.works, id)
+		delete(s.ids, id)
+		delete(s.delta, id)
 	}
 	s.batches++
 	s.fsyncsSaved += int64(len(ids) - 1)
@@ -345,37 +354,36 @@ func encodePutBatchFrame(works []*model.Work) ([]byte, error) {
 func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.works)
+	return len(s.ids)
 }
 
-// Works returns every stored work as one slice, in unspecified order —
-// the bulk hand-off Open feeds to the engine's LoadAll, so a cold start
-// sees the whole decoded corpus at once instead of a per-work callback
-// chain. The returned works are the store's own records, shared on
-// the immutability contract every layer already honors: a stored work
-// is never mutated in place (PutBatch swaps in a fresh clone),
-// so callers may retain the references but must treat them as
-// read-only. Callers needing private copies should Clone them.
-func (s *Store) Works() []*model.Work {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]*model.Work, 0, len(s.works))
-	for _, w := range s.works {
-		out = append(out, w)
-	}
-	return out
-}
-
-// ForEach calls fn with a copy of every stored work, in unspecified
-// order, stopping at the first error.
+// ForEach calls fn with every stored work, in unspecified order,
+// stopping at the first error: the snapshot's live records, read back
+// from disk and decoded through one interner, then the delta. Both are
+// shared read-only (see Store). fn runs without the store's lock held.
 func (s *Store) ForEach(fn func(*model.Work) error) error {
 	s.mu.RLock()
-	works := make([]*model.Work, 0, len(s.works))
-	for _, w := range s.works {
-		works = append(works, w.Clone())
+	recs := make([][]byte, 0, len(s.ids)-len(s.delta))
+	err := s.liveSnapshotLocked(func(rec []byte) { recs = append(recs, rec) })
+	delta := make([]*model.Work, 0, len(s.delta))
+	for _, w := range s.delta {
+		delta = append(delta, w)
 	}
 	s.mu.RUnlock()
-	for _, w := range works {
+	if err != nil {
+		return err
+	}
+	in := model.NewInterner()
+	for _, rec := range recs {
+		w, _, err := model.DecodeWorkInterned(rec, in)
+		if err != nil {
+			return fmt.Errorf("%w: snapshot work: %v", ErrCorrupt, err)
+		}
+		if err := fn(w); err != nil {
+			return err
+		}
+	}
+	for _, w := range delta {
 		if err := fn(w); err != nil {
 			return err
 		}
@@ -400,7 +408,7 @@ func (s *Store) AddCrossRef(ref CrossRef) error {
 	if s.findXRef(ref) >= 0 {
 		return nil
 	}
-	if err := s.logLocked(context.Background(), s.encodeXRef(opXRefAdd, ref), 1); err != nil {
+	if err := s.logLocked(context.Background(), appendXRef([]byte{opXRefAdd}, ref), 1); err != nil {
 		return err
 	}
 	s.xrefs = append(s.xrefs, ref)
@@ -418,10 +426,10 @@ func (s *Store) DeleteCrossRef(ref CrossRef) error {
 	if i < 0 {
 		return fmt.Errorf("%w: cross-reference %s → %s", ErrNotFound, ref.From.Display(), ref.To.Display())
 	}
-	if err := s.logLocked(context.Background(), s.encodeXRef(opXRefDel, ref), 1); err != nil {
+	if err := s.logLocked(context.Background(), appendXRef([]byte{opXRefDel}, ref), 1); err != nil {
 		return err
 	}
-	s.xrefs = append(s.xrefs[:i], s.xrefs[i+1:]...)
+	s.xrefs = slices.Delete(s.xrefs, i, i+1)
 	return s.maybeCompactLocked()
 }
 
@@ -487,7 +495,7 @@ func (s *Store) Stats() Stats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	st := Stats{
-		Works: len(s.works), NextID: s.nextID, InMemory: s.dir == "",
+		Works: len(s.ids), NextID: s.nextID, InMemory: s.dir == "",
 		BatchesCommitted: s.batches, FsyncsSaved: s.fsyncsSaved,
 		Degraded: s.degraded, DegradedWrites: s.degradedWrites,
 	}
@@ -599,79 +607,45 @@ func (s *Store) maybeCompactLocked() error {
 	return nil
 }
 
-func (s *Store) encodeXRef(op byte, ref CrossRef) []byte {
-	s.scratch = append(s.scratch[:0], op)
-	s.scratch = model.AppendAuthor(s.scratch, ref.From)
-	s.scratch = model.AppendAuthor(s.scratch, ref.To)
-	return s.scratch
+func appendXRef(dst []byte, ref CrossRef) []byte {
+	return model.AppendAuthor(model.AppendAuthor(dst, ref.From), ref.To)
 }
 
-func decodeXRef(p []byte) (CrossRef, error) {
+func decodeXRef(body *[]byte) (CrossRef, error) {
 	var ref CrossRef
-	from, n, err := model.DecodeAuthor(p)
-	if err != nil {
-		return ref, err
+	for _, a := range []*model.Author{&ref.From, &ref.To} {
+		author, n, err := model.DecodeAuthor(*body)
+		if err != nil {
+			return CrossRef{}, err
+		}
+		*a, *body = author, (*body)[n:]
 	}
-	to, _, err := model.DecodeAuthor(p[n:])
-	if err != nil {
-		return ref, err
-	}
-	ref.From, ref.To = from, to
 	return ref, nil
 }
 
 func (s *Store) applyPut(w *model.Work) {
-	s.works[w.ID] = w
+	s.ids[w.ID] = struct{}{}
+	s.delta[w.ID] = w
 	if w.ID >= s.nextID {
 		s.nextID = w.ID + 1
 	}
 }
 
 // applyRecord interprets one WAL payload during recovery.
-func (s *Store) applyRecord(p []byte) error {
+func (s *Store) applyRecord(p []byte, in *model.Interner) error {
 	if len(p) == 0 {
 		return fmt.Errorf("%w: empty WAL record", ErrCorrupt)
 	}
+	body := p[1:]
 	switch p[0] {
-	case opPut:
-		w, _, err := model.DecodeWorkInterned(p[1:], s.interner)
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
-		s.applyPut(w)
-		return nil
-	case opDelete:
-		id, n := binary.Uvarint(p[1:])
-		if n <= 0 {
-			return fmt.Errorf("%w: bad delete record", ErrCorrupt)
-		}
-		delete(s.works, model.WorkID(id))
-		return nil
-	case opXRefAdd:
-		ref, err := decodeXRef(p[1:])
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
-		if s.findXRef(ref) < 0 {
-			s.xrefs = append(s.xrefs, ref)
-		}
-		return nil
-	case opXRefDel:
-		ref, err := decodeXRef(p[1:])
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
-		if i := s.findXRef(ref); i >= 0 {
-			s.xrefs = append(s.xrefs[:i], s.xrefs[i+1:]...)
-		}
-		return nil
-	case opPutBatch:
-		// Decode the whole frame before applying anything: a batch frame
-		// is atomic, so a decode failure must not leave half of it live.
-		body := p[1:]
+	case opPut, opPutBatch:
+		// An old put record holds one work, a batch frame works back to
+		// back. Decode the whole frame before applying anything: a batch
+		// frame is atomic, so a decode failure must not leave half of it
+		// live.
 		var batch []*model.Work
 		for len(body) > 0 {
-			w, consumed, err := model.DecodeWorkInterned(body, s.interner)
+			w, consumed, err := model.DecodeWorkInterned(body, in)
 			if err != nil {
 				return fmt.Errorf("%w: batch work %d: %v", ErrCorrupt, len(batch), err)
 			}
@@ -682,19 +656,31 @@ func (s *Store) applyRecord(p []byte) error {
 			s.applyPut(w)
 		}
 		return nil
-	case opDelBatch:
-		body := p[1:]
+	case opDelete, opDelBatch:
 		var ids []model.WorkID
 		for len(body) > 0 {
 			id, n := binary.Uvarint(body)
 			if n <= 0 {
-				return fmt.Errorf("%w: bad batch delete id", ErrCorrupt)
+				return fmt.Errorf("%w: bad delete id", ErrCorrupt)
 			}
 			body = body[n:]
 			ids = append(ids, model.WorkID(id))
 		}
 		for _, id := range ids {
-			delete(s.works, id)
+			delete(s.ids, id)
+			delete(s.delta, id)
+		}
+		return nil
+	case opXRefAdd, opXRefDel:
+		ref, err := decodeXRef(&body)
+		if err != nil {
+			return fmt.Errorf("%w: %v", ErrCorrupt, err)
+		}
+		switch i := s.findXRef(ref); {
+		case p[0] == opXRefAdd && i < 0:
+			s.xrefs = append(s.xrefs, ref)
+		case p[0] == opXRefDel && i >= 0:
+			s.xrefs = slices.Delete(s.xrefs, i, i+1)
 		}
 		return nil
 	default:
@@ -703,55 +689,58 @@ func (s *Store) applyRecord(p []byte) error {
 }
 
 // compactLocked writes snapshot.tmp, fsyncs, renames over snapshot.dat
-// and resets the WAL. Any I/O failure degrades the store (disk that
-// fails maintenance writes cannot be trusted with commits either), the
-// temp file is always cleaned up, and the on-disk state stays
-// recoverable: failures before the rename leave the old snapshot + full
-// WAL; failures after it leave the new snapshot, over which leftover
-// WAL records replay idempotently.
+// and resets the WAL, then drops the delta. Any I/O failure degrades the
+// store (disk that fails maintenance writes cannot be trusted with
+// commits either), the temp file is always cleaned up, and the on-disk
+// state stays recoverable: failures before the rename leave the old
+// snapshot + full WAL; failures after it leave the new snapshot, over
+// which leftover WAL records replay idempotently. Either snapshot holds
+// every live record outside the kept delta, so reads stay whole.
 func (s *Store) compactLocked() error {
 	if s.dir == "" || s.log == nil {
 		return nil // in-memory: nothing to compact
 	}
 	defer compactHist.Since(time.Now())
-	tmp := filepath.Join(s.dir, snapshotTmp)
-	f, err := s.fs.Create(tmp)
-	if err != nil {
-		s.degradeLocked(err)
-		return fmt.Errorf("storage: compact: %w", err)
-	}
-	if err := s.writeSnapshot(f); err != nil {
-		f.Close()
-		s.fs.Remove(tmp)
-		s.degradeLocked(err)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		s.fs.Remove(tmp)
-		s.degradeLocked(err)
-		return fmt.Errorf("storage: compact sync: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		s.fs.Remove(tmp)
-		s.degradeLocked(err)
-		return fmt.Errorf("storage: compact close: %w", err)
-	}
-	if err := s.fs.Rename(tmp, filepath.Join(s.dir, snapshotFile)); err != nil {
-		s.fs.Remove(tmp) // don't leave the orphaned temp snapshot behind
-		s.degradeLocked(err)
-		return fmt.Errorf("storage: compact rename: %w", err)
-	}
-	if err := s.syncDirLocked(); err != nil {
-		s.degradeLocked(err)
-		return err
-	}
-	if err := s.log.Reset(); err != nil {
+	if err := s.replaceSnapshotLocked(); err != nil {
 		s.degradeLocked(err)
 		return err
 	}
 	s.opsSince = 0
+	s.delta = make(map[model.WorkID]*model.Work)
 	return nil
+}
+
+// replaceSnapshotLocked writes and fsyncs snapshot.tmp, renames it over
+// snapshot.dat, fsyncs the directory and resets the WAL. The temp file
+// never outlives a failure.
+func (s *Store) replaceSnapshotLocked() error {
+	tmp := filepath.Join(s.dir, snapshotTmp)
+	f, err := s.fs.Create(tmp)
+	if err != nil {
+		return fmt.Errorf("storage: compact: %w", err)
+	}
+	err = s.writeSnapshot(f)
+	if err == nil {
+		if err = f.Sync(); err != nil {
+			err = fmt.Errorf("storage: compact sync: %w", err)
+		}
+	}
+	if cerr := f.Close(); err == nil && cerr != nil {
+		err = fmt.Errorf("storage: compact close: %w", cerr)
+	}
+	if err == nil {
+		if err = s.fs.Rename(tmp, filepath.Join(s.dir, snapshotFile)); err != nil {
+			err = fmt.Errorf("storage: compact rename: %w", err)
+		}
+	}
+	if err != nil {
+		s.fs.Remove(tmp)
+		return err
+	}
+	if err := s.syncDirLocked(); err != nil {
+		return err
+	}
+	return s.log.Reset()
 }
 
 // Snapshot layout: magic, then a body of
@@ -761,106 +750,141 @@ func (s *Store) compactLocked() error {
 //	uvarint cross-ref count, then that many (from, to) author pairs
 //
 // followed by a uint32 CRC-32C of the body.
+
+// writeSnapshot streams the current state to w: the magic, then the
+// body (the old snapshot's live records copied byte for byte, then the
+// delta encoded) through a buffer, then the body's CRC.
 func (s *Store) writeSnapshot(w io.Writer) error {
-	body := binary.AppendUvarint(nil, uint64(s.nextID))
-	body = binary.AppendUvarint(body, uint64(len(s.works)))
-	for _, work := range s.works {
-		body = model.AppendWork(body, work)
+	if _, err := io.WriteString(w, snapMagic); err != nil {
+		return fmt.Errorf("storage: snapshot write: %w", err)
 	}
-	body = binary.AppendUvarint(body, uint64(len(s.xrefs)))
+	bw := bufio.NewWriterSize(w, 256<<10)
+	crc := crc32.New(castagnoli)
+	body := io.MultiWriter(bw, crc)
+	buf := binary.AppendUvarint(nil, uint64(s.nextID))
+	buf = binary.AppendUvarint(buf, uint64(len(s.ids)))
+	body.Write(buf)
+	if err := s.liveSnapshotLocked(func(rec []byte) { body.Write(rec) }); err != nil {
+		return fmt.Errorf("storage: compact: %w", err)
+	}
+	for _, work := range s.delta {
+		buf = model.AppendWork(buf[:0], work)
+		body.Write(buf)
+	}
+	buf = binary.AppendUvarint(buf[:0], uint64(len(s.xrefs)))
 	for _, ref := range s.xrefs {
-		body = model.AppendAuthor(body, ref.From)
-		body = model.AppendAuthor(body, ref.To)
+		buf = appendXRef(buf, ref)
 	}
-	if _, err := w.Write([]byte(snapMagic)); err != nil {
+	body.Write(buf)
+	// bufio keeps the first write error and Flush returns it.
+	if err := bw.Flush(); err != nil {
 		return fmt.Errorf("storage: snapshot write: %w", err)
 	}
-	if _, err := w.Write(body); err != nil {
-		return fmt.Errorf("storage: snapshot write: %w", err)
-	}
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.Checksum(body, castagnoli))
-	if _, err := w.Write(crc[:]); err != nil {
+	if _, err := w.Write(binary.LittleEndian.AppendUint32(nil, crc.Sum32())); err != nil {
 		return fmt.Errorf("storage: snapshot write: %w", err)
 	}
 	return nil
 }
 
+// loadSnapshot takes the snapshot's IDs, next-ID counter and
+// cross-references. It decodes no work: the records stay on disk.
 func (s *Store) loadSnapshot() error {
-	path := filepath.Join(s.dir, snapshotFile)
-	data, err := os.ReadFile(path)
+	nextID, xrefs, err := scanSnapshot(s.dir, func(id model.WorkID, _ []byte) error {
+		if _, dup := s.ids[id]; dup {
+			return fmt.Errorf("%w: snapshot holds work %d twice", ErrCorrupt, id)
+		}
+		s.ids[id] = struct{}{}
+		// Never hand out an ID that is already taken, even from a
+		// snapshot written before an explicit-ID put raised nextID.
+		s.nextID = max(s.nextID, id+1)
+		return nil
+	})
+	s.nextID = max(s.nextID, nextID)
+	s.xrefs = xrefs
+	return err
+}
+
+// liveSnapshotLocked calls fn with the bytes of every live snapshot
+// record: one whose ID is in ids and not in delta. Those and the delta
+// must make up every live work, or the snapshot is corrupt.
+func (s *Store) liveSnapshotLocked(fn func(rec []byte)) error {
+	live := 0
+	if s.dir != "" {
+		_, _, err := scanSnapshot(s.dir, func(id model.WorkID, rec []byte) error {
+			_, ok := s.ids[id]
+			if _, put := s.delta[id]; ok && !put {
+				fn(rec)
+				live++
+			}
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+	}
+	if live+len(s.delta) != len(s.ids) {
+		return fmt.Errorf("%w: snapshot holds %d of the %d live works outside the delta", ErrCorrupt, live, len(s.ids)-len(s.delta))
+	}
+	return nil
+}
+
+// scanSnapshot reads and CRC-checks dir's snapshot and calls rec with
+// each work record's ID and encoded bytes, in file order, without
+// decoding the work. It returns the snapshot's next-ID counter and its
+// cross-references. A missing snapshot is an empty one.
+func scanSnapshot(dir string, rec func(id model.WorkID, b []byte) error) (model.WorkID, []CrossRef, error) {
+	data, err := os.ReadFile(filepath.Join(dir, snapshotFile))
 	if err != nil {
 		if os.IsNotExist(err) {
-			return nil
+			return 0, nil, nil
 		}
-		return fmt.Errorf("storage: load snapshot: %w", err)
+		return 0, nil, fmt.Errorf("storage: load snapshot: %w", err)
 	}
 	if len(data) < len(snapMagic)+4 || string(data[:len(snapMagic)]) != snapMagic {
-		return fmt.Errorf("%w: snapshot header", ErrCorrupt)
+		return 0, nil, fmt.Errorf("%w: snapshot header", ErrCorrupt)
 	}
 	body := data[len(snapMagic) : len(data)-4]
 	want := binary.LittleEndian.Uint32(data[len(data)-4:])
 	if crc32.Checksum(body, castagnoli) != want {
-		return fmt.Errorf("%w: snapshot checksum mismatch", ErrCorrupt)
+		return 0, nil, fmt.Errorf("%w: snapshot checksum mismatch", ErrCorrupt)
 	}
 	nextID, n := binary.Uvarint(body)
 	if n <= 0 {
-		return fmt.Errorf("%w: snapshot nextID", ErrCorrupt)
+		return 0, nil, fmt.Errorf("%w: snapshot nextID", ErrCorrupt)
 	}
 	body = body[n:]
 	count, n := binary.Uvarint(body)
 	if n <= 0 {
-		return fmt.Errorf("%w: snapshot count", ErrCorrupt)
+		return 0, nil, fmt.Errorf("%w: snapshot count", ErrCorrupt)
 	}
 	body = body[n:]
 	for i := uint64(0); i < count; i++ {
-		w, consumed, err := model.DecodeWorkInterned(body, s.interner)
+		id, n, err := model.ScanWork(body)
 		if err != nil {
-			return fmt.Errorf("%w: snapshot work %d: %v", ErrCorrupt, i, err)
+			return 0, nil, fmt.Errorf("%w: snapshot work %d: %v", ErrCorrupt, i, err)
 		}
-		body = body[consumed:]
-		s.works[w.ID] = w
+		if err := rec(id, body[:n]); err != nil {
+			return 0, nil, err
+		}
+		body = body[n:]
 	}
 	xrefCount, n := binary.Uvarint(body)
 	if n <= 0 {
-		return fmt.Errorf("%w: snapshot cross-ref count", ErrCorrupt)
+		return 0, nil, fmt.Errorf("%w: snapshot cross-ref count", ErrCorrupt)
 	}
 	body = body[n:]
+	var xrefs []CrossRef
 	for i := uint64(0); i < xrefCount; i++ {
-		ref, err := decodeSnapshotXRef(&body)
+		ref, err := decodeXRef(&body)
 		if err != nil {
-			return fmt.Errorf("%w: snapshot cross-ref %d: %v", ErrCorrupt, i, err)
+			return 0, nil, fmt.Errorf("%w: snapshot cross-ref %d: %v", ErrCorrupt, i, err)
 		}
-		s.xrefs = append(s.xrefs, ref)
+		xrefs = append(xrefs, ref)
 	}
 	if len(body) != 0 {
-		return fmt.Errorf("%w: %d trailing snapshot bytes", ErrCorrupt, len(body))
+		return 0, nil, fmt.Errorf("%w: %d trailing snapshot bytes", ErrCorrupt, len(body))
 	}
-	s.nextID = model.WorkID(nextID)
-	// Guard against snapshots written before an explicit-ID Put raised
-	// nextID: never hand out an ID that is already taken.
-	for id := range s.works {
-		if id >= s.nextID {
-			s.nextID = id + 1
-		}
-	}
-	return nil
-}
-
-func decodeSnapshotXRef(body *[]byte) (CrossRef, error) {
-	var ref CrossRef
-	from, n, err := model.DecodeAuthor(*body)
-	if err != nil {
-		return ref, err
-	}
-	*body = (*body)[n:]
-	to, n, err := model.DecodeAuthor(*body)
-	if err != nil {
-		return ref, err
-	}
-	*body = (*body)[n:]
-	ref.From, ref.To = from, to
-	return ref, nil
+	return model.WorkID(nextID), xrefs, nil
 }
 
 func (s *Store) syncDirLocked() error {

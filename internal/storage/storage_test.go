@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
@@ -42,15 +44,19 @@ func del(s *Store, id model.WorkID) error {
 	return s.DeleteBatch([]model.WorkID{id})
 }
 
-// get returns a copy of the work stored under id.
+// get returns a private copy of the work stored under id, found the
+// way every reader finds one: through ForEach.
 func get(s *Store, id model.WorkID) (*model.Work, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	w, ok := s.works[id]
-	if !ok {
-		return nil, false
+	var found *model.Work
+	if err := s.ForEach(func(w *model.Work) error {
+		if w.ID == id {
+			found = w.Clone()
+		}
+		return nil
+	}); err != nil {
+		panic(fmt.Sprintf("get(%d): %v", id, err))
 	}
-	return w.Clone(), true
+	return found, found != nil
 }
 
 func openT(t *testing.T, dir string) *Store {
@@ -321,16 +327,54 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 	wg.Wait()
 }
 
-// Model check: random Put/Delete mirrored against a map, with periodic
-// compaction and reopen, must always recover the exact model state.
+// Model check: random puts, explicit-ID replaces and deletes mirrored
+// against a map, with periodic compaction and reopen. Replaces and
+// deletes also target works that live in the snapshot, so compaction
+// must drop their old records. Every round, ForEach must read exactly
+// the model both before and after the reopen.
 func TestRecoveryModelCheck(t *testing.T) {
 	dir := t.TempDir()
 	mdl := map[model.WorkID]string{}
+	snap := map[model.WorkID]bool{} // IDs in the last compaction's snapshot
 	r := rand.New(rand.NewSource(99))
+	// pick returns a random ID of set that the model still holds.
+	pick := func(set map[model.WorkID]bool) (model.WorkID, bool) {
+		var ids []model.WorkID
+		for id := range set {
+			if _, ok := mdl[id]; ok {
+				ids = append(ids, id)
+			}
+		}
+		if len(ids) == 0 {
+			return 0, false
+		}
+		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+		return ids[r.Intn(len(ids))], true
+	}
+	check := func(s *Store, when string) {
+		t.Helper()
+		got := map[model.WorkID]string{}
+		if err := s.ForEach(func(w *model.Work) error {
+			got[w.ID] = w.Title
+			return nil
+		}); err != nil {
+			t.Fatalf("%s: ForEach: %v", when, err)
+		}
+		if !reflect.DeepEqual(got, mdl) || s.Len() != len(mdl) {
+			t.Fatalf("%s: store reads %d works (Len %d), model has %d", when, len(got), s.Len(), len(mdl))
+		}
+	}
+	all := func() map[model.WorkID]bool {
+		set := map[model.WorkID]bool{}
+		for id := range mdl {
+			set[id] = true
+		}
+		return set
+	}
 	s := openT(t, dir)
 	for round := 0; round < 5; round++ {
 		for op := 0; op < 100; op++ {
-			switch r.Intn(4) {
+			switch r.Intn(6) {
 			case 0, 1: // put
 				title := fmt.Sprintf("t-%d-%d", round, op)
 				id, err := put(s, work(title, 90, 1+r.Intn(1000), 1990))
@@ -338,33 +382,42 @@ func TestRecoveryModelCheck(t *testing.T) {
 					t.Fatal(err)
 				}
 				mdl[id] = title
-			case 2: // delete random known id
-				for id := range mdl {
+			case 2: // delete a random known id
+				if id, ok := pick(all()); ok {
 					if err := del(s, id); err != nil {
 						t.Fatal(err)
 					}
 					delete(mdl, id)
-					break
 				}
 			case 3: // compact occasionally
-				if op%37 == 0 {
+				if r.Intn(8) == 0 {
 					if err := s.Compact(); err != nil {
 						t.Fatal(err)
 					}
+					snap = all()
+				}
+			case 4: // replace a snapshot work under its explicit ID
+				if id, ok := pick(snap); ok {
+					w := work(fmt.Sprintf("r-%d-%d", round, op), 91, 1+r.Intn(1000), 1991)
+					w.ID = id
+					if _, err := put(s, w); err != nil {
+						t.Fatal(err)
+					}
+					mdl[id] = w.Title
+				}
+			case 5: // delete a snapshot work
+				if id, ok := pick(snap); ok {
+					if err := del(s, id); err != nil {
+						t.Fatal(err)
+					}
+					delete(mdl, id)
 				}
 			}
 		}
+		check(s, fmt.Sprintf("round %d, live", round))
 		s.Close()
 		s = openT(t, dir)
-		if s.Len() != len(mdl) {
-			t.Fatalf("round %d: recovered %d works, model has %d", round, s.Len(), len(mdl))
-		}
-		for id, title := range mdl {
-			w, ok := get(s, id)
-			if !ok || w.Title != title {
-				t.Fatalf("round %d: id %d = %v,%v want %q", round, id, w, ok, title)
-			}
-		}
+		check(s, fmt.Sprintf("round %d, reopened", round))
 	}
 	s.Close()
 }

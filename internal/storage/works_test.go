@@ -3,12 +3,14 @@ package storage
 import (
 	"sort"
 	"testing"
+
+	"repro/internal/model"
 )
 
-// TestWorksBulkLoadHandOff: Works must return every stored work exactly
-// once, and the returned references must stay stable (read-only shared
-// records) across later store mutations — the hand-off contract the
-// engine's LoadAll relies on.
+// TestWorksBulkLoadHandOff: ForEach must hand over every stored work
+// exactly once, and the handed-out references must stay stable
+// (read-only shared records) across later store mutations — the
+// hand-off contract the index's bulk load relies on.
 func TestWorksBulkLoadHandOff(t *testing.T) {
 	s := openT(t, "")
 	defer s.Close()
@@ -17,15 +19,21 @@ func TestWorksBulkLoadHandOff(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got := s.Works()
+	var got []*model.Work
+	if err := s.ForEach(func(w *model.Work) error {
+		got = append(got, w)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 	if len(got) != 40 {
-		t.Fatalf("Works returned %d works, want 40", len(got))
+		t.Fatalf("ForEach handed over %d works, want 40", len(got))
 	}
 	sort.Slice(got, func(i, j int) bool { return got[i].ID < got[j].ID })
 	seen := map[uint64]bool{}
 	for _, w := range got {
 		if seen[uint64(w.ID)] {
-			t.Fatalf("duplicate ID %d in Works", w.ID)
+			t.Fatalf("duplicate ID %d from ForEach", w.ID)
 		}
 		seen[uint64(w.ID)] = true
 	}
