@@ -1014,13 +1014,11 @@ func (ix *Index) Verify() error {
 	if err != nil {
 		return err
 	}
-	engCount, worksTotal, postings := 0, 0, 0
+	engCount, postings := 0, 0
 	var shardXor uint64
 	for _, h := range heads {
-		st := h.Stats()
 		engCount += h.Len()
-		worksTotal += st.Works
-		postings += st.Postings
+		postings += h.Stats().Postings
 		shardXor ^= h.XorFingerprint()
 	}
 	if engCount != storeCount {
@@ -1032,9 +1030,6 @@ func (ix *Index) Verify() error {
 	// fingerprint a from-scratch unsharded rebuild would produce.
 	if shardXor != storeXor {
 		return fmt.Errorf("authorindex: verify: shard fingerprints fold to %016x, store works to %016x", shardXor, storeXor)
-	}
-	if worksTotal != storeCount {
-		return fmt.Errorf("authorindex: verify: author index counts %d works, store %d", worksTotal, storeCount)
 	}
 	// The tracker is corpus-global and shared by every shard, so
 	// tracker-level checks read one head.

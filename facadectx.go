@@ -168,7 +168,7 @@ func (ix *Index) AuthorsCtx(ctx context.Context, prefix string, limit int) []*En
 	parts := shard.Gather(ix.loadTraced(sp).Engs, func(_ int, eng *query.Engine) []*Entry {
 		return eng.AuthorPrefix(prefix, limit)
 	})
-	out := shard.MergeEntries(parts, ix.coll, limit)
+	out := cloneEntries(shard.MergeEntries(parts, ix.coll, limit))
 	sp.SetInt("entries", int64(len(out)))
 	return out
 }
@@ -186,9 +186,19 @@ func (ix *Index) AuthorsPageCtx(ctx context.Context, after string, limit int) []
 	// A heading split across shards collapses into one merged entry, so
 	// a page can come up slightly short of limit; the cursor contract
 	// (resume from the last returned heading) still holds.
-	out := shard.MergeEntries(parts, ix.coll, limit)
+	out := cloneEntries(shard.MergeEntries(parts, ix.coll, limit))
 	sp.SetInt("entries", int64(len(out)))
 	return out
+}
+
+// cloneEntries deep-copies a merged page of engine views in place, so
+// the caller owns every entry it gets and only the returned page is
+// ever copied.
+func cloneEntries(page []*Entry) []*Entry {
+	for i, e := range page {
+		page[i] = e.Clone()
+	}
+	return page
 }
 
 // TopAuthorsCtx is TopAuthors carrying a trace context. Rankings come

@@ -26,8 +26,10 @@ const (
 type cowTag struct{ _ byte }
 
 // Tree is a B+tree mapping []byte keys to values of type V. Keys are
-// compared with bytes.Compare and copied on insert, so callers may reuse
-// their buffers. The zero Tree is not usable; call New.
+// compared with bytes.Compare and owned, not copied: Set and BulkLoad
+// keep the caller's slice, so several trees (or a tree and its values)
+// may share one key buffer, and callers must not modify a key after
+// handing it over. The zero Tree is not usable; call New.
 //
 // Clone returns an O(1) snapshot: both trees share every node, and
 // subsequent mutation on either side path-copies just the nodes it
@@ -99,6 +101,9 @@ func (t *Tree[V]) Get(key []byte) (V, bool) {
 }
 
 // Set stores v under key, returning the previous value if one existed.
+// A new key is filed as the caller's slice itself, not a copy: the tree
+// owns it from then on and the caller must not modify it. Replacing an
+// existing key keeps the slice filed first.
 func (t *Tree[V]) Set(key []byte, v V) (prev V, replaced bool) {
 	t.root = t.mutable(t.root)
 	prev, replaced, split := t.insert(t.root, key, v)
@@ -305,7 +310,7 @@ func (t *Tree[V]) insert(n node[V], key []byte, v V) (prev V, replaced bool, spl
 		}
 		x.keys = append(x.keys, nil)
 		copy(x.keys[i+1:], x.keys[i:])
-		x.keys[i] = append([]byte(nil), key...)
+		x.keys[i] = key
 		var zero V
 		x.vals = append(x.vals, zero)
 		copy(x.vals[i+1:], x.vals[i:])

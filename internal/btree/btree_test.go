@@ -204,13 +204,89 @@ func TestPrefixEndAllFF(t *testing.T) {
 	}
 }
 
-func TestKeysAreCopied(t *testing.T) {
+// TestSetKeepsKey: Set files the caller's slice itself, through leaf
+// and interior splits, so several trees can share one key buffer; a
+// replace keeps the slice filed first; and a COW clone sharing those
+// slices is unaffected by mutation on either side.
+func TestSetKeepsKey(t *testing.T) {
 	tr := New[int]()
-	k := []byte("mutable")
-	tr.Set(k, 1)
-	k[0] = 'X'
-	if _, ok := tr.Get([]byte("mutable")); !ok {
-		t.Error("tree affected by caller mutating key buffer")
+	keys := make(map[string][]byte)
+	for _, i := range rand.New(rand.NewSource(3)).Perm(5000) {
+		k := key(i)
+		keys[string(k)] = k
+		tr.Set(k, i)
+	}
+	if h, _, _ := tr.stats(); h < 3 {
+		t.Fatalf("height %d: want interior splits", h)
+	}
+	same := func(a, b []byte) bool { return len(a) == len(b) && &a[0] == &b[0] }
+	tr.Ascend(func(k []byte, _ int) bool {
+		if !same(k, keys[string(k)]) {
+			t.Fatalf("key %s is a copy, not the caller's slice", k)
+		}
+		return true
+	})
+	first := keys[string(key(42))]
+	tr.Set(key(42), -42)
+	if k, _, _ := tr.Min(); !same(k, keys[string(key(0))]) {
+		t.Error("Min returned a copy of the filed key")
+	}
+	snap := tr.Clone()
+	tr.AscendRange(key(42), key(43), func(k []byte, v int) bool {
+		if !same(k, first) || v != -42 {
+			t.Errorf("replace: key %s value %d, want the first slice and -42", k, v)
+		}
+		return true
+	})
+	// Mutate both sides of the clone: new keys, replaced values, deletes.
+	for i := 0; i < 5000; i += 3 {
+		tr.Delete(key(i))
+		tr.Set(key(5000+i), i)
+	}
+	for i := 1; i < 5000; i += 7 {
+		snap.Set(key(i), -i)
+	}
+	checkInvariants(t, tr)
+	checkInvariants(t, snap)
+	if snap.Len() != 5000 {
+		t.Fatalf("clone Len = %d, want 5000", snap.Len())
+	}
+	i := 0
+	snap.Ascend(func(k []byte, v int) bool {
+		if !same(k, keys[string(k)]) {
+			t.Fatalf("clone key %s is not the caller's slice", k)
+		}
+		want := i
+		switch {
+		case (i-1)%7 == 0:
+			want = -i
+		case i == 42:
+			want = -42
+		}
+		if v != want {
+			t.Fatalf("clone value for %s = %d, want %d", k, v, want)
+		}
+		i++
+		return true
+	})
+	for i := 0; i < 5000; i++ {
+		v, ok := tr.Get(key(i))
+		if i%3 == 0 {
+			if ok {
+				t.Fatalf("deleted key %d still in the original", i)
+			}
+			if v, ok = tr.Get(key(5000 + i)); !ok || v != i {
+				t.Fatalf("new key %d = %d,%v", 5000+i, v, ok)
+			}
+			continue
+		}
+		want := i
+		if i == 42 {
+			want = -42
+		}
+		if !ok || v != want {
+			t.Fatalf("original key %d = %d,%v, want %d: the clone's Set leaked", i, v, ok, want)
+		}
 	}
 }
 

@@ -20,7 +20,7 @@ type Pair[V any] struct {
 //
 // The resulting tree satisfies the same structural invariants as one
 // grown by sequential Set calls (node fill between minKeys and maxKeys,
-// uniform leaf depth) and iterates identically. Unlike Set, BulkLoad
+// uniform leaf depth) and iterates identically. Like Set, BulkLoad
 // takes ownership of the key slices instead of copying them; callers
 // must not modify them afterwards.
 func BulkLoad[V any](pairs []Pair[V]) (*Tree[V], error) {

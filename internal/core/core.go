@@ -52,10 +52,10 @@ type Section struct {
 	Entries []*Entry
 }
 
-// Stats summarizes index contents.
+// Stats summarizes index contents. The index does not count distinct
+// works: query.Engine reports them from its ID tree.
 type Stats struct {
 	Authors      int // distinct headings (entries)
-	Works        int // distinct works
 	Postings     int // author–work pairs
 	StudentNotes int // postings under student headings
 	CrossRefs    int // see-also references
@@ -68,14 +68,8 @@ type Stats struct {
 // replaces the tree value — so a Clone taken before the mutation keeps a
 // frozen, internally consistent view with zero coordination.
 type Index struct {
-	opts    collate.Options
-	entries *btree.Tree[*Entry]
-	// workRefs counts how many headings each work appears under. It is
-	// writer-only bookkeeping shared across clones (snapshot readers
-	// never touch it); the distinct counter below is the value-copied
-	// summary they read instead.
-	workRefs map[model.WorkID]int
-	distinct int // distinct works, maintained on 0→1 / 1→0 ref transitions
+	opts     collate.Options
+	entries  *btree.Tree[*Entry]
 	postings int
 	students int
 	crossRef int
@@ -83,18 +77,12 @@ type Index struct {
 
 // New returns an empty index using the given collation options.
 func New(opts collate.Options) *Index {
-	return &Index{
-		opts:     opts,
-		entries:  btree.New[*Entry](),
-		workRefs: make(map[model.WorkID]int),
-	}
+	return &Index{opts: opts, entries: btree.New[*Entry]()}
 }
 
 // Clone returns an O(1) copy-on-write snapshot: the heading tree shares
 // every node until one side mutates, and entries are immutable values
-// replaced wholesale, so the clone's view is frozen. The workRefs map is
-// shared — it is writer-side bookkeeping that snapshot readers never
-// consult (Stats reports the copied distinct counter).
+// replaced wholesale, so the clone's view is frozen.
 func (ix *Index) Clone() *Index {
 	cp := *ix
 	cp.entries = ix.entries.Clone()
@@ -138,9 +126,6 @@ func (ix *Index) Add(w *model.Work) error {
 			e = &Entry{Author: a}
 		}
 		if e.insertWork(w) {
-			if ix.workRefs[w.ID]++; ix.workRefs[w.ID] == 1 {
-				ix.distinct++
-			}
 			ix.postings++
 			if a.Student {
 				ix.students++
@@ -168,10 +153,6 @@ func (ix *Index) Remove(w *model.Work) {
 		ix.postings--
 		if a.Student {
 			ix.students--
-		}
-		if ix.workRefs[w.ID]--; ix.workRefs[w.ID] <= 0 {
-			delete(ix.workRefs, w.ID)
-			ix.distinct--
 		}
 		if len(cp.Works) == 0 && len(cp.SeeAlso) == 0 {
 			ix.entries.Delete(key)
@@ -270,7 +251,6 @@ func (ix *Index) Sections() []Section {
 func (ix *Index) Stats() Stats {
 	return Stats{
 		Authors:      ix.entries.Len(),
-		Works:        ix.distinct,
 		Postings:     ix.postings,
 		StudentNotes: ix.students,
 		CrossRefs:    ix.crossRef,
@@ -310,7 +290,6 @@ func Rebuild(opts collate.Options, works []*model.Work) (*Index, error) {
 // over and must not modify it afterwards.
 func Load(opts collate.Options, works []*model.Work) (*Index, error) {
 	ix := New(opts)
-	ix.workRefs = make(map[model.WorkID]int, len(works))
 	type accum struct {
 		e    *Entry
 		refs []*model.Work
@@ -356,7 +335,6 @@ func Load(opts collate.Options, works []*model.Work) (*Index, error) {
 			}
 			scratch = append(scratch, ac)
 			ac.refs = append(ac.refs, w)
-			ix.workRefs[w.ID]++
 			ix.postings++
 			if a.Student {
 				ix.students++
@@ -407,7 +385,6 @@ func Load(opts collate.Options, works []*model.Work) (*Index, error) {
 		return nil, err
 	}
 	ix.entries = tree
-	ix.distinct = len(ix.workRefs)
 	return ix, nil
 }
 

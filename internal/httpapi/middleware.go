@@ -8,9 +8,12 @@ import (
 	"log/slog"
 	"net/http"
 	"runtime/debug"
+	"strconv"
 	"strings"
+	"sync"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -115,18 +118,18 @@ func (s *Server) telemetry(next http.Handler) http.Handler {
 		tr.Root().SetInt("status", int64(sw.code))
 		tr.Finish(route)
 
-		if h, ok := s.routes[route]; ok {
-			h.Observe(elapsed)
-		} else {
-			s.reg.Histogram(reqDurationMetric, reqDurationHelp, "route", route).Observe(elapsed)
+		rt, ok := s.routes[route]
+		if !ok {
+			// Every pattern is registered through handle; this is only a
+			// safety net, resolved per request.
+			rt = s.newRouteStats(route)
 		}
-		code := fmt.Sprint(sw.code)
-		if sw.code == StatusClientClosedRequest {
-			code = "canceled"
-		}
-		s.reg.Counter(reqTotalMetric, reqTotalHelp,
-			"route", route, "code", code).Inc()
+		rt.latency.Observe(elapsed)
+		rt.counter(s.reg, sw.code).Inc()
 
+		if !s.log.Enabled(r.Context(), slog.LevelInfo) {
+			return
+		}
 		s.log.LogAttrs(r.Context(), slog.LevelInfo, "request",
 			slog.String("request_id", rid),
 			slog.String("method", r.Method),
@@ -139,6 +142,57 @@ func (s *Server) telemetry(next http.Handler) http.Handler {
 		)
 	})
 }
+
+// routeStats is one route's request telemetry, resolved once: its
+// latency histogram and, for each status code it has answered, its
+// request counter.
+type routeStats struct {
+	route   string
+	latency *obs.Histogram
+	mu      sync.RWMutex
+	codes   map[int]*obs.Counter
+}
+
+// newRouteStats registers route's latency histogram.
+func (s *Server) newRouteStats(route string) *routeStats {
+	return &routeStats{
+		route:   route,
+		latency: s.reg.Histogram(reqDurationMetric, reqDurationHelp, "route", route),
+		codes:   make(map[int]*obs.Counter),
+	}
+}
+
+// counter returns the request counter for this route and status code,
+// registering it on first use, so a series appears only once a code has
+// been served.
+func (rs *routeStats) counter(reg *obs.Registry, code int) *obs.Counter {
+	rs.mu.RLock()
+	c := rs.codes[code]
+	rs.mu.RUnlock()
+	if c != nil {
+		return c
+	}
+	label := strconv.Itoa(code)
+	if code == StatusClientClosedRequest {
+		label = "canceled"
+	}
+	// The registry returns the same counter for the same labels, so two
+	// first requests racing here store the same pointer.
+	c = reg.Counter(reqTotalMetric, reqTotalHelp, "route", rs.route, "code", label)
+	rs.mu.Lock()
+	rs.codes[code] = c
+	rs.mu.Unlock()
+	return c
+}
+
+// discardHandler is the access log of a Server configured without a
+// Logger: no level is enabled, so telemetry builds no record at all.
+type discardHandler struct{}
+
+func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
+func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
+func (d discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return d }
+func (d discardHandler) WithGroup(string) slog.Handler           { return d }
 
 // recovery turns a handler panic into a 500 instead of killing the
 // connection (and, under http.Server, only that goroutine — leaving a
@@ -205,10 +259,18 @@ func operational(path string) bool {
 }
 
 // newRequestID returns a process-unique request ID: a random per-server
-// prefix plus a sequence number, cheap enough for the hot path (no
-// syscall after the first call).
+// prefix, a dash and a sequence number in at least 8 hex digits (the
+// "%s-%08x" form), cheap enough for the hot path (no syscall after the
+// first call, one allocation).
 func (s *Server) newRequestID() string {
-	return fmt.Sprintf("%s-%08x", s.ridPrefix(), s.reqSeq.Add(1))
+	var buf [40]byte
+	var digits [16]byte
+	hex := strconv.AppendUint(digits[:0], s.reqSeq.Add(1), 16)
+	b := append(append(buf[:0], s.ridPrefix()...), '-')
+	for i := len(hex); i < 8; i++ {
+		b = append(b, '0')
+	}
+	return string(append(b, hex...))
 }
 
 func (s *Server) ridPrefix() string {

@@ -2,10 +2,17 @@ package httpapi
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
+	"slices"
+	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -362,5 +369,111 @@ func TestAccessLogStatus(t *testing.T) {
 	}
 	if !strings.Contains(logged, `"path":"/works/42"`) {
 		t.Errorf("access log lacks path: %s", logged)
+	}
+}
+
+// TestTelemetryRecordsUnchanged pins what the middleware emits per
+// request now that counters are resolved once per (route, code): the
+// counter series and their counts (499 as "canceled", no series for a
+// code never served), one access-log record per request with the same
+// fields, and generated request IDs in the "%s-%08x" form. Without a
+// Logger the counters still count and no record is built.
+func TestTelemetryRecordsUnchanged(t *testing.T) {
+	var logBuf bytes.Buffer
+	var mu sync.Mutex
+	logger := slog.New(slog.NewJSONHandler(&syncWriter{w: &logBuf, mu: &mu}, nil))
+	reg := obs.NewRegistry()
+	s := New(openIndex(t), Config{Logger: logger, Registry: reg})
+	s.Handler()
+	h := s.telemetry(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		code, _ := strconv.Atoi(r.URL.Query().Get("code"))
+		stampRoute(r, "GET /works/{id}")
+		w.WriteHeader(code)
+		io.WriteString(w, "body")
+	}))
+	codes := []int{200, 404, 200, StatusClientClosedRequest, 200, 503}
+	var wg sync.WaitGroup
+	ids := make([]string, len(codes))
+	for i, code := range codes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("GET", fmt.Sprintf("/works/%d?code=%d", i, code), nil))
+			ids[i] = rec.Header().Get(RequestIDHeader)
+		}()
+	}
+	wg.Wait()
+
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if strings.HasPrefix(line, "authdex_http_requests_total{") {
+			got = append(got, line)
+		}
+	}
+	sort.Strings(got)
+	want := []string{
+		`authdex_http_requests_total{route="GET /works/{id}",code="200"} 3`,
+		`authdex_http_requests_total{route="GET /works/{id}",code="404"} 1`,
+		`authdex_http_requests_total{route="GET /works/{id}",code="503"} 1`,
+		`authdex_http_requests_total{route="GET /works/{id}",code="canceled"} 1`,
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("request counters:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+
+	ridForm := regexp.MustCompile(`^[0-9a-f]{8}-[0-9a-f]{8,}$`)
+	mu.Lock()
+	lines := strings.Split(strings.TrimSpace(logBuf.String()), "\n")
+	mu.Unlock()
+	if len(lines) != len(codes) {
+		t.Fatalf("%d access-log records for %d requests", len(lines), len(codes))
+	}
+	fields := []string{"bytes", "duration", "level", "method", "msg", "path", "remote", "request_id", "route", "status", "time"}
+	seen := map[string]bool{}
+	for _, line := range lines {
+		var rec map[string]any
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("access log %q: %v", line, err)
+		}
+		keys := make([]string, 0, len(rec))
+		for k := range rec {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		if !slices.Equal(keys, fields) {
+			t.Errorf("access-log fields %v, want %v", keys, fields)
+		}
+		rid, _ := rec["request_id"].(string)
+		if !ridForm.MatchString(rid) || rec["msg"] != "request" || rec["level"] != "INFO" ||
+			rec["route"] != "GET /works/{id}" || rec["bytes"] != 4.0 {
+			t.Errorf("access-log record %s", line)
+		}
+		seen[rid] = true
+	}
+	for _, rid := range ids {
+		if !seen[rid] {
+			t.Errorf("response request ID %q is not in the access log", rid)
+		}
+	}
+
+	s.reqSeq.Store(0xfffffffe)
+	prefix := s.ridPrefix()
+	for _, seq := range []uint64{0xffffffff, 0x100000000} {
+		if got, want := s.newRequestID(), fmt.Sprintf("%s-%08x", prefix, seq); got != want {
+			t.Errorf("request ID %q, want %q", got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { s.newRequestID() }); n > 1 {
+		t.Errorf("newRequestID allocates %.0f times, want 1", n)
+	}
+
+	quiet := New(openIndex(t), Config{Registry: obs.NewRegistry()})
+	if quiet.log.Enabled(context.Background(), slog.LevelError) {
+		t.Error("the default access log is enabled at ERROR")
 	}
 }

@@ -106,7 +106,7 @@ type Server struct {
 	reqSeq   atomic.Uint64
 	ridOnce  sync.Once
 	ridSeed  string
-	routes   map[string]*obs.Histogram // per-pattern latency, built in Handler
+	routes   map[string]*routeStats // per-pattern telemetry, built in Handler
 }
 
 // New builds a Server and starts its boot checks. The index's Stats
@@ -118,7 +118,7 @@ func New(ix *authorindex.Index, cfg Config) *Server {
 		s.reg = obs.Default
 	}
 	if s.log == nil {
-		s.log = slog.New(slog.NewTextHandler(io.Discard, nil))
+		s.log = slog.New(discardHandler{})
 	}
 	ix.RegisterMetrics(s.reg)
 	obs.RegisterProcess(s.reg)
@@ -157,7 +157,7 @@ func (s *Server) Tracer() *trace.Tracer { return s.tracer }
 // plus the operational endpoints.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	s.routes = make(map[string]*obs.Histogram)
+	s.routes = make(map[string]*routeStats)
 	for _, r := range []struct {
 		pattern string
 		h       http.HandlerFunc
@@ -197,8 +197,7 @@ func (s *Server) Handler() http.Handler {
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
-	s.routes[unmatchedRoute] = s.reg.Histogram(reqDurationMetric,
-		reqDurationHelp, "route", unmatchedRoute)
+	s.routes[unmatchedRoute] = s.newRouteStats(unmatchedRoute)
 	// Telemetry is outermost so shed and panicking requests still get
 	// request IDs, metrics and access-log records; recovery sits above
 	// admission so a panic inside the gate itself cannot leak the slot.
@@ -219,7 +218,7 @@ func (s *Server) BeginShutdown() {
 // whole request — time the finer spans miss (scheduler gaps, handler
 // glue) still lands inside the handler window instead of vanishing.
 func (s *Server) handle(mux *http.ServeMux, pattern string, h http.HandlerFunc) {
-	s.routes[pattern] = s.reg.Histogram(reqDurationMetric, reqDurationHelp, "route", pattern)
+	s.routes[pattern] = s.newRouteStats(pattern)
 	mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		stampRoute(r, pattern)
 		ctx, sp := trace.StartSpan(r.Context(), "http.handler")

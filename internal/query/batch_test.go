@@ -205,7 +205,7 @@ func TestAddBatchEmptyAndSubjectDuplicates(t *testing.T) {
 func TestPostingRunMerge(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	entry := func(k int) *workEntry {
-		return &workEntry{key: []byte(fmt.Sprintf("%06d", k))}
+		return &workEntry{key: []byte(fmt.Sprintf("year%06d", k))}
 	}
 	for iter := 0; iter < 500; iter++ {
 		var filed []*workEntry
@@ -223,10 +223,10 @@ func TestPostingRunMerge(t *testing.T) {
 			run = append(run, entry(r.Intn(220)))
 		}
 		ref := append(append([]*workEntry(nil), filed...), run...)
-		sort.SliceStable(ref, func(i, j int) bool { return bytes.Compare(ref[i].key, ref[j].key) < 0 })
+		sort.SliceStable(ref, func(i, j int) bool { return bytes.Compare(ref[i].citKey(), ref[j].citKey()) < 0 })
 		want := ref[:0:0]
 		for _, we := range ref {
-			if n := len(want); n == 0 || !bytes.Equal(want[n-1].key, we.key) {
+			if n := len(want); n == 0 || !bytes.Equal(want[n-1].citKey(), we.citKey()) {
 				want = append(want, we)
 			}
 		}
@@ -237,7 +237,7 @@ func TestPostingRunMerge(t *testing.T) {
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("iter %d: ref %d = %s, want %s (filed entry must win a tie)", iter, i, got[i].key, want[i].key)
+				t.Fatalf("iter %d: ref %d = %s, want %s (filed entry must win a tie)", iter, i, got[i].citKey(), want[i].citKey())
 			}
 		}
 	}

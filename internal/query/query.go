@@ -20,6 +20,7 @@ import (
 	"runtime/debug"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -93,12 +94,13 @@ type Engine struct {
 	// in citation-key order, so a search streams out in the order it is
 	// printed and its answer is the first limit matches.
 	inv *inverted.Index[*workEntry]
-	// byID keys works on the big-endian work ID: point lookups descend
-	// the tree, and a full ascent is the corpus in ID order.
+	// byID keys works on the big-endian work ID (the last 8 bytes of
+	// each entry's key buffer): point lookups descend the tree, and a
+	// full ascent is the corpus in ID order.
 	byID *btree.Tree[*workEntry]
-	// byYear keys works on year ‖ citation key: a one-year scan streams
-	// out already in citation order, and a multi-year scan is a
-	// concatenation of citation-ordered runs.
+	// byYear keys works on year ‖ citation key (the whole key buffer): a
+	// one-year scan streams out already in citation order, and a
+	// multi-year scan is a concatenation of citation-ordered runs.
 	byYear *btree.Tree[*workEntry]
 	// byCitation keys works on the citation key itself. The key leads
 	// with the volume, so a per-volume scan is a prefix range that is
@@ -140,18 +142,32 @@ func (e *Engine) Clone() *Engine {
 }
 
 // workEntry is what the engine stores per work: the (immutable) work
-// itself plus everything derived from it that Remove and the ordered
-// read path would otherwise recompute per query.
+// itself and one key buffer, built once at Add,
+//
+//	year(4) ‖ citationKey(w)
+//
+// from which every tree key is a subslice: byYear files the whole
+// buffer, byCitation the citation key (citKey), and byID the last 8
+// bytes (idKey), which are the big-endian work ID every citation key
+// ends with. The trees own these slices without copying them, so a
+// work costs two heap objects (the entry and its buffer) however many
+// trees file it. Nothing writes to the buffer after it is built. All
+// ordered reads compare citation keys with bytes.Compare instead of
+// calling Citation.Compare and comparing titles per sort step. Subject
+// collation keys are not kept: Remove, the rare path, recomputes them.
 type workEntry struct {
-	w *model.Work
-	// key is citationKey(w), computed once at Add. All ordered reads
-	// compare these keys with bytes.Compare instead of calling
-	// Citation.Compare and comparing titles per sort step.
+	w   *model.Work
 	key []byte
-	// subjKeys caches collate.KeyString for each of w.Subjects, so
-	// Remove does not pay for collation keys Add already built.
-	subjKeys [][]byte
 }
+
+// newEntry builds the entry and key buffer for w.
+func newEntry(w *model.Work) *workEntry { return &workEntry{w: w, key: entryKey(w)} }
+
+// citKey is the entry's citation key: its key buffer after the year.
+func (we *workEntry) citKey() []byte { return we.key[4:] }
+
+// idKey is the entry's byID key: the last 8 bytes of its key buffer.
+func (we *workEntry) idKey() []byte { return we.key[len(we.key)-8:] }
 
 type subjectPosting struct {
 	display string
@@ -250,16 +266,12 @@ func (e *Engine) AddBatch(works []*model.Work) error {
 		if err := e.idx.Add(cp); err != nil {
 			return err
 		}
-		we := &workEntry{w: cp, key: citationKey(cp)}
+		we := newEntry(cp)
 		titles = append(titles, inverted.Doc[*workEntry]{Ref: we, Text: cp.Title})
-		e.byYear.Set(yearKey(cp.Citation.Year, we.key), we)
-		e.byCitation.Set(we.key, we)
-		if len(cp.Subjects) > 0 {
-			we.subjKeys = make([][]byte, len(cp.Subjects))
-		}
-		for i, s := range cp.Subjects {
+		e.byYear.Set(we.key, we)
+		e.byCitation.Set(we.citKey(), we)
+		for _, s := range cp.Subjects {
 			key := collate.KeyString(s, e.coll)
-			we.subjKeys[i] = key
 			r, ok := touched[string(key)]
 			if !ok {
 				r = &postingRun{display: s}
@@ -273,7 +285,7 @@ func (e *Engine) AddBatch(works []*model.Work) error {
 		e.trkMu.Lock()
 		e.met.Add(cp)
 		e.trkMu.Unlock()
-		e.byID.Set(idKey(cp.ID), we)
+		e.byID.Set(we.idKey(), we)
 	}
 	for k, r := range touched {
 		e.bySubject.Set([]byte(k), r.merge())
@@ -374,14 +386,14 @@ func (e *Engine) LoadCorpus(ctx context.Context, works []*model.Work) error {
 	}
 	validateSpan.End()
 	loadPhase("validate").Since(validateStart)
-	// Each entry is its own allocation, so a removed work becomes
-	// garbage as soon as no snapshot holds it.
+	// Each entry and its key buffer are their own allocations, so a
+	// removed work becomes garbage as soon as no snapshot holds it.
 	keysStart := time.Now()
 	keysSpan := load.StartChild("load.sort_keys")
 	entries := make([]*workEntry, len(works))
 	if err := parallel.Ranges(len(works), func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
-			entries[i] = &workEntry{w: works[i], key: citationKey(works[i])}
+			entries[i] = newEntry(works[i])
 		}
 		return nil
 	}); err != nil {
@@ -505,7 +517,7 @@ func relaxGC() func() {
 // compareRefs orders work entries by citation key: the order of every
 // ref list the engine keeps (title and subject postings) and of every
 // ordered answer.
-func compareRefs(a, b *workEntry) int { return bytes.Compare(a.key, b.key) }
+func compareRefs(a, b *workEntry) int { return bytes.Compare(a.citKey(), b.citKey()) }
 
 // loadIDTree bulk-builds the byID tree from the input-ordered entries.
 func loadIDTree(entries []*workEntry) (*btree.Tree[*workEntry], error) {
@@ -513,7 +525,7 @@ func loadIDTree(entries []*workEntry) (*btree.Tree[*workEntry], error) {
 	slices.SortFunc(ordered, func(a, b *workEntry) int { return cmp.Compare(a.w.ID, b.w.ID) })
 	pairs := make([]btree.Pair[*workEntry], len(ordered))
 	for i, we := range ordered {
-		pairs[i] = btree.Pair[*workEntry]{Key: idKey(we.w.ID), Value: we}
+		pairs[i] = btree.Pair[*workEntry]{Key: we.idKey(), Value: we}
 	}
 	return btree.BulkLoad(pairs)
 }
@@ -526,7 +538,7 @@ func loadIDTree(entries []*workEntry) (*btree.Tree[*workEntry], error) {
 func loadCitationTrees(sorted []*workEntry) (byCitation, byYear *btree.Tree[*workEntry], citErr, yearErr error) {
 	pairs := make([]btree.Pair[*workEntry], len(sorted))
 	for i, we := range sorted {
-		pairs[i] = btree.Pair[*workEntry]{Key: we.key, Value: we}
+		pairs[i] = btree.Pair[*workEntry]{Key: we.citKey(), Value: we}
 	}
 	byCitation, citErr = btree.BulkLoad(pairs)
 	byYearEntries := sorted
@@ -541,7 +553,7 @@ func loadCitationTrees(sorted []*workEntry) (byCitation, byYear *btree.Tree[*wor
 	}
 	yearPairs := make([]btree.Pair[*workEntry], len(byYearEntries))
 	for i, we := range byYearEntries {
-		yearPairs[i] = btree.Pair[*workEntry]{Key: yearKey(we.w.Citation.Year, we.key), Value: we}
+		yearPairs[i] = btree.Pair[*workEntry]{Key: we.key, Value: we}
 	}
 	byYear, yearErr = btree.BulkLoad(yearPairs)
 	return byCitation, byYear, citErr, yearErr
@@ -549,38 +561,33 @@ func loadCitationTrees(sorted []*workEntry) (byCitation, byYear *btree.Tree[*wor
 
 // loadSubjects accumulates the subject postings in two passes: an
 // input-order pass creates each posting (so its display form comes from
-// the first work filing it, like sequential Adds) and caches the
-// per-work subject keys, then a pass over the citation-sorted entries
-// appends every ref already in key order — no per-posting sort at all,
-// only an adjacent-duplicate drop — before the tree is built bottom-up.
+// the first work filing it, like sequential Adds) and memoizes each
+// spelling's collation key, then a pass over the citation-sorted
+// entries appends every ref already in key order — no per-posting sort
+// at all, only an adjacent-duplicate drop — before the tree is built
+// bottom-up.
 func (e *Engine) loadSubjects(entries, sorted []*workEntry) (*btree.Tree[*subjectPosting], error) {
 	postings := make(map[string]*subjectPosting)
 	order := make([]string, 0, 64)
 	// Subject headings repeat across a corpus far more than they vary;
-	// memoize the collation key per distinct spelling. The shared key
-	// bytes are read-only everywhere (posting lookups and Remove).
-	keyMemo := make(map[string][]byte)
+	// memoize the collation key per distinct spelling.
+	keyMemo := make(map[string]string)
 	for _, we := range entries {
-		w := we.w
-		if len(w.Subjects) > 0 {
-			we.subjKeys = make([][]byte, len(w.Subjects))
-		}
-		for i, s := range w.Subjects {
-			key, ok := keyMemo[s]
-			if !ok {
-				key = collate.KeyString(s, e.coll)
-				keyMemo[s] = key
+		for _, s := range we.w.Subjects {
+			if _, ok := keyMemo[s]; ok {
+				continue
 			}
-			we.subjKeys[i] = key
-			if _, ok := postings[string(key)]; !ok {
-				postings[string(key)] = &subjectPosting{display: s}
-				order = append(order, string(key))
+			key := string(collate.KeyString(s, e.coll))
+			keyMemo[s] = key
+			if _, ok := postings[key]; !ok {
+				postings[key] = &subjectPosting{display: s}
+				order = append(order, key)
 			}
 		}
 	}
 	for _, we := range sorted {
-		for _, key := range we.subjKeys {
-			p := postings[string(key)]
+		for _, s := range we.w.Subjects {
+			p := postings[keyMemo[s]]
 			// A work listing one subject twice arrives adjacent (same
 			// citation key); keep the first, exactly like insert would.
 			if n := len(p.refs); n > 0 && p.refs[n-1] == we {
@@ -622,9 +629,10 @@ func (e *Engine) Remove(id model.WorkID) (*model.Work, bool) {
 	w := we.w
 	e.idx.Remove(w)
 	e.inv.Remove(we, w.Title)
-	e.byYear.Delete(yearKey(w.Citation.Year, we.key))
-	e.byCitation.Delete(we.key)
-	for _, key := range we.subjKeys {
+	e.byYear.Delete(we.key)
+	e.byCitation.Delete(we.citKey())
+	for _, s := range w.Subjects {
+		key := collate.KeyString(s, e.coll)
 		if p, ok := e.bySubject.Get(key); ok {
 			if refs, changed := inverted.Without(p.refs, we, compareRefs); changed {
 				if len(refs) == 0 {
@@ -638,7 +646,7 @@ func (e *Engine) Remove(id model.WorkID) (*model.Work, bool) {
 	e.trkMu.Lock()
 	e.met.Remove(w)
 	e.trkMu.Unlock()
-	e.byID.Delete(idKey(id))
+	e.byID.Delete(we.idKey())
 	return w.Clone(), true
 }
 
@@ -757,13 +765,15 @@ func (e *Engine) AuthorExact(heading string) (*core.Entry, bool) {
 }
 
 // AuthorPrefix returns up to limit entries whose heading starts with the
-// folded prefix, in print order. limit <= 0 means no limit.
+// folded prefix, in print order. limit <= 0 means no limit. The entries
+// are live, frozen views: filed entries are never edited in place (a
+// mutation files a copy), so they stay safe to read, but callers must
+// not modify them and must Clone what they hand out. The facade clones
+// only the page it returns, after merging the shards' views.
 func (e *Engine) AuthorPrefix(prefix string, limit int) []*core.Entry {
 	var out []*core.Entry
 	e.idx.AscendPrefix(prefix, func(entry *core.Entry) bool {
-		// Copy straight from the visited entry; a Lookup here would
-		// re-search the tree for an entry we are already holding.
-		out = append(out, entry.Clone())
+		out = append(out, entry)
 		return limit <= 0 || len(out) < limit
 	})
 	return out
@@ -777,7 +787,8 @@ const DefaultAuthorPageLimit = 100
 // AuthorPage returns up to limit entries strictly after the heading
 // `after` (empty: from the start), in print order — a stable cursor for
 // paging through the whole index. The next page's cursor is the last
-// returned entry's Display() string.
+// returned entry's Display() string. Like AuthorPrefix it returns live,
+// frozen views.
 func (e *Engine) AuthorPage(after string, limit int) []*core.Entry {
 	var start model.Author
 	if after != "" {
@@ -792,7 +803,7 @@ func (e *Engine) AuthorPage(after string, limit int) []*core.Entry {
 	}
 	var out []*core.Entry
 	e.idx.AscendAfter(start, func(entry *core.Entry) bool {
-		out = append(out, entry.Clone())
+		out = append(out, entry)
 		return len(out) < limit
 	})
 	return out
@@ -1067,7 +1078,7 @@ func (e *Engine) CorpusFingerprint() uint64 {
 	}
 	e.byID.Ascend(func(k []byte, we *workEntry) bool {
 		mix(k)
-		mix(we.key)
+		mix(we.citKey())
 		return true
 	})
 	h ^= uint64(e.idx.Len())
@@ -1114,13 +1125,16 @@ func (e *Engine) QueryStats() QueryStats {
 // Stats aggregates counters across all indexes.
 type Stats struct {
 	core.Stats
+	Works int        // indexed works
 	Terms int        // distinct title terms in the inverted index
 	Query QueryStats // read-path counters
 }
 
-// Stats returns current counters.
+// Stats returns current counters. Works counts the byID tree: every
+// work has at least one author, so it is also the number of distinct
+// works the author index files.
 func (e *Engine) Stats() Stats {
-	return Stats{Stats: e.idx.Stats(), Terms: e.inv.Terms(), Query: e.QueryStats()}
+	return Stats{Stats: e.idx.Stats(), Works: e.byID.Len(), Terms: e.inv.Terms(), Query: e.QueryStats()}
 }
 
 // sortRefs orders refs by their precomputed citation keys. The check
@@ -1151,7 +1165,7 @@ func worksOf(refs []*workEntry) []*model.Work {
 	return out
 }
 
-// citationKey builds the precomputed read-path sort key:
+// citationKey returns the precomputed read-path sort key:
 //
 //	volume(8) ‖ page(8) ‖ year(4) ‖ title (NUL-escaped) ‖ 0x00 0x00 ‖ id(8)
 //
@@ -1160,11 +1174,18 @@ func worksOf(refs []*workEntry) []*model.Work {
 // byte is escaped to 0x00 0x01 so the 0x00 0x00 terminator cannot be
 // confused with title content, keeping prefix titles ("abc" vs "abcd")
 // ordered correctly regardless of the ID bytes that follow.
-func citationKey(w *model.Work) []byte {
-	k := make([]byte, 20, 20+len(w.Title)+2+8)
-	binary.BigEndian.PutUint64(k[0:8], uint64(w.Citation.Volume))
-	binary.BigEndian.PutUint64(k[8:16], uint64(w.Citation.Page))
-	binary.BigEndian.PutUint32(k[16:20], uint32(w.Citation.Year))
+func citationKey(w *model.Work) []byte { return entryKey(w)[4:] }
+
+// entryKey builds a workEntry's key buffer, year(4) ‖ citationKey(w),
+// in one exactly sized allocation: the byYear key, whose year prefix
+// groups a scan by year and orders it by citation within each year.
+func entryKey(w *model.Work) []byte {
+	n := 4 + 20 + len(w.Title) + strings.Count(w.Title, "\x00") + 2 + 8
+	k := make([]byte, 24, n)
+	binary.BigEndian.PutUint32(k[0:4], uint32(w.Citation.Year))
+	binary.BigEndian.PutUint64(k[4:12], uint64(w.Citation.Volume))
+	binary.BigEndian.PutUint64(k[12:20], uint64(w.Citation.Page))
+	binary.BigEndian.PutUint32(k[20:24], uint32(w.Citation.Year))
 	for i := 0; i < len(w.Title); i++ {
 		b := w.Title[i]
 		k = append(k, b)
@@ -1173,9 +1194,7 @@ func citationKey(w *model.Work) []byte {
 		}
 	}
 	k = append(k, 0, 0)
-	var id [8]byte
-	binary.BigEndian.PutUint64(id[:], uint64(w.ID))
-	return append(k, id[:]...)
+	return binary.BigEndian.AppendUint64(k, uint64(w.ID))
 }
 
 // idKey is the byID tree key: the work ID, big-endian, so the tree
@@ -1184,14 +1203,6 @@ func idKey(id model.WorkID) []byte {
 	var k [8]byte
 	binary.BigEndian.PutUint64(k[:], uint64(id))
 	return k[:]
-}
-
-// yearKey prefixes a citation key with the big-endian year so byYear
-// scans group by year and order by citation within each year.
-func yearKey(year int, citKey []byte) []byte {
-	k := make([]byte, 4, 4+len(citKey))
-	binary.BigEndian.PutUint32(k, uint32(year))
-	return append(k, citKey...)
 }
 
 // yearKeyMin is the smallest byYear key for the given year.

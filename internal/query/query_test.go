@@ -199,6 +199,42 @@ func TestStats(t *testing.T) {
 	}
 }
 
+// TestStatsCountsDistinctWorks: Stats.Works counts each work once
+// however many headings file it, drops a removed work, and does not
+// grow when a work is re-added under its ID.
+func TestStatsCountsDistinctWorks(t *testing.T) {
+	check := func(t *testing.T, e *Engine, works, postings, authors int) {
+		t.Helper()
+		if st := e.Stats(); st.Works != works || st.Postings != postings || st.Authors != authors {
+			t.Errorf("stats = %+v, want %d works, %d postings, %d headings", st, works, postings, authors)
+		}
+	}
+	t.Run("MultiAuthorWork", func(t *testing.T) {
+		e := New(collate.Default())
+		addWork(t, e, 1, "Suicide as a Compensable Claim", "86:369 (1983)",
+			"Bastien, Christopher P.", "Batt, John R.")
+		check(t, e, 1, 2, 2)
+	})
+	t.Run("Remove", func(t *testing.T) {
+		e := New(collate.Default())
+		addWork(t, e, 1, "First", "90:1 (1988)", "Shared, Author", "Solo, Writer")
+		addWork(t, e, 2, "Second", "90:50 (1988)", "Shared, Author")
+		e.Remove(1)
+		check(t, e, 1, 1, 1)
+		e.Remove(1)
+		check(t, e, 1, 1, 1)
+	})
+	t.Run("ReAddReplacesPosting", func(t *testing.T) {
+		e := New(collate.Default())
+		w := addWork(t, e, 1, "Old Title", "90:1 (1988)", "Fam, G.")
+		w.Title = "New Title"
+		if err := e.Add(w); err != nil {
+			t.Fatal(err)
+		}
+		check(t, e, 1, 1, 1)
+	})
+}
+
 func TestAllWorks(t *testing.T) {
 	e := fixture(t)
 	all := e.AllWorks()

@@ -113,7 +113,7 @@ func fingerprintKeys(idk, citk []byte) uint64 {
 func (e *Engine) XorFingerprint() uint64 {
 	var x uint64
 	e.byID.Ascend(func(k []byte, we *workEntry) bool {
-		x ^= fingerprintKeys(k, we.key)
+		x ^= fingerprintKeys(k, we.citKey())
 		return true
 	})
 	return x

@@ -3,6 +3,8 @@ package storage
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -254,4 +256,92 @@ func TestCompactCopiesVersion1Records(t *testing.T) {
 	if got := sorted()[:3]; !reflect.DeepEqual(got, want) {
 		t.Fatalf("reopened version-1 works = %v, want %v", got, want)
 	}
+}
+
+// TestSnapshotStreamingScan: the streaming scan yields every record
+// byte for byte as the file holds it, in order, including one several
+// buffers long, plus the next-ID counter and cross-references; and
+// every truncation, a flipped byte the record walk cannot see, and
+// trailing garbage are ErrCorrupt.
+func TestSnapshotStreamingScan(t *testing.T) {
+	dir := t.TempDir()
+	s := openT(t, dir)
+	works := gen.Generate(gen.Config{Seed: 8, Works: 2000})
+	big := work(string(bytes.Repeat([]byte("Long Title "), 3*snapWindow/10)), 1, 1, 1999, "Wide")
+	big.ID = 5000
+	if _, err := s.PutBatch(append(works[:1000:1000], big)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.PutBatch(works[1000:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddCrossRef(CrossRef{From: model.Author{Family: "Wide"}, To: model.Author{Family: "Narrow"}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	want := allWorks(t, s)
+	s.Close()
+	scan := func() ([][]byte, model.WorkID, []CrossRef, error) {
+		var recs [][]byte
+		next, xrefs, err := scanSnapshot(dir, func(id model.WorkID, b []byte) error {
+			recs = append(recs, bytes.Clone(b))
+			return nil
+		})
+		return recs, next, xrefs, err
+	}
+	recs, next, xrefs, err := scan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 2001 || len(xrefs) != 1 || next != 5001 {
+		t.Fatalf("scan: %d records, %d cross-refs, next ID %d", len(recs), len(xrefs), next)
+	}
+	path := filepath.Join(dir, snapshotFile)
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(good) < 4*snapWindow {
+		t.Fatalf("snapshot is %d bytes: want several buffers", len(good))
+	}
+	body := good[len(snapMagic):]
+	for range 2 { // next ID, record count
+		_, n := binary.Uvarint(body)
+		body = body[n:]
+	}
+	if joined := bytes.Join(recs, nil); !bytes.Equal(joined, body[:len(joined)]) {
+		t.Fatal("streamed records differ from the file's bytes")
+	}
+	for _, rec := range recs {
+		w, _, err := model.DecodeWork(rec)
+		if err != nil || !reflect.DeepEqual(w, want[w.ID]) {
+			t.Fatalf("record of work %d decodes to %v, %v", w.ID, w, err)
+		}
+	}
+	corrupt := func(what string, data []byte) {
+		t.Helper()
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, err := scan(); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: scan returned %v, want ErrCorrupt", what, err)
+		}
+	}
+	var cuts []int
+	for n := 0; n < 64; n++ {
+		cuts = append(cuts, n, len(good)-1-n)
+	}
+	for w := snapWindow; w < len(good); w += snapWindow {
+		cuts = append(cuts, w-1, w, w+1)
+	}
+	for _, n := range cuts {
+		corrupt(fmt.Sprintf("truncated to %d bytes", n), good[:n])
+	}
+	at := bytes.Index(good, []byte("Long Title Long"))
+	flipped := bytes.Clone(good)
+	flipped[at+2*snapWindow] ^= 0x20
+	corrupt("a flipped title byte", flipped)
+	corrupt("trailing bytes", append(bytes.Clone(good), 0))
 }

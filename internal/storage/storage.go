@@ -15,7 +15,9 @@
 // Compact writes a CRC-protected snapshot (atomically, via rename) and
 // resets the WAL, copying the old snapshot's live records byte for byte
 // and encoding the delta. Recovery scans the snapshot for IDs, decoding
-// no work, and replays the WAL suffix into the delta.
+// no work, and replays the WAL suffix into the delta. Every snapshot
+// scan streams the file and checks its CRC as it goes; nothing from a
+// scan is kept unless the checksum matches.
 //
 // A Store opened with an empty directory path is purely in-memory: same
 // API, no durability — useful for tests and benchmarks. It never
@@ -358,32 +360,30 @@ func (s *Store) Len() int {
 }
 
 // ForEach calls fn with every stored work, in unspecified order,
-// stopping at the first error: the snapshot's live records, read back
-// from disk and decoded through one interner, then the delta. Both are
-// shared read-only (see Store). fn runs without the store's lock held.
+// stopping at the first error: the snapshot's live records, streamed
+// from disk and decoded through one interner under the read lock, then
+// the delta. Both are shared read-only (see Store). fn runs without the
+// store's lock held.
 func (s *Store) ForEach(fn func(*model.Work) error) error {
 	s.mu.RLock()
-	recs := make([][]byte, 0, len(s.ids)-len(s.delta))
-	err := s.liveSnapshotLocked(func(rec []byte) { recs = append(recs, rec) })
-	delta := make([]*model.Work, 0, len(s.delta))
+	works := make([]*model.Work, 0, len(s.ids))
+	in := model.NewInterner()
+	err := s.liveSnapshotLocked(func(rec []byte) error {
+		w, _, err := model.DecodeWorkInterned(rec, in)
+		if err != nil {
+			return fmt.Errorf("%w: snapshot work: %v", ErrCorrupt, err)
+		}
+		works = append(works, w)
+		return nil
+	})
 	for _, w := range s.delta {
-		delta = append(delta, w)
+		works = append(works, w)
 	}
 	s.mu.RUnlock()
 	if err != nil {
 		return err
 	}
-	in := model.NewInterner()
-	for _, rec := range recs {
-		w, _, err := model.DecodeWorkInterned(rec, in)
-		if err != nil {
-			return fmt.Errorf("%w: snapshot work: %v", ErrCorrupt, err)
-		}
-		if err := fn(w); err != nil {
-			return err
-		}
-	}
-	for _, w := range delta {
+	for _, w := range works {
 		if err := fn(w); err != nil {
 			return err
 		}
@@ -764,7 +764,8 @@ func (s *Store) writeSnapshot(w io.Writer) error {
 	buf := binary.AppendUvarint(nil, uint64(s.nextID))
 	buf = binary.AppendUvarint(buf, uint64(len(s.ids)))
 	body.Write(buf)
-	if err := s.liveSnapshotLocked(func(rec []byte) { body.Write(rec) }); err != nil {
+	// bufio keeps the first write error and Flush returns it.
+	if err := s.liveSnapshotLocked(func(rec []byte) error { body.Write(rec); return nil }); err != nil {
 		return fmt.Errorf("storage: compact: %w", err)
 	}
 	for _, work := range s.delta {
@@ -776,7 +777,6 @@ func (s *Store) writeSnapshot(w io.Writer) error {
 		buf = appendXRef(buf, ref)
 	}
 	body.Write(buf)
-	// bufio keeps the first write error and Flush returns it.
 	if err := bw.Flush(); err != nil {
 		return fmt.Errorf("storage: snapshot write: %w", err)
 	}
@@ -788,35 +788,41 @@ func (s *Store) writeSnapshot(w io.Writer) error {
 
 // loadSnapshot takes the snapshot's IDs, next-ID counter and
 // cross-references. It decodes no work: the records stay on disk.
+// Nothing is kept unless the whole file checks out.
 func (s *Store) loadSnapshot() error {
-	nextID, xrefs, err := scanSnapshot(s.dir, func(id model.WorkID, _ []byte) error {
-		if _, dup := s.ids[id]; dup {
+	ids := make(map[model.WorkID]struct{})
+	next := s.nextID
+	snapNext, xrefs, err := scanSnapshot(s.dir, func(id model.WorkID, _ []byte) error {
+		if _, dup := ids[id]; dup {
 			return fmt.Errorf("%w: snapshot holds work %d twice", ErrCorrupt, id)
 		}
-		s.ids[id] = struct{}{}
+		ids[id] = struct{}{}
 		// Never hand out an ID that is already taken, even from a
 		// snapshot written before an explicit-ID put raised nextID.
-		s.nextID = max(s.nextID, id+1)
+		next = max(next, id+1)
 		return nil
 	})
-	s.nextID = max(s.nextID, nextID)
-	s.xrefs = xrefs
-	return err
+	if err != nil {
+		return err
+	}
+	s.ids, s.nextID, s.xrefs = ids, max(next, snapNext), xrefs
+	return nil
 }
 
 // liveSnapshotLocked calls fn with the bytes of every live snapshot
 // record: one whose ID is in ids and not in delta. Those and the delta
-// must make up every live work, or the snapshot is corrupt.
-func (s *Store) liveSnapshotLocked(fn func(rec []byte)) error {
+// must make up every live work, or the snapshot is corrupt. The bytes
+// are valid only until fn returns, and fn's first error stops the scan.
+func (s *Store) liveSnapshotLocked(fn func(rec []byte) error) error {
 	live := 0
 	if s.dir != "" {
 		_, _, err := scanSnapshot(s.dir, func(id model.WorkID, rec []byte) error {
 			_, ok := s.ids[id]
-			if _, put := s.delta[id]; ok && !put {
-				fn(rec)
-				live++
+			if _, put := s.delta[id]; !ok || put {
+				return nil
 			}
-			return nil
+			live++
+			return fn(rec)
 		})
 		if err != nil {
 			return err
@@ -828,64 +834,138 @@ func (s *Store) liveSnapshotLocked(fn func(rec []byte)) error {
 	return nil
 }
 
-// scanSnapshot reads and CRC-checks dir's snapshot and calls rec with
-// each work record's ID and encoded bytes, in file order, without
-// decoding the work. It returns the snapshot's next-ID counter and its
-// cross-references. A missing snapshot is an empty one.
+// scanSnapshot streams dir's snapshot through a bufio.Reader and calls
+// rec with each work record's ID and encoded bytes, in file order,
+// without decoding the work; the bytes are valid only until rec
+// returns. It returns the snapshot's next-ID counter and its
+// cross-references. A missing snapshot is an empty one. The file is
+// never read whole, so its checksum, kept running over the body, is
+// verified last: rec sees records before the file is known to be
+// intact, and callers keep nothing from a scan that fails.
 func scanSnapshot(dir string, rec func(id model.WorkID, b []byte) error) (model.WorkID, []CrossRef, error) {
-	data, err := os.ReadFile(filepath.Join(dir, snapshotFile))
+	f, err := os.Open(filepath.Join(dir, snapshotFile))
 	if err != nil {
 		if os.IsNotExist(err) {
 			return 0, nil, nil
 		}
 		return 0, nil, fmt.Errorf("storage: load snapshot: %w", err)
 	}
-	if len(data) < len(snapMagic)+4 || string(data[:len(snapMagic)]) != snapMagic {
+	defer f.Close()
+	sr := snapReader{br: bufio.NewReaderSize(f, snapWindow)}
+	magic, err := sr.next(func(p []byte) (int, error) {
+		if len(p) < len(snapMagic) {
+			return 0, errShortItem
+		}
+		return len(snapMagic), nil
+	})
+	if err != nil || string(magic) != snapMagic {
 		return 0, nil, fmt.Errorf("%w: snapshot header", ErrCorrupt)
 	}
-	body := data[len(snapMagic) : len(data)-4]
-	want := binary.LittleEndian.Uint32(data[len(data)-4:])
-	if crc32.Checksum(body, castagnoli) != want {
-		return 0, nil, fmt.Errorf("%w: snapshot checksum mismatch", ErrCorrupt)
-	}
-	nextID, n := binary.Uvarint(body)
-	if n <= 0 {
+	sr.crc = 0 // the checksum covers the body only
+	nextID, err := sr.uvarint()
+	if err != nil {
 		return 0, nil, fmt.Errorf("%w: snapshot nextID", ErrCorrupt)
 	}
-	body = body[n:]
-	count, n := binary.Uvarint(body)
-	if n <= 0 {
+	count, err := sr.uvarint()
+	if err != nil {
 		return 0, nil, fmt.Errorf("%w: snapshot count", ErrCorrupt)
 	}
-	body = body[n:]
 	for i := uint64(0); i < count; i++ {
-		id, n, err := model.ScanWork(body)
+		var id model.WorkID
+		b, err := sr.next(func(p []byte) (n int, err error) {
+			id, n, err = model.ScanWork(p)
+			return n, err
+		})
 		if err != nil {
 			return 0, nil, fmt.Errorf("%w: snapshot work %d: %v", ErrCorrupt, i, err)
 		}
-		if err := rec(id, body[:n]); err != nil {
+		if err := rec(id, b); err != nil {
 			return 0, nil, err
 		}
-		body = body[n:]
 	}
-	xrefCount, n := binary.Uvarint(body)
-	if n <= 0 {
+	xrefCount, err := sr.uvarint()
+	if err != nil {
 		return 0, nil, fmt.Errorf("%w: snapshot cross-ref count", ErrCorrupt)
 	}
-	body = body[n:]
 	var xrefs []CrossRef
 	for i := uint64(0); i < xrefCount; i++ {
-		ref, err := decodeXRef(&body)
-		if err != nil {
+		var ref CrossRef
+		if _, err := sr.next(func(p []byte) (int, error) {
+			rest := p
+			var err error
+			ref, err = decodeXRef(&rest)
+			return len(p) - len(rest), err
+		}); err != nil {
 			return 0, nil, fmt.Errorf("%w: snapshot cross-ref %d: %v", ErrCorrupt, i, err)
 		}
 		xrefs = append(xrefs, ref)
 	}
-	if len(body) != 0 {
-		return 0, nil, fmt.Errorf("%w: %d trailing snapshot bytes", ErrCorrupt, len(body))
+	tail, err := io.ReadAll(sr.br)
+	if err != nil {
+		return 0, nil, fmt.Errorf("storage: load snapshot: %w", err)
+	}
+	if len(tail) != 4 {
+		return 0, nil, fmt.Errorf("%w: %d snapshot bytes after the body, want a 4-byte checksum", ErrCorrupt, len(tail))
+	}
+	if binary.LittleEndian.Uint32(tail) != sr.crc {
+		return 0, nil, fmt.Errorf("%w: snapshot checksum mismatch", ErrCorrupt)
 	}
 	return model.WorkID(nextID), xrefs, nil
 }
+
+// snapWindow is the initial buffer size of a snapshot scan.
+const snapWindow = 64 << 10
+
+// snapReader feeds a snapshot to its parsers through a bufio.Reader,
+// folding every byte they consume into a running CRC-32C.
+type snapReader struct {
+	br  *bufio.Reader
+	crc uint32
+}
+
+// next consumes the item at the front of the stream: parse returns its
+// length, or an error when the bytes it is shown hold no whole item. It
+// is shown the buffered bytes, then a full buffer; an item longer than
+// the buffer doubles it. An error with the rest of the file in view is
+// final. The returned bytes are valid until the next call.
+func (s *snapReader) next(parse func(p []byte) (int, error)) ([]byte, error) {
+	want := s.br.Buffered()
+	for {
+		p, perr := s.br.Peek(want)
+		n, err := parse(p)
+		if err == nil {
+			s.crc = crc32.Update(s.crc, castagnoli, p[:n])
+			s.br.Discard(n)
+			return p[:n], nil
+		}
+		switch {
+		case perr == io.EOF:
+			return nil, err
+		case perr != nil:
+			return nil, fmt.Errorf("storage: load snapshot: %w", perr)
+		case want == s.br.Size():
+			// A larger reader drains the old one's buffer first.
+			s.br = bufio.NewReaderSize(s.br, 2*want)
+		}
+		want = s.br.Size()
+	}
+}
+
+// uvarint consumes one uvarint.
+func (s *snapReader) uvarint() (uint64, error) {
+	var v uint64
+	_, err := s.next(func(p []byte) (int, error) {
+		var n int
+		if v, n = binary.Uvarint(p); n <= 0 {
+			return 0, errShortItem
+		}
+		return n, nil
+	})
+	return v, err
+}
+
+// errShortItem reports that the bytes shown end inside an item.
+var errShortItem = errors.New("truncated")
 
 func (s *Store) syncDirLocked() error {
 	d, err := s.fs.Open(s.dir)

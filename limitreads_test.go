@@ -8,6 +8,7 @@ package authorindex
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -228,5 +229,69 @@ func TestLimitReadsMatchFullSort(t *testing.T) {
 			}
 			checkLimitReads(t, ix, corpus, "after a delete-heavy batch, replace and delete")
 		})
+	}
+}
+
+// TestAuthorPagesAreCopies: the engines hand the facade live views of
+// their headings and the facade clones only the merged page, so a
+// caller that edits every returned entry (heading, works, their
+// authors and subjects, cross-references) changes nothing a later read
+// sees, at one shard and at four.
+func TestAuthorPagesAreCopies(t *testing.T) {
+	works := gen.Generate(gen.Config{Seed: 12, Works: 600, ZipfS: 1.2})
+	batch := make([]Work, len(works))
+	for i, w := range works {
+		batch[i] = *w
+	}
+	for _, shards := range []int{1, 4} {
+		ix := openShards(t, "", shards)
+		if _, err := ix.AddBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		first := ix.AuthorsPage("", 3)
+		for _, e := range first {
+			if err := ix.AddSeeAlso(e.Author.Display(), "Zed, Other"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		after := first[0].Author.Display()
+		for _, r := range []struct {
+			name string
+			read func() []*Entry
+		}{
+			{"Authors", func() []*Entry { return ix.Authors("s", 20) }},
+			{"AuthorsPage", func() []*Entry { return ix.AuthorsPage("", 20) }},
+			{"AuthorsAfter", func() []*Entry { return ix.AuthorsPage(after, 20) }},
+		} {
+			name, read := r.name, r.read
+			got := read()
+			if len(got) == 0 {
+				t.Fatalf("shards=%d %s: empty page", shards, name)
+			}
+			want := make([]*Entry, len(got))
+			for i, e := range got {
+				want[i] = e.Clone()
+			}
+			for _, e := range got {
+				e.Author.Family = "Mutated"
+				for i := range e.SeeAlso {
+					e.SeeAlso[i].Family = "Mutated"
+				}
+				for i := range e.Works {
+					w := &e.Works[i]
+					w.Title = "mutated"
+					for j := range w.Authors {
+						w.Authors[j].Family = "Mutated"
+					}
+					for j := range w.Subjects {
+						w.Subjects[j] = "mutated"
+					}
+				}
+			}
+			if again := read(); !reflect.DeepEqual(again, want) {
+				t.Errorf("shards=%d %s: editing a returned page changed a later read", shards, name)
+			}
+		}
+		ix.Close()
 	}
 }
