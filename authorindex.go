@@ -604,19 +604,16 @@ func (ix *Index) Len() int {
 // whose works are spread across shards is assembled from every shard's
 // partial entry.
 func (ix *Index) Author(heading string) (*Entry, bool) {
-	engs := ix.shards.Load().Engs
-	parts := make([][]*Entry, len(engs))
-	found := false
-	for i, eng := range engs {
+	out := ix.scatterEntries(context.Background(), "facade.author", 0, func(eng *query.Engine) []*Entry {
 		if e, ok := eng.AuthorExact(heading); ok {
-			parts[i] = []*Entry{e}
-			found = true
+			return []*Entry{e}
 		}
-	}
-	if !found {
+		return nil
+	})
+	if len(out) == 0 {
 		return nil, false
 	}
-	return shard.MergeEntries(parts, ix.coll, 0)[0], true
+	return out[0], true
 }
 
 // Authors returns up to limit headings starting with prefix, in print
@@ -838,7 +835,17 @@ func (ix *Index) RebuildGraph() { ix.rebuildTrackers(nil) }
 // Sections returns the index grouped by letter, in print order; entries
 // are deep copies, merged across shards.
 func (ix *Index) Sections() []Section {
-	parts := shard.Gather(ix.shards.Load().Engs, func(_ int, eng *query.Engine) []Section {
+	sections := ix.sections(ix.shards.Load().Engs)
+	for _, s := range sections {
+		cloneEntries(s.Entries)
+	}
+	return sections
+}
+
+// sections merges the shards' live sections of one root. The section
+// slices are the caller's; the entries are live and frozen.
+func (ix *Index) sections(engs []*query.Engine) []Section {
+	parts := shard.Gather(engs, func(_ int, eng *query.Engine) []Section {
 		return eng.Index().Sections()
 	})
 	return shard.MergeSections(parts, ix.coll)
@@ -998,14 +1005,7 @@ func (ix *Index) Verify() error {
 			if !ok {
 				return fmt.Errorf("authorindex: verify: work %d not filed under %q", w.ID, a.Display())
 			}
-			found := false
-			for _, filed := range entry.Works {
-				if filed.ID == w.ID {
-					found = true
-					break
-				}
-			}
-			if !found {
+			if !entry.Files(w) {
 				return fmt.Errorf("authorindex: verify: heading %q lacks work %d", a.Display(), w.ID)
 			}
 		}

@@ -388,6 +388,60 @@ func TestVerifyCatchesCreditDrift(t *testing.T) {
 	}
 }
 
+// TestVerifyCatchesUnfiledPosting: a work missing from one of its
+// headings fails Verify even while the heading still files other works.
+func TestVerifyCatchesUnfiledPosting(t *testing.T) {
+	ix := openT(t, "")
+	defer ix.Close()
+	for _, w := range GenerateCorpus(CorpusConfig{Seed: 61, Works: 300, ZipfS: 1.2}) {
+		if _, err := ix.Add(*w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	idx := ix.trackers().Index()
+	for _, w := range ix.allWorksView() {
+		if e, _ := idx.Lookup(w.Authors[0]); len(e.Works) < 3 {
+			continue
+		}
+		only := *w
+		only.Authors = w.Authors[:1]
+		idx.Remove(&only)
+		err := ix.Verify()
+		if err == nil || !strings.Contains(err.Error(), "lacks work") {
+			t.Fatalf("Verify with work %d unfiled from %q = %v", w.ID, w.Authors[0].Display(), err)
+		}
+		return
+	}
+	t.Fatal("no heading files three works")
+}
+
+// TestVerifyAllocsPerWork: Verify checks each (work, author) pair on
+// the live heading entry, binary-searching its posting order, so its
+// allocations stay a small constant per stored work on a skewed
+// corpus. A deep copy of the heading per pair would cost about 1,900
+// allocations per work at this size, far above the bound.
+func TestVerifyAllocsPerWork(t *testing.T) {
+	const works = 20_000
+	ix := openT(t, "")
+	defer ix.Close()
+	corpus := GenerateCorpus(CorpusConfig{Seed: 7, Works: works, ZipfS: 1.1})
+	batch := make([]Work, len(corpus))
+	for i, w := range corpus {
+		batch[i] = *w
+	}
+	if _, err := ix.AddBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(1, func() {
+		if err := ix.Verify(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if per := allocs / works; per > 20 {
+		t.Errorf("Verify allocates %.1f objects per stored work, want <= 20", per)
+	}
+}
+
 func TestAuthorsPageCursor(t *testing.T) {
 	ix := openT(t, "")
 	defer ix.Close()

@@ -70,22 +70,18 @@ func (ix *Index) loadTraced(sp *trace.Span) *shard.Root {
 	return r
 }
 
-// cloneTraced deep-copies a view under a facade.clone span. Views hold
-// immutable works, so the copy needs no snapshot.
-func cloneTraced(ctx context.Context, eng *query.Engine, view []*model.Work) []*Work {
-	_, sp := trace.StartSpan(ctx, "facade.clone")
-	out := eng.CloneWorks(view)
-	sp.SetInt("works", int64(len(out)))
-	sp.End()
-	return out
-}
-
-// scatterWorks fans one ordered read out across every shard of a root
-// and k-way merges the per-shard views — each already citation-ordered
-// and truncated by its engine — into one view capped at limit. Each
-// shard's query runs under its own facade.shard_scan span. At one shard
-// Gather runs the query inline and MergeWorks passes its view through.
-func scatterWorks(ctx context.Context, r *shard.Root, limit int, fn func(ctx context.Context, eng *query.Engine) []*model.Work) []*model.Work {
+// scatterWorks is the fan-in path of every ordered work read. It opens
+// the read's facade span, fans the query out across every shard of the
+// current root, each shard under its own facade.shard_scan span, and
+// k-way merges the per-shard views (each already citation-ordered and
+// truncated by its engine) into one view capped at limit. It then
+// deep-copies that view under a facade.clone span; views hold immutable
+// works, so the copy needs no snapshot. At one shard Gather runs the
+// query inline and MergeWorks passes its view through.
+func (ix *Index) scatterWorks(ctx context.Context, name string, limit int, fn func(ctx context.Context, eng *query.Engine) []*model.Work) []*Work {
+	ctx, sp := trace.StartSpan(ctx, name)
+	defer sp.End()
+	r := ix.loadTraced(sp)
 	parts := shard.Gather(r.Engs, func(i int, eng *query.Engine) []*model.Work {
 		sctx, ssp := trace.StartSpan(ctx, "facade.shard_scan")
 		ssp.SetInt("shard", int64(i))
@@ -93,54 +89,43 @@ func scatterWorks(ctx context.Context, r *shard.Root, limit int, fn func(ctx con
 		defer ssp.End()
 		return fn(sctx, eng)
 	})
-	return shard.MergeWorks(parts, limit)
+	view := shard.MergeWorks(parts, limit)
+	_, csp := trace.StartSpan(ctx, "facade.clone")
+	out := r.Engs[0].CloneWorks(view)
+	csp.SetInt("works", int64(len(out)))
+	csp.End()
+	return out
 }
 
 // SearchCtx is Search carrying a trace context.
 func (ix *Index) SearchCtx(ctx context.Context, q string, limit int) []*Work {
 	defer ix.timeOp(opSearch)()
-	ctx, sp := trace.StartSpan(ctx, "facade.search")
-	defer sp.End()
-	r := ix.loadTraced(sp)
-	view := scatterWorks(ctx, r, limit, func(ctx context.Context, eng *query.Engine) []*model.Work {
+	return ix.scatterWorks(ctx, "facade.search", limit, func(ctx context.Context, eng *query.Engine) []*model.Work {
 		return eng.TitleSearchViewCtx(ctx, q, limit)
 	})
-	return cloneTraced(ctx, r.Engs[0], view)
 }
 
 // YearRangeCtx is YearRange carrying a trace context.
 func (ix *Index) YearRangeCtx(ctx context.Context, from, to, limit int) []*Work {
 	defer ix.timeOp(opYearRange)()
-	ctx, sp := trace.StartSpan(ctx, "facade.year_range")
-	defer sp.End()
-	r := ix.loadTraced(sp)
-	view := scatterWorks(ctx, r, limit, func(ctx context.Context, eng *query.Engine) []*model.Work {
+	return ix.scatterWorks(ctx, "facade.year_range", limit, func(ctx context.Context, eng *query.Engine) []*model.Work {
 		return eng.YearRangeViewCtx(ctx, from, to, limit)
 	})
-	return cloneTraced(ctx, r.Engs[0], view)
 }
 
 // VolumeWorksCtx is VolumeWorks carrying a trace context.
 func (ix *Index) VolumeWorksCtx(ctx context.Context, vol, limit int) []*Work {
-	ctx, sp := trace.StartSpan(ctx, "facade.volume")
-	defer sp.End()
-	r := ix.loadTraced(sp)
-	view := scatterWorks(ctx, r, limit, func(ctx context.Context, eng *query.Engine) []*model.Work {
+	return ix.scatterWorks(ctx, "facade.volume", limit, func(ctx context.Context, eng *query.Engine) []*model.Work {
 		return eng.VolumeViewCtx(ctx, vol, limit)
 	})
-	return cloneTraced(ctx, r.Engs[0], view)
 }
 
 // BySubjectCtx is BySubject carrying a trace context.
 func (ix *Index) BySubjectCtx(ctx context.Context, subject string, limit int) []*Work {
 	defer ix.timeOp(opBySubject)()
-	ctx, sp := trace.StartSpan(ctx, "facade.by_subject")
-	defer sp.End()
-	r := ix.loadTraced(sp)
-	view := scatterWorks(ctx, r, limit, func(ctx context.Context, eng *query.Engine) []*model.Work {
+	return ix.scatterWorks(ctx, "facade.by_subject", limit, func(ctx context.Context, eng *query.Engine) []*model.Work {
 		return eng.BySubjectViewCtx(ctx, subject, limit)
 	})
-	return cloneTraced(ctx, r.Engs[0], view)
 }
 
 // GetCtx is Get carrying a trace context. A point lookup routes to the
@@ -161,34 +146,38 @@ func (ix *Index) GetCtx(ctx context.Context, id WorkID) (*Work, bool) {
 	return eng.CloneWork(w), true
 }
 
-// AuthorsCtx is Authors carrying a trace context.
-func (ix *Index) AuthorsCtx(ctx context.Context, prefix string, limit int) []*Entry {
-	_, sp := trace.StartSpan(ctx, "facade.authors")
+// scatterEntries is the fan-in path of every author read. Under the
+// read's facade span it fans the query out across every shard of the
+// current root, merges the shards' live entries in print order, capped
+// at limit (<=0: no cap), and deep-copies the merged page: the one copy
+// an author read makes.
+func (ix *Index) scatterEntries(ctx context.Context, name string, limit int, fn func(eng *query.Engine) []*Entry) []*Entry {
+	_, sp := trace.StartSpan(ctx, name)
 	defer sp.End()
-	parts := shard.Gather(ix.loadTraced(sp).Engs, func(_ int, eng *query.Engine) []*Entry {
-		return eng.AuthorPrefix(prefix, limit)
-	})
+	parts := shard.Gather(ix.loadTraced(sp).Engs, func(_ int, eng *query.Engine) []*Entry { return fn(eng) })
 	out := cloneEntries(shard.MergeEntries(parts, ix.coll, limit))
 	sp.SetInt("entries", int64(len(out)))
 	return out
 }
 
+// AuthorsCtx is Authors carrying a trace context.
+func (ix *Index) AuthorsCtx(ctx context.Context, prefix string, limit int) []*Entry {
+	return ix.scatterEntries(ctx, "facade.authors", limit, func(eng *query.Engine) []*Entry {
+		return eng.AuthorPrefix(prefix, limit)
+	})
+}
+
 // AuthorsPageCtx is AuthorsPage carrying a trace context.
 func (ix *Index) AuthorsPageCtx(ctx context.Context, after string, limit int) []*Entry {
-	_, sp := trace.StartSpan(ctx, "facade.authors_page")
-	defer sp.End()
 	if limit <= 0 {
 		limit = query.DefaultAuthorPageLimit // applied pre-merge
 	}
-	parts := shard.Gather(ix.loadTraced(sp).Engs, func(_ int, eng *query.Engine) []*Entry {
-		return eng.AuthorPage(after, limit)
-	})
 	// A heading split across shards collapses into one merged entry, so
 	// a page can come up slightly short of limit; the cursor contract
 	// (resume from the last returned heading) still holds.
-	out := cloneEntries(shard.MergeEntries(parts, ix.coll, limit))
-	sp.SetInt("entries", int64(len(out)))
-	return out
+	return ix.scatterEntries(ctx, "facade.authors_page", limit, func(eng *query.Engine) []*Entry {
+		return eng.AuthorPage(after, limit)
+	})
 }
 
 // cloneEntries deep-copies a merged page of engine views in place, so
@@ -409,10 +398,8 @@ func (ix *Index) RenderCtx(ctx context.Context, w io.Writer, opts RenderOptions)
 		ssp.End()
 	}
 	_, secSpan := trace.StartSpan(ctx, "render.sections")
-	parts := shard.Gather(engs, func(_ int, eng *query.Engine) []Section {
-		return eng.Index().Sections()
-	})
-	sections := shard.MergeSections(parts, ix.coll)
+	// The root is immutable, so its live entries render as they are.
+	sections := ix.sections(engs)
 	secSpan.SetInt("sections", int64(len(sections)))
 	secSpan.End()
 	return render.RenderSectionsCtx(ctx, w, sections, opts)

@@ -10,6 +10,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -30,13 +31,9 @@ type Entry struct {
 	SeeAlso []model.Author
 }
 
-// Clone returns a deep copy so readers can hold results across
-// mutations. Ascend callbacks receive live entries; cloning the visited
-// entry directly avoids re-searching the tree with Lookup.
-func (e *Entry) Clone() *Entry { return e.clone() }
-
-// clone returns a deep copy so readers can hold results across mutations.
-func (e *Entry) clone() *Entry {
+// Clone returns a deep copy of a live entry (see Lookup), for callers
+// that hand the entry out or modify it.
+func (e *Entry) Clone() *Entry {
 	c := &Entry{Author: e.Author}
 	c.Works = make([]model.Work, len(e.Works))
 	for i := range e.Works {
@@ -110,6 +107,11 @@ func (ix *Index) Options() collate.Options { return ix.opts }
 // Add files w under each of its authors. Works must carry distinct IDs;
 // re-adding an ID that is already filed under the same author replaces
 // that posting.
+//
+// Like Load, Add files w by value and retains its author and subject
+// slices read-only rather than deep-copying them per author: callers
+// hand w over (query.Engine passes its own private clone) and must not
+// modify it afterwards.
 func (ix *Index) Add(w *model.Work) error {
 	if err := w.Validate(); err != nil {
 		return err
@@ -193,13 +195,12 @@ func (ix *Index) RemoveSeeAlso(from, to model.Author) bool {
 	return false
 }
 
-// Lookup returns a copy of the entry for an exact author heading.
+// Lookup returns the entry filed for an exact author heading. The
+// entry is live and frozen: a mutation files a copy and never edits it,
+// so it stays safe to read for as long as the caller holds it, but the
+// caller must not modify it and must Clone what it hands out.
 func (ix *Index) Lookup(a model.Author) (*Entry, bool) {
-	e, ok := ix.entries.Get(collate.KeyAuthor(a, ix.opts))
-	if !ok {
-		return nil, false
-	}
-	return e.clone(), true
+	return ix.entries.Get(collate.KeyAuthor(a, ix.opts))
 }
 
 // Ascend visits every entry in print order, with the collation key it
@@ -231,19 +232,28 @@ func (ix *Index) AscendAfter(after model.Author, fn func(*Entry) bool) {
 	ix.entries.AscendRange(lo, nil, func(_ []byte, e *Entry) bool { return fn(e) })
 }
 
-// Sections groups entries by first letter for rendering. The returned
-// entries are deep copies, safe to hold.
+// Sections groups entries by first letter for rendering. The section
+// slices are the caller's; the entries are live and frozen, as Lookup's.
 func (ix *Index) Sections() []Section {
 	var sections []Section
 	ix.entries.Ascend(func(_ []byte, e *Entry) bool {
-		letter := collate.FirstLetter(e.Author, ix.opts)
-		if n := len(sections); n == 0 || sections[n-1].Letter != letter {
-			sections = append(sections, Section{Letter: letter})
-		}
-		s := &sections[len(sections)-1]
-		s.Entries = append(s.Entries, e.clone())
+		sections = AppendGrouped(sections, e, ix.opts)
 		return true
 	})
+	return sections
+}
+
+// AppendGrouped files e, the next entry in print order, into sections:
+// at the end of the last section when e files under its letter, else
+// in a new section. Index.Sections and the cross-shard merge both group
+// with it, so a merged listing breaks letters exactly as one index does.
+func AppendGrouped(sections []Section, e *Entry, opts collate.Options) []Section {
+	letter := collate.FirstLetter(e.Author, opts)
+	if n := len(sections); n == 0 || sections[n-1].Letter != letter {
+		sections = append(sections, Section{Letter: letter})
+	}
+	s := &sections[len(sections)-1]
+	s.Entries = append(s.Entries, e)
 	return sections
 }
 
@@ -262,7 +272,7 @@ func (ix *Index) Len() int { return ix.entries.Len() }
 
 // Rebuild constructs a fresh index from a corpus in one pass. It is the
 // "full rebuild" baseline that incremental maintenance is measured
-// against in experiment E3.
+// against in experiment E3. Like Add, it retains the works read-only.
 func Rebuild(opts collate.Options, works []*model.Work) (*Index, error) {
 	ix := New(opts)
 	for _, w := range works {
@@ -358,12 +368,7 @@ func Load(opts collate.Options, works []*model.Work) (*Index, error) {
 			for i, j := 0, len(refs)-1; i < j; i, j = i+1, j-1 {
 				refs[i], refs[j] = refs[j], refs[i]
 			}
-			sort.SliceStable(refs, func(i, j int) bool {
-				if c := refs[i].Citation.Compare(refs[j].Citation); c != 0 {
-					return c < 0
-				}
-				return strings.Compare(refs[i].Title, refs[j].Title) < 0
-			})
+			sort.SliceStable(refs, func(i, j int) bool { return ComparePostings(refs[i], refs[j]) < 0 })
 			ac.e.Works = make([]model.Work, len(refs))
 			for i, w := range refs {
 				ac.e.Works[i] = *w // shallow: shares the retained corpus
@@ -452,26 +457,40 @@ func (ix *Index) AddSeeAlsoBatch(refs []SeeAlsoRef) error {
 	return nil
 }
 
-// insertWork files w in citation order; returns false if the ID was
-// already present (the posting is replaced in place).
-func (e *Entry) insertWork(w *model.Work) bool {
-	for i := range e.Works {
+// ComparePostings orders the works filed under a heading: citation
+// (volume, page, year), then title.
+func ComparePostings(a, b *model.Work) int {
+	if c := a.Citation.Compare(b.Citation); c != 0 {
+		return c
+	}
+	return strings.Compare(a.Title, b.Title)
+}
+
+// search returns the position of the first filed work whose posting
+// order is not below w's.
+func (e *Entry) search(w *model.Work) int {
+	return sort.Search(len(e.Works), func(i int) bool { return ComparePostings(&e.Works[i], w) >= 0 })
+}
+
+// Files reports whether w is filed under e. A heading's works are kept
+// in posting order, so the search is a binary search to w's citation
+// and title and a scan of the works sharing them.
+func (e *Entry) Files(w *model.Work) bool {
+	for i := e.search(w); i < len(e.Works) && ComparePostings(&e.Works[i], w) == 0; i++ {
 		if e.Works[i].ID == w.ID {
-			e.Works[i] = *w.Clone()
-			return false
+			return true
 		}
 	}
-	cp := *w.Clone()
-	i := sort.Search(len(e.Works), func(i int) bool {
-		if c := e.Works[i].Citation.Compare(cp.Citation); c != 0 {
-			return c > 0
-		}
-		return strings.Compare(e.Works[i].Title, cp.Title) >= 0
-	})
-	e.Works = append(e.Works, model.Work{})
-	copy(e.Works[i+1:], e.Works[i:])
-	e.Works[i] = cp
-	return true
+	return false
+}
+
+// insertWork files w by value in posting order, before the works with
+// an equal citation and title; returns false if the ID was already
+// filed (the old posting is unfiled first, so the order holds).
+func (e *Entry) insertWork(w *model.Work) bool {
+	replaced := e.removeWork(w.ID)
+	e.Works = slices.Insert(e.Works, e.search(w), *w)
+	return !replaced
 }
 
 func (e *Entry) removeWork(id model.WorkID) bool {

@@ -185,6 +185,46 @@ func TestReAddReplacesPosting(t *testing.T) {
 	}
 }
 
+// TestReAddRefilesInOrder: re-adding an ID with a new citation unfiles
+// the old posting and files the new one in (citation, title) order,
+// which Files relies on to binary-search a heading.
+func TestReAddRefilesInOrder(t *testing.T) {
+	ix := New(collate.Default())
+	fam := names.MustParse("Fam, G.")
+	w := mkWork(t, "Moved", "90:1 (1988)", "Fam, G.")
+	ix.Add(w)
+	ix.Add(mkWork(t, "Stays", "91:1 (1989)", "Fam, G."))
+	moved := w.Clone()
+	moved.Citation.Volume, moved.Citation.Year = 95, 1993
+	ix.Add(moved)
+	e, _ := ix.Lookup(fam)
+	if len(e.Works) != 2 || e.Works[0].Title != "Stays" || e.Works[1].Citation != moved.Citation {
+		t.Fatalf("after re-add: %+v", e.Works)
+	}
+	if !e.Files(moved) || e.Files(w) {
+		t.Errorf("Files(moved) = %v, Files(old citation) = %v", e.Files(moved), e.Files(w))
+	}
+	if st := ix.Stats(); st.Postings != 2 {
+		t.Errorf("postings = %d, want 2", st.Postings)
+	}
+}
+
+// TestAddSharesWorkSlices: Add files the work by value and retains its
+// author and subject slices read-only, one posting per author and no
+// deep copy.
+func TestAddSharesWorkSlices(t *testing.T) {
+	ix := New(collate.Default())
+	w := mkWork(t, "Shared", "90:1 (1988)", "One, A.", "Two, B.")
+	w.Subjects = []string{"Mining Law"}
+	ix.Add(w)
+	for _, a := range w.Authors {
+		e, _ := ix.Lookup(a)
+		if &e.Works[0].Authors[0] != &w.Authors[0] || &e.Works[0].Subjects[0] != &w.Subjects[0] {
+			t.Errorf("%s: posting copies the work's slices", a.Display())
+		}
+	}
+}
+
 func TestSeeAlso(t *testing.T) {
 	ix := New(collate.Default())
 	ix.Add(mkWork(t, "Real Article", "90:1 (1988)", "Crain-Mountney, Marion"))
@@ -229,11 +269,10 @@ func TestSections(t *testing.T) {
 	if secs[2].Letter != 'V' {
 		t.Errorf("section 3 = %c, want V (particle grouping)", secs[2].Letter)
 	}
-	// Section entries are copies: mutating them must not affect the index.
-	secs[0].Entries[0].Works[0].Title = "mutated"
-	e, _ := ix.Lookup(names.MustParse("Abrams, Dennis M."))
-	if e.Works[0].Title != "A1" {
-		t.Error("Sections leaked internal state")
+	// Section entries are the live filed entries: Sections copies
+	// nothing (the facade copies what it returns).
+	if e, _ := ix.Lookup(names.MustParse("Abrams, Dennis M.")); secs[0].Entries[0] != e {
+		t.Error("Sections copied a filed entry")
 	}
 }
 
@@ -252,14 +291,24 @@ func TestAscendPrefix(t *testing.T) {
 	}
 }
 
-func TestLookupReturnsCopy(t *testing.T) {
+// TestLookupEntryIsFrozen: Lookup returns the filed entry itself, and
+// a later mutation of the heading files a copy, so an entry already
+// handed out keeps its contents.
+func TestLookupEntryIsFrozen(t *testing.T) {
 	ix := New(collate.Default())
+	fam := names.MustParse("Fam, G.")
 	ix.Add(mkWork(t, "Original", "90:1 (1988)", "Fam, G."))
-	e, _ := ix.Lookup(names.MustParse("Fam, G."))
-	e.Works[0].Title = "hacked"
-	again, _ := ix.Lookup(names.MustParse("Fam, G."))
-	if again.Works[0].Title != "Original" {
-		t.Error("Lookup leaked internal state")
+	e, _ := ix.Lookup(fam)
+	if again, _ := ix.Lookup(fam); again != e {
+		t.Fatal("Lookup copied the filed entry")
+	}
+	ix.Add(mkWork(t, "Earlier", "89:1 (1987)", "Fam, G."))
+	ix.AddSeeAlso(fam, names.MustParse("Other, G."))
+	if len(e.Works) != 1 || e.Works[0].Title != "Original" || len(e.SeeAlso) != 0 {
+		t.Errorf("a mutation edited a handed-out entry: %+v", e)
+	}
+	if now, _ := ix.Lookup(fam); len(now.Works) != 2 || now.Works[0].Title != "Earlier" || len(now.SeeAlso) != 1 {
+		t.Errorf("Lookup after the mutation = %+v", now)
 	}
 }
 

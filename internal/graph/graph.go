@@ -382,17 +382,6 @@ func (g *Graph) RebuildIDs(works []*model.Work, each func(w *model.Work, ids []u
 	}
 }
 
-// ---- degree ----
-
-// Degree returns the number of distinct co-authors of a heading.
-func (g *Graph) Degree(heading string) (int, bool) {
-	id, ok := g.ids[heading]
-	if !ok {
-		return 0, false
-	}
-	return len(g.rows[id]), true
-}
-
 // Neighbors returns a heading's co-authors with shared-work counts,
 // heaviest first (ties broken by heading ascending).
 func (g *Graph) Neighbors(heading string) []Neighbor {
@@ -411,16 +400,6 @@ func (g *Graph) Neighbors(heading string) []Neighbor {
 		return out[i].Heading < out[j].Heading
 	})
 	return out
-}
-
-// EachNeighbor calls fn for each of a heading's co-authors with the
-// shared-work count, in no particular order and without allocating.
-func (g *Graph) EachNeighbor(heading string, fn func(coauthor string, works int)) {
-	if id, ok := g.ids[heading]; ok {
-		for _, e := range g.rows[id] {
-			fn(g.names[e.ID], int(e.Works))
-		}
-	}
 }
 
 // Neighbor pairs a co-author heading with the number of shared works.
@@ -582,16 +561,6 @@ func (g *Graph) Path(from, to string) ([]string, bool) {
 		}
 	}
 	return nil, false // unreachable: SameComponent said yes
-}
-
-// Distance returns the number of collaboration hops between two
-// headings, or false when they are disconnected or unknown.
-func (g *Graph) Distance(from, to string) (int, bool) {
-	p, ok := g.Path(from, to)
-	if !ok {
-		return 0, false
-	}
-	return len(p) - 1, true
 }
 
 // ---- centrality (weighted PageRank) ----

@@ -48,7 +48,7 @@ func TestAddRemoveBasics(t *testing.T) {
 	if g.Nodes() != 4 || g.Edges() != 2 || g.Works() != 3+1 {
 		t.Fatalf("nodes=%d edges=%d works=%d", g.Nodes(), g.Edges(), g.Works())
 	}
-	if d, _ := g.Degree("B"); d != 2 {
+	if d := len(g.Neighbors("B")); d != 2 {
 		t.Errorf("deg(B) = %d, want 2", d)
 	}
 	if wd := g.wdeg[g.ids["A"]]; wd != 2 {
@@ -88,7 +88,7 @@ func TestAddRemoveBasics(t *testing.T) {
 	if g.Edges() != 1 {
 		t.Errorf("edges after edge delete = %d, want 1", g.Edges())
 	}
-	if _, ok := g.Degree("A"); ok {
+	if _, ok := g.ids["A"]; ok || g.Neighbors("A") != nil {
 		t.Error("A still present after its last work was removed")
 	}
 	if g.Components() != 2 { // {B,C} {D}
@@ -138,8 +138,8 @@ func TestSelfCollaboration(t *testing.T) {
 	if g.Nodes() != 1 || g.Edges() != 0 {
 		t.Fatalf("nodes=%d edges=%d, want 1/0", g.Nodes(), g.Edges())
 	}
-	if d, ok := g.Degree("A"); !ok || d != 0 {
-		t.Errorf("deg(A) = %d, want 0", d)
+	if _, ok := g.ids["A"]; !ok || len(g.Neighbors("A")) != 0 {
+		t.Errorf("deg(A) = %d, want 0", len(g.Neighbors("A")))
 	}
 	g.Add(work(2, "A", "B", "A"))
 	if g.Edges() != 1 {
@@ -177,11 +177,11 @@ func TestPath(t *testing.T) {
 			}
 		}
 	}
-	if d, ok := g.Distance("A", "D"); !ok || d != 2 {
-		t.Errorf("distance A-D = %d, want 2", d)
+	if p, ok := g.Path("A", "D"); !ok || len(p)-1 != 2 {
+		t.Errorf("distance A-D = %d, want 2", len(p)-1)
 	}
-	if d, ok := g.Distance("A", "C"); !ok || d != 2 {
-		t.Errorf("distance A-C = %d, want 2", d)
+	if p, ok := g.Path("A", "C"); !ok || len(p)-1 != 2 {
+		t.Errorf("distance A-C = %d, want 2", len(p)-1)
 	}
 	if p, ok := g.Path("A", "A"); !ok || len(p) != 1 {
 		t.Errorf("self path = %v", p)
@@ -189,8 +189,8 @@ func TestPath(t *testing.T) {
 	if _, ok := g.Path("A", "X"); ok {
 		t.Error("path to disconnected island")
 	}
-	if _, ok := g.Distance("A", "Nobody"); ok {
-		t.Error("distance to unknown heading")
+	if _, ok := g.Path("A", "Nobody"); ok {
+		t.Error("path to unknown heading")
 	}
 	if _, ok := g.Path("Nobody", "A"); ok {
 		t.Error("path from unknown heading")

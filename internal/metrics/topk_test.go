@@ -116,9 +116,9 @@ func TestTopCollaboratorsMatchesFullSort(t *testing.T) {
 	tied := 0
 	for h := range e.authors {
 		var all []Collaborator
-		e.graph.EachNeighbor(h, func(c string, n int) {
-			all = append(all, Collaborator{Heading: c, Works: n})
-		})
+		for _, ed := range e.graph.Row(e.authors[h]) {
+			all = append(all, Collaborator{Heading: e.graph.Heading(ed.ID), Works: int(ed.Works)})
+		}
 		sort.Slice(all, func(i, j int) bool {
 			if all[i].Works != all[j].Works {
 				return all[i].Works > all[j].Works

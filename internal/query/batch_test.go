@@ -155,7 +155,7 @@ func TestAddBatchReplacesExistingIDs(t *testing.T) {
 			t.Fatalf("work %d not replaced: %+v", works[i].ID, w)
 		}
 	}
-	if got := e.BySubject("Replacement Studies", 0); len(got) != 10 {
+	if got := e.BySubjectView("Replacement Studies", 0); len(got) != 10 {
 		t.Fatalf("subject posting holds %d works, want 10", len(got))
 	}
 	if e.Graph().Fingerprint() != graph.NewFromWorks(0, e.AllWorks()).Fingerprint() {
@@ -193,7 +193,7 @@ func TestAddBatchEmptyAndSubjectDuplicates(t *testing.T) {
 	if err := e.AddBatch([]*model.Work{w}); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.BySubject("Mining Law", 0); len(got) != 1 {
+	if got := e.BySubjectView("Mining Law", 0); len(got) != 1 {
 		t.Fatalf("duplicate subject filed %d postings, want 1", len(got))
 	}
 }

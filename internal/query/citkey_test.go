@@ -144,15 +144,15 @@ func TestEngineQueriesMatchReference(t *testing.T) {
 		check("YearRange(multi)", e.YearRange(1971, 1977, limit), reference(func(w *model.Work) bool {
 			return w.Citation.Year >= 1971 && w.Citation.Year <= 1977
 		}, limit))
-		check("Volume", e.Volume(5, limit), reference(func(w *model.Work) bool {
+		check("Volume", e.VolumeView(5, limit), reference(func(w *model.Work) bool {
 			return w.Citation.Volume == 5
 		}, limit))
-		check("BySubject(exact)", e.BySubject("Double Jeopardy", limit), reference(func(w *model.Work) bool {
+		check("BySubject(exact)", e.BySubjectView("Double Jeopardy", limit), reference(func(w *model.Work) bool {
 			return len(w.Subjects) == 1 && w.Subjects[0] == "Double Jeopardy"
 		}, limit))
 		// Lower-cased, diacritic-stripped spellings miss the exact
 		// collation key and take the primary-tier fallback scan.
-		check("BySubject(fallback)", e.BySubject("equite", limit), reference(func(w *model.Work) bool {
+		check("BySubject(fallback)", e.BySubjectView("equite", limit), reference(func(w *model.Work) bool {
 			return len(w.Subjects) == 1 && w.Subjects[0] == "Équité"
 		}, limit))
 	}

@@ -283,13 +283,13 @@ func TestLoadAllSearchPaths(t *testing.T) {
 	}
 	checkSame("TitleSearch", bulk.TitleSearch("surface mining", 50), inc.TitleSearch("surface mining", 50))
 	checkSame("YearRange", bulk.YearRange(1967, 1975, 0), inc.YearRange(1967, 1975, 0))
-	checkSame("Volume", bulk.Volume(71, 0), inc.Volume(71, 0))
+	checkSame("Volume", bulk.VolumeView(71, 0), inc.VolumeView(71, 0))
 	subjects := inc.Subjects()
 	if bs := bulk.Subjects(); len(bs) != len(subjects) {
 		t.Fatalf("Subjects: %d vs %d", len(bs), len(subjects))
 	}
 	for _, sc := range subjects {
-		checkSame("BySubject "+sc.Subject, bulk.BySubject(sc.Subject, 0), inc.BySubject(sc.Subject, 0))
+		checkSame("BySubject "+sc.Subject, bulk.BySubjectView(sc.Subject, 0), inc.BySubjectView(sc.Subject, 0))
 	}
 	if a, b := bulk.AuthorPrefix("s", 25), inc.AuthorPrefix("s", 25); len(a) != len(b) {
 		t.Fatalf("AuthorPrefix: %d vs %d", len(a), len(b))

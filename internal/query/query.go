@@ -3,11 +3,14 @@
 // author lookups, boolean title search, and citation-range scans.
 //
 // The read path is allocation-light by design: every work gets a
-// precomputed citation sort key at Add time, the secondary indexes are
-// keyed on it so range scans stream out already in citation order, and
-// query methods come in two flavors — the classic clone-returning form,
-// and zero-copy *View variants that return live references so callers
-// (the public facade) can move deep-copy work outside their lock.
+// precomputed citation sort key at Add time, and the secondary indexes
+// are keyed on it so range scans stream out already in citation order.
+// Work reads come as zero-copy *View methods that return live
+// references (TitleSearch, YearRange, Work and AllWorks also come as
+// copies, for callers outside the facade); author reads return live,
+// frozen entries only. The public facade is the one place that copies:
+// it merges the shards' live results and deep-copies only what it
+// returns.
 package query
 
 import (
@@ -75,7 +78,7 @@ func ClampLimit(n, def int) int {
 }
 
 // Engine owns every in-memory index over a corpus. Mutation requires
-// external serialization (the public facade's write lock), but the
+// external serialization (the owning shard's write lock), but the
 // corpus indexes follow a copy-on-write discipline: Clone is O(1), a
 // mutation on one engine path-copies only the index nodes it touches,
 // and filed values (*workEntry works, postings lists, author entries)
@@ -685,16 +688,11 @@ type SubjectCount struct {
 	Works   int
 }
 
-// BySubject returns copies of the works filed under a subject heading
-// (matched under the engine's collation: case- and diacritic-
-// insensitive), citation order, capped at limit (<=0: no cap).
-func (e *Engine) BySubject(subject string, limit int) []*model.Work {
-	return e.CloneWorks(e.BySubjectView(subject, limit))
-}
-
-// BySubjectView is BySubject without the deep copies: it returns live
-// references, already in citation order and truncated to limit, cloning
-// nothing. See TitleSearchView for the ownership rules.
+// BySubjectView returns live references to the works filed under a
+// subject heading (matched under the engine's collation: case- and
+// diacritic-insensitive), already in citation order and truncated to
+// limit (<=0: no cap), cloning nothing. See TitleSearchView for the
+// ownership rules.
 func (e *Engine) BySubjectView(subject string, limit int) []*model.Work {
 	e.qs.queries.Add(1)
 	p, ok := e.bySubject.Get(collate.KeyString(subject, e.coll))
@@ -755,7 +753,8 @@ func (e *Engine) WorkView(id model.WorkID) (*model.Work, bool) {
 }
 
 // AuthorExact looks up a heading by its index-order string, e.g.
-// "Lewin, Jeff L." or "Abdalla, Tarek F.*".
+// "Lewin, Jeff L." or "Abdalla, Tarek F.*". Like core.Index.Lookup it
+// returns the live, frozen entry; callers must Clone what they hand out.
 func (e *Engine) AuthorExact(heading string) (*core.Entry, bool) {
 	a, err := names.Parse(heading)
 	if err != nil {
@@ -893,16 +892,10 @@ func (e *Engine) YearRangeView(from, to int, limit int) []*model.Work {
 	return worksOf(truncateRefs(refs, limit))
 }
 
-// Volume returns copies of every work in the given volume, in citation
-// order.
-func (e *Engine) Volume(v int, limit int) []*model.Work {
-	return e.CloneWorks(e.VolumeView(v, limit))
-}
-
-// VolumeView is Volume without the deep copies. The byCitation tree
-// leads with the volume, so the scan is already in citation order and
-// stops as soon as limit works have been seen. See TitleSearchView for
-// the ownership rules.
+// VolumeView returns live references to the works of one volume. The
+// byCitation tree leads with the volume, so the scan is already in
+// citation order and stops as soon as limit works have been seen. See
+// TitleSearchView for the ownership rules.
 func (e *Engine) VolumeView(v, limit int) []*model.Work {
 	e.qs.queries.Add(1)
 	var refs []*workEntry
@@ -936,7 +929,7 @@ func (e *Engine) CloneWork(w *model.Work) *model.Work {
 }
 
 // Metrics exposes the tracker. It is shared and mutable across clones:
-// callers outside the facade's write lock must go through the locked
+// callers outside the shard write locks must go through the locked
 // wrappers (MetricsSummary, AuthorMetrics, TopAuthors) or ReadTrackers
 // instead.
 func (e *Engine) Metrics() *metrics.Engine { return e.met }
@@ -993,8 +986,8 @@ func (e *Engine) TopAuthors(by metrics.RankKey, limit int) []metrics.AuthorMetri
 }
 
 // Graph exposes the coauthorship network the tracker owns. Shared and
-// mutable across clones, like Metrics — callers outside the facade's
-// write lock go through the locked wrappers or ReadTrackers.
+// mutable across clones, like Metrics — callers outside the shard
+// write locks go through the locked wrappers or ReadTrackers.
 func (e *Engine) Graph() *graph.Graph { return e.met.Graph() }
 
 // GraphNeighbors returns a heading's coauthors, strongest tie first,

@@ -106,11 +106,11 @@ func TestYearRangeAndVolume(t *testing.T) {
 	if got := e.YearRange(1800, 3000, 2); len(got) != 2 {
 		t.Error("limit ignored in YearRange")
 	}
-	vol := e.Volume(77, 0)
+	vol := e.VolumeView(77, 0)
 	if len(vol) != 1 || vol[0].ID != 2 {
 		t.Errorf("Volume(77) = %v", vol)
 	}
-	if got := e.Volume(999, 0); len(got) != 0 {
+	if got := e.VolumeView(999, 0); len(got) != 0 {
 		t.Error("phantom volume")
 	}
 }
@@ -155,7 +155,7 @@ func TestReAddReplaces(t *testing.T) {
 	if got := e.TitleSearch("renamed", 0); len(got) != 1 {
 		t.Error("new title not indexed")
 	}
-	if got := e.Volume(81, 0); len(got) != 0 {
+	if got := e.VolumeView(81, 0); len(got) != 0 {
 		t.Error("old volume entry survives")
 	}
 	if e.Len() != 5 {
@@ -296,15 +296,15 @@ func TestSubjects(t *testing.T) {
 	if len(subs) != 2 || subs[0].Subject != "Mining Law" || subs[0].Works != 2 {
 		t.Fatalf("Subjects = %+v", subs)
 	}
-	got := e.BySubject("Mining Law", 0)
+	got := e.BySubjectView("Mining Law", 0)
 	if len(got) != 2 || got[0].ID != 1 || got[1].ID != 2 {
 		t.Fatalf("BySubject = %v", got)
 	}
 	// Case-insensitive match through the collation fallback.
-	if got := e.BySubject("mining law", 0); len(got) != 2 {
+	if got := e.BySubjectView("mining law", 0); len(got) != 2 {
 		t.Errorf("case-insensitive subject lookup = %d", len(got))
 	}
-	if got := e.BySubject("Unknown Topic", 0); got != nil {
+	if got := e.BySubjectView("Unknown Topic", 0); got != nil {
 		t.Errorf("phantom subject = %v", got)
 	}
 	// Removal maintenance.

@@ -65,8 +65,8 @@ func (e *Engine) RebuildTrackers(works []*model.Work) {
 
 // CompareWorks orders works exactly as the precomputed citation keys
 // do: Citation.Compare (volume, page, year), then title, then ID. The
-// scatter-gather layer's k-way merges use it on per-shard results whose
-// keys are no longer attached (the works are already clones).
+// shard merge orders per-shard work views with it: a view carries the
+// works, not their keys.
 func CompareWorks(a, b *model.Work) int {
 	if c := a.Citation.Compare(b.Citation); c != 0 {
 		return c

@@ -2,7 +2,7 @@ package shard
 
 import (
 	"bytes"
-	"strings"
+	"slices"
 
 	"repro/internal/collate"
 	"repro/internal/core"
@@ -10,52 +10,68 @@ import (
 	"repro/internal/query"
 )
 
-// The k-way merges below all share one shape: per-shard inputs arrive
-// already ordered (the engines stream results pre-sorted), so merging
-// is a min-pick over one cursor per shard. Ties break toward the lower
-// shard index, which makes every merge deterministic. With one
-// non-empty input — always the case at shards=1 — the input is
-// returned as-is, so the unsharded configuration pays nothing. This
-// pass-through is the only place the read path looks at the shard
-// count.
+// Every cross-shard read is one k-way merge (merge below): per-shard
+// inputs arrive already ordered (the engines stream results pre-sorted),
+// so merging is a min-pick over one cursor per shard. Its invariants:
+//
+//   - The result is "concatenate the parts, stable-sort by key, group
+//     equal keys": each run of equal keys comes out lowest shard first,
+//     in input order within a shard, so every merge is deterministic.
+//   - Each element's key is computed once, when its cursor reaches it.
+//   - The caller can stop the merge early (a limit).
+//
+// With one non-empty input — always the case at shards=1 — the exported
+// merges return the input as-is, so the unsharded configuration pays
+// nothing. This pass-through is the only place the read path looks at
+// the shard count. Inputs are consumed as-is; callers must not reuse
+// them. Entries come out live (see core.Index.Lookup): a merged entry
+// is a new value, but it shares its works with the shards' filed ones,
+// so only the facade copies, once, what it returns.
 
-// MergeWorks merges per-shard citation-ordered work lists into one
-// citation-ordered list, capped at limit (<=0: no cap). Inputs are
-// consumed as-is; callers must not reuse them.
-func MergeWorks(parts [][]*model.Work, limit int) []*model.Work {
-	if only, ok := single(parts); ok {
-		return capped(only, limit)
+// merge k-way merges parts, each ascending under cmp over the keys key
+// extracts, and calls yield once per distinct key, in ascending order,
+// with every element holding that key: lowest part first, in input
+// order within a part. yield returns false to stop. The run slice is
+// reused between calls.
+func merge[T, K any](parts [][]T, key func(T) K, cmp func(a, b K) int, yield func(run []T) bool) {
+	rest := make([][]T, len(parts))
+	heads := make([]K, len(parts)) // key of rest[i][0]
+	for i, p := range parts {
+		if len(p) > 0 {
+			rest[i], heads[i] = p, key(p[0])
+		}
 	}
-	idx := make([]int, len(parts))
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	if limit > 0 && limit < total {
-		total = limit
-	}
-	out := make([]*model.Work, 0, total)
+	var run []T
 	for {
 		best := -1
-		for i, p := range parts {
-			if idx[i] >= len(p) {
-				continue
-			}
-			if best < 0 || query.CompareWorks(p[idx[i]], parts[best][idx[best]]) < 0 {
+		for i := range rest {
+			if len(rest[i]) > 0 && (best < 0 || cmp(heads[i], heads[best]) < 0) {
 				best = i
 			}
 		}
 		if best < 0 {
-			break
+			return
 		}
-		out = append(out, parts[best][idx[best]])
-		idx[best]++
-		if limit > 0 && len(out) >= limit {
-			break
+		// Parts before best hold only larger keys: best is the first
+		// part with the least one.
+		lo := heads[best]
+		run = run[:0]
+		for i := best; i < len(rest); i++ {
+			for len(rest[i]) > 0 && cmp(heads[i], lo) == 0 {
+				run = append(run, rest[i][0])
+				if rest[i] = rest[i][1:]; len(rest[i]) > 0 {
+					heads[i] = key(rest[i][0])
+				}
+			}
+		}
+		if !yield(run) {
+			return
 		}
 	}
-	return out
 }
+
+// self is the key of elements that compare themselves.
+func self[T any](v T) T { return v }
 
 // single reports whether at most one part is non-empty and returns
 // that part (nil when every part is empty): the pass-through case.
@@ -80,77 +96,87 @@ func capped[T any](s []T, limit int) []T {
 	return s
 }
 
+// MergeWorks merges per-shard citation-ordered work lists into one
+// citation-ordered list, capped at limit (<=0: no cap).
+func MergeWorks(parts [][]*model.Work, limit int) []*model.Work {
+	if only, ok := single(parts); ok {
+		return capped(only, limit)
+	}
+	var out []*model.Work
+	merge(parts, self[*model.Work], query.CompareWorks, func(run []*model.Work) bool {
+		out = append(out, run...)
+		return limit <= 0 || len(out) < limit
+	})
+	return capped(out, limit)
+}
+
 // MergeEntries merges per-shard print-ordered author entries into one
 // print-ordered list, capped at limit (<=0: no cap). An author whose
 // works span shards appears once per shard in the inputs; the merged
 // entry carries the works of every occurrence in citation order and the
 // union of their cross-references, with the display form taken from the
-// lowest shard. Inputs are consumed as-is; callers must not reuse them.
+// lowest shard.
 func MergeEntries(parts [][]*core.Entry, coll collate.Options, limit int) []*core.Entry {
 	if only, ok := single(parts); ok {
 		return capped(only, limit)
 	}
-	idx := make([]int, len(parts))
-	keys := make([][]byte, len(parts))
-	load := func(i int) {
-		if idx[i] < len(parts[i]) {
-			keys[i] = collate.KeyAuthor(parts[i][idx[i]].Author, coll)
-		} else {
-			keys[i] = nil
-		}
-	}
-	for i := range parts {
-		load(i)
-	}
 	var out []*core.Entry
-	for {
-		best := -1
-		for i := range parts {
-			if keys[i] == nil {
-				continue
-			}
-			if best < 0 || bytes.Compare(keys[i], keys[best]) < 0 {
-				best = i
-			}
+	key := func(e *core.Entry) []byte { return collate.KeyAuthor(e.Author, coll) }
+	merge(parts, key, bytes.Compare, func(run []*core.Entry) bool {
+		if len(run) == 1 {
+			out = append(out, run[0])
+		} else {
+			out = append(out, foldEntries(run, coll))
 		}
-		if best < 0 {
-			break
-		}
-		merged := parts[best][idx[best]]
-		bk := keys[best]
-		idx[best]++
-		load(best)
-		for i := best + 1; i < len(parts); i++ {
-			if keys[i] != nil && bytes.Equal(keys[i], bk) {
-				merged = mergeEntry(merged, parts[i][idx[i]], coll)
-				idx[i]++
-				load(i)
-			}
-		}
-		out = append(out, merged)
-		if limit > 0 && len(out) >= limit {
-			break
-		}
+		return limit <= 0 || len(out) < limit
+	})
+	return out
+}
+
+// foldEntries combines one heading's entries from different shards,
+// lowest shard first: works merge in (citation, title) order, keeping
+// the lower shard's first on equal keys, and cross-references union in
+// collation order, exact duplicates dropped.
+func foldEntries(run []*core.Entry, coll collate.Options) *core.Entry {
+	out := &core.Entry{Author: run[0].Author}
+	works := make([][]model.Work, len(run))
+	refs := make([][]model.Author, len(run))
+	n := 0
+	for i, e := range run {
+		works[i], refs[i] = e.Works, e.SeeAlso
+		n += len(e.Works)
 	}
+	out.Works = make([]model.Work, 0, n)
+	merge(works, self[model.Work], func(a, b model.Work) int { return core.ComparePostings(&a, &b) },
+		func(ws []model.Work) bool {
+			out.Works = append(out.Works, ws...)
+			return true
+		})
+	key := func(a model.Author) []byte { return collate.KeyAuthor(a, coll) }
+	merge(refs, key, bytes.Compare, func(as []model.Author) bool {
+		for i, a := range as {
+			if !slices.Contains(as[:i], a) {
+				out.SeeAlso = append(out.SeeAlso, a)
+			}
+		}
+		return true
+	})
 	return out
 }
 
 // Headings visits every distinct author heading of a root once, in
-// print order, and returns how many there are. It k-way merges the
-// per-shard heading trees by the collation key each index files its
-// entries under, so no key is rebuilt. A heading filed on several
-// shards is visited with the lowest shard's Author, the display form
-// MergeEntries keeps. A nil fn only counts. With one non-empty shard
-// the count is its Len and fn walks it directly.
+// print order, and returns how many there are. It merges the per-shard
+// heading trees by the collation key each index files its entries
+// under, so no key is rebuilt. A heading filed on several shards is
+// visited with the lowest shard's Author, the display form MergeEntries
+// keeps. A nil fn only counts. With one non-empty shard the count is
+// its Len and fn walks it directly.
 func Headings(engs []*query.Engine, fn func(model.Author)) int {
 	idxs := make([]*core.Index, 0, len(engs))
 	for _, eng := range engs {
 		if idx := eng.Index(); idx.Len() > 0 {
 			idxs = append(idxs, idx)
 		}
-	}
-	if len(idxs) == 0 {
-		return 0
 	}
 	if len(idxs) == 1 {
 		if fn != nil {
@@ -175,90 +201,15 @@ func Headings(engs []*query.Engine, fn func(model.Author)) int {
 			return true
 		})
 	}
-	for n := 0; ; n++ {
-		best := -1
-		for i, p := range parts {
-			if len(p) > 0 && (best < 0 || bytes.Compare(p[0].key, parts[best][0].key) < 0) {
-				best = i
-			}
-		}
-		if best < 0 {
-			return n
-		}
-		h := parts[best][0]
-		for i := best; i < len(parts); i++ {
-			if len(parts[i]) > 0 && bytes.Equal(parts[i][0].key, h.key) {
-				parts[i] = parts[i][1:]
-			}
-		}
+	n := 0
+	merge(parts, func(h heading) []byte { return h.key }, bytes.Compare, func(run []heading) bool {
+		n++
 		if fn != nil {
-			fn(h.e.Author)
+			fn(run[0].e.Author)
 		}
-	}
-}
-
-// mergeEntry combines two same-heading entries from different shards:
-// works merge in (citation, title) order with a's kept first on equal
-// keys, cross-references union in collation order.
-func mergeEntry(a, b *core.Entry, coll collate.Options) *core.Entry {
-	out := &core.Entry{Author: a.Author}
-	out.Works = make([]model.Work, 0, len(a.Works)+len(b.Works))
-	i, j := 0, 0
-	for i < len(a.Works) && j < len(b.Works) {
-		if compareEntryWorks(&a.Works[i], &b.Works[j]) <= 0 {
-			out.Works = append(out.Works, a.Works[i])
-			i++
-		} else {
-			out.Works = append(out.Works, b.Works[j])
-			j++
-		}
-	}
-	out.Works = append(out.Works, a.Works[i:]...)
-	out.Works = append(out.Works, b.Works[j:]...)
-	out.SeeAlso = mergeSeeAlso(a.SeeAlso, b.SeeAlso, coll)
-	return out
-}
-
-// compareEntryWorks orders entry postings exactly as core.insertWork
-// files them: citation, then title.
-func compareEntryWorks(a, b *model.Work) int {
-	if c := a.Citation.Compare(b.Citation); c != 0 {
-		return c
-	}
-	return strings.Compare(a.Title, b.Title)
-}
-
-// mergeSeeAlso unions two collation-ordered cross-reference lists,
-// dropping exact duplicates.
-func mergeSeeAlso(a, b []model.Author, coll collate.Options) []model.Author {
-	if len(b) == 0 {
-		return a
-	}
-	if len(a) == 0 {
-		return b
-	}
-	out := make([]model.Author, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		c := bytes.Compare(collate.KeyAuthor(a[i], coll), collate.KeyAuthor(b[j], coll))
-		switch {
-		case c < 0:
-			out = append(out, a[i])
-			i++
-		case c > 0:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			if a[i] == b[j] {
-				j++
-			}
-			i++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
+		return true
+	})
+	return n
 }
 
 // MergeSubjects merges per-shard collation-ordered subject counts,
@@ -266,40 +217,24 @@ func mergeSeeAlso(a, b []model.Author, coll collate.Options) []model.Author {
 // display form comes from the lowest shard. Inputs carry the collation
 // keys their engines filed them under (KeyedSubjects), so the merge
 // never computes a key. The output drops the keys, so one non-empty
-// input is copied by the same loop rather than passed through.
+// input is copied by the same merge rather than passed through.
 func MergeSubjects(parts [][]query.KeyedSubject) []query.SubjectCount {
-	idx := make([]int, len(parts))
 	var out []query.SubjectCount
-	for {
-		best := -1
-		for i, p := range parts {
-			if idx[i] >= len(p) {
-				continue
-			}
-			if best < 0 || bytes.Compare(p[idx[i]].Key, parts[best][idx[best]].Key) < 0 {
-				best = i
-			}
-		}
-		if best < 0 {
-			break
-		}
-		sc := parts[best][idx[best]].SubjectCount
-		bk := parts[best][idx[best]].Key
-		idx[best]++
-		for i := best + 1; i < len(parts); i++ {
-			if idx[i] < len(parts[i]) && bytes.Equal(parts[i][idx[i]].Key, bk) {
-				sc.Works += parts[i][idx[i]].Works
-				idx[i]++
-			}
+	key := func(s query.KeyedSubject) []byte { return s.Key }
+	merge(parts, key, bytes.Compare, func(run []query.KeyedSubject) bool {
+		sc := run[0].SubjectCount
+		for _, s := range run[1:] {
+			sc.Works += s.Works
 		}
 		out = append(out, sc)
-	}
+		return true
+	})
 	return out
 }
 
 // MergeSections merges per-shard letter-grouped sections: entries are
-// flattened, merged in print order, and regrouped by first letter —
-// the same grouping core.Index.Sections applies.
+// flattened, merged in print order, and regrouped by first letter with
+// core.AppendGrouped, the grouping core.Index.Sections applies.
 func MergeSections(parts [][]core.Section, coll collate.Options) []core.Section {
 	if only, ok := single(parts); ok {
 		return only
@@ -310,15 +245,9 @@ func MergeSections(parts [][]core.Section, coll collate.Options) []core.Section 
 			entryParts[i] = append(entryParts[i], s.Entries...)
 		}
 	}
-	merged := MergeEntries(entryParts, coll, 0)
 	var out []core.Section
-	for _, e := range merged {
-		letter := collate.FirstLetter(e.Author, coll)
-		if n := len(out); n == 0 || out[n-1].Letter != letter {
-			out = append(out, core.Section{Letter: letter})
-		}
-		s := &out[len(out)-1]
-		s.Entries = append(s.Entries, e)
+	for _, e := range MergeEntries(entryParts, coll, 0) {
+		out = core.AppendGrouped(out, e, coll)
 	}
 	return out
 }

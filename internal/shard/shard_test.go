@@ -2,8 +2,12 @@ package shard
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
+	"math/rand"
+	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -192,6 +196,53 @@ func work(id int, vol, page, year int, title string) *model.Work {
 		Title:    title,
 		Citation: model.Citation{Volume: vol, Page: page, Year: year},
 		Authors:  []model.Author{{Family: "Author", Given: "A."}},
+	}
+}
+
+// TestMergeAgainstStableSort: the one k-way merge yields exactly the
+// runs of "concatenate the parts, stable-sort by key, group equal
+// keys", for 0–5 parts with empty parts and keys tied within and
+// across parts; it computes each element's key once and stops at the
+// first run yield refuses.
+func TestMergeAgainstStableSort(t *testing.T) {
+	type elem struct{ key, part, pos int }
+	r := rand.New(rand.NewSource(5))
+	for iter := 0; iter < 3000; iter++ {
+		parts := make([][]elem, r.Intn(6))
+		var all []elem
+		for p := range parts {
+			keys := make([]int, r.Intn(6))
+			for i := range keys {
+				keys[i] = r.Intn(8)
+			}
+			sort.Ints(keys)
+			for i, k := range keys {
+				parts[p] = append(parts[p], elem{k, p, i})
+			}
+			all = append(all, parts[p]...)
+		}
+		sort.SliceStable(all, func(i, j int) bool { return all[i].key < all[j].key })
+		var want [][]elem
+		for i, e := range all {
+			if i == 0 || all[i-1].key != e.key {
+				want = append(want, nil)
+			}
+			want[len(want)-1] = append(want[len(want)-1], e)
+		}
+		// yield refuses its stop-th run; stop > len(want) never stops.
+		stop := 1 + r.Intn(len(want)+1)
+		keyed := 0
+		var got [][]elem
+		merge(parts, func(e elem) int { keyed++; return e.key }, cmp.Compare[int], func(run []elem) bool {
+			got = append(got, slices.Clone(run))
+			return len(got) < stop
+		})
+		if want = want[:min(stop, len(want))]; !reflect.DeepEqual(got, want) {
+			t.Fatalf("parts %v, stop %d: merged %v, want %v", parts, stop, got, want)
+		}
+		if stop > len(want) && keyed != len(all) || keyed > len(all) {
+			t.Fatalf("parts %v, stop %d: %d key calls for %d elements", parts, stop, keyed, len(all))
+		}
 	}
 }
 

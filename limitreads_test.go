@@ -6,6 +6,7 @@
 package authorindex
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -272,25 +273,113 @@ func TestAuthorPagesAreCopies(t *testing.T) {
 			for i, e := range got {
 				want[i] = e.Clone()
 			}
-			for _, e := range got {
-				e.Author.Family = "Mutated"
-				for i := range e.SeeAlso {
-					e.SeeAlso[i].Family = "Mutated"
-				}
-				for i := range e.Works {
-					w := &e.Works[i]
-					w.Title = "mutated"
-					for j := range w.Authors {
-						w.Authors[j].Family = "Mutated"
-					}
-					for j := range w.Subjects {
-						w.Subjects[j] = "mutated"
-					}
-				}
-			}
+			scribble(got)
 			if again := read(); !reflect.DeepEqual(again, want) {
 				t.Errorf("shards=%d %s: editing a returned page changed a later read", shards, name)
 			}
+		}
+		ix.Close()
+	}
+}
+
+// scribble edits every field of every entry a read returned: heading,
+// works, their authors and subjects, cross-references.
+func scribble(entries []*Entry) {
+	for _, e := range entries {
+		e.Author.Family = "Mutated"
+		for i := range e.SeeAlso {
+			e.SeeAlso[i].Family = "Mutated"
+		}
+		for i := range e.Works {
+			w := &e.Works[i]
+			w.Title = "mutated"
+			for j := range w.Authors {
+				w.Authors[j].Family = "Mutated"
+			}
+			for j := range w.Subjects {
+				w.Subjects[j] = "mutated"
+			}
+		}
+	}
+}
+
+// TestAuthorAndSectionsAreCopies: Author and Sections merge the shards'
+// live entries and copy only the merged result, so a caller that edits
+// every entry they return changes nothing a later read or a render
+// sees, at one shard and at four. The busiest heading has works on
+// every shard at four, so its entry is folded from several shards.
+func TestAuthorAndSectionsAreCopies(t *testing.T) {
+	works := gen.Generate(gen.Config{Seed: 12, Works: 600, ZipfS: 1.2})
+	batch := make([]Work, len(works))
+	for i, w := range works {
+		batch[i] = *w
+	}
+	for _, shards := range []int{1, 4} {
+		ix := openShards(t, "", shards)
+		if _, err := ix.AddBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		var busiest *Entry
+		for _, s := range ix.Sections() {
+			for _, e := range s.Entries {
+				if busiest == nil || len(e.Works) > len(busiest.Works) {
+					busiest = e
+				}
+			}
+		}
+		heading := busiest.Author.Display()
+		filed := 0
+		for _, eng := range ix.shards.Load().Engs {
+			if _, ok := eng.AuthorExact(heading); ok {
+				filed++
+			}
+		}
+		if filed != shards {
+			t.Fatalf("shards=%d: %q is filed on %d shards", shards, heading, filed)
+		}
+		if err := ix.AddSeeAlso(heading, "Zed, Other"); err != nil {
+			t.Fatal(err)
+		}
+		var before bytes.Buffer
+		if err := ix.Render(&before, RenderOptions{Format: Text}); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range []struct {
+			name string
+			read func() []*Entry
+		}{
+			{"Author", func() []*Entry {
+				e, ok := ix.Author(heading)
+				if !ok {
+					t.Fatalf("shards=%d: Author(%q) missing", shards, heading)
+				}
+				return []*Entry{e}
+			}},
+			{"Sections", func() []*Entry {
+				var all []*Entry
+				for _, s := range ix.Sections() {
+					all = append(all, s.Entries...)
+				}
+				return all
+			}},
+		} {
+			name, read := r.name, r.read
+			got := read()
+			want := make([]*Entry, len(got))
+			for i, e := range got {
+				want[i] = e.Clone()
+			}
+			scribble(got)
+			if again := read(); !reflect.DeepEqual(again, want) {
+				t.Errorf("shards=%d %s: editing a returned entry changed a later read", shards, name)
+			}
+		}
+		var after bytes.Buffer
+		if err := ix.Render(&after, RenderOptions{Format: Text}); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(before.Bytes(), after.Bytes()) {
+			t.Errorf("shards=%d: editing returned entries changed the render", shards)
 		}
 		ix.Close()
 	}
