@@ -29,7 +29,7 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -47,7 +47,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/render"
-	"repro/internal/shard"
 	"repro/internal/storage"
 	"repro/internal/wal"
 )
@@ -234,12 +233,12 @@ type Options struct {
 	// fsync). Zero means the default of 256; negative values are
 	// rejected by Open.
 	IngestBatchSize int
-	// Shards partitions the engine into this many hash-sharded
-	// sub-engines, each with its own writer mutex, so writes landing on
-	// different shards commit in parallel. Zero means 1 (unsharded); negative values or values
-	// above MaxShards are rejected by Open. The store is
-	// shard-agnostic, so the same directory may be reopened with any
-	// shard count.
+	// Shards is validated and then ignored: Open rejects values outside
+	// [0, MaxShards], and every accepted value opens the same single
+	// engine (Stats.Shards reports 1).
+	//
+	// Deprecated: the index is one engine behind one writer mutex; a
+	// measured 4-shard layout beat 1 shard on no end-to-end metric.
 	Shards int
 	// FS is the filesystem seam the durable write path (WAL appends,
 	// snapshot compaction) goes through. Nil means the real filesystem.
@@ -248,7 +247,7 @@ type Options struct {
 	FS fault.FS
 }
 
-// MaxShards bounds Options.Shards.
+// MaxShards bounds Options.Shards, which Open still validates.
 const MaxShards = 256
 
 // DefaultIngestBatchSize is the import chunk size used when Options
@@ -296,36 +295,35 @@ type Stats struct {
 	SnapshotBytes int64  // last snapshot size
 	InMemory      bool   // true when opened without a directory
 	Collation     string // collation scheme name
-	Shards        int    // hash-partitioned engine shards
+	Shards        int    // always 1: the index is one engine
 }
 
 // Index is an open author-index engine. All methods are safe for
-// concurrent use: the corpus is hash-partitioned across engine shards
-// (Options.Shards; one by default), writes lock only the shards they
-// touch and commit by publishing fresh copy-on-write snapshots of them
-// in one new root, and reads load the current root and run entirely
-// lock-free (see snapshot.go and internal/shard), so a slow reader
-// never stalls a writer, a write burst never convoys readers, and
-// writes on different shards never contend with each other. A read
-// sees every shard at one instant: a multi-shard batch is visible to
-// it entirely or not at all (see AddBatch).
+// concurrent use: writers serialize on one mutex and commit by
+// publishing a fresh copy-on-write snapshot of the engine in a new
+// root, and reads load the current root and run entirely lock-free
+// (see snapshot.go), so a slow reader never stalls a writer and a write
+// burst never convoys readers. A read sees one committed state: a batch
+// is visible to it entirely or not at all (see AddBatch).
 type Index struct {
 	store       *storage.Store
 	coll        CollationOptions
 	ingestBatch int
 
-	// shards is the partitioned engine: every work has one home shard
-	// (hashed by ID; cross-references hash by heading collation key),
-	// each shard has its own writer mutex, every shard's current engine
-	// sits in one atomically published root, and global operations
-	// (Verify, Close, tracker rebuilds) exclude all writers at once by
-	// taking every shard lock.
-	shards *shard.Map
+	// mu serializes writers: every commit, and the operations that must
+	// exclude them (Verify, Compact, Close, tracker rebuilds), hold it.
+	// Its order is the one commit order of store and engine.
+	mu sync.Mutex
+	// root is the current snapshot; every read is one load of it.
+	root atomic.Pointer[root]
+	// alive counts roots not yet collected (see EpochsAlive). It is
+	// allocated apart from the Index; see sentinel.
+	alive *atomic.Int64
 
-	// swapHists records, per shard, the copy-on-write turnover latency
-	// each write pays (clone + path-copied mutation + pointer swap).
-	// Bound to a registry by RegisterMetrics, like ops.
-	swapHists atomic.Pointer[[]*obs.Histogram]
+	// swapHist records the copy-on-write turnover latency each write
+	// pays (clone + path-copied mutation + pointer swap). Bound to a
+	// registry by RegisterMetrics, like ops.
+	swapHist atomic.Pointer[obs.Histogram]
 
 	// ops holds the per-operation latency histograms. Open points them
 	// at obs.Default; RegisterMetrics swaps in a set bound to another
@@ -383,11 +381,9 @@ func (ix *Index) RegisterMetrics(r *obs.Registry) {
 	ix.ops.Store(&set)
 
 	// Each callback reads only its own source — the store counters, the
-	// shared query counters, per-shard sums or the heading merge — the
-	// same reads Stats makes, so a scrape walks the headings once.
-	engs := func() []*query.Engine { return ix.shards.Load().Engs }
-	queries := func() query.QueryStats { return engs()[0].QueryStats() }
-	sums := func() query.Stats { return shardSums(engs()) }
+	// query counters or the engine's counts — the same reads Stats
+	// makes, and none walks the headings.
+	queries := func() query.QueryStats { return ix.engine().QueryStats() }
 	store := ix.store.Stats
 	r.CounterFunc("authdex_queries_served_total", "Ordered read queries answered since open.",
 		func() float64 { return float64(queries().Queries) })
@@ -411,27 +407,17 @@ func (ix *Index) RegisterMetrics(r *obs.Registry) {
 			return 0
 		})
 	r.GaugeFunc("authdex_works", "Distinct works stored.",
-		func() float64 { return float64(sums().Works) })
+		func() float64 { return float64(ix.engine().Len()) })
 	r.GaugeFunc("authdex_authors", "Distinct author headings.",
-		func() float64 { return float64(shard.Headings(engs(), nil)) })
+		func() float64 { return float64(ix.engine().Index().Len()) })
 	r.GaugeFunc("authdex_postings", "Author-work pairs indexed.",
-		func() float64 { return float64(sums().Postings) })
+		func() float64 { return float64(ix.engine().Index().Stats().Postings) })
 	r.GaugeFunc("authdex_wal_bytes", "Current write-ahead-log size.",
 		func() float64 { return float64(store().WALBytes) })
 	r.GaugeFunc("authdex_snapshot_bytes", "Last snapshot size.",
 		func() float64 { return float64(store().SnapshotBytes) })
-	hs := make([]*obs.Histogram, ix.shards.N())
-	for i := range hs {
-		hs[i] = r.Histogram("authdex_snapshot_swap_duration_seconds",
-			"Copy-on-write snapshot turnover latency per committed write (engine clone, path-copied mutation, pointer swap).",
-			"shard", strconv.Itoa(i))
-	}
-	ix.swapHists.Store(&hs)
-	for i := 0; i < ix.shards.N(); i++ {
-		r.GaugeFunc("authdex_shard_works", "Works indexed on one shard.",
-			func() float64 { return float64(ix.shards.Load().Engs[i].Len()) },
-			"shard", strconv.Itoa(i))
-	}
+	ix.swapHist.Store(r.Histogram("authdex_snapshot_swap_duration_seconds",
+		"Copy-on-write snapshot turnover latency per committed write (engine clone, path-copied mutation, pointer swap)."))
 	r.GaugeFunc("authdex_epochs_alive",
 		"Engine snapshot roots not yet collected; 1 when quiescent.",
 		func() float64 { return float64(ix.EpochsAlive()) })
@@ -466,10 +452,6 @@ func Open(dir string, opts *Options) (*Index, error) {
 	if o.Shards < 0 || o.Shards > MaxShards {
 		return nil, fmt.Errorf("authorindex: shard count %d outside [0, %d]", o.Shards, MaxShards)
 	}
-	nShards := o.Shards
-	if nShards == 0 {
-		nShards = 1
-	}
 	st, err := storage.Open(dir, storage.Options{
 		WAL:          wal.Options{NoSync: o.NoSync},
 		CompactEvery: o.CompactEvery,
@@ -478,66 +460,36 @@ func Open(dir string, opts *Options) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The seed engine owns the tracker (with its coauthorship graph) and
-	// the query counters; peer engines on the other shards share them
-	// (the tracker is corpus-global, not per-shard) while keeping their
-	// own index trees.
-	seed := query.NewWithScheme(coll, o.MetricsScheme)
+	eng := query.NewWithScheme(coll, o.MetricsScheme)
 	if o.GraphDamping != 0 {
-		seed.Graph().SetDamping(o.GraphDamping)
+		eng.Graph().SetDamping(o.GraphDamping)
 	}
-	ix := &Index{store: st, coll: coll, ingestBatch: o.IngestBatchSize}
-	ix.shards = shard.New(nShards, func(i int) *query.Engine {
-		if i == 0 {
-			return seed
-		}
-		return seed.NewPeer()
-	})
 	// Cold start is a bulk load, not a replay: the store decodes the
-	// corpus once, the engines keep it as the one in-RAM copy, and each
-	// shard builds its indexes bottom-up over its partition. The first
-	// root was published by shard.New before the index is visible to any
-	// reader, so loading its engines in place is unobservable. The shared
-	// tracker rebuilds once over the whole corpus, beside the shard loads.
+	// corpus once, the engine keeps it as the one in-RAM copy and builds
+	// its indexes bottom-up, and the tracker rebuilds beside the load.
 	works := make([]*model.Work, 0, st.Len())
 	if err := st.ForEach(func(w *model.Work) error { works = append(works, w); return nil }); err != nil {
 		st.Close()
 		return nil, fmt.Errorf("authorindex: read store: %w", err)
 	}
-	parts := make([][]*model.Work, nShards)
-	for _, w := range works {
-		si := ix.shards.ForWork(w.ID)
-		parts[si] = append(parts[si], w)
+	if err := eng.LoadAll(works); err != nil {
+		st.Close()
+		return nil, fmt.Errorf("authorindex: rebuild from store: %w", err)
 	}
-	trackerDone := make(chan struct{})
-	go func() {
-		defer close(trackerDone)
-		seed.RebuildTrackers(works)
-	}()
-	for i, eng := range ix.shards.Load().Engs {
-		if err := eng.LoadCorpus(context.Background(), parts[i]); err != nil {
-			<-trackerDone
-			st.Close()
-			return nil, fmt.Errorf("authorindex: rebuild shard %d from store: %w", i, err)
-		}
-	}
-	<-trackerDone
 	if refs := st.CrossRefs(); len(refs) > 0 {
-		groups := make([][]core.SeeAlsoRef, nShards)
-		for _, ref := range refs {
-			si := ix.shards.ForKey(collate.KeyAuthor(ref.From, coll))
-			groups[si] = append(groups[si], core.SeeAlsoRef{From: ref.From, To: ref.To})
+		batch := make([]core.SeeAlsoRef, len(refs))
+		for i, ref := range refs {
+			batch[i] = core.SeeAlsoRef{From: ref.From, To: ref.To}
 		}
-		for i, eng := range ix.shards.Load().Engs {
-			if len(groups[i]) == 0 {
-				continue
-			}
-			if err := eng.Index().AddSeeAlsoBatch(groups[i]); err != nil {
-				st.Close()
-				return nil, fmt.Errorf("authorindex: restore cross-refs: %w", err)
-			}
+		if err := eng.Index().AddSeeAlsoBatch(batch); err != nil {
+			st.Close()
+			return nil, fmt.Errorf("authorindex: restore cross-refs: %w", err)
 		}
 	}
+	ix := &Index{store: st, coll: coll, ingestBatch: o.IngestBatchSize, alive: new(atomic.Int64)}
+	// The first root: no reader has seen the index yet, and no swap
+	// histogram is bound, so nothing is recorded.
+	ix.publish(start, eng)
 	ix.RegisterMetrics(obs.Default)
 	ix.ops.Load()[opOpen].Since(start)
 	return ix, nil
@@ -563,10 +515,9 @@ func (ix *Index) Add(w Work) (WorkID, error) {
 // fail, and it runs before anything is written, so an invalid work
 // anywhere in the batch or a WAL error leaves storage, indexes, metrics
 // and the coauthorship graph byte-identical to their pre-batch state.
-// Visibility is atomic: with Options.Shards > 1 a committed batch
-// publishes every shard's portion in one snapshot root, so a
-// concurrent reader sees all of the batch or none of it, and every
-// read started after AddBatch returns sees the whole batch.
+// Visibility is atomic: a committed batch is published in one snapshot
+// root, so a concurrent reader sees all of the batch or none of it, and
+// every read started after AddBatch returns sees the whole batch.
 func (ix *Index) AddBatch(works []Work) ([]WorkID, error) {
 	return ix.AddBatchCtx(context.Background(), works)
 }
@@ -592,28 +543,15 @@ func (ix *Index) Get(id WorkID) (*Work, bool) {
 }
 
 // Len returns the number of stored works.
-func (ix *Index) Len() int {
-	n := 0
-	for _, eng := range ix.shards.Load().Engs {
-		n += eng.Len()
-	}
-	return n
-}
+func (ix *Index) Len() int { return ix.engine().Len() }
 
-// Author looks up one heading by its index-order string. An author
-// whose works are spread across shards is assembled from every shard's
-// partial entry.
+// Author looks up one heading by its index-order string.
 func (ix *Index) Author(heading string) (*Entry, bool) {
-	out := ix.scatterEntries(context.Background(), "facade.author", 0, func(eng *query.Engine) []*Entry {
-		if e, ok := eng.AuthorExact(heading); ok {
-			return []*Entry{e}
-		}
-		return nil
-	})
-	if len(out) == 0 {
+	e, ok := ix.engine().AuthorExact(heading)
+	if !ok {
 		return nil, false
 	}
-	return out[0], true
+	return e.Clone(), true
 }
 
 // Authors returns up to limit headings starting with prefix, in print
@@ -654,13 +592,8 @@ func (ix *Index) VolumeWorks(v, limit int) []*Work {
 }
 
 // Subjects returns every subject heading in collation order with its
-// work count, summed across shards.
-func (ix *Index) Subjects() []SubjectCount {
-	parts := shard.Gather(ix.shards.Load().Engs, func(_ int, eng *query.Engine) []query.KeyedSubject {
-		return eng.KeyedSubjects()
-	})
-	return shard.MergeSubjects(parts)
-}
+// work count.
+func (ix *Index) Subjects() []SubjectCount { return ix.engine().Subjects() }
 
 // BySubject returns the works filed under a subject heading, matched
 // case- and diacritic-insensitively, in citation order.
@@ -674,18 +607,7 @@ func (ix *Index) BySubject(subject string, limit int) []*Work {
 // lock (indexed works are immutable, so the view stays valid however
 // many commits land during the render).
 func (ix *Index) RenderSubjectIndex(w io.Writer, opts RenderOptions) error {
-	return render.SubjectIndex(w, ix.allWorksView(), ix.coll, opts)
-}
-
-// allWorksView concatenates every shard's zero-copy corpus view from
-// one root. Order is per-shard; consumers that need a global order (the
-// title and subject renders) sort internally.
-func (ix *Index) allWorksView() []*model.Work {
-	var out []*model.Work
-	for _, eng := range ix.shards.Load().Engs {
-		out = append(out, eng.AllWorksView()...)
-	}
-	return out
+	return render.SubjectIndex(w, ix.engine().AllWorksView(), ix.coll, opts)
 }
 
 // AddSeeAlso durably records a cross-reference between two headings
@@ -700,23 +622,20 @@ func (ix *Index) AddSeeAlso(from, to string) error {
 	if err != nil {
 		return fmt.Errorf("authorindex: to heading: %w", err)
 	}
-	// Cross-references live on the shard their From heading hashes to,
-	// so a lookup of that heading finds them without a fan-out.
-	s := ix.shards.Shard(ix.shards.ForKey(collate.KeyAuthor(fa, ix.coll)))
-	s.Lock()
-	defer s.Unlock()
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
 	// Mutate a clone, commit to the store, then publish: a store error
 	// discards the clone, so engine and store can no longer diverge the
 	// way the old engine-first order allowed.
 	start := time.Now()
-	eng := s.Head().Clone()
+	eng := ix.engine().Clone()
 	if err := eng.Index().AddSeeAlso(fa, ta); err != nil {
 		return err
 	}
 	if err := ix.store.AddCrossRef(storage.CrossRef{From: fa, To: ta}); err != nil {
 		return err
 	}
-	ix.publish(start, map[int]*query.Engine{s.ID(): eng})
+	ix.publish(start, eng)
 	return nil
 }
 
@@ -724,14 +643,8 @@ func (ix *Index) AddSeeAlso(from, to string) error {
 // work counts by kind and year, fractional and position-weighted
 // credit, productivity h-index and collaboration degree.
 func (ix *Index) AuthorMetrics(heading string) (AuthorMetrics, bool) {
-	return ix.trackers().AuthorMetrics(heading)
+	return ix.engine().AuthorMetrics(heading)
 }
-
-// trackers returns shard 0's current engine for a metrics or graph
-// read. The tracker is corpus-global and shared by every shard's
-// engines, so any shard would do; reading one avoids a pointless
-// fan-out.
-func (ix *Index) trackers() *query.Engine { return ix.shards.Load().Engs[0] }
 
 // TopAuthors returns up to limit author snapshots ranked by the given
 // key, best first. The limit is clamped like every query limit.
@@ -741,7 +654,7 @@ func (ix *Index) TopAuthors(by RankKey, limit int) []AuthorMetrics {
 
 // MetricsSummary returns corpus-level collaboration statistics.
 func (ix *Index) MetricsSummary() MetricsSummary {
-	return ix.trackers().MetricsSummary()
+	return ix.engine().MetricsSummary()
 }
 
 // SetMetricsScheme swaps the credit-weighting scheme, rebuilding the
@@ -762,17 +675,17 @@ func (ix *Index) RebuildMetrics() { ix.rebuildTrackers(nil) }
 
 // rebuildTrackers builds a fresh tracker over the whole corpus under
 // scheme (nil: the current one) and the current damping factor, then
-// clones every shard head, points the clones at it and publishes them
-// all in one root. The tracker is corpus-global, so the rebuild is
-// coordinator-level: it excludes every writer, builds off to the side,
-// and concurrent readers never observe a half-built tracker. PageRank
-// recomputes lazily on the fresh graph.
+// clones the engine, points the clone at it and publishes it. The
+// rebuild excludes every writer, builds off to the side, and concurrent
+// readers never observe a half-built tracker. PageRank recomputes
+// lazily on the fresh graph.
 func (ix *Index) rebuildTrackers(scheme *Scheme) {
-	ix.shards.LockAll()
-	defer ix.shards.UnlockAll()
-	// Every tracker writer holds a shard lock, so LockAll alone makes
-	// reading the current tracker safe.
-	cur := ix.trackers().Metrics()
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	// Every tracker writer holds the mutex, so holding it makes reading
+	// the current tracker safe.
+	head := ix.engine()
+	cur := head.Metrics()
 	s := cur.Weighting()
 	if scheme != nil {
 		if *scheme == s {
@@ -782,14 +695,11 @@ func (ix *Index) rebuildTrackers(scheme *Scheme) {
 	}
 	fresh := metrics.NewEngine(s)
 	fresh.Graph().SetDamping(cur.Graph().Damping())
-	fresh.Rebuild(ix.allWorksView())
+	fresh.Rebuild(head.AllWorksView())
 	start := time.Now()
-	clones := make(map[int]*query.Engine, ix.shards.N())
-	for i, eng := range ix.shards.Load().Engs {
-		clones[i] = eng.Clone()
-		clones[i].ReplaceTrackers(fresh)
-	}
-	ix.publish(start, clones)
+	eng := head.Clone()
+	eng.ReplaceTrackers(fresh)
+	ix.publish(start, eng)
 }
 
 // CollaborationPath returns the shortest coauthorship chain between two
@@ -798,26 +708,26 @@ func (ix *Index) rebuildTrackers(scheme *Scheme) {
 // when either heading is unknown or no chain of shared works connects
 // them.
 func (ix *Index) CollaborationPath(from, to string) ([]string, bool) {
-	return ix.trackers().CollaborationPath(from, to)
+	return ix.engine().CollaborationPath(from, to)
 }
 
 // Centrality returns a heading's PageRank score in the coauthorship
 // network; scores across all authors sum to 1.
 func (ix *Index) Centrality(heading string) (float64, bool) {
-	return ix.trackers().Centrality(heading)
+	return ix.engine().Centrality(heading)
 }
 
 // Collaborators returns a heading's co-authors with shared-work counts,
 // heaviest first.
 func (ix *Index) Collaborators(heading string) []Neighbor {
-	return ix.trackers().GraphNeighbors(heading)
+	return ix.engine().GraphNeighbors(heading)
 }
 
 // GraphSummary returns coauthorship-network aggregates: node, edge and
 // component counts, the largest component, density, and the most
 // central authors under the configured damping factor.
 func (ix *Index) GraphSummary() GraphSummary {
-	return ix.trackers().GraphSummary()
+	return ix.engine().GraphSummary()
 }
 
 // TopCentral returns up to limit authors by network centrality, best
@@ -833,22 +743,13 @@ func (ix *Index) TopCentral(limit int) []CentralAuthor {
 func (ix *Index) RebuildGraph() { ix.rebuildTrackers(nil) }
 
 // Sections returns the index grouped by letter, in print order; entries
-// are deep copies, merged across shards.
+// are deep copies.
 func (ix *Index) Sections() []Section {
-	sections := ix.sections(ix.shards.Load().Engs)
+	sections := ix.engine().Index().Sections()
 	for _, s := range sections {
 		cloneEntries(s.Entries)
 	}
 	return sections
-}
-
-// sections merges the shards' live sections of one root. The section
-// slices are the caller's; the entries are live and frozen.
-func (ix *Index) sections(engs []*query.Engine) []Section {
-	parts := shard.Gather(engs, func(_ int, eng *query.Engine) []Section {
-		return eng.Index().Sections()
-	})
-	return shard.MergeSections(parts, ix.coll)
 }
 
 // Render writes the index to w in the format selected by opts. With
@@ -856,7 +757,7 @@ func (ix *Index) sections(engs []*query.Engine) []Section {
 // contributor-summary appendix built from the metrics tracker; with
 // opts.Network set they close with a collaboration-network appendix
 // built from the coauthorship graph. The render runs against one
-// snapshot root; tracker reads take the shared tracker read lock.
+// snapshot root; tracker reads take the tracker read lock.
 func (ix *Index) Render(w io.Writer, opts RenderOptions) error {
 	return ix.RenderCtx(context.Background(), w, opts)
 }
@@ -866,7 +767,7 @@ func (ix *Index) Render(w io.Writer, opts RenderOptions) error {
 // citations. Text, TSV and Markdown formats are supported. Like
 // RenderSubjectIndex, it renders from a zero-copy snapshot view.
 func (ix *Index) RenderTitleIndex(w io.Writer, opts RenderOptions) error {
-	return render.TitleIndex(w, ix.allWorksView(), ix.coll, opts)
+	return render.TitleIndex(w, ix.engine().AllWorksView(), ix.coll, opts)
 }
 
 // RemoveSeeAlso deletes a durable cross-reference previously recorded
@@ -880,20 +781,18 @@ func (ix *Index) RemoveSeeAlso(from, to string) error {
 	if err != nil {
 		return fmt.Errorf("authorindex: to heading: %w", err)
 	}
-	// Same home-shard routing and clone-commit-publish order as
-	// AddSeeAlso.
-	s := ix.shards.Shard(ix.shards.ForKey(collate.KeyAuthor(fa, ix.coll)))
-	s.Lock()
-	defer s.Unlock()
+	// Same clone-commit-publish order as AddSeeAlso.
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
 	start := time.Now()
-	eng := s.Head().Clone()
+	eng := ix.engine().Clone()
 	if !eng.Index().RemoveSeeAlso(fa, ta) {
 		return fmt.Errorf("%w: cross-reference %s → %s", ErrNotFound, fa.Display(), ta.Display())
 	}
 	if err := ix.store.DeleteCrossRef(storage.CrossRef{From: fa, To: ta}); err != nil {
 		return err
 	}
-	ix.publish(start, map[int]*query.Engine{s.ID(): eng})
+	ix.publish(start, eng)
 	return nil
 }
 
@@ -955,8 +854,8 @@ func (ix *Index) importResult(res *ingest.Result) error {
 
 // Compact writes a snapshot and truncates the write-ahead log.
 func (ix *Index) Compact() error {
-	ix.shards.LockAll()
-	defer ix.shards.UnlockAll()
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
 	return ix.store.Compact()
 }
 
@@ -965,8 +864,12 @@ func (ix *Index) Compact() error {
 // initialism variants), ordered by confidence. Editors review the list
 // and record see-also references for the real ones.
 func (ix *Index) DuplicateSuggestions() []Suggestion {
-	var authors []Author
-	shard.Headings(ix.shards.Load().Engs, func(a Author) { authors = append(authors, a) })
+	idx := ix.engine().Index()
+	authors := make([]Author, 0, idx.Len())
+	idx.Ascend(func(_ []byte, e *Entry) bool {
+		authors = append(authors, e.Author)
+		return true
+	})
 	return dedupe.Suggest(authors)
 }
 
@@ -977,28 +880,25 @@ func (ix *Index) DuplicateSuggestions() []Suggestion {
 // work the store does not hold. It returns nil when the index is
 // internally consistent.
 //
-// Verify takes every shard lock: it cross-checks the store against
-// every shard's head engine, so writers must be excluded for the
-// comparison to be meaningful. Lock-free snapshot readers are
-// unaffected — they never touch a shard lock.
+// Verify holds the writer mutex: it cross-checks the store against the
+// current engine, so writers must be excluded for the comparison to be
+// meaningful. Lock-free snapshot readers are unaffected.
 func (ix *Index) Verify() error {
 	defer ix.timeOp(opVerify)()
-	ix.shards.LockAll()
-	defer ix.shards.UnlockAll()
-	heads := ix.shards.Load().Engs
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	eng := ix.engine()
 	storeCount := 0
 	var storeXor uint64
 	err := ix.store.ForEach(func(w *model.Work) error {
 		storeCount++
 		storeXor ^= query.WorkFingerprint(w)
-		home := ix.shards.ForWork(w.ID)
-		eng := heads[home]
 		got, ok := eng.WorkView(w.ID)
 		if !ok {
-			return fmt.Errorf("authorindex: verify: stored work %d missing from shard %d", w.ID, home)
+			return fmt.Errorf("authorindex: verify: stored work %d missing from the index", w.ID)
 		}
 		if !got.Equal(w) {
-			return fmt.Errorf("authorindex: verify: work %d differs between store and shard %d", w.ID, home)
+			return fmt.Errorf("authorindex: verify: work %d differs between store and index", w.ID)
 		}
 		for _, a := range w.Authors {
 			entry, ok := eng.Index().Lookup(a)
@@ -1014,41 +914,28 @@ func (ix *Index) Verify() error {
 	if err != nil {
 		return err
 	}
-	engCount, postings := 0, 0
-	var shardXor uint64
-	for _, h := range heads {
-		engCount += h.Len()
-		postings += h.Stats().Postings
-		shardXor ^= h.XorFingerprint()
+	if n := eng.Len(); n != storeCount {
+		return fmt.Errorf("authorindex: verify: store holds %d works, index %d", storeCount, n)
 	}
-	if engCount != storeCount {
-		return fmt.Errorf("authorindex: verify: store holds %d works, shards %d", storeCount, engCount)
+	// The XOR of per-work fingerprints is order-independent, so the
+	// engine's fold over its keys must match the same fold over the
+	// store streamed above, without holding the store's corpus at once.
+	if x := eng.XorFingerprint(); x != storeXor {
+		return fmt.Errorf("authorindex: verify: index fingerprints fold to %016x, store works to %016x", x, storeXor)
 	}
-	// Per-shard fingerprints XOR-combine into the corpus fingerprint
-	// (XOR is commutative, so partitioning cannot change it): the
-	// combined value must match the same fold over the store — the
-	// fingerprint a from-scratch unsharded rebuild would produce.
-	if shardXor != storeXor {
-		return fmt.Errorf("authorindex: verify: shard fingerprints fold to %016x, store works to %016x", shardXor, storeXor)
-	}
-	// The tracker is corpus-global and shared by every shard, so
-	// tracker-level checks read one head.
-	met := heads[0].Metrics()
+	met := eng.Metrics()
 	ms := met.Summary()
 	if ms.Works != storeCount {
 		return fmt.Errorf("authorindex: verify: metrics track %d works, store %d", ms.Works, storeCount)
 	}
-	if ms.Postings != postings {
+	if postings := eng.Index().Stats().Postings; ms.Postings != postings {
 		return fmt.Errorf("authorindex: verify: metrics count %d postings, index %d", ms.Postings, postings)
 	}
 	// The incremental tracker — graph and credit counters — must be
-	// byte-identical to one rebuilt from scratch over the union of every
-	// shard's corpus.
+	// byte-identical to one rebuilt from scratch over the corpus.
 	fresh := metrics.NewEngine(met.Weighting())
-	for _, h := range heads {
-		for _, w := range h.AllWorksView() {
-			fresh.Add(w)
-		}
+	for _, w := range eng.AllWorksView() {
+		fresh.Add(w)
 	}
 	if fresh.Fingerprint() != met.Fingerprint() {
 		return fmt.Errorf("authorindex: verify: incremental tracker state differs from a from-scratch rebuild")
@@ -1056,34 +943,27 @@ func (ix *Index) Verify() error {
 	return nil
 }
 
-// Stats returns current counters. Per-shard counts sum (works,
-// postings, cross-references are disjoint across shards); Authors
-// counts distinct headings, since one heading's works can spread over
-// several shards; Terms is summed per shard, so with several shards it
-// is an upper bound on globally distinct terms. Query counters and
-// graph counts come from the shared tracker, read once. Each field is
-// read from the same source as the metric RegisterMetrics exports for
-// it.
+// Stats returns current counters. Each field is read from the same
+// source as the metric RegisterMetrics exports for it. Authors counts
+// the index's distinct headings, see-also-only ones included.
 func (ix *Index) Stats() Stats {
-	engs := ix.shards.Load().Engs
-	e0 := engs[0]
-	sum := shardSums(engs)
-	qs := e0.QueryStats()
+	eng := ix.engine()
+	es := eng.Stats()
 	ss := ix.store.Stats()
-	nodes, edges, components := e0.GraphCounts()
+	nodes, edges, components := eng.GraphCounts()
 	return Stats{
-		Works:           sum.Works,
-		Authors:         shard.Headings(engs, nil),
-		Postings:        sum.Postings,
-		StudentNotes:    sum.StudentNotes,
-		CrossRefs:       sum.CrossRefs,
-		Terms:           sum.Terms,
+		Works:           es.Works,
+		Authors:         es.Authors,
+		Postings:        es.Postings,
+		StudentNotes:    es.StudentNotes,
+		CrossRefs:       es.CrossRefs,
+		Terms:           es.Terms,
 		GraphNodes:      nodes,
 		GraphEdges:      edges,
 		GraphComponents: components,
-		QueriesServed:   qs.Queries,
-		WorksCloned:     qs.WorksCloned,
-		PostingsScanned: qs.PostingsBytes,
+		QueriesServed:   es.Query.Queries,
+		WorksCloned:     es.Query.WorksCloned,
+		PostingsScanned: es.Query.PostingsBytes,
 
 		BatchesCommitted: ss.BatchesCommitted,
 		FsyncsSaved:      ss.FsyncsSaved,
@@ -1096,25 +976,8 @@ func (ix *Index) Stats() Stats {
 		SnapshotBytes: ss.SnapshotBytes,
 		InMemory:      ss.InMemory,
 		Collation:     ix.coll.Scheme.String(),
-		Shards:        ix.shards.N(),
+		Shards:        1,
 	}
-}
-
-// shardSums adds up the per-shard counters of one root. Works,
-// postings, student notes and cross-references are disjoint across
-// shards, so their sums are exact. Authors is left zero: a heading's
-// works can sit on several shards (see shard.Headings).
-func shardSums(engs []*query.Engine) query.Stats {
-	var sum query.Stats
-	for _, eng := range engs {
-		es := eng.Stats()
-		sum.Works += es.Works
-		sum.Postings += es.Postings
-		sum.StudentNotes += es.StudentNotes
-		sum.CrossRefs += es.CrossRefs
-		sum.Terms += es.Terms
-	}
-	return sum
 }
 
 // Degraded reports whether a write-path I/O failure has latched the
@@ -1129,7 +992,7 @@ func (ix *Index) Degraded() (bool, error) {
 // Close flushes and closes the index. Further mutations fail with
 // ErrClosed.
 func (ix *Index) Close() error {
-	ix.shards.LockAll()
-	defer ix.shards.UnlockAll()
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
 	return ix.store.Close()
 }

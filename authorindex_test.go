@@ -373,7 +373,7 @@ func TestVerifyCatchesCreditDrift(t *testing.T) {
 	if err := ix.Verify(); err != nil {
 		t.Fatalf("fresh index fails Verify: %v", err)
 	}
-	eng := ix.trackers()
+	eng := ix.engine()
 	w, ok := eng.WorkView(7)
 	if !ok {
 		t.Fatal("work 7 missing")
@@ -398,8 +398,8 @@ func TestVerifyCatchesUnfiledPosting(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	idx := ix.trackers().Index()
-	for _, w := range ix.allWorksView() {
+	idx := ix.engine().Index()
+	for _, w := range ix.engine().AllWorksView() {
 		if e, _ := idx.Lookup(w.Authors[0]); len(e.Works) < 3 {
 			continue
 		}

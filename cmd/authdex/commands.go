@@ -21,7 +21,6 @@ func openFlags(fs *flag.FlagSet) func(tweaks ...func(*authorindex.Options)) (*au
 	dir := fs.String("dir", "", "index directory (required)")
 	nosync := fs.Bool("nosync", false, "skip fsync on writes (faster, less durable)")
 	compactEvery := fs.Int("compact-every", 0, "auto-compact after N logged operations")
-	shards := fs.Int("shards", 0, "hash-partition the index across N engine shards (0 = 1, unsharded)")
 	return func(tweaks ...func(*authorindex.Options)) (*authorindex.Index, error) {
 		if *dir == "" {
 			return nil, errors.New("-dir is required")
@@ -29,7 +28,6 @@ func openFlags(fs *flag.FlagSet) func(tweaks ...func(*authorindex.Options)) (*au
 		opts := authorindex.Options{
 			NoSync:       *nosync,
 			CompactEvery: *compactEvery,
-			Shards:       *shards,
 		}
 		for _, tweak := range tweaks {
 			tweak(&opts)

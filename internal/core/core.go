@@ -237,23 +237,14 @@ func (ix *Index) AscendAfter(after model.Author, fn func(*Entry) bool) {
 func (ix *Index) Sections() []Section {
 	var sections []Section
 	ix.entries.Ascend(func(_ []byte, e *Entry) bool {
-		sections = AppendGrouped(sections, e, ix.opts)
+		letter := collate.FirstLetter(e.Author, ix.opts)
+		if n := len(sections); n == 0 || sections[n-1].Letter != letter {
+			sections = append(sections, Section{Letter: letter})
+		}
+		s := &sections[len(sections)-1]
+		s.Entries = append(s.Entries, e)
 		return true
 	})
-	return sections
-}
-
-// AppendGrouped files e, the next entry in print order, into sections:
-// at the end of the last section when e files under its letter, else
-// in a new section. Index.Sections and the cross-shard merge both group
-// with it, so a merged listing breaks letters exactly as one index does.
-func AppendGrouped(sections []Section, e *Entry, opts collate.Options) []Section {
-	letter := collate.FirstLetter(e.Author, opts)
-	if n := len(sections); n == 0 || sections[n-1].Letter != letter {
-		sections = append(sections, Section{Letter: letter})
-	}
-	s := &sections[len(sections)-1]
-	s.Entries = append(s.Entries, e)
 	return sections
 }
 
@@ -368,7 +359,7 @@ func Load(opts collate.Options, works []*model.Work) (*Index, error) {
 			for i, j := 0, len(refs)-1; i < j; i, j = i+1, j-1 {
 				refs[i], refs[j] = refs[j], refs[i]
 			}
-			sort.SliceStable(refs, func(i, j int) bool { return ComparePostings(refs[i], refs[j]) < 0 })
+			sort.SliceStable(refs, func(i, j int) bool { return comparePostings(refs[i], refs[j]) < 0 })
 			ac.e.Works = make([]model.Work, len(refs))
 			for i, w := range refs {
 				ac.e.Works[i] = *w // shallow: shares the retained corpus
@@ -457,9 +448,9 @@ func (ix *Index) AddSeeAlsoBatch(refs []SeeAlsoRef) error {
 	return nil
 }
 
-// ComparePostings orders the works filed under a heading: citation
+// comparePostings orders the works filed under a heading: citation
 // (volume, page, year), then title.
-func ComparePostings(a, b *model.Work) int {
+func comparePostings(a, b *model.Work) int {
 	if c := a.Citation.Compare(b.Citation); c != 0 {
 		return c
 	}
@@ -469,14 +460,14 @@ func ComparePostings(a, b *model.Work) int {
 // search returns the position of the first filed work whose posting
 // order is not below w's.
 func (e *Entry) search(w *model.Work) int {
-	return sort.Search(len(e.Works), func(i int) bool { return ComparePostings(&e.Works[i], w) >= 0 })
+	return sort.Search(len(e.Works), func(i int) bool { return comparePostings(&e.Works[i], w) >= 0 })
 }
 
 // Files reports whether w is filed under e. A heading's works are kept
 // in posting order, so the search is a binary search to w's citation
 // and title and a scan of the works sharing them.
 func (e *Entry) Files(w *model.Work) bool {
-	for i := e.search(w); i < len(e.Works) && ComparePostings(&e.Works[i], w) == 0; i++ {
+	for i := e.search(w); i < len(e.Works) && comparePostings(&e.Works[i], w) == 0; i++ {
 		if e.Works[i].ID == w.ID {
 			return true
 		}

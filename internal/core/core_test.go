@@ -70,8 +70,7 @@ func TestAddAndOrder(t *testing.T) {
 			t.Fatalf("headings = %v, want %v", got, want)
 		}
 	}
-	// Ascend hands out the key each heading is filed under: the shard
-	// merges compare these instead of rebuilding them.
+	// Ascend hands out the key each heading is filed under.
 	ix.Ascend(func(key []byte, e *Entry) bool {
 		if want := collate.KeyAuthor(e.Author, ix.Options()); string(key) != string(want) {
 			t.Errorf("Ascend key for %q = %q, want %q", e.Author.Display(), key, want)

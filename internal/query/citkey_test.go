@@ -161,7 +161,7 @@ func TestEngineQueriesMatchReference(t *testing.T) {
 	var kept []*model.Work
 	for i, w := range corpus {
 		if i%3 == 0 {
-			if _, ok := e.Remove(w.ID); !ok {
+			if !e.Remove(w.ID) {
 				t.Fatalf("Remove(%d) missed", w.ID)
 			}
 		} else {

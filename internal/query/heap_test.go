@@ -29,7 +29,7 @@ func TestHeapPerWork(t *testing.T) {
 		// keys per work and the author index's per-work ref-count map
 		// held 6.03 and 727–733.
 		{"LoadCorpus", func(e *Engine) error {
-			return e.LoadCorpus(context.Background(), works)
+			return e.loadCorpus(context.Background(), works)
 		}, 3.75, 600},
 		// 10.23 objects and 1,201 bytes per work; that code held 15.06
 		// and 1,561–1,564.

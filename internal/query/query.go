@@ -9,8 +9,7 @@
 // references (TitleSearch, YearRange, Work and AllWorks also come as
 // copies, for callers outside the facade); author reads return live,
 // frozen entries only. The public facade is the one place that copies:
-// it merges the shards' live results and deep-copies only what it
-// returns.
+// it deep-copies only what it returns.
 package query
 
 import (
@@ -78,7 +77,7 @@ func ClampLimit(n, def int) int {
 }
 
 // Engine owns every in-memory index over a corpus. Mutation requires
-// external serialization (the owning shard's write lock), but the
+// external serialization (the facade's writer mutex), but the
 // corpus indexes follow a copy-on-write discipline: Clone is O(1), a
 // mutation on one engine path-copies only the index nodes it touches,
 // and filed values (*workEntry works, postings lists, author entries)
@@ -330,9 +329,13 @@ func (e *Engine) LoadAllCtx(ctx context.Context, works []*model.Work) error {
 		defer close(done)
 		_, sp := trace.StartSpan(ctx, "load.metrics")
 		defer sp.End()
-		e.RebuildTrackers(works)
+		if len(works) >= 10_000 {
+			defer relaxGC()()
+		}
+		defer loadPhase("metrics").Since(time.Now())
+		e.met.Rebuild(works)
 	}()
-	err := e.LoadCorpus(ctx, works)
+	err := e.loadCorpus(ctx, works)
 	<-done
 	if err != nil {
 		// A failed load leaves the engine empty; empty the tracker too.
@@ -341,16 +344,11 @@ func (e *Engine) LoadAllCtx(ctx context.Context, works []*model.Work) error {
 	return err
 }
 
-// LoadCorpus is LoadAll minus the tracker rebuild: it loads one
-// shard's partition of the corpus into a peer engine whose tracker is
-// shared with every other shard. Rebuilding it per partition would
-// clobber the other shards' contributions, so the shard coordinator
-// loads every partition and calls RebuildTrackers once with the full
-// corpus, beside the loads. The build phases run on parallel
-// goroutines, each a child span attached and ended on its own
-// goroutine; wg.Wait orders every child End before the parent's,
-// keeping the tree well-formed.
-func (e *Engine) LoadCorpus(ctx context.Context, works []*model.Work) error {
+// loadCorpus is LoadAll minus the tracker rebuild, which LoadAllCtx
+// runs beside it. The build phases run on parallel goroutines, each a
+// child span attached and ended on its own goroutine; wg.Wait orders
+// every child End before the parent's, keeping the tree well-formed.
+func (e *Engine) loadCorpus(ctx context.Context, works []*model.Work) error {
 	if err := e.checkEmpty(); err != nil {
 		return err
 	}
@@ -619,14 +617,14 @@ func hasDuplicateIDs(works []*model.Work) bool {
 	return false
 }
 
-// Remove un-indexes the work with the given ID, returning it. The
-// unlinked entry is left intact, never zeroed: a pinned snapshot may
-// still hold it in its own trees and postings, and it becomes garbage
-// once the last such snapshot is dropped.
-func (e *Engine) Remove(id model.WorkID) (*model.Work, bool) {
+// Remove un-indexes the work with the given ID and reports whether it
+// was indexed. The unlinked entry is left intact, never zeroed: a
+// pinned snapshot may still hold it in its own trees and postings, and
+// it becomes garbage once the last such snapshot is dropped.
+func (e *Engine) Remove(id model.WorkID) bool {
 	we, ok := e.byID.Get(idKey(id))
 	if !ok {
-		return nil, false
+		return false
 	}
 	defer mutRemove.Since(time.Now())
 	w := we.w
@@ -650,7 +648,7 @@ func (e *Engine) Remove(id model.WorkID) (*model.Work, bool) {
 	e.met.Remove(w)
 	e.trkMu.Unlock()
 	e.byID.Delete(we.idKey())
-	return w.Clone(), true
+	return true
 }
 
 // postingRun is one subject posting an AddBatch touches: the refs
@@ -768,7 +766,7 @@ func (e *Engine) AuthorExact(heading string) (*core.Entry, bool) {
 // are live, frozen views: filed entries are never edited in place (a
 // mutation files a copy), so they stay safe to read, but callers must
 // not modify them and must Clone what they hand out. The facade clones
-// only the page it returns, after merging the shards' views.
+// only the page it returns.
 func (e *Engine) AuthorPrefix(prefix string, limit int) []*core.Entry {
 	var out []*core.Entry
 	e.idx.AscendPrefix(prefix, func(entry *core.Entry) bool {
@@ -778,10 +776,9 @@ func (e *Engine) AuthorPrefix(prefix string, limit int) []*core.Entry {
 	return out
 }
 
-// DefaultAuthorPageLimit is the page size AuthorPage applies when the
-// caller passes a non-positive limit. Exported so sharded fan-out can
-// apply the same default to each shard before merging.
-const DefaultAuthorPageLimit = 100
+// defaultAuthorPageLimit is the page size AuthorPage applies when the
+// caller passes a non-positive limit.
+const defaultAuthorPageLimit = 100
 
 // AuthorPage returns up to limit entries strictly after the heading
 // `after` (empty: from the start), in print order — a stable cursor for
@@ -798,7 +795,7 @@ func (e *Engine) AuthorPage(after string, limit int) []*core.Entry {
 		start = a
 	}
 	if limit <= 0 {
-		limit = DefaultAuthorPageLimit
+		limit = defaultAuthorPageLimit
 	}
 	var out []*core.Entry
 	e.idx.AscendAfter(start, func(entry *core.Entry) bool {
@@ -928,8 +925,19 @@ func (e *Engine) CloneWork(w *model.Work) *model.Work {
 	return w.Clone()
 }
 
+// ReplaceTrackers swaps the tracker on this engine: one
+// not-yet-published writer clone on the facade's rebuild path. The
+// facade builds the replacement aside from the full corpus, then calls
+// this on the clone before publishing it, so concurrent tracker readers
+// keep a consistent (old) view until the swap.
+func (e *Engine) ReplaceTrackers(met *metrics.Engine) {
+	e.trkMu.Lock()
+	e.met = met
+	e.trkMu.Unlock()
+}
+
 // Metrics exposes the tracker. It is shared and mutable across clones:
-// callers outside the shard write locks must go through the locked
+// callers outside the writer mutex must go through the locked
 // wrappers (MetricsSummary, AuthorMetrics, TopAuthors) or ReadTrackers
 // instead.
 func (e *Engine) Metrics() *metrics.Engine { return e.met }
@@ -986,8 +994,8 @@ func (e *Engine) TopAuthors(by metrics.RankKey, limit int) []metrics.AuthorMetri
 }
 
 // Graph exposes the coauthorship network the tracker owns. Shared and
-// mutable across clones, like Metrics — callers outside the shard
-// write locks go through the locked wrappers or ReadTrackers.
+// mutable across clones, like Metrics — callers outside the writer
+// mutex go through the locked wrappers or ReadTrackers.
 func (e *Engine) Graph() *graph.Graph { return e.met.Graph() }
 
 // GraphNeighbors returns a heading's coauthors, strongest tie first,
@@ -1079,6 +1087,41 @@ func (e *Engine) CorpusFingerprint() uint64 {
 	h ^= uint64(e.inv.Terms())
 	h *= prime64
 	return h
+}
+
+// WorkFingerprint hashes one work's indexed identity — its ID key and
+// citation key — with FNV-1a. XOR over a corpus is order-independent,
+// so Verify folds it over the store as it streams and compares the
+// result with XorFingerprint, without gathering the corpus in one
+// place.
+func WorkFingerprint(w *model.Work) uint64 {
+	return fingerprintKeys(idKey(w.ID), citationKey(w))
+}
+
+func fingerprintKeys(idk, citk []byte) uint64 {
+	const offset64, prime64 = uint64(14695981039346656037), uint64(1099511628211)
+	h := offset64
+	for _, c := range idk {
+		h ^= uint64(c)
+		h *= prime64
+	}
+	for _, c := range citk {
+		h ^= uint64(c)
+		h *= prime64
+	}
+	return h
+}
+
+// XorFingerprint XORs WorkFingerprint over every indexed work, reusing
+// the precomputed keys. Two calls on the same frozen snapshot always
+// agree.
+func (e *Engine) XorFingerprint() uint64 {
+	var x uint64
+	e.byID.Ascend(func(k []byte, we *workEntry) bool {
+		x ^= fingerprintKeys(k, we.citKey())
+		return true
+	})
+	return x
 }
 
 // queryCounters is the engine-internal mutable form of QueryStats.

@@ -117,11 +117,10 @@ func TestYearRangeAndVolume(t *testing.T) {
 
 func TestRemove(t *testing.T) {
 	e := fixture(t)
-	w, ok := e.Remove(4)
-	if !ok || w.ID != 4 {
-		t.Fatalf("Remove = %v,%v", w, ok)
+	if !e.Remove(4) {
+		t.Fatal("Remove(4) = false for an indexed work")
 	}
-	if _, ok := e.Remove(4); ok {
+	if e.Remove(4) {
 		t.Error("double remove succeeded")
 	}
 	if got := e.TitleSearch("coalbed", 0); len(got) != 0 {

@@ -68,8 +68,7 @@ type htmlWork struct {
 	Citation string
 }
 
-// htmlSections renders pre-collected sections as the HTML page; the
-// scatter-gather render path merges per-shard sections before encoding.
+// htmlSections renders pre-collected sections as the HTML page.
 func htmlSections(w io.Writer, sections []core.Section, opts Options) error {
 	doc := htmlDoc{Head: opts.runningHead(), Volume: opts.Volume.String()}
 	for _, sec := range sections {

@@ -126,8 +126,8 @@ func Render(w io.Writer, ix *core.Index, opts Options) error {
 
 // RenderSectionsCtx renders collected sections in the selected format
 // under one render span (text output gets one child span per letter
-// section). The facade gathers each shard's sections and merges them
-// in print order before handing them here. Cancellation is checked
+// section). The facade hands over the index's sections in print order.
+// Cancellation is checked
 // before encoding and, for text, between letter sections: a client
 // that hung up stops a large render early with ctx.Err().
 func RenderSectionsCtx(ctx context.Context, w io.Writer, sections []core.Section, opts Options) error {

@@ -263,9 +263,8 @@ func (s *Store) PutBatchCtx(ctx context.Context, works []*model.Work) ([]model.W
 // (the counter rebuilds from the highest committed ID). An invalid work
 // fails the reservation before the counter moves.
 //
-// Reserving first lets a coordinator learn every ID — and therefore
-// every partition the batch touches — before the durable commit, so it
-// can take its partition locks around the commit.
+// Reserving first lets a caller learn every ID before the durable
+// commit.
 func (s *Store) ReserveBatchIDs(works []*model.Work) ([]model.WorkID, error) {
 	if len(works) == 0 {
 		return nil, nil

@@ -1,12 +1,14 @@
 // Limit-aware ordered reads against full-sort references: title search
 // and year ranges must answer exactly what filtering the whole corpus,
-// sorting it in citation order and truncating would, at every limit and
-// shard count, and again after replacements, deletes and a
-// delete-heavy batch.
+// sorting it in citation order and truncating would, at every limit,
+// and again after replacements, deletes and a delete-heavy batch. The
+// shards=N subtests open with that Options.Shards value, which every
+// accepted value leaves inert.
 package authorindex
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -16,7 +18,6 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/inverted"
-	"repro/internal/query"
 )
 
 // scrambledCorpus is a generated corpus whose IDs are a random
@@ -74,7 +75,7 @@ func refSelect(corpus map[WorkID]Work, limit int, match func(*Work) bool) []Work
 			hits = append(hits, &w)
 		}
 	}
-	slices.SortFunc(hits, query.CompareWorks)
+	slices.SortFunc(hits, compareWorks)
 	if limit > 0 && len(hits) > limit {
 		hits = hits[:limit]
 	}
@@ -83,6 +84,18 @@ func refSelect(corpus map[WorkID]Work, limit int, match func(*Work) bool) []Work
 		ids[i] = w.ID
 	}
 	return ids
+}
+
+// compareWorks is the citation order the engine's precomputed keys
+// encode: Citation.Compare (volume, page, year), then title, then ID.
+func compareWorks(a, b *Work) int {
+	if c := a.Citation.Compare(b.Citation); c != 0 {
+		return c
+	}
+	if c := strings.Compare(a.Title, b.Title); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.ID, b.ID)
 }
 
 // shuffledIDs returns the corpus IDs in an order drawn from r alone.
@@ -164,7 +177,7 @@ func TestLimitReadsMatchFullSort(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// A reopen bulk-loads every shard: title postings come from
+			// A reopen bulk-loads the engine: title postings come from
 			// inverted.Load.
 			ix = openShards(t, dir, shards)
 			defer ix.Close()
@@ -233,52 +246,50 @@ func TestLimitReadsMatchFullSort(t *testing.T) {
 	}
 }
 
-// TestAuthorPagesAreCopies: the engines hand the facade live views of
-// their headings and the facade clones only the merged page, so a
+// TestAuthorPagesAreCopies: the engine hands the facade live views of
+// its headings and the facade clones only the page it returns, so a
 // caller that edits every returned entry (heading, works, their
 // authors and subjects, cross-references) changes nothing a later read
-// sees, at one shard and at four.
+// sees.
 func TestAuthorPagesAreCopies(t *testing.T) {
 	works := gen.Generate(gen.Config{Seed: 12, Works: 600, ZipfS: 1.2})
 	batch := make([]Work, len(works))
 	for i, w := range works {
 		batch[i] = *w
 	}
-	for _, shards := range []int{1, 4} {
-		ix := openShards(t, "", shards)
-		if _, err := ix.AddBatch(batch); err != nil {
+	ix := openT(t, "")
+	defer ix.Close()
+	if _, err := ix.AddBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	first := ix.AuthorsPage("", 3)
+	for _, e := range first {
+		if err := ix.AddSeeAlso(e.Author.Display(), "Zed, Other"); err != nil {
 			t.Fatal(err)
 		}
-		first := ix.AuthorsPage("", 3)
-		for _, e := range first {
-			if err := ix.AddSeeAlso(e.Author.Display(), "Zed, Other"); err != nil {
-				t.Fatal(err)
-			}
+	}
+	after := first[0].Author.Display()
+	for _, r := range []struct {
+		name string
+		read func() []*Entry
+	}{
+		{"Authors", func() []*Entry { return ix.Authors("s", 20) }},
+		{"AuthorsPage", func() []*Entry { return ix.AuthorsPage("", 20) }},
+		{"AuthorsAfter", func() []*Entry { return ix.AuthorsPage(after, 20) }},
+	} {
+		name, read := r.name, r.read
+		got := read()
+		if len(got) == 0 {
+			t.Fatalf("%s: empty page", name)
 		}
-		after := first[0].Author.Display()
-		for _, r := range []struct {
-			name string
-			read func() []*Entry
-		}{
-			{"Authors", func() []*Entry { return ix.Authors("s", 20) }},
-			{"AuthorsPage", func() []*Entry { return ix.AuthorsPage("", 20) }},
-			{"AuthorsAfter", func() []*Entry { return ix.AuthorsPage(after, 20) }},
-		} {
-			name, read := r.name, r.read
-			got := read()
-			if len(got) == 0 {
-				t.Fatalf("shards=%d %s: empty page", shards, name)
-			}
-			want := make([]*Entry, len(got))
-			for i, e := range got {
-				want[i] = e.Clone()
-			}
-			scribble(got)
-			if again := read(); !reflect.DeepEqual(again, want) {
-				t.Errorf("shards=%d %s: editing a returned page changed a later read", shards, name)
-			}
+		want := make([]*Entry, len(got))
+		for i, e := range got {
+			want[i] = e.Clone()
 		}
-		ix.Close()
+		scribble(got)
+		if again := read(); !reflect.DeepEqual(again, want) {
+			t.Errorf("%s: editing a returned page changed a later read", name)
+		}
 	}
 }
 
@@ -303,84 +314,71 @@ func scribble(entries []*Entry) {
 	}
 }
 
-// TestAuthorAndSectionsAreCopies: Author and Sections merge the shards'
-// live entries and copy only the merged result, so a caller that edits
-// every entry they return changes nothing a later read or a render
-// sees, at one shard and at four. The busiest heading has works on
-// every shard at four, so its entry is folded from several shards.
+// TestAuthorAndSectionsAreCopies: Author and Sections copy only the
+// entries they return, so a caller that edits every entry they return
+// changes nothing a later read or a render sees.
 func TestAuthorAndSectionsAreCopies(t *testing.T) {
 	works := gen.Generate(gen.Config{Seed: 12, Works: 600, ZipfS: 1.2})
 	batch := make([]Work, len(works))
 	for i, w := range works {
 		batch[i] = *w
 	}
-	for _, shards := range []int{1, 4} {
-		ix := openShards(t, "", shards)
-		if _, err := ix.AddBatch(batch); err != nil {
-			t.Fatal(err)
-		}
-		var busiest *Entry
-		for _, s := range ix.Sections() {
-			for _, e := range s.Entries {
-				if busiest == nil || len(e.Works) > len(busiest.Works) {
-					busiest = e
-				}
+	ix := openT(t, "")
+	defer ix.Close()
+	if _, err := ix.AddBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	var busiest *Entry
+	for _, s := range ix.Sections() {
+		for _, e := range s.Entries {
+			if busiest == nil || len(e.Works) > len(busiest.Works) {
+				busiest = e
 			}
 		}
-		heading := busiest.Author.Display()
-		filed := 0
-		for _, eng := range ix.shards.Load().Engs {
-			if _, ok := eng.AuthorExact(heading); ok {
-				filed++
+	}
+	heading := busiest.Author.Display()
+	if err := ix.AddSeeAlso(heading, "Zed, Other"); err != nil {
+		t.Fatal(err)
+	}
+	var before bytes.Buffer
+	if err := ix.Render(&before, RenderOptions{Format: Text}); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []struct {
+		name string
+		read func() []*Entry
+	}{
+		{"Author", func() []*Entry {
+			e, ok := ix.Author(heading)
+			if !ok {
+				t.Fatalf("Author(%q) missing", heading)
 			}
-		}
-		if filed != shards {
-			t.Fatalf("shards=%d: %q is filed on %d shards", shards, heading, filed)
-		}
-		if err := ix.AddSeeAlso(heading, "Zed, Other"); err != nil {
-			t.Fatal(err)
-		}
-		var before bytes.Buffer
-		if err := ix.Render(&before, RenderOptions{Format: Text}); err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range []struct {
-			name string
-			read func() []*Entry
-		}{
-			{"Author", func() []*Entry {
-				e, ok := ix.Author(heading)
-				if !ok {
-					t.Fatalf("shards=%d: Author(%q) missing", shards, heading)
-				}
-				return []*Entry{e}
-			}},
-			{"Sections", func() []*Entry {
-				var all []*Entry
-				for _, s := range ix.Sections() {
-					all = append(all, s.Entries...)
-				}
-				return all
-			}},
-		} {
-			name, read := r.name, r.read
-			got := read()
-			want := make([]*Entry, len(got))
-			for i, e := range got {
-				want[i] = e.Clone()
+			return []*Entry{e}
+		}},
+		{"Sections", func() []*Entry {
+			var all []*Entry
+			for _, s := range ix.Sections() {
+				all = append(all, s.Entries...)
 			}
-			scribble(got)
-			if again := read(); !reflect.DeepEqual(again, want) {
-				t.Errorf("shards=%d %s: editing a returned entry changed a later read", shards, name)
-			}
+			return all
+		}},
+	} {
+		name, read := r.name, r.read
+		got := read()
+		want := make([]*Entry, len(got))
+		for i, e := range got {
+			want[i] = e.Clone()
 		}
-		var after bytes.Buffer
-		if err := ix.Render(&after, RenderOptions{Format: Text}); err != nil {
-			t.Fatal(err)
+		scribble(got)
+		if again := read(); !reflect.DeepEqual(again, want) {
+			t.Errorf("%s: editing a returned entry changed a later read", name)
 		}
-		if !bytes.Equal(before.Bytes(), after.Bytes()) {
-			t.Errorf("shards=%d: editing returned entries changed the render", shards)
-		}
-		ix.Close()
+	}
+	var after bytes.Buffer
+	if err := ix.Render(&after, RenderOptions{Format: Text}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before.Bytes(), after.Bytes()) {
+		t.Error("editing returned entries changed the render")
 	}
 }

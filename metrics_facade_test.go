@@ -107,7 +107,7 @@ func TestSchemesDiffer(t *testing.T) {
 	}
 	fractional := ix.TopAuthors(ByWeighted, 0)
 	// The swap rebuilds under the new weighting and keeps the totals.
-	if got := ix.trackers().Metrics().Weighting(); got != SchemeFractional {
+	if got := ix.engine().Metrics().Weighting(); got != SchemeFractional {
 		t.Fatalf("scheme after swap = %v", got)
 	}
 	if s := ix.MetricsSummary(); s.Works != sum.Works || s.Postings != sum.Postings {
@@ -115,11 +115,11 @@ func TestSchemesDiffer(t *testing.T) {
 	}
 	// Swapping to the current scheme is a no-op: same tracker, no new
 	// root published.
-	tr, seq := ix.trackers().Metrics(), ix.shards.Load().Seq
+	tr, seq := ix.engine().Metrics(), ix.root.Load().Seq
 	if err := ix.SetMetricsScheme(SchemeFractional); err != nil {
 		t.Fatal(err)
 	}
-	if ix.trackers().Metrics() != tr || ix.shards.Load().Seq != seq {
+	if ix.engine().Metrics() != tr || ix.root.Load().Seq != seq {
 		t.Error("same-scheme swap replaced the tracker")
 	}
 	if reflect.DeepEqual(harmonic, fractional) {

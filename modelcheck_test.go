@@ -20,13 +20,11 @@ import (
 func TestFacadeModelCheck(t *testing.T) { runModelCheck(t, 0) }
 
 // TestFacadeModelCheckSharded runs the identical randomized stream
-// against a 3-shard index: every mutation routes through home-shard
-// locking and cross-shard two-phase batches, every read through the
-// scatter-gather merges, and every Verify through the XOR-combined
-// per-shard fingerprints — all while the observable behavior must stay
-// indistinguishable from the unsharded run. In both runs a concurrent
-// reader searches each batch's marker term while the batch commits or
-// fails, and must see none of the batch or all of it.
+// against an index opened with Options.Shards: 3, which Open validates
+// and then ignores: the observable behavior must be indistinguishable
+// from the default run. In both runs a concurrent reader searches each
+// batch's marker term while the batch commits or fails, and must see
+// none of the batch or all of it.
 func TestFacadeModelCheckSharded(t *testing.T) { runModelCheck(t, 3) }
 
 func runModelCheck(t *testing.T, shards int) {

@@ -1,8 +1,10 @@
-// Facade-level sharding tests: cross-shard batch atomicity, writer
-// independence across shards (runs under -race in CI), cross-shard
-// batches becoming visible to readers all at once, sharded reads
-// matching the unsharded engine byte for byte, and a deleted
-// bulk-loaded work actually released once the old roots are collected.
+// Facade tests of the one-engine write and read paths, several of them
+// opened with a non-default Options.Shards, which Open validates and
+// then ignores: batch atomicity, same-ID writers converging, batches
+// becoming visible to readers all at once (runs under -race in CI),
+// every accepted shard count reading and counting exactly like the
+// default, and a deleted bulk-loaded work actually released once the
+// old roots are collected.
 package authorindex
 
 import (
@@ -27,35 +29,68 @@ func openShards(t *testing.T, dir string, n int) *Index {
 	return ix
 }
 
-// TestShardOptionValidation: the shard count is bounded and 0 means 1.
+// TestShardOptionValidation: the shard count is still bounded, and
+// every accepted value opens the one engine, so Stats.Shards is 1.
 func TestShardOptionValidation(t *testing.T) {
 	for _, bad := range []int{-1, MaxShards + 1} {
 		if _, err := Open("", &Options{Shards: bad}); err == nil {
 			t.Errorf("Open accepted Shards=%d", bad)
 		}
 	}
-	ix, err := Open("", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ix.Close()
-	if got := ix.Stats().Shards; got != 1 {
-		t.Errorf("default Stats.Shards = %d, want 1", got)
+	for _, n := range []int{0, 1, 4, MaxShards} {
+		ix, err := Open("", &Options{Shards: n})
+		if err != nil {
+			t.Fatalf("Open(Shards=%d): %v", n, err)
+		}
+		if got := ix.Stats().Shards; got != 1 {
+			t.Errorf("Shards=%d: Stats.Shards = %d, want 1", n, got)
+		}
+		ix.Close()
 	}
 }
 
-// TestShardBatchAtomicityCrossShard: every rejected write, including a
-// batch spanning several shards whose bad work sits on the highest one
-// (the shard locked last), leaves every shard and the store unchanged.
+// TestStatsIndependentOfShardOption: the same corpus opened at
+// Shards: 4 and at Shards: 0 reports equal Stats. The corpus repeats
+// title terms across many works, so a per-partition term count summed
+// over partitions would overcount Terms.
+func TestStatsIndependentOfShardOption(t *testing.T) {
+	dir := t.TempDir()
+	ix := openT(t, dir)
+	if _, err := ix.AddBatch(batchOf(40, 7)); err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.AddSeeAlso("Batch, Author 0.", "Batch, Author 1."); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(ix.Search("group commit study", 0)); got != 40 {
+		t.Fatalf("the shared title terms match %d works, want 40", got)
+	}
+	if err := ix.Close(); err != nil {
+		t.Fatal(err)
+	}
+	stats := func(n int) Stats {
+		ix := openShards(t, dir, n)
+		defer ix.Close()
+		return ix.Stats()
+	}
+	want := stats(0)
+	if got := stats(4); got != want {
+		t.Errorf("Stats differ:\nShards=0 %+v\nShards=4 %+v", want, got)
+	}
+}
+
+// TestShardBatchAtomicityCrossShard: at Options.Shards: 4, every
+// rejected write, including an explicit-ID batch whose bad work comes
+// last, leaves the engine and the store unchanged.
 func TestShardBatchAtomicityCrossShard(t *testing.T) { checkRejectionsAtomic(t, 4) }
 
 // TestShardSameIDWritersConverge: concurrent writers colliding on the
 // SAME explicit IDs — a batch against single Adds — must leave store
 // and index identical. Regression: AddBatch once captured prior
-// versions and committed the store before taking the touched shards'
-// locks, so two writers on one ID could commit to the store in one
-// order and publish to the shard engines in the other, leaving them
-// permanently divergent (Verify failed). Each round contends on fresh
+// versions and committed the store before taking the writer lock, so
+// two writers on one ID could commit to the store in one order and
+// publish to the engine in the other, leaving them permanently
+// divergent (Verify failed). Each round contends on fresh
 // IDs written exactly twice, so one bad interleaving anywhere sticks
 // to the end instead of being papered over by a later rewrite. Runs
 // under -race in CI.
@@ -120,11 +155,10 @@ func TestShardSameIDWritersConverge(t *testing.T) {
 }
 
 // TestShardCrossShardReadsAtomic: writers commit batches whose works
-// share one marker title term and span several shards, while readers
-// search the marker of each writer's in-flight batch. Every search must
-// return none of the batch or all of it: a batch publishes every
-// shard's portion in one snapshot root, so no reader can see it on some
-// shards and not yet on others. Runs under -race in CI.
+// share one marker title term, while readers search the marker of each
+// writer's in-flight batch. Every search must return none of the batch
+// or all of it: a batch is published in one snapshot root, so no
+// reader can see part of it. Runs under -race in CI.
 func TestShardCrossShardReadsAtomic(t *testing.T) {
 	ix := openShards(t, t.TempDir(), 4)
 	defer ix.Close()
@@ -147,7 +181,7 @@ func TestShardCrossShardReadsAtomic(t *testing.T) {
 				g := (r + i) % writers
 				m := marker(g, int(inflight[g].Load()))
 				if got := len(ix.Search(m, 0)); got != 0 && got != size {
-					t.Errorf("Search(%q) saw %d of a %d-work cross-shard batch", m, got, size)
+					t.Errorf("Search(%q) saw %d of a %d-work batch", m, got, size)
 					return
 				}
 			}
@@ -166,17 +200,8 @@ func TestShardCrossShardReadsAtomic(t *testing.T) {
 						fmt.Sprintf("%d:%d (1990)", 10+g, b*size+i+1),
 						fmt.Sprintf("Reader%d, R.", i%3))
 				}
-				ids, err := ix.AddBatch(batch)
-				if err != nil {
+				if _, err := ix.AddBatch(batch); err != nil {
 					t.Errorf("AddBatch: %v", err)
-					return
-				}
-				homes := map[int]bool{}
-				for _, id := range ids {
-					homes[ix.shards.ForWork(id)] = true
-				}
-				if len(homes) < 2 {
-					t.Errorf("batch %d landed on %d shard, want a cross-shard batch", b, len(homes))
 					return
 				}
 			}
@@ -190,86 +215,17 @@ func TestShardCrossShardReadsAtomic(t *testing.T) {
 	}
 }
 
-// TestShardWritersIndependent: a writer stalled inside its home shard's
-// critical section must not delay a writer on a different shard. Runs
-// under -race in CI with real concurrency.
-func TestShardWritersIndependent(t *testing.T) {
-	ix := openShards(t, t.TempDir(), 4)
-	defer ix.Close()
-
-	// Two explicit IDs with different home shards.
-	idA := WorkID(1)
-	idB := WorkID(0)
-	for id := WorkID(2); id < 200; id++ {
-		if ix.shards.ForWork(id) != ix.shards.ForWork(idA) {
-			idB = id
-			break
-		}
-	}
-	if idB == 0 {
-		t.Fatal("no second shard reachable")
-	}
-
-	// Park shard A by holding its writer lock, as a writer stalled
-	// inside its critical section would; a writer queued on it waits.
-	sa := ix.shards.Shard(ix.shards.ForWork(idA))
-	sa.Lock()
-	slowDone := make(chan error, 1)
-	go func() {
-		w := sampleWork("Slow Shard Work", "90:1 (1988)", "Stall, Writer A.")
-		w.ID = idA
-		_, err := ix.Add(w)
-		slowDone <- err
-	}()
-
-	// A writer on shard B must commit without waiting for shard A.
-	fastDone := make(chan error, 1)
-	go func() {
-		w := sampleWork("Fast Shard Work", "90:2 (1988)", "Free, Writer B.")
-		w.ID = idB
-		_, err := ix.Add(w)
-		fastDone <- err
-	}()
-	select {
-	case err := <-fastDone:
-		if err != nil {
-			t.Fatalf("fast Add: %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("writer on shard B blocked behind a stalled writer on shard A")
-	}
-	select {
-	case err := <-slowDone:
-		t.Fatalf("Add on a held shard returned early: %v", err)
-	default:
-	}
-
-	// Reads must also proceed while the writer is parked.
-	if got := ix.Len(); got != 1 {
-		t.Errorf("Len during stalled write = %d, want 1", got)
-	}
-
-	sa.Unlock()
-	if err := <-slowDone; err != nil {
-		t.Fatalf("slow Add: %v", err)
-	}
-	if err := ix.Verify(); err != nil {
-		t.Fatalf("Verify: %v", err)
-	}
-}
-
-// TestShardedReadsMatchUnsharded: the same corpus opened at shards=1
-// and shards=4 must be observably identical — renders byte for byte,
-// plus author, search, subject, pagination, duplicate-suggestion and
-// stats agreement. This pins down every k-way merge at once.
+// TestShardedReadsMatchUnsharded: the same corpus opened at the default
+// and at Options.Shards: 4 must be observably identical — renders byte
+// for byte, plus author, search, subject, pagination,
+// duplicate-suggestion and stats agreement.
 func TestShardedReadsMatchUnsharded(t *testing.T) {
 	dir := t.TempDir()
 	ix1 := openT(t, dir)
 	if _, err := ix1.AddBatch(batchOf(40, 7)); err != nil {
 		t.Fatal(err)
 	}
-	// A spelling-variant pair and a student/professional pair, each
-	// split across shards at shards=4 (checked below), and the
+	// A spelling-variant pair and a student/professional pair, and the
 	// professional heading filed on two works.
 	variants := []Work{
 		sampleWork("Variant Spelling", "90:1 (1988)", "Müller, Karl"),
@@ -278,8 +234,7 @@ func TestShardedReadsMatchUnsharded(t *testing.T) {
 		sampleWork("Professional Article", "90:4 (1988)", "Barrett, Joshua I."),
 		sampleWork("Professional Sequel", "90:5 (1988)", "Barrett, Joshua I."),
 	}
-	variantIDs, err := ix1.AddBatch(variants)
-	if err != nil {
+	if _, err := ix1.AddBatch(variants); err != nil {
 		t.Fatal(err)
 	}
 	if err := ix1.AddSeeAlso("Batch, Author 0.", "Batch, Author 1."); err != nil {
@@ -341,12 +296,6 @@ func TestShardedReadsMatchUnsharded(t *testing.T) {
 	if err := ix4.Verify(); err != nil {
 		t.Fatalf("Verify at shards=4: %v", err)
 	}
-	for _, pair := range [][2]int{{0, 1}, {2, 3}} {
-		a, b := variantIDs[pair[0]], variantIDs[pair[1]]
-		if ix4.shards.ForWork(a) == ix4.shards.ForWork(b) {
-			t.Fatalf("works %d and %d share a shard; the pair must be split", a, b)
-		}
-	}
 	if got := render(ix4, Text); got != wantText {
 		t.Error("text render differs between shards=1 and shards=4")
 	}
@@ -383,12 +332,12 @@ func TestShardedReadsMatchUnsharded(t *testing.T) {
 		st4.StudentNotes != st1.StudentNotes {
 		t.Errorf("core stats differ: shards=1 %+v, shards=4 %+v", st1, st4)
 	}
-	if st4.Shards != 4 {
-		t.Errorf("Stats.Shards = %d, want 4", st4.Shards)
+	if st4.Shards != 1 {
+		t.Errorf("Stats.Shards = %d, want 1", st4.Shards)
 	}
 	waitQuiescent(t, ix4)
 	if got := ix4.EpochsAlive(); got != 1 {
-		t.Errorf("EpochsAlive at shards=4 quiescence = %d, want 1 (one root for every shard)", got)
+		t.Errorf("EpochsAlive at quiescence = %d, want 1", got)
 	}
 }
 
@@ -412,7 +361,7 @@ func TestDeleteReclaimsBulkLoadedWork(t *testing.T) {
 
 	freed := make(chan struct{})
 	func() {
-		victim, ok := ix.shards.Load().Engs[0].WorkView(ids[0])
+		victim, ok := ix.engine().WorkView(ids[0])
 		if !ok {
 			t.Fatal("work 0 missing after reopen")
 		}

@@ -1,6 +1,8 @@
 package authorindex
 
 import (
+	"runtime"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/query"
@@ -8,38 +10,63 @@ import (
 
 // Copy-on-write snapshot reads through one atomic root.
 //
-// Every committed write publishes fresh immutable engine snapshots of
-// the shards it touched: the writer (serialized per shard by the
-// shard's mutex) clones each shard's current engine in O(1), mutates
-// the clone — path-copying only the index nodes it touches — and
-// publishes every clone in one new root with one atomic pointer swap.
-// Readers never take a lock: they load the current root, run against
-// its frozen engines, and drop it. A loaded root is a consistent
-// snapshot of every shard at one instant, so a batch spanning shards is
+// The index is one query.Engine. Every committed write publishes a
+// fresh immutable snapshot of it: the writer, serialized by the index's
+// one writer mutex, clones the current engine in O(1), mutates the
+// clone — path-copying only the index nodes it touches — and publishes
+// it in one new root with one atomic pointer store. Readers never take
+// a lock: they load the current root, run against its frozen engine,
+// and drop it. A loaded root is one committed state, so a batch is
 // visible to a reader entirely or not at all. Replaced roots are
 // reclaimed by the garbage collector once no reader holds them.
-//
-// The root itself lives in internal/shard; this file keeps the
-// facade-side glue: publication with the per-shard swap-latency
-// histogram, and the roots-alive surface the gauge and the reclamation
-// tests read.
 
-// publish makes each clone in engs its shard's current engine, all in
-// one root. Callers hold the lock of every shard they replace; start
-// marks when the writer began the copy-on-write turnover (clone + index
-// mutation), so the recorded swap latency is the full snapshot overhead
-// a write pays on top of its store commit.
-func (ix *Index) publish(start time.Time, engs map[int]*query.Engine) {
-	ix.shards.Publish(engs)
-	if hs := ix.swapHists.Load(); hs != nil {
-		for si := range engs {
-			(*hs)[si].Since(start)
-		}
+// root is one published snapshot of the engine. It is immutable:
+// neither it nor the engine it holds changes after publication.
+type root struct {
+	// Seq increments per publication; traces record it as the epoch
+	// that served a read, so a slow read can be correlated with the
+	// snapshot that served it.
+	Seq uint64
+	// Eng is the engine every read of this root runs against.
+	Eng *query.Engine
+	// live carries the finalizer that counts this root as collected.
+	// The finalizer sits on this small sentinel rather than on the root
+	// so the root's engine is freed in the same cycle that drops it.
+	live *sentinel
+}
+
+// sentinel points at the index's live-root counter, which is allocated
+// apart from the Index: a pointer into the Index would close a cycle
+// from the current root back to its own sentinel, and a cycle holding a
+// finalizer is never collected.
+type sentinel struct{ alive *atomic.Int64 }
+
+// publish makes eng the current engine in a new root. Callers hold the
+// writer mutex (Open excepted: it publishes before the index is
+// visible). start marks when the writer began the copy-on-write
+// turnover (clone + index mutation), so the recorded swap latency is
+// the full snapshot overhead a write pays on top of its store commit.
+func (ix *Index) publish(start time.Time, eng *query.Engine) {
+	s := &sentinel{alive: ix.alive}
+	ix.alive.Add(1)
+	runtime.SetFinalizer(s, func(s *sentinel) { s.alive.Add(-1) })
+	next := &root{Seq: 1, Eng: eng, live: s}
+	if cur := ix.root.Load(); cur != nil {
+		next.Seq = cur.Seq + 1
+	}
+	ix.root.Store(next)
+	if h := ix.swapHist.Load(); h != nil {
+		h.Since(start)
 	}
 }
+
+// engine returns the current root's engine. Writers holding the mutex
+// read it as the head they clone; everyone else gets a frozen snapshot
+// valid for as long as they hold it.
+func (ix *Index) engine() *query.Engine { return ix.root.Load().Eng }
 
 // EpochsAlive reports how many published snapshot roots the garbage
 // collector has not yet collected. Quiescent value is 1 (the current
 // root); anything above that is roots held by in-flight readers or
 // awaiting the next collection cycle.
-func (ix *Index) EpochsAlive() int64 { return ix.shards.EpochsAlive() }
+func (ix *Index) EpochsAlive() int64 { return ix.alive.Load() }

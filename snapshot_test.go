@@ -14,6 +14,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/query"
 )
 
 // storm runs w writer goroutines, each firing iters alternating
@@ -82,7 +84,7 @@ func TestSnapshotPinnedFingerprintStable(t *testing.T) {
 					return
 				default:
 				}
-				eng := ix.shards.Load().Engs[0]
+				eng := ix.engine()
 				want := eng.CorpusFingerprint()
 				// Hold the root across real reads while writers commit.
 				eng.TitleSearchView("storm", 8)
@@ -155,9 +157,9 @@ func TestEpochReclamation(t *testing.T) {
 	}
 
 	// A held root keeps exactly itself alive across commits and
-	// collections, engines included...
-	held := ix.shards.Load()
-	heldLen := held.Engs[0].Len()
+	// collections, its engine included...
+	held := ix.root.Load()
+	heldLen := held.Eng.Len()
 	if _, err := ix.Add(sampleWork("After Pin", "92:1 (1990)", "Late, Writer C.")); err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +167,7 @@ func TestEpochReclamation(t *testing.T) {
 	if got := ix.EpochsAlive(); got != 2 {
 		t.Errorf("EpochsAlive with one held replaced root = %d, want 2", got)
 	}
-	if got := held.Engs[0].Len(); got != heldLen {
+	if got := held.Eng.Len(); got != heldLen {
 		t.Errorf("held root's engine changed: Len %d -> %d", heldLen, got)
 	}
 	// ...and dropping the last reference lets the collector take it.
@@ -183,6 +185,44 @@ func TestEpochReclamation(t *testing.T) {
 	}
 	if after := runtime.NumGoroutine(); after > before+2 {
 		t.Errorf("goroutines grew %d -> %d across snapshot storm", before, after)
+	}
+}
+
+// TestRootPinPublishReclaim: a commit publishes a new root one Seq step
+// on with a new engine, and leaves a root a reader holds untouched; the
+// held root keeps itself alive across collections, and once dropped the
+// collector takes it and the count of live roots returns to 1.
+func TestRootPinPublishReclaim(t *testing.T) {
+	ix := openT(t, "")
+	defer ix.Close()
+	if got := ix.EpochsAlive(); got != 1 {
+		t.Fatalf("EpochsAlive at open = %d, want 1", got)
+	}
+	held := ix.root.Load()
+	heldEng := held.Eng
+	if _, err := ix.Add(sampleWork("Pinned Work", "94:1 (1992)", "Pin, Holder D.")); err != nil {
+		t.Fatal(err)
+	}
+	fresh := ix.root.Load()
+	if fresh.Seq != held.Seq+1 {
+		t.Errorf("Seq %d -> %d, want one step", held.Seq, fresh.Seq)
+	}
+	if fresh.Eng == heldEng {
+		t.Fatal("a commit did not publish a new engine")
+	}
+	if held.Eng != heldEng || held.Eng.Len() != 0 {
+		t.Fatal("a commit mutated a held root")
+	}
+	for i := 0; i < 3; i++ {
+		collect()
+	}
+	if got := ix.EpochsAlive(); got != 2 {
+		t.Fatalf("EpochsAlive with a held replaced root = %d, want 2", got)
+	}
+	runtime.KeepAlive(held)
+	waitQuiescent(t, ix)
+	if got := ix.EpochsAlive(); got != 1 {
+		t.Fatalf("EpochsAlive after dropping the held root = %d, want 1", got)
 	}
 }
 
@@ -227,6 +267,36 @@ func TestEpochPinnedAcrossSlowRender(t *testing.T) {
 	}
 	if err := ix.Verify(); err != nil {
 		t.Fatalf("Verify: %v", err)
+	}
+}
+
+// TestRootDroppedIndexCollected: an index nothing references any more
+// is collected, engine included — the current root's sentinel must not
+// keep its own index reachable.
+func TestRootDroppedIndexCollected(t *testing.T) {
+	freed := make(chan struct{})
+	func() {
+		ix := openT(t, "")
+		if err := ix.Close(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.SetFinalizer(ix.engine(), func(*query.Engine) { close(freed) })
+	}()
+	// Open registers its metrics callbacks on the default registry,
+	// replacing the dropped index's, which held the last references.
+	ix := openT(t, "")
+	defer ix.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		collect()
+		select {
+		case <-freed:
+			return
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("a dropped index's engine was never collected")
+		}
 	}
 }
 

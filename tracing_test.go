@@ -51,8 +51,8 @@ func spanAttr(d *trace.SpanData, key string) (string, bool) {
 	return "", false
 }
 
-// tracedIndex opens an index of n shards holding three works, so scans
-// have something to hit.
+// tracedIndex opens an index at Options.Shards n holding three works,
+// so scans have something to hit.
 func tracedIndex(t *testing.T, n int) *Index {
 	t.Helper()
 	ix := openShards(t, t.TempDir(), n)
@@ -69,11 +69,12 @@ func tracedIndex(t *testing.T, n int) *Index {
 	return ix
 }
 
-// TestTracedSearchSpanTree pins the exact per-layer shape of a read at
-// shards 1 and 4: one facade.shard_scan per shard, stamped with its
-// shard and the epoch that served the read, each over the engine scan
-// and its postings intersection, then the clone pass. The snapshot read
-// path takes no lock, so no lock spans appear anywhere in the tree.
+// TestTracedSearchSpanTree pins the exact per-layer shape of a read:
+// the engine scan and its postings intersection, then the clone pass,
+// under one facade span stamped with the epoch that served the read.
+// The snapshot read path takes no lock, so no lock spans appear
+// anywhere in the tree. The shape is the same at every accepted
+// Options.Shards.
 func TestTracedSearchSpanTree(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -93,42 +94,21 @@ func TestTracedSearchSpanTree(t *testing.T) {
 			if search == nil {
 				t.Fatalf("no facade.search span:\n%v", root)
 			}
-			scan := "facade.shard_scan(engine.title_scan(inverted.intersect))"
-			want := "facade.search(" + strings.Repeat(scan+",", shards) + "facade.clone)"
+			want := "facade.search(engine.title_scan(inverted.intersect),facade.clone)"
 			if got := spanShape(search); got != want {
 				t.Fatalf("span tree\n got %s\nwant %s", got, want)
 			}
-			epoch, ok := spanAttr(search, "epoch")
-			if !ok {
+			if _, ok := spanAttr(search, "epoch"); !ok {
 				t.Error("facade.search span lacks epoch attribute")
-			}
-			if got, _ := spanAttr(search, "shards"); got != fmt.Sprint(shards) {
-				t.Errorf("facade.search shards = %q, want %d", got, shards)
-			}
-			seen := map[string]bool{}
-			for i := 0; i < shards; i++ {
-				c := &search.Children[i]
-				if got, _ := spanAttr(c, "epoch"); got != epoch {
-					t.Errorf("shard_scan epoch = %q, want the read's %q", got, epoch)
-				}
-				sh, ok := spanAttr(c, "shard")
-				if !ok {
-					t.Error("shard_scan lacks shard attribute")
-				}
-				seen[sh] = true
-			}
-			if len(seen) != shards {
-				t.Errorf("shard_scan spans cover shards %v, want %d distinct", seen, shards)
 			}
 		})
 	}
 }
 
 // TestTracedWriteSpanTree: a traced AddBatch carries the commit down
-// to the WAL — store.put_batch under the facade span (the group commit
-// runs before the home shards are known, since the store assigns the
-// IDs that route works to shards), wal.encode and wal.fsync under
-// that, and a lock.hold span covering the shard indexing phase.
+// to the WAL — lock.wait, then store.put_batch under lock.hold, with
+// wal.encode and wal.fsync under that; lock.hold also covers the
+// indexing phase.
 func TestTracedWriteSpanTree(t *testing.T) {
 	// A syncing index, unlike openT's NoSync one: the fsync span only
 	// exists when the WAL actually reaches the disk.
@@ -164,13 +144,20 @@ func TestTracedWriteSpanTree(t *testing.T) {
 			t.Errorf("store.put_batch lacks %q descendant", name)
 		}
 	}
-	if findSpan(fac, "lock.hold") == nil {
+	hold := findSpan(fac, "lock.hold")
+	if hold == nil {
 		t.Fatal("no lock.hold span under facade.add_batch")
+	}
+	if findSpan(fac, "lock.wait") == nil {
+		t.Error("no lock.wait span under facade.add_batch")
+	}
+	if findSpan(hold, "store.put_batch") == nil {
+		t.Error("store.put_batch not nested under lock.hold")
 	}
 }
 
-// TestTracedRenderSpanTree: at shards 1 and 4 a render records the
-// same tree — the gathered sections, then the render span with one
+// TestTracedRenderSpanTree: at Options.Shards 1 and 4 a render records
+// the same tree — the grouped sections, then the render span with one
 // child per letter section (the fixture headings file under C, L and
 // P).
 func TestTracedRenderSpanTree(t *testing.T) {
