@@ -510,11 +510,14 @@ func (ix *Index) Add(w Work) (WorkID, error) {
 // amortized indexing pass. IDs are assigned exactly as N sequential
 // Adds would assign them and returned in input order.
 //
-// The commit order is validate and reserve IDs, commit to the store,
-// then index and publish. Validation is the only check a work can
-// fail, and it runs before anything is written, so an invalid work
-// anywhere in the batch or a WAL error leaves storage, indexes, metrics
-// and the coauthorship graph byte-identical to their pre-batch state.
+// AddBatch copies the works once and never touches the caller's: they
+// may be reused or modified as soon as it returns. Under the writer
+// mutex it commits the copies to the store, which validates them and
+// assigns their IDs before the WAL append, then indexes the same
+// copies and publishes. Validation is the only check a work can fail,
+// and it runs before anything is written, so an invalid work anywhere
+// in the batch or a WAL error leaves storage, indexes, metrics and the
+// coauthorship graph byte-identical to their pre-batch state.
 // Visibility is atomic: a committed batch is published in one snapshot
 // root, so a concurrent reader sees all of the batch or none of it, and
 // every read started after AddBatch returns sees the whole batch.

@@ -196,22 +196,16 @@ func (ix *Index) AddBatchCtx(ctx context.Context, works []Work) ([]WorkID, error
 	return ix.commitAdds(ctx, sp, works)
 }
 
-// commitAdds is the one write path for works: validate and reserve
-// IDs, then, under the writer mutex, commit the store, index the batch
-// into a clone of the engine and publish it.
+// commitAdds is the one write path for works. It deep-clones each
+// inbound work — the only copy a written work gets — then, under the
+// writer mutex, commits the clones to the store, which validates them
+// and sets their IDs, and indexes the same clones into a clone of the
+// engine and publishes it. The store's delta and the engine share
+// those records; the caller's works are never touched.
 func (ix *Index) commitAdds(ctx context.Context, sp *trace.Span, works []Work) ([]WorkID, error) {
 	batch := make([]*model.Work, len(works))
 	for i := range works {
-		cp := works[i]
-		batch[i] = &cp
-	}
-	ids, err := ix.store.ReserveBatchIDs(batch)
-	if err != nil {
-		degradedAttr(sp, err)
-		return nil, err
-	}
-	for i, w := range batch {
-		w.ID = ids[i]
+		batch[i] = works[i].Clone()
 	}
 	// The mutex brackets the store commit and the publish: otherwise
 	// two writers on the same explicit ID could commit to the store in
@@ -220,7 +214,8 @@ func (ix *Index) commitAdds(ctx context.Context, sp *trace.Span, works []Work) (
 	hctx, hold := ix.lockTraced(ctx)
 	defer hold.End()
 	defer ix.mu.Unlock()
-	if _, err := ix.store.PutBatchCtx(hctx, batch); err != nil {
+	ids, err := ix.store.PutBatchCtx(hctx, batch)
+	if err != nil {
 		degradedAttr(sp, err)
 		return nil, err
 	}

@@ -110,8 +110,8 @@ func (ix *Index) Options() collate.Options { return ix.opts }
 //
 // Like Load, Add files w by value and retains its author and subject
 // slices read-only rather than deep-copying them per author: callers
-// hand w over (query.Engine passes its own private clone) and must not
-// modify it afterwards.
+// hand w over (query.Engine passes the work it was handed, which the
+// facade cloned from its caller's) and must not modify it afterwards.
 func (ix *Index) Add(w *model.Work) error {
 	if err := w.Validate(); err != nil {
 		return err

@@ -207,8 +207,9 @@ func (e *Engine) Index() *core.Index { return e.idx }
 // Len returns the number of indexed works.
 func (e *Engine) Len() int { return e.byID.Len() }
 
-// Add indexes w everywhere: AddBatch of one work. Re-adding an
-// existing ID replaces the old version.
+// Add indexes w everywhere: AddBatch of one work, taking ownership
+// of w as AddBatch does. Re-adding an existing ID replaces the old
+// version.
 func (e *Engine) Add(w *model.Work) error {
 	return e.AddBatch([]*model.Work{w})
 }
@@ -219,6 +220,11 @@ func (e *Engine) Add(w *model.Work) error {
 // tracker and citation-key indexes are all fed inside a single loop.
 // Duplicate IDs within the batch behave like sequential adds (the last
 // occurrence wins); IDs already indexed are replaced.
+//
+// Like LoadAll, AddBatch retains the given works instead of cloning
+// them: callers hand them over as shared read-only records and must
+// not modify them afterwards. The facade hands over the clones it took
+// of its caller's works, which its store's delta files too.
 //
 // Every work is validated before anything is touched, so an invalid
 // work anywhere in the batch leaves the engine byte-identical to its
@@ -264,15 +270,14 @@ func (e *Engine) AddBatch(works []*model.Work) error {
 	touched := make(map[string]*postingRun)
 	titles := make([]inverted.Doc[*workEntry], 0, len(effective))
 	for _, w := range effective {
-		cp := w.Clone()
-		if err := e.idx.Add(cp); err != nil {
+		if err := e.idx.Add(w); err != nil {
 			return err
 		}
-		we := newEntry(cp)
-		titles = append(titles, inverted.Doc[*workEntry]{Ref: we, Text: cp.Title})
+		we := newEntry(w)
+		titles = append(titles, inverted.Doc[*workEntry]{Ref: we, Text: w.Title})
 		e.byYear.Set(we.key, we)
 		e.byCitation.Set(we.citKey(), we)
-		for _, s := range cp.Subjects {
+		for _, s := range w.Subjects {
 			key := collate.KeyString(s, e.coll)
 			r, ok := touched[string(key)]
 			if !ok {
@@ -285,7 +290,7 @@ func (e *Engine) AddBatch(works []*model.Work) error {
 			r.run = append(r.run, we)
 		}
 		e.trkMu.Lock()
-		e.met.Add(cp)
+		e.met.Add(w)
 		e.trkMu.Unlock()
 		e.byID.Set(we.idKey(), we)
 	}
@@ -307,7 +312,7 @@ func (e *Engine) AddBatch(works []*model.Work) error {
 // beside them. The result is indistinguishable from Add-ing every work
 // to a fresh engine, at a fraction of the cost.
 //
-// Works must carry unique non-zero IDs. Unlike Add, LoadAll retains
+// Works must carry unique non-zero IDs. Like AddBatch, LoadAll retains
 // the given works instead of cloning them: callers hand them over as
 // shared read-only records (the store and the engine both guarantee a
 // work is never mutated in place) and must not modify them afterwards.

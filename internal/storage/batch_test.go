@@ -19,70 +19,6 @@ func batchWorks(n int) []*model.Work {
 	return out
 }
 
-// TestReserveBatchIDsMatchesPutBatch: reservation assigns exactly the
-// IDs PutBatch would — zero IDs interleaved with explicit ones included
-// — and a batch committed under reserved IDs lands on them; abandoning
-// a reservation just leaves a gap in the sequence.
-func TestReserveBatchIDsMatchesPutBatch(t *testing.T) {
-	s, err := Open("", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if _, err := put(s, work("Seed", 1, 1, 1980)); err != nil {
-		t.Fatal(err)
-	}
-	// Zero, explicit-high, zero: sequential-Put assignment is 2, 50, 51.
-	mixed := batchWorks(3)
-	mixed[1].ID = 50
-	ids, err := s.ReserveBatchIDs(mixed)
-	if err != nil {
-		t.Fatalf("ReserveBatchIDs: %v", err)
-	}
-	if ids[0] != 2 || ids[1] != 50 || ids[2] != 51 {
-		t.Errorf("reserved ids = %v, want [2 50 51]", ids)
-	}
-	for i := range mixed {
-		if mixed[i].ID != 0 && i != 1 {
-			t.Errorf("ReserveBatchIDs mutated works[%d].ID = %d", i, mixed[i].ID)
-		}
-		mixed[i].ID = ids[i]
-	}
-	got, err := s.PutBatch(mixed)
-	if err != nil {
-		t.Fatalf("PutBatch under reserved IDs: %v", err)
-	}
-	for i := range ids {
-		if got[i] != ids[i] {
-			t.Errorf("committed ids[%d] = %d, want reserved %d", i, got[i], ids[i])
-		}
-	}
-	// Abandon a reservation: the next zero-ID put skips the gap.
-	if _, err := s.ReserveBatchIDs(batchWorks(2)); err != nil {
-		t.Fatal(err)
-	}
-	id, err := put(s, work("After Gap", 2, 1, 1981))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id != 54 {
-		t.Errorf("post-gap id = %d, want 54", id)
-	}
-	// Invalid works fail reservation before the counter moves.
-	bad := batchWorks(2)
-	bad[1].Title = ""
-	if _, err := s.ReserveBatchIDs(bad); err == nil {
-		t.Error("ReserveBatchIDs accepted an invalid work")
-	}
-	id, err = put(s, work("Counter Unmoved", 2, 2, 1981))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id != 55 {
-		t.Errorf("id after failed reservation = %d, want 55", id)
-	}
-}
-
 func TestPutBatchAssignsSequentialIDs(t *testing.T) {
 	s, err := Open("", Options{})
 	if err != nil {
@@ -117,6 +53,12 @@ func TestPutBatchAssignsSequentialIDs(t *testing.T) {
 	}
 	if ids[0] != 2 || ids[1] != 50 || ids[2] != 51 {
 		t.Errorf("mixed batch ids = %v, want [2 50 51]", ids)
+	}
+	// PutBatch owns the works: each carries its assigned ID.
+	for i, w := range mixed {
+		if w.ID != ids[i] {
+			t.Errorf("mixed[%d].ID = %d, want assigned %d", i, w.ID, ids[i])
+		}
 	}
 	if got, _ := get(s, 2); got.Title != mixed[0].Title {
 		t.Errorf("overwrite lost: %q", got.Title)

@@ -106,7 +106,6 @@ func TestFaultDegradedRejectsEveryWrite(t *testing.T) {
 		{"Delete", func() error { return del(s, id) }},
 		{"PutBatch", func() error { _, err := s.PutBatch([]*model.Work{work("n", 1, 4, 2000, "D")}); return err }},
 		{"DeleteBatch", func() error { return s.DeleteBatch([]model.WorkID{id}) }},
-		{"ReserveBatchIDs", func() error { _, err := s.ReserveBatchIDs([]*model.Work{work("n", 1, 5, 2000, "E")}); return err }},
 		{"AddCrossRef", func() error { return s.AddCrossRef(xref) }},
 		{"DeleteCrossRef", func() error { return s.DeleteCrossRef(xref) }},
 		{"Compact", func() error { return s.Compact() }},
@@ -128,9 +127,9 @@ func TestFaultDegradedRejectsEveryWrite(t *testing.T) {
 	if !st.Degraded || st.DegradedReason == "" {
 		t.Fatalf("stats not reporting degradation: %+v", st)
 	}
-	// Trigger + the 8 rejected writes above.
-	if st.DegradedWrites != 9 {
-		t.Fatalf("DegradedWrites = %d, want 9", st.DegradedWrites)
+	// Trigger + the 7 rejected writes above.
+	if st.DegradedWrites != 8 {
+		t.Fatalf("DegradedWrites = %d, want 8", st.DegradedWrites)
 	}
 }
 

@@ -1,7 +1,10 @@
 // Package storage implements the durable record store underneath the
 // author-index engine: a snapshot of encoded works plus a write-ahead
 // log. It keeps no decoded copy of the corpus: in RAM it holds the live
-// IDs and the works put since the last compaction (the delta).
+// IDs and the works put since the last compaction (the delta). PutBatch
+// takes ownership of the works it is handed and files them in the delta
+// as they are, so a caller that indexes the same records (the facade's
+// engine does) shares them with the store instead of holding a copy.
 //
 // Every mutation is appended to the WAL before being applied, so a crash
 // at any instant loses at most the in-flight operation. Works are
@@ -21,7 +24,8 @@
 //
 // A Store opened with an empty directory path is purely in-memory: same
 // API, no durability — useful for tests and benchmarks. It never
-// compacts, so its delta is the whole corpus.
+// compacts, so its delta is the whole corpus: the same records the
+// engine indexes, not a second copy of them.
 package storage
 
 import (
@@ -114,9 +118,10 @@ type Options struct {
 }
 
 // Store is a durable map from WorkID to Work. All methods are safe for
-// concurrent use. Works it hands out are shared read-only: a stored
-// work is never mutated in place (PutBatch stores a fresh clone), so
-// callers may keep them but must Clone one to change it.
+// concurrent use. Works it holds and hands out are shared read-only: a
+// stored work is never mutated in place (a later put of its ID files
+// another record), so callers may keep them but must Clone one to
+// change it.
 type Store struct {
 	mu sync.RWMutex
 
@@ -191,7 +196,7 @@ func Open(dir string, opts Options) (*Store, error) {
 // takes the next free ID, an explicit ID inserts or overwrites (and
 // moves the counter past it), every record is encoded into a single
 // opPutBatch WAL frame, the frame is appended and fsynced once, and
-// only then are the clones added to the delta. One
+// only then are the works added to the delta. One
 // frame is also the crash-atomicity unit: recovery replays the whole
 // batch or none of it, so a batch that would encode past the frame cap
 // (~60 MiB) is rejected — issue several batches instead. The ordering
@@ -199,6 +204,13 @@ func Open(dir string, opts Options) (*Store, error) {
 // validate, an oversize batch, a WAL error — leaves the store
 // byte-identical to its pre-batch state, next-ID counter included. The
 // assigned IDs are returned in input order.
+//
+// PutBatch takes ownership of the works, as distinct records: it sets
+// each one's assigned ID on the work itself and files the work in the
+// delta uncopied, so the caller must not modify them afterwards. A
+// batch that fails validation or the writable check is left untouched;
+// one that fails later (the frame cap, the WAL) may carry its assigned
+// IDs, and the store keeps none of it.
 func (s *Store) PutBatch(works []*model.Work) ([]model.WorkID, error) {
 	return s.PutBatchCtx(context.Background(), works)
 }
@@ -222,75 +234,32 @@ func (s *Store) PutBatchCtx(ctx context.Context, works []*model.Work) ([]model.W
 	if err := s.writableLocked(); err != nil {
 		return nil, err
 	}
-	clones := make([]*model.Work, len(works))
 	ids := make([]model.WorkID, len(works))
 	next := s.nextID // tentative: committed only after the WAL accepts the batch
 	for i, w := range works {
-		c := w.Clone()
-		if c.ID == 0 {
-			c.ID = next
+		if w.ID == 0 {
+			w.ID = next
 		}
-		if c.ID >= next {
-			next = c.ID + 1
+		if w.ID >= next {
+			next = w.ID + 1
 		}
-		clones[i] = c
-		ids[i] = c.ID
+		ids[i] = w.ID
 	}
 	if s.log != nil {
-		frame, err := encodePutBatchFrame(clones)
+		frame, err := encodePutBatchFrame(works)
 		if err != nil {
 			return nil, err
 		}
-		if err := s.logLocked(ctx, frame, len(clones)); err != nil {
+		if err := s.logLocked(ctx, frame, len(works)); err != nil {
 			return nil, err
 		}
-	}
-	for _, c := range clones {
-		s.applyPut(c)
-	}
-	s.batches++
-	s.fsyncsSaved += int64(len(clones) - 1)
-	return ids, s.maybeCompactLocked()
-}
-
-// ReserveBatchIDs validates a batch and assigns its IDs — exactly as
-// PutBatch would: zero IDs take successive free IDs, explicit IDs keep
-// theirs and advance the counter past them — committing the next-ID
-// counter but writing nothing. The works are not mutated; the assigned
-// IDs are returned in input order. The caller commits the batch under
-// the reserved IDs via an explicit-ID PutBatch; a caller that never
-// does simply leaves a gap in the ID sequence, which recovery tolerates
-// (the counter rebuilds from the highest committed ID). An invalid work
-// fails the reservation before the counter moves.
-//
-// Reserving first lets a caller learn every ID before the durable
-// commit.
-func (s *Store) ReserveBatchIDs(works []*model.Work) ([]model.WorkID, error) {
-	if len(works) == 0 {
-		return nil, nil
 	}
 	for _, w := range works {
-		if err := w.Validate(); err != nil {
-			return nil, err
-		}
+		s.applyPut(w)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.writableLocked(); err != nil {
-		return nil, err
-	}
-	ids := make([]model.WorkID, len(works))
-	for i, w := range works {
-		id := w.ID
-		if id == 0 {
-			id = s.nextID
-		}
-		if id >= s.nextID {
-			s.nextID = id + 1
-		}
-		ids[i] = id
-	}
-	return ids, nil
+	s.batches++
+	s.fsyncsSaved += int64(len(works) - 1)
+	return ids, s.maybeCompactLocked()
 }
 
 // DeleteBatch removes N works under one group commit. Every ID must be
