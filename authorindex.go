@@ -48,6 +48,7 @@ import (
 	"repro/internal/query"
 	"repro/internal/render"
 	"repro/internal/storage"
+	"repro/internal/trace"
 	"repro/internal/wal"
 )
 
@@ -320,15 +321,12 @@ type Index struct {
 	// allocated apart from the Index; see sentinel.
 	alive *atomic.Int64
 
-	// swapHist records the copy-on-write turnover latency each write
-	// pays (clone + path-copied mutation + pointer swap). Bound to a
-	// registry by RegisterMetrics, like ops.
-	swapHist atomic.Pointer[obs.Histogram]
-
-	// ops holds the per-operation latency histograms. Open points them
-	// at obs.Default; RegisterMetrics swaps in a set bound to another
-	// registry. Atomic so a swap never races with a recording read.
-	ops atomic.Pointer[opSet]
+	// The index's own latency histograms, which RegisterMetrics files:
+	// one per public operation, the copy-on-write turnover each write
+	// pays (clone + path-copied mutation + pointer swap), the wait for mu.
+	ops      [len(opNames)]obs.Histogram
+	swap     obs.Histogram
+	lockWait obs.Histogram
 }
 
 // Public operations timed into authdex_op_duration_seconds{op=...}.
@@ -337,8 +335,13 @@ type op int
 const (
 	opSearch op = iota
 	opYearRange
+	opVolume
 	opBySubject
 	opGet
+	opAuthors
+	opAuthorsPage
+	opRank
+	opCentral
 	opAdd
 	opAddBatch
 	opDelete
@@ -346,39 +349,29 @@ const (
 	opRender
 	opVerify
 	opOpen
-	numOps
 )
 
-var opNames = [numOps]string{
-	"search", "year_range", "by_subject", "get", "add",
-	"add_batch", "delete", "delete_batch", "render", "verify", "open",
+var opNames = [...]string{
+	"search", "year_range", "volume", "by_subject", "get", "authors",
+	"authors_page", "rank", "central", "add", "add_batch", "delete",
+	"delete_batch", "render", "verify", "open",
 }
 
-type opSet [numOps]*obs.Histogram
-
-// timeOp starts a latency measurement for one public operation; the
-// returned func records it. Usage: defer ix.timeOp(opSearch)().
-func (ix *Index) timeOp(o op) func() {
-	h := ix.ops.Load()[o]
-	start := time.Now()
-	return func() { h.Since(start) }
-}
-
-// RegisterMetrics points the index's telemetry at r: per-operation
-// latency histograms (authdex_op_duration_seconds) plus callback
-// metrics promoting the Stats counters — queries served, works cloned,
-// postings scanned, batches committed, WAL fsyncs, fsyncs saved — and
-// corpus-size gauges. Open registers on obs.Default automatically;
-// call this only to target a different registry (servers and tests
-// do). Safe to call again: callbacks are replaced, histograms are
-// swapped atomically.
+// RegisterMetrics files the index's telemetry on r: its latency
+// histograms (per operation, snapshot swap, writer lock wait) and
+// callbacks promoting the Stats counters and corpus-size gauges. Open
+// registers nothing, anywhere. The histograms are the index's own, so
+// every registry shows the same samples, those recorded before the
+// call included. A second index registered on r replaces its series.
 func (ix *Index) RegisterMetrics(r *obs.Registry) {
-	var set opSet
-	for i := range set {
-		set[i] = r.Histogram("authdex_op_duration_seconds",
-			"Latency of public index operations.", "op", opNames[i])
+	for i := range ix.ops {
+		r.AddHistogram("authdex_op_duration_seconds",
+			"Latency of public index operations.", &ix.ops[i], "op", opNames[i])
 	}
-	ix.ops.Store(&set)
+	r.AddHistogram("authdex_snapshot_swap_duration_seconds",
+		"Copy-on-write snapshot turnover latency per committed write (engine clone, path-copied mutation, pointer swap).", &ix.swap)
+	r.AddHistogram("authdex_lock_wait_duration_seconds",
+		"Time each write waits for the index's writer mutex.", &ix.lockWait)
 
 	// Each callback reads only its own source — the store counters, the
 	// query counters or the engine's counts — the same reads Stats
@@ -416,8 +409,6 @@ func (ix *Index) RegisterMetrics(r *obs.Registry) {
 		func() float64 { return float64(store().WALBytes) })
 	r.GaugeFunc("authdex_snapshot_bytes", "Last snapshot size.",
 		func() float64 { return float64(store().SnapshotBytes) })
-	ix.swapHist.Store(r.Histogram("authdex_snapshot_swap_duration_seconds",
-		"Copy-on-write snapshot turnover latency per committed write (engine clone, path-copied mutation, pointer swap)."))
 	r.GaugeFunc("authdex_epochs_alive",
 		"Engine snapshot roots not yet collected; 1 when quiescent.",
 		func() float64 { return float64(ix.EpochsAlive()) })
@@ -426,7 +417,8 @@ func (ix *Index) RegisterMetrics(r *obs.Registry) {
 // Open opens (creating if necessary) an index rooted at dir. An empty
 // dir gives a volatile in-memory index. opts may be nil for defaults.
 func Open(dir string, opts *Options) (*Index, error) {
-	start := time.Now()
+	ix := &Index{alive: new(atomic.Int64)}
+	_, tm := trace.Time(context.Background(), "facade.open", &ix.ops[opOpen])
 	var o Options
 	if opts != nil {
 		o = *opts
@@ -486,12 +478,9 @@ func Open(dir string, opts *Options) (*Index, error) {
 			return nil, fmt.Errorf("authorindex: restore cross-refs: %w", err)
 		}
 	}
-	ix := &Index{store: st, coll: coll, ingestBatch: o.IngestBatchSize, alive: new(atomic.Int64)}
-	// The first root: no reader has seen the index yet, and no swap
-	// histogram is bound, so nothing is recorded.
-	ix.publish(start, eng)
-	ix.RegisterMetrics(obs.Default)
-	ix.ops.Load()[opOpen].Since(start)
+	ix.store, ix.coll, ix.ingestBatch = st, coll, o.IngestBatchSize
+	ix.publish(time.Time{}, eng) // the first root replaces none: no swap
+	tm.End()
 	return ix, nil
 }
 
@@ -887,7 +876,8 @@ func (ix *Index) DuplicateSuggestions() []Suggestion {
 // current engine, so writers must be excluded for the comparison to be
 // meaningful. Lock-free snapshot readers are unaffected.
 func (ix *Index) Verify() error {
-	defer ix.timeOp(opVerify)()
+	_, tm := trace.Time(context.Background(), "facade.verify", &ix.ops[opVerify])
+	defer tm.End()
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	eng := ix.engine()

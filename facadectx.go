@@ -13,16 +13,16 @@ import (
 	"repro/internal/trace"
 )
 
-// Ctx variants of the facade entry points. Each wraps its operation in
-// one facade span annotated with the snapshot epoch (root sequence)
-// that served it. Reads load the current root and run lock-free, so
-// their engine spans nest under the facade span — there is no lock wait
-// to record — and a render records render.sections before it encodes.
-// Writes serialize on the writer mutex: their spans keep the lock.wait
-// / lock.hold children (which parent the store/WAL spans) plus the
-// copy-on-write turnover measured by the snapshot-swap histogram. The
-// non-ctx methods delegate through context.Background(), which is the
-// zero-allocation disabled path.
+// Ctx variants of the facade entry points. Each times its operation
+// with one trace.Timer: one authdex_op_duration_seconds sample, and
+// under a trace the facade span, stamped with the snapshot epoch (root
+// sequence) that served it. Reads load the current root and run
+// lock-free, so their engine spans nest under the facade span, and a
+// render records render.sections before it encodes. Writes serialize
+// on the writer mutex: the lock.wait timer (a span and a lock-wait
+// sample) and the lock.hold span parent the store/WAL spans, and the
+// copy-on-write turnover is a snapshot-swap sample. The non-ctx
+// methods pass context.Background(), which allocates nothing.
 
 // degradedAttr marks a write span whose commit was refused by the
 // degraded latch, so captured traces show the failure class at a
@@ -33,17 +33,14 @@ func degradedAttr(sp *trace.Span, err error) {
 	}
 }
 
-// lockTraced takes the writer mutex, recording the wait as one
-// lock.wait child span and opening the lock.hold span. The returned
-// context parents the store work under the hold span; the caller must
-// End it right after unlocking.
+// lockTraced takes the writer mutex, timing the wait as lock.wait, and
+// opens the lock.hold span, which the returned context carries; the
+// caller must End it right after unlocking.
 func (ix *Index) lockTraced(ctx context.Context) (context.Context, *trace.Span) {
-	sp := trace.FromContext(ctx)
-	wait := sp.StartChild("lock.wait")
+	_, wait := trace.Time(ctx, "lock.wait", &ix.lockWait)
 	ix.mu.Lock()
 	wait.End()
-	hold := sp.StartChild("lock.hold")
-	return trace.ContextWith(ctx, hold), hold
+	return trace.StartSpan(ctx, "lock.hold")
 }
 
 // loadTraced loads the current root and stamps its sequence on the
@@ -54,15 +51,15 @@ func (ix *Index) loadTraced(sp *trace.Span) *root {
 	return r
 }
 
-// readWorks is the path of every ordered work read. It opens the read's
-// facade span, runs the query against the current root's engine — whose
-// view comes back citation-ordered and truncated — and deep-copies that
-// view under a facade.clone span; views hold immutable works, so the
-// copy needs no snapshot.
-func (ix *Index) readWorks(ctx context.Context, name string, fn func(ctx context.Context, eng *query.Engine) []*model.Work) []*Work {
-	ctx, sp := trace.StartSpan(ctx, name)
-	defer sp.End()
-	eng := ix.loadTraced(sp).Eng
+// readWorks is the path of every ordered work read. It times the read
+// as op under the facade span name, runs the query against the current
+// root's engine — whose view comes back citation-ordered and truncated
+// — and deep-copies that view under a facade.clone span; views hold
+// immutable works, so the copy needs no snapshot.
+func (ix *Index) readWorks(ctx context.Context, name string, o op, fn func(ctx context.Context, eng *query.Engine) []*model.Work) []*Work {
+	ctx, tm := trace.Time(ctx, name, &ix.ops[o])
+	defer tm.End()
+	eng := ix.loadTraced(tm.Span).Eng
 	view := fn(ctx, eng)
 	_, csp := trace.StartSpan(ctx, "facade.clone")
 	out := eng.CloneWorks(view)
@@ -73,41 +70,37 @@ func (ix *Index) readWorks(ctx context.Context, name string, fn func(ctx context
 
 // SearchCtx is Search carrying a trace context.
 func (ix *Index) SearchCtx(ctx context.Context, q string, limit int) []*Work {
-	defer ix.timeOp(opSearch)()
-	return ix.readWorks(ctx, "facade.search", func(ctx context.Context, eng *query.Engine) []*model.Work {
+	return ix.readWorks(ctx, "facade.search", opSearch, func(ctx context.Context, eng *query.Engine) []*model.Work {
 		return eng.TitleSearchViewCtx(ctx, q, limit)
 	})
 }
 
 // YearRangeCtx is YearRange carrying a trace context.
 func (ix *Index) YearRangeCtx(ctx context.Context, from, to, limit int) []*Work {
-	defer ix.timeOp(opYearRange)()
-	return ix.readWorks(ctx, "facade.year_range", func(ctx context.Context, eng *query.Engine) []*model.Work {
+	return ix.readWorks(ctx, "facade.year_range", opYearRange, func(ctx context.Context, eng *query.Engine) []*model.Work {
 		return eng.YearRangeViewCtx(ctx, from, to, limit)
 	})
 }
 
 // VolumeWorksCtx is VolumeWorks carrying a trace context.
 func (ix *Index) VolumeWorksCtx(ctx context.Context, vol, limit int) []*Work {
-	return ix.readWorks(ctx, "facade.volume", func(ctx context.Context, eng *query.Engine) []*model.Work {
+	return ix.readWorks(ctx, "facade.volume", opVolume, func(ctx context.Context, eng *query.Engine) []*model.Work {
 		return eng.VolumeViewCtx(ctx, vol, limit)
 	})
 }
 
 // BySubjectCtx is BySubject carrying a trace context.
 func (ix *Index) BySubjectCtx(ctx context.Context, subject string, limit int) []*Work {
-	defer ix.timeOp(opBySubject)()
-	return ix.readWorks(ctx, "facade.by_subject", func(ctx context.Context, eng *query.Engine) []*model.Work {
+	return ix.readWorks(ctx, "facade.by_subject", opBySubject, func(ctx context.Context, eng *query.Engine) []*model.Work {
 		return eng.BySubjectViewCtx(ctx, subject, limit)
 	})
 }
 
 // GetCtx is Get carrying a trace context.
 func (ix *Index) GetCtx(ctx context.Context, id WorkID) (*Work, bool) {
-	defer ix.timeOp(opGet)()
-	_, sp := trace.StartSpan(ctx, "facade.get")
-	defer sp.End()
-	eng := ix.loadTraced(sp).Eng
+	_, tm := trace.Time(ctx, "facade.get", &ix.ops[opGet])
+	defer tm.End()
+	eng := ix.loadTraced(tm.Span).Eng
 	w, ok := eng.WorkView(id)
 	if !ok {
 		return nil, false
@@ -115,28 +108,28 @@ func (ix *Index) GetCtx(ctx context.Context, id WorkID) (*Work, bool) {
 	return eng.CloneWork(w), true
 }
 
-// readEntries is the path of every author read. Under the read's facade
-// span it runs the query against the current root's engine and
-// deep-copies the live entries it returns: the one copy an author read
-// makes.
-func (ix *Index) readEntries(ctx context.Context, name string, fn func(eng *query.Engine) []*Entry) []*Entry {
-	_, sp := trace.StartSpan(ctx, name)
-	defer sp.End()
-	out := cloneEntries(fn(ix.loadTraced(sp).Eng))
-	sp.SetInt("entries", int64(len(out)))
+// readEntries is the path of every author read. Timed as op under the
+// facade span name, it runs the query against the current root's
+// engine and deep-copies the live entries it returns: the one copy an
+// author read makes.
+func (ix *Index) readEntries(ctx context.Context, name string, o op, fn func(eng *query.Engine) []*Entry) []*Entry {
+	_, tm := trace.Time(ctx, name, &ix.ops[o])
+	defer tm.End()
+	out := cloneEntries(fn(ix.loadTraced(tm.Span).Eng))
+	tm.Span.SetInt("entries", int64(len(out)))
 	return out
 }
 
 // AuthorsCtx is Authors carrying a trace context.
 func (ix *Index) AuthorsCtx(ctx context.Context, prefix string, limit int) []*Entry {
-	return ix.readEntries(ctx, "facade.authors", func(eng *query.Engine) []*Entry {
+	return ix.readEntries(ctx, "facade.authors", opAuthors, func(eng *query.Engine) []*Entry {
 		return eng.AuthorPrefix(prefix, limit)
 	})
 }
 
 // AuthorsPageCtx is AuthorsPage carrying a trace context.
 func (ix *Index) AuthorsPageCtx(ctx context.Context, after string, limit int) []*Entry {
-	return ix.readEntries(ctx, "facade.authors_page", func(eng *query.Engine) []*Entry {
+	return ix.readEntries(ctx, "facade.authors_page", opAuthorsPage, func(eng *query.Engine) []*Entry {
 		return eng.AuthorPage(after, limit)
 	})
 }
@@ -153,29 +146,28 @@ func cloneEntries(page []*Entry) []*Entry {
 
 // TopAuthorsCtx is TopAuthors carrying a trace context.
 func (ix *Index) TopAuthorsCtx(ctx context.Context, by RankKey, limit int) []AuthorMetrics {
-	_, sp := trace.StartSpan(ctx, "facade.rank")
-	defer sp.End()
-	out := ix.loadTraced(sp).Eng.TopAuthors(by, limit)
-	sp.SetInt("authors", int64(len(out)))
+	_, tm := trace.Time(ctx, "facade.rank", &ix.ops[opRank])
+	defer tm.End()
+	out := ix.loadTraced(tm.Span).Eng.TopAuthors(by, limit)
+	tm.Span.SetInt("authors", int64(len(out)))
 	return out
 }
 
 // TopCentralCtx is TopCentral carrying a trace context.
 func (ix *Index) TopCentralCtx(ctx context.Context, limit int) []CentralAuthor {
-	_, sp := trace.StartSpan(ctx, "facade.central")
-	defer sp.End()
-	out := ix.loadTraced(sp).Eng.TopCentral(ClampLimit(limit, 10))
-	sp.SetInt("authors", int64(len(out)))
+	_, tm := trace.Time(ctx, "facade.central", &ix.ops[opCentral])
+	defer tm.End()
+	out := ix.loadTraced(tm.Span).Eng.TopCentral(ClampLimit(limit, 10))
+	tm.Span.SetInt("authors", int64(len(out)))
 	return out
 }
 
 // AddCtx is Add carrying a trace context: the facade.add span over
 // the same group commit AddBatchCtx runs, with one work.
 func (ix *Index) AddCtx(ctx context.Context, w Work) (WorkID, error) {
-	defer ix.timeOp(opAdd)()
-	ctx, sp := trace.StartSpan(ctx, "facade.add")
-	defer sp.End()
-	ids, err := ix.commitAdds(ctx, sp, []Work{w})
+	ctx, tm := trace.Time(ctx, "facade.add", &ix.ops[opAdd])
+	defer tm.End()
+	ids, err := ix.commitAdds(ctx, tm.Span, []Work{w})
 	if err != nil {
 		return 0, err
 	}
@@ -189,11 +181,10 @@ func (ix *Index) AddBatchCtx(ctx context.Context, works []Work) ([]WorkID, error
 	if len(works) == 0 {
 		return nil, nil
 	}
-	defer ix.timeOp(opAddBatch)()
-	ctx, sp := trace.StartSpan(ctx, "facade.add_batch")
-	sp.SetInt("works", int64(len(works)))
-	defer sp.End()
-	return ix.commitAdds(ctx, sp, works)
+	ctx, tm := trace.Time(ctx, "facade.add_batch", &ix.ops[opAddBatch])
+	tm.Span.SetInt("works", int64(len(works)))
+	defer tm.End()
+	return ix.commitAdds(ctx, tm.Span, works)
 }
 
 // commitAdds is the one write path for works. It deep-clones each
@@ -236,10 +227,9 @@ func (ix *Index) commitAdds(ctx context.Context, sp *trace.Span, works []Work) (
 // DeleteCtx is Delete carrying a trace context: the facade.delete span
 // over the same group commit DeleteBatchCtx runs, with one ID.
 func (ix *Index) DeleteCtx(ctx context.Context, id WorkID) error {
-	defer ix.timeOp(opDelete)()
-	ctx, sp := trace.StartSpan(ctx, "facade.delete")
-	defer sp.End()
-	return ix.commitDeletes(ctx, sp, []WorkID{id})
+	ctx, tm := trace.Time(ctx, "facade.delete", &ix.ops[opDelete])
+	defer tm.End()
+	return ix.commitDeletes(ctx, tm.Span, []WorkID{id})
 }
 
 // DeleteBatchCtx is DeleteBatch carrying a trace context.
@@ -247,11 +237,10 @@ func (ix *Index) DeleteBatchCtx(ctx context.Context, ids []WorkID) error {
 	if len(ids) == 0 {
 		return nil
 	}
-	defer ix.timeOp(opDeleteBatch)()
-	ctx, sp := trace.StartSpan(ctx, "facade.delete_batch")
-	sp.SetInt("works", int64(len(ids)))
-	defer sp.End()
-	return ix.commitDeletes(ctx, sp, ids)
+	ctx, tm := trace.Time(ctx, "facade.delete_batch", &ix.ops[opDeleteBatch])
+	tm.Span.SetInt("works", int64(len(ids)))
+	defer tm.End()
+	return ix.commitDeletes(ctx, tm.Span, ids)
 }
 
 // commitDeletes is the one delete path: under the writer mutex, commit
@@ -277,8 +266,7 @@ func (ix *Index) commitDeletes(ctx context.Context, sp *trace.Span, ids []WorkID
 // appendixLimit normalizes a render appendix limit through the shared
 // clamp: non-positive values mean the documented default of 10, and
 // explicit values clamp to MaxLimit like every other caller-supplied
-// limit. (An earlier version passed min(limit, MaxLimit) straight
-// through, relying on each builder to re-default non-positives.)
+// limit.
 func appendixLimit(n int) int {
 	if n <= 0 {
 		return 10
@@ -294,10 +282,9 @@ func appendixLimit(n int) int {
 // engine's live sections are grouped under a render.sections span,
 // then encoded under a render span.
 func (ix *Index) RenderCtx(ctx context.Context, w io.Writer, opts RenderOptions) error {
-	defer ix.timeOp(opRender)()
-	ctx, sp := trace.StartSpan(ctx, "facade.render")
-	defer sp.End()
-	eng := ix.loadTraced(sp).Eng
+	ctx, tm := trace.Time(ctx, "facade.render", &ix.ops[opRender])
+	defer tm.End()
+	eng := ix.loadTraced(tm.Span).Eng
 	if opts.Network && opts.NetworkAppendix == nil && render.NetworkSupported(opts.Format) {
 		_, nsp := trace.StartSpan(ctx, "render.network_appendix")
 		eng.ReadTrackers(func(met *metrics.Engine) {

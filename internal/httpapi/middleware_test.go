@@ -20,6 +20,7 @@ import (
 
 	authorindex "repro"
 	"repro/internal/obs"
+	"repro/internal/trace"
 )
 
 func openIndex(t *testing.T) *authorindex.Index {
@@ -311,6 +312,111 @@ func TestDebugMetricsExposition(t *testing.T) {
 			}
 			if after[op] != want {
 				t.Errorf("after one %s call, op=%q has %d samples, want %d", c.op, op, after[op], want)
+			}
+		}
+	}
+}
+
+// TestOpTimersOneSamplePerCall: each of the facade operations with a
+// span records exactly one authdex_op_duration_seconds sample on the
+// server's registry, under its own op label, traced or not; traced, that
+// sample is the facade span's duration. Each write also records one
+// authdex_lock_wait_duration_seconds sample, and a read none.
+func TestOpTimersOneSamplePerCall(t *testing.T) {
+	_, ix, reg := testServerReg(t)
+	w := authorindex.Work{
+		Title:    "Timed Op",
+		Citation: authorindex.Citation{Volume: 82, Page: 1, Year: 1979},
+		Authors:  []authorindex.Author{{Family: "Clock", Given: "Stop W."}},
+	}
+	var ids []authorindex.WorkID
+	ops := []struct {
+		op    string
+		write bool
+		do    func(ctx context.Context) error
+	}{
+		{"search", false, func(ctx context.Context) error { ix.SearchCtx(ctx, "mining", 0); return nil }},
+		{"year_range", false, func(ctx context.Context) error { ix.YearRangeCtx(ctx, 1970, 1999, 0); return nil }},
+		{"volume", false, func(ctx context.Context) error { ix.VolumeWorksCtx(ctx, 75, 0); return nil }},
+		{"by_subject", false, func(ctx context.Context) error { ix.BySubjectCtx(ctx, "Mining Law", 0); return nil }},
+		{"get", false, func(ctx context.Context) error { ix.GetCtx(ctx, 1); return nil }},
+		{"authors", false, func(ctx context.Context) error { ix.AuthorsCtx(ctx, "le", 0); return nil }},
+		{"authors_page", false, func(ctx context.Context) error { ix.AuthorsPageCtx(ctx, "", 0); return nil }},
+		{"rank", false, func(ctx context.Context) error { ix.TopAuthorsCtx(ctx, authorindex.ByWorks, 5); return nil }},
+		{"central", false, func(ctx context.Context) error { ix.TopCentralCtx(ctx, 5); return nil }},
+		{"render", false, func(ctx context.Context) error {
+			return ix.RenderCtx(ctx, io.Discard, authorindex.RenderOptions{Statistics: true, Network: true})
+		}},
+		{"add", true, func(ctx context.Context) error {
+			id, err := ix.AddCtx(ctx, w)
+			ids = append(ids, id)
+			return err
+		}},
+		{"add_batch", true, func(ctx context.Context) error {
+			got, err := ix.AddBatchCtx(ctx, []authorindex.Work{w, w})
+			ids = append(ids, got...)
+			return err
+		}},
+		{"delete", true, func(ctx context.Context) error {
+			id := ids[0]
+			ids = ids[1:]
+			return ix.DeleteCtx(ctx, id)
+		}},
+		{"delete_batch", true, func(ctx context.Context) error {
+			batch := ids[:2]
+			ids = ids[2:]
+			return ix.DeleteBatchCtx(ctx, batch)
+		}},
+	}
+	hist := func(op string) *obs.Histogram {
+		return reg.Histogram("authdex_op_duration_seconds", "", "op", op)
+	}
+	lockWait := reg.Histogram("authdex_lock_wait_duration_seconds", "")
+	counts := func() map[string]int64 {
+		m := make(map[string]int64, len(ops))
+		for _, c := range ops {
+			m[c.op] = hist(c.op).Count()
+		}
+		return m
+	}
+	tracer := trace.NewTracer(trace.Config{})
+	for _, c := range ops {
+		for _, traced := range []bool{false, true} {
+			ctx, tr := context.Background(), (*trace.Trace)(nil)
+			if traced {
+				ctx, tr = tracer.StartRoot(ctx, "", "test")
+			}
+			before, waits, sum := counts(), lockWait.Count(), hist(c.op).Snapshot().Sum
+			if err := c.do(ctx); err != nil {
+				t.Fatalf("%s: %v", c.op, err)
+			}
+			after := counts()
+			for op, n := range after {
+				want := before[op]
+				if op == c.op {
+					want++
+				}
+				if n != want {
+					t.Errorf("after one %s call (traced %v), op=%q has %d samples, want %d", c.op, traced, op, n, want)
+				}
+			}
+			wantWaits := waits
+			if c.write {
+				wantWaits++
+			}
+			if n := lockWait.Count(); n != wantWaits {
+				t.Errorf("after one %s call (traced %v), lock wait has %d samples, want %d", c.op, traced, n, wantWaits)
+			}
+			if !traced {
+				continue
+			}
+			tr.Finish("test")
+			spans := tr.Data().Root.Children
+			if len(spans) != 1 || spans[0].Name != "facade."+c.op {
+				t.Fatalf("traced %s: root children %+v, want one facade.%s span", c.op, spans, c.op)
+			}
+			if got := hist(c.op).Snapshot().Sum - sum; got != spans[0].DurNS {
+				t.Errorf("traced %s: sample %dns, span %dns", c.op, got, spans[0].DurNS)
 			}
 		}
 	}

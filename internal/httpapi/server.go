@@ -61,8 +61,8 @@ type Config struct {
 	// Logger receives one structured access-log record per request.
 	// Nil discards access logs.
 	Logger *slog.Logger
-	// Registry is where request metrics land and what /debug/metrics
-	// renders. Nil means obs.Default.
+	// Registry is where request and index metrics land and what
+	// /debug/metrics renders. Nil means obs.Default.
 	Registry *obs.Registry
 	// Debug mounts net/http/pprof under /debug/pprof/.
 	Debug bool
@@ -109,9 +109,9 @@ type Server struct {
 	routes   map[string]*routeStats // per-pattern telemetry, built in Handler
 }
 
-// New builds a Server and starts its boot checks. The index's Stats
-// counters and the process runtime gauges are (re-)registered on the
-// configured registry so /debug/metrics exposes them.
+// New builds a Server and starts its boot checks. It registers the
+// index's metrics and the process runtime gauges on the configured
+// registry so /debug/metrics exposes them.
 func New(ix *authorindex.Index, cfg Config) *Server {
 	s := &Server{ix: ix, log: cfg.Logger, reg: cfg.Registry, cfg: cfg}
 	if s.reg == nil {

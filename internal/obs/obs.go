@@ -17,8 +17,9 @@
 //	reqs := obs.Default.Counter("authdex_http_requests_total",
 //		"HTTP requests served.", "route", "GET /search", "code", "200")
 //	reqs.Inc()
-//	lat := obs.Default.Histogram("authdex_op_duration_seconds",
-//		"Facade operation latency.", "op", "search")
+//	var lat obs.Histogram // kept by its owner, filed where it is told
+//	reg.AddHistogram("authdex_op_duration_seconds",
+//		"Latency of public index operations.", &lat, "op", "search")
 //	defer lat.Since(time.Now())
 package obs
 

@@ -72,15 +72,13 @@ func NewRegistry() *Registry {
 // Counter returns the counter registered under name and labels
 // (alternating key, value), creating it on first use.
 func (r *Registry) Counter(name, help string, labels ...string) *Counter {
-	s := r.getOrCreate(kindCounter, name, help, labels)
-	return s.counter
+	return r.getOrCreate(kindCounter, name, help, labels, nil, nil).counter
 }
 
 // Gauge returns the gauge registered under name and labels, creating
 // it on first use.
 func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
-	s := r.getOrCreate(kindGauge, name, help, labels)
-	return s.gauge
+	return r.getOrCreate(kindGauge, name, help, labels, nil, nil).gauge
 }
 
 // CounterFunc registers a callback sampled at exposition time as a
@@ -88,19 +86,13 @@ func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
 // served) are promoted into metrics without restructuring their owners.
 // Re-registering the same (name, labels) replaces the callback.
 func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...string) {
-	s := r.getOrCreate(kindCounterFunc, name, help, labels)
-	r.mu.Lock()
-	s.fn = fn
-	r.mu.Unlock()
+	r.getOrCreate(kindCounterFunc, name, help, labels, fn, nil)
 }
 
 // GaugeFunc registers a callback sampled at exposition time as a gauge
 // series. Re-registering the same (name, labels) replaces the callback.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...string) {
-	s := r.getOrCreate(kindGaugeFunc, name, help, labels)
-	r.mu.Lock()
-	s.fn = fn
-	r.mu.Unlock()
+	r.getOrCreate(kindGaugeFunc, name, help, labels, fn, nil)
 }
 
 // BeforeScrape sets fn to run at the start of every WritePrometheus,
@@ -115,11 +107,20 @@ func (r *Registry) BeforeScrape(fn func()) {
 // Histogram returns the histogram registered under name and labels,
 // creating it on first use.
 func (r *Registry) Histogram(name, help string, labels ...string) *Histogram {
-	s := r.getOrCreate(kindHistogram, name, help, labels)
-	return s.hist
+	return r.getOrCreate(kindHistogram, name, help, labels, nil, nil).hist
 }
 
-func (r *Registry) getOrCreate(kind metricKind, name, help string, labels []string) *series {
+// AddHistogram files h, a histogram its owner keeps, under name and
+// labels, replacing the series' histogram if it exists, so one owner
+// can expose the same histogram on any registry.
+func (r *Registry) AddHistogram(name, help string, h *Histogram, labels ...string) {
+	r.getOrCreate(kindHistogram, name, help, labels, nil, h)
+}
+
+// getOrCreate returns a copy of the series under name and labels,
+// creating it on first use. fn replaces its callback, a non-nil h its
+// histogram.
+func (r *Registry) getOrCreate(kind metricKind, name, help string, labels []string, fn func() float64, h *Histogram) series {
 	if len(labels)%2 != 0 {
 		panic(fmt.Sprintf("obs: metric %q given %d label strings, want key/value pairs", name, len(labels)))
 	}
@@ -150,11 +151,17 @@ func (r *Registry) getOrCreate(kind metricKind, name, help string, labels []stri
 		case kindGauge:
 			s.gauge = &Gauge{}
 		case kindHistogram:
-			s.hist = &Histogram{}
+			if h == nil {
+				h = &Histogram{}
+			}
 		}
 		f.series[sig] = s
 	}
-	return s
+	s.fn = fn // nil unless kind is a callback kind
+	if h != nil {
+		s.hist = h
+	}
+	return *s
 }
 
 // SeriesCount returns the number of sample series the registry would

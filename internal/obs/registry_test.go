@@ -23,6 +23,26 @@ func TestRegistryGetOrCreate(t *testing.T) {
 	}
 }
 
+// TestRegistryAddHistogram: an owner's histogram filed on two
+// registries is the one both expose, and filing another under the same
+// series replaces it.
+func TestRegistryAddHistogram(t *testing.T) {
+	var own, next Histogram
+	a, b := NewRegistry(), NewRegistry()
+	a.AddHistogram("z_seconds", "help", &own, "op", "get")
+	b.AddHistogram("z_seconds", "help", &own, "op", "get")
+	own.ObserveNs(7)
+	for _, r := range []*Registry{a, b} {
+		if h := r.Histogram("z_seconds", "", "op", "get"); h != &own || h.Count() != 1 {
+			t.Errorf("registry holds %p with %d samples, want the owner's %p with 1", h, h.Count(), &own)
+		}
+	}
+	a.AddHistogram("z_seconds", "help", &next, "op", "get")
+	if h := a.Histogram("z_seconds", "", "op", "get"); h != &next {
+		t.Error("a second AddHistogram did not replace the series' histogram")
+	}
+}
+
 func TestRegistryTypeMismatchPanics(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("m_total", "help")

@@ -49,12 +49,12 @@ var (
 	mutRemove   = obs.Default.Histogram("authdex_index_mutation_duration_seconds", mutHelp, "op", "remove")
 )
 
-// loadPhase times one named phase of the LoadAll bulk build, so a slow
-// cold start can be attributed to a specific index rather than guessed
-// at from the total.
-func loadPhase(phase string) *obs.Histogram {
-	return obs.Default.Histogram("authdex_load_phase_duration_seconds",
-		"Latency of LoadAll bulk-load phases.", "phase", phase)
+// timePhase times one LoadAll phase as the span name and one sample of
+// authdex_load_phase_duration_seconds{phase}, so a slow cold start can
+// be attributed to one index rather than guessed at from the total.
+func timePhase(ctx context.Context, name, phase string) (context.Context, trace.Timer) {
+	return trace.Time(ctx, name, obs.Default.Histogram("authdex_load_phase_duration_seconds",
+		"Latency of LoadAll bulk-load phases.", "phase", phase))
 }
 
 // MaxLimit bounds every caller-supplied result limit so one request
@@ -332,12 +332,11 @@ func (e *Engine) LoadAllCtx(ctx context.Context, works []*model.Work) error {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_, sp := trace.StartSpan(ctx, "load.metrics")
-		defer sp.End()
+		_, tm := timePhase(ctx, "load.metrics", "metrics")
+		defer tm.End()
 		if len(works) >= 10_000 {
 			defer relaxGC()()
 		}
-		defer loadPhase("metrics").Since(time.Now())
 		e.met.Rebuild(works)
 	}()
 	err := e.loadCorpus(ctx, works)
@@ -360,9 +359,8 @@ func (e *Engine) loadCorpus(ctx context.Context, works []*model.Work) error {
 	if len(works) == 0 {
 		return nil
 	}
-	defer loadPhase("total").Since(time.Now())
-	_, load := trace.StartSpan(ctx, "engine.load_all")
-	load.SetInt("works", int64(len(works)))
+	ctx, load := timePhase(ctx, "engine.load_all", "total")
+	load.Span.SetInt("works", int64(len(works)))
 	defer load.End()
 	// A bulk load's entire job is growing a large live heap; garbage
 	// collection during it re-marks that growing live set over and over
@@ -376,26 +374,23 @@ func (e *Engine) loadCorpus(ctx context.Context, works []*model.Work) error {
 	// checks this engine's Add would); the only cross-work invariant is
 	// ID uniqueness. Citation-key computation is per-work independent
 	// and fans out across cores.
-	validateStart := time.Now()
-	validateSpan := load.StartChild("load.validate")
+	_, validate := timePhase(ctx, "load.validate", "validate")
 	seen := make(map[model.WorkID]struct{}, len(works))
 	for _, w := range works {
 		if w.ID == 0 {
-			validateSpan.End()
+			validate.End()
 			return fmt.Errorf("query: work %q has no ID", w.Title)
 		}
 		if _, dup := seen[w.ID]; dup {
-			validateSpan.End()
+			validate.End()
 			return fmt.Errorf("query: duplicate work ID %d in bulk load", w.ID)
 		}
 		seen[w.ID] = struct{}{}
 	}
-	validateSpan.End()
-	loadPhase("validate").Since(validateStart)
+	validate.End()
 	// Each entry and its key buffer are their own allocations, so a
 	// removed work becomes garbage as soon as no snapshot holds it.
-	keysStart := time.Now()
-	keysSpan := load.StartChild("load.sort_keys")
+	_, keys := timePhase(ctx, "load.sort_keys", "sort_keys")
 	entries := make([]*workEntry, len(works))
 	if err := parallel.Ranges(len(works), func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
@@ -403,15 +398,14 @@ func (e *Engine) loadCorpus(ctx context.Context, works []*model.Work) error {
 		}
 		return nil
 	}); err != nil {
-		keysSpan.End()
+		keys.End()
 		return err
 	}
 	// One citation-key sort: every ordered index below derives from this
 	// pass instead of paying a per-work tree descent.
 	sorted := slices.Clone(entries)
 	slices.SortFunc(sorted, compareRefs)
-	keysSpan.End()
-	loadPhase("sort_keys").Since(keysStart)
+	keys.End()
 
 	// The index builds run concurrently: the author index (the most
 	// expensive — it clones one work per posting), the inverted title
@@ -432,20 +426,20 @@ func (e *Engine) loadCorpus(ctx context.Context, works []*model.Work) error {
 	wg.Add(5)
 	go func() {
 		defer wg.Done()
-		defer loadPhase("id_index").Since(time.Now())
-		defer load.StartChild("load.id_index").End()
+		_, tm := timePhase(ctx, "load.id_index", "id_index")
+		defer tm.End()
 		byID, errs[4] = loadIDTree(entries)
 	}()
 	go func() {
 		defer wg.Done()
-		defer loadPhase("author_index").Since(time.Now())
-		defer load.StartChild("load.author_index").End()
+		_, tm := timePhase(ctx, "load.author_index", "author_index")
+		defer tm.End()
 		idx, errs[0] = core.Load(e.coll, works)
 	}()
 	go func() {
 		defer wg.Done()
-		defer loadPhase("inverted").Since(time.Now())
-		defer load.StartChild("load.inverted").End()
+		_, tm := timePhase(ctx, "load.inverted", "inverted")
+		defer tm.End()
 		docs := make([]inverted.Doc[*workEntry], len(sorted))
 		for i, we := range sorted {
 			docs[i] = inverted.Doc[*workEntry]{Ref: we, Text: we.w.Title}
@@ -454,14 +448,14 @@ func (e *Engine) loadCorpus(ctx context.Context, works []*model.Work) error {
 	}()
 	go func() {
 		defer wg.Done()
-		defer loadPhase("citation_trees").Since(time.Now())
-		defer load.StartChild("load.citation_trees").End()
+		_, tm := timePhase(ctx, "load.citation_trees", "citation_trees")
+		defer tm.End()
 		byCitation, byYear, errs[1], errs[2] = loadCitationTrees(sorted)
 	}()
 	go func() {
 		defer wg.Done()
-		defer loadPhase("subjects").Since(time.Now())
-		defer load.StartChild("load.subjects").End()
+		_, tm := timePhase(ctx, "load.subjects", "subjects")
+		defer tm.End()
 		bySubject, errs[3] = e.loadSubjects(entries, sorted)
 	}()
 	wg.Wait()

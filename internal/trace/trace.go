@@ -23,6 +23,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // Attr is one key/value annotation on a span (result counts, byte
@@ -125,15 +127,6 @@ func FromContext(ctx context.Context) *Span {
 	return s
 }
 
-// ContextWith returns a context carrying s. A nil span returns ctx
-// unchanged.
-func ContextWith(ctx context.Context, s *Span) context.Context {
-	if s == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, ctxKey{}, s)
-}
-
 // StartSpan starts a child of the span carried by ctx and returns a
 // context carrying the child. When ctx carries no span this is the
 // disabled path: it returns (ctx, nil) without allocating.
@@ -144,6 +137,36 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	}
 	c := parent.StartChild(name)
 	return context.WithValue(ctx, ctxKey{}, c), c
+}
+
+// Timer times one region with one clock: End records one sample in the
+// region's histogram, which under a trace is the duration of the
+// region's span. A Timer is a value, so an untraced one allocates
+// nothing.
+type Timer struct {
+	Span  *Span // the region's span; nil when untraced
+	hist  *obs.Histogram
+	start time.Time
+}
+
+// Time starts timing the region name into h, as a child span of the
+// span ctx carries (returned in the context), if any.
+func Time(ctx context.Context, name string, h *obs.Histogram) (context.Context, Timer) {
+	ctx, sp := StartSpan(ctx, name)
+	if sp != nil {
+		return ctx, Timer{Span: sp, hist: h}
+	}
+	return ctx, Timer{hist: h, start: time.Now()}
+}
+
+// End ends the region's span and records its sample.
+func (t Timer) End() {
+	if t.Span == nil {
+		t.hist.Since(t.start)
+		return
+	}
+	t.Span.End()
+	t.hist.Observe(t.Span.Duration())
 }
 
 // Trace owns a root span plus the identity that correlates it with

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 func TestDisabledPathIsInert(t *testing.T) {
@@ -52,6 +54,48 @@ func TestDisabledPathZeroAllocs(t *testing.T) {
 		_ = c
 	}); n != 0 {
 		t.Fatalf("disabled StartSpan allocates %v per run, want 0", n)
+	}
+	var h obs.Histogram
+	if n := testing.AllocsPerRun(200, func() {
+		c, tm := Time(ctx, "op", &h)
+		tm.Span.SetInt("hits", 42)
+		tm.End()
+		_ = c
+	}); n != 0 {
+		t.Fatalf("untraced Time allocates %v per run, want 0", n)
+	}
+}
+
+// TestTimerOneSample: a timed region records one histogram sample with
+// or without a trace, and under a trace that sample is the span's
+// duration, so the span tree and the histogram never disagree.
+func TestTimerOneSample(t *testing.T) {
+	var h obs.Histogram
+	ctx, tm := Time(context.Background(), "op", &h)
+	if tm.Span != nil || ctx != context.Background() {
+		t.Fatal("untraced Time opened a span")
+	}
+	time.Sleep(time.Millisecond)
+	tm.End()
+	if s := h.Snapshot(); s.Count != 1 || s.Sum < int64(time.Millisecond) {
+		t.Fatalf("untraced region: %d samples summing to %dns, want 1 of >= 1ms", s.Count, s.Sum)
+	}
+
+	var th obs.Histogram
+	rctx, tr := NewTracer(Config{}).StartRoot(context.Background(), "", "root")
+	ctx, tm = Time(rctx, "op", &th)
+	if tm.Span == nil || FromContext(ctx) != tm.Span {
+		t.Fatal("traced Time did not open the region's span in the returned context")
+	}
+	time.Sleep(time.Millisecond)
+	tm.End()
+	tr.Finish("root")
+	if err := tr.Check(); err != nil {
+		t.Fatal(err)
+	}
+	if s := th.Snapshot(); s.Count != 1 || s.Sum != int64(tm.Span.Duration()) {
+		t.Fatalf("traced region: %d samples summing to %dns, want 1 of the span's %dns",
+			s.Count, s.Sum, tm.Span.Duration())
 	}
 }
 
@@ -194,9 +238,9 @@ func TestConcurrentChildrenRaceFree(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, sp := StartSpan(ctx, "worker")
+			wctx, sp := StartSpan(ctx, "worker")
 			sp.SetInt("i", int64(i))
-			_, inner := StartSpan(ContextWith(context.Background(), sp), "inner")
+			_, inner := StartSpan(wctx, "inner")
 			inner.End()
 			sp.End()
 		}(i)

@@ -34,7 +34,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/fault"
 	"repro/internal/obs"
@@ -217,12 +216,10 @@ func (l *Log) AppendCtx(ctx context.Context, p []byte) error {
 			return err
 		}
 	}
-	encStart := time.Now()
-	encSpan := trace.FromContext(ctx).StartChild("wal.encode")
+	_, enc := trace.Time(ctx, "wal.encode", encodeHist)
 	l.scratch = appendFrame(l.scratch[:0], p)
-	encSpan.SetInt("bytes", int64(len(l.scratch)))
-	encSpan.End()
-	encodeHist.Since(encStart)
+	enc.Span.SetInt("bytes", int64(len(l.scratch)))
+	enc.End()
 	if _, err := l.f.Write(l.scratch); err != nil {
 		l.failLocked(err)
 		return fmt.Errorf("wal: append: %w", err)
@@ -254,11 +251,9 @@ func (l *Log) syncLocked() error { return l.syncLockedCtx(context.Background()) 
 
 func (l *Log) syncLockedCtx(ctx context.Context) error {
 	l.st.Syncs++
-	start := time.Now()
-	span := trace.FromContext(ctx).StartChild("wal.fsync")
+	_, fsync := trace.Time(ctx, "wal.fsync", fsyncHist)
 	err := l.f.Sync()
-	span.End()
-	fsyncHist.Since(start)
+	fsync.End()
 	return err
 }
 

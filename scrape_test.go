@@ -121,6 +121,48 @@ func TestScrapeAllocsIndependentOfCorpus(t *testing.T) {
 	}
 }
 
+// TestMetricsOnlyWhereRegistered: Open files nothing on the
+// process-wide registry, and RegisterMetrics files the index's own
+// histograms, so every registry it is given shows the same samples,
+// those recorded before the call included.
+func TestMetricsOnlyWhereRegistered(t *testing.T) {
+	ix := openT(t, "")
+	defer ix.Close()
+	ix.Search("anything", 0)
+	var def bytes.Buffer
+	if err := obs.Default.WritePrometheus(&def); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"authdex_op_duration_seconds", "authdex_snapshot_swap_duration_seconds",
+		"authdex_lock_wait_duration_seconds", "authdex_works", "authdex_epochs_alive"} {
+		if bytes.Contains(def.Bytes(), []byte("\n"+name)) {
+			t.Errorf("Open registered %s on obs.Default", name)
+		}
+	}
+	a, b := obs.NewRegistry(), obs.NewRegistry()
+	ix.RegisterMetrics(a)
+	if _, err := ix.Add(sampleWork("Registered Work", "90:1 (1988)", "Counted, Once A.")); err != nil {
+		t.Fatal(err)
+	}
+	ix.RegisterMetrics(b)
+	for i, r := range []*obs.Registry{a, b} {
+		for _, h := range []struct {
+			name string
+			op   []string
+		}{
+			{"authdex_op_duration_seconds", []string{"op", "open"}},
+			{"authdex_op_duration_seconds", []string{"op", "search"}},
+			{"authdex_op_duration_seconds", []string{"op", "add"}},
+			{"authdex_snapshot_swap_duration_seconds", nil},
+			{"authdex_lock_wait_duration_seconds", nil},
+		} {
+			if n := r.Histogram(h.name, "", h.op...).Count(); n != 1 {
+				t.Errorf("registry %d: %s%v has %d samples, want 1", i, h.name, h.op, n)
+			}
+		}
+	}
+}
+
 // TestScrapeBesideWriters: two writers commit batches while a goroutine
 // scrapes (run it under -race). Once the writers stop, the
 // scraped authdex_authors and authdex_works equal Stats.

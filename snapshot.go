@@ -44,8 +44,10 @@ type sentinel struct{ alive *atomic.Int64 }
 // publish makes eng the current engine in a new root. Callers hold the
 // writer mutex (Open excepted: it publishes before the index is
 // visible). start marks when the writer began the copy-on-write
-// turnover (clone + index mutation), so the recorded swap latency is
-// the full snapshot overhead a write pays on top of its store commit.
+// turnover (clone + index mutation), and a publish that replaces a root
+// records the time since as one snapshot-swap sample: the full snapshot
+// overhead a write pays on top of its store commit. Open's first root
+// replaces none and records nothing.
 func (ix *Index) publish(start time.Time, eng *query.Engine) {
 	s := &sentinel{alive: ix.alive}
 	ix.alive.Add(1)
@@ -53,11 +55,9 @@ func (ix *Index) publish(start time.Time, eng *query.Engine) {
 	next := &root{Seq: 1, Eng: eng, live: s}
 	if cur := ix.root.Load(); cur != nil {
 		next.Seq = cur.Seq + 1
+		defer ix.swap.Since(start)
 	}
 	ix.root.Store(next)
-	if h := ix.swapHist.Load(); h != nil {
-		h.Since(start)
-	}
 }
 
 // engine returns the current root's engine. Writers holding the mutex

@@ -271,8 +271,9 @@ func TestEpochPinnedAcrossSlowRender(t *testing.T) {
 }
 
 // TestRootDroppedIndexCollected: an index nothing references any more
-// is collected, engine included — the current root's sentinel must not
-// keep its own index reachable.
+// is collected, engine included, with nothing opened after it — neither
+// the current root's sentinel nor a metrics registry may keep it
+// reachable.
 func TestRootDroppedIndexCollected(t *testing.T) {
 	freed := make(chan struct{})
 	func() {
@@ -282,10 +283,6 @@ func TestRootDroppedIndexCollected(t *testing.T) {
 		}
 		runtime.SetFinalizer(ix.engine(), func(*query.Engine) { close(freed) })
 	}()
-	// Open registers its metrics callbacks on the default registry,
-	// replacing the dropped index's, which held the last references.
-	ix := openT(t, "")
-	defer ix.Close()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		collect()

@@ -2,8 +2,6 @@ package authorindex
 
 import (
 	"errors"
-	"os"
-	"os/exec"
 	"reflect"
 	"runtime"
 	"syscall"
@@ -149,33 +147,13 @@ func testFailedWritesLeaveCallerWorks(t *testing.T) {
 	}
 }
 
-// writtenWorksCase is the environment variable that makes
-// TestWrittenWorksOneCopy measure one case in this process.
-const writtenWorksCase = "AUTHDEX_WRITTEN_WORKS_CASE"
-
 // TestWrittenWorksOneCopy pins the heap a work written through the
 // facade costs: its one deep copy, filed by the store's delta and
 // indexed by the engine, plus the engine's entry and postings. A second
 // copy of each work (the store's or the engine's) breaks the bounds.
-// Each case runs in a process of its own: every Open registers its
-// index on the process-wide metrics registry, which releases the one
-// registered before it, so earlier tests' indexes would skew the count.
 func TestWrittenWorksOneCopy(t *testing.T) {
-	if c := os.Getenv(writtenWorksCase); c != "" {
-		measureWrittenWorks(t, c == "durable")
-		return
-	}
-	for _, c := range []string{"memory", "durable"} {
-		t.Run(c, func(t *testing.T) {
-			cmd := exec.Command(os.Args[0], "-test.run=^TestWrittenWorksOneCopy$", "-test.v")
-			cmd.Env = append(os.Environ(), writtenWorksCase+"="+c)
-			out, err := cmd.CombinedOutput()
-			t.Logf("%s", out)
-			if err != nil {
-				t.Fatalf("%s case: %v", c, err)
-			}
-		})
-	}
+	t.Run("memory", func(t *testing.T) { measureWrittenWorks(t, false) })
+	t.Run("durable", func(t *testing.T) { measureWrittenWorks(t, true) })
 }
 
 // measureWrittenWorks adds 20k generated works, IDs zeroed, through
