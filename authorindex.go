@@ -614,7 +614,8 @@ func (ix *Index) AddSeeAlso(from, to string) error {
 	if err != nil {
 		return fmt.Errorf("authorindex: to heading: %w", err)
 	}
-	ix.mu.Lock()
+	_, hold := ix.lockTraced(context.Background())
+	defer hold.End()
 	defer ix.mu.Unlock()
 	// Mutate a clone, commit to the store, then publish: a store error
 	// discards the clone, so engine and store can no longer diverge the
@@ -672,7 +673,8 @@ func (ix *Index) RebuildMetrics() { ix.rebuildTrackers(nil) }
 // readers never observe a half-built tracker. PageRank recomputes
 // lazily on the fresh graph.
 func (ix *Index) rebuildTrackers(scheme *Scheme) {
-	ix.mu.Lock()
+	_, hold := ix.lockTraced(context.Background())
+	defer hold.End()
 	defer ix.mu.Unlock()
 	// Every tracker writer holds the mutex, so holding it makes reading
 	// the current tracker safe.
@@ -774,7 +776,8 @@ func (ix *Index) RemoveSeeAlso(from, to string) error {
 		return fmt.Errorf("authorindex: to heading: %w", err)
 	}
 	// Same clone-commit-publish order as AddSeeAlso.
-	ix.mu.Lock()
+	_, hold := ix.lockTraced(context.Background())
+	defer hold.End()
 	defer ix.mu.Unlock()
 	start := time.Now()
 	eng := ix.engine().Clone()
@@ -846,7 +849,8 @@ func (ix *Index) importResult(res *ingest.Result) error {
 
 // Compact writes a snapshot and truncates the write-ahead log.
 func (ix *Index) Compact() error {
-	ix.mu.Lock()
+	_, hold := ix.lockTraced(context.Background())
+	defer hold.End()
 	defer ix.mu.Unlock()
 	return ix.store.Compact()
 }
@@ -876,9 +880,10 @@ func (ix *Index) DuplicateSuggestions() []Suggestion {
 // current engine, so writers must be excluded for the comparison to be
 // meaningful. Lock-free snapshot readers are unaffected.
 func (ix *Index) Verify() error {
-	_, tm := trace.Time(context.Background(), "facade.verify", &ix.ops[opVerify])
+	ctx, tm := trace.Time(context.Background(), "facade.verify", &ix.ops[opVerify])
 	defer tm.End()
-	ix.mu.Lock()
+	_, hold := ix.lockTraced(ctx)
+	defer hold.End()
 	defer ix.mu.Unlock()
 	eng := ix.engine()
 	storeCount := 0
@@ -985,7 +990,8 @@ func (ix *Index) Degraded() (bool, error) {
 // Close flushes and closes the index. Further mutations fail with
 // ErrClosed.
 func (ix *Index) Close() error {
-	ix.mu.Lock()
+	_, hold := ix.lockTraced(context.Background())
+	defer hold.End()
 	defer ix.mu.Unlock()
 	return ix.store.Close()
 }

@@ -163,6 +163,14 @@ func BenchmarkRender(b *testing.B) {
 	run("subject", func(buf *bytes.Buffer) error {
 		return render.SubjectIndex(buf, works, collate.Default(), render.Options{Format: render.Text})
 	})
+	// The authbench publish op through the facade: on the workload's
+	// 4k-work corpus, the paginated author index with both appendices,
+	// then the title and subject indexes.
+	pub := frontMatterIndex(b, publishCorpus(4000))
+	run("publish", func(buf *bytes.Buffer) error {
+		publishFrontMatter(b, pub, buf, 0)
+		return nil
+	})
 }
 
 // E5 — collation key construction per scheme.

@@ -321,7 +321,8 @@ func TestDebugMetricsExposition(t *testing.T) {
 // span records exactly one authdex_op_duration_seconds sample on the
 // server's registry, under its own op label, traced or not; traced, that
 // sample is the facade span's duration. Each write also records one
-// authdex_lock_wait_duration_seconds sample, and a read none.
+// authdex_lock_wait_duration_seconds sample, and a read none; so does
+// every other call that takes the writer mutex, Close included.
 func TestOpTimersOneSamplePerCall(t *testing.T) {
 	_, ix, reg := testServerReg(t)
 	w := authorindex.Work{
@@ -418,6 +419,26 @@ func TestOpTimersOneSamplePerCall(t *testing.T) {
 			if got := hist(c.op).Snapshot().Sum - sum; got != spans[0].DurNS {
 				t.Errorf("traced %s: sample %dns, span %dns", c.op, got, spans[0].DurNS)
 			}
+		}
+	}
+	for _, c := range []struct {
+		name string
+		do   func() error
+	}{
+		{"AddSeeAlso", func() error { return ix.AddSeeAlso("Clock, Stop W.", "Watch, Stop") }},
+		{"RemoveSeeAlso", func() error { return ix.RemoveSeeAlso("Clock, Stop W.", "Watch, Stop") }},
+		{"SetMetricsScheme", func() error { return ix.SetMetricsScheme(authorindex.SchemeFractional) }},
+		{"RebuildMetrics", func() error { ix.RebuildMetrics(); return nil }},
+		{"Compact", ix.Compact},
+		{"Verify", ix.Verify},
+		{"Close", ix.Close},
+	} {
+		waits := lockWait.Count()
+		if err := c.do(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if n := lockWait.Count(); n != waits+1 {
+			t.Errorf("after one %s call, lock wait has %d samples, want %d", c.name, n, waits+1)
 		}
 	}
 }

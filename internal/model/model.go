@@ -7,6 +7,7 @@ package model
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -75,10 +76,22 @@ type Citation struct {
 // String renders the citation as "95:1365 (1993)". A zero citation renders
 // as an empty string.
 func (c Citation) String() string {
+	var buf [32]byte
+	return string(c.AppendTo(buf[:0]))
+}
+
+// AppendTo appends the citation as String renders it to dst and returns
+// the extended buffer; a zero citation appends nothing.
+func (c Citation) AppendTo(dst []byte) []byte {
 	if c == (Citation{}) {
-		return ""
+		return dst
 	}
-	return fmt.Sprintf("%d:%d (%d)", c.Volume, c.Page, c.Year)
+	dst = strconv.AppendInt(dst, int64(c.Volume), 10)
+	dst = append(dst, ':')
+	dst = strconv.AppendInt(dst, int64(c.Page), 10)
+	dst = append(dst, " ("...)
+	dst = strconv.AppendInt(dst, int64(c.Year), 10)
+	return append(dst, ')')
 }
 
 // Validate reports whether the citation fields are individually plausible.
@@ -178,6 +191,26 @@ func (a Author) Display() string {
 		b.WriteByte('*')
 	}
 	return b.String()
+}
+
+// AppendDisplay appends the heading Display renders to dst and returns
+// the extended buffer. Display stays separate so that it makes one
+// allocation, of the exact size, at any name length.
+func (a Author) AppendDisplay(dst []byte) []byte {
+	if a.Particle != "" {
+		dst = append(append(dst, a.Particle...), ' ')
+	}
+	dst = append(dst, a.Family...)
+	if a.Given != "" {
+		dst = append(append(dst, ", "...), a.Given...)
+	}
+	if a.Suffix != "" {
+		dst = append(append(dst, ", "...), a.Suffix...)
+	}
+	if a.Student {
+		dst = append(dst, '*')
+	}
+	return dst
 }
 
 // DisplayMemo memoizes Author.Display across a whole-corpus pass, where

@@ -1,6 +1,8 @@
 package model
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 
 	"strings"
@@ -33,6 +35,27 @@ func TestCitationString(t *testing.T) {
 	for _, tt := range tests {
 		if got := tt.c.String(); got != tt.want {
 			t.Errorf("Citation%+v.String() = %q, want %q", tt.c, got, tt.want)
+		}
+	}
+}
+
+func TestCitationAppendToMatchesSprintf(t *testing.T) {
+	// AppendTo must write what "%d:%d (%d)" would, after whatever dst
+	// already holds, for any field values, negative and extreme included.
+	f := func(v, p, y int) bool {
+		c := Citation{Volume: v, Page: p, Year: y}
+		want := "x" + fmt.Sprintf("%d:%d (%d)", v, p, y)
+		if c == (Citation{}) {
+			want = "x"
+		}
+		return string(c.AppendTo([]byte("x"))) == want && c.String() == want[1:]
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+	for _, c := range []Citation{{}, {Volume: math.MinInt, Page: math.MaxInt, Year: -1}, {Page: 1}} {
+		if !f(c.Volume, c.Page, c.Year) {
+			t.Errorf("Citation%+v: AppendTo differs from Sprintf", c)
 		}
 	}
 }
@@ -108,6 +131,19 @@ func TestAuthorDisplay(t *testing.T) {
 	for _, tt := range tests {
 		if got := tt.a.Display(); got != tt.want {
 			t.Errorf("Display() = %q, want %q", got, tt.want)
+		}
+	}
+	// AppendDisplay appends what Display returns, for any fields.
+	f := func(particle, family, given, suffix string, student bool) bool {
+		a := Author{Family: family, Given: given, Particle: particle, Suffix: suffix, Student: student}
+		return string(a.AppendDisplay([]byte("x"))) == "x"+a.Display()
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+	for _, tt := range tests {
+		if !f(tt.a.Particle, tt.a.Family, tt.a.Given, tt.a.Suffix, tt.a.Student) {
+			t.Errorf("AppendDisplay(%+v) differs from Display", tt.a)
 		}
 	}
 }

@@ -83,55 +83,18 @@ func (st *NetworkStats) networkSummaryLine() string {
 // appendTextNetwork emits the appendix through the text pager so it
 // pages and headers like the body.
 func appendTextNetwork(p *textPager, st *NetworkStats) {
-	width := p.opts.pageWidth()
 	p.emit("")
-	p.emit(center("— COLLABORATION NETWORK —", width))
+	p.emitCentered("— COLLABORATION NETWORK —")
 	p.emit("")
 	p.emit(st.networkSummaryLine())
 	p.emit("")
 	header, rows := networkColumns(st)
-	widths := make([]int, len(header))
-	for i, h := range header {
-		widths[i] = len(h)
-	}
-	for _, r := range rows {
-		for i, c := range r {
-			if len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	line := func(cells []string) string {
-		parts := make([]string, len(cells))
-		for i, c := range cells {
-			if i == 1 { // author column is left-aligned
-				parts[i] = fmt.Sprintf("%-*s", widths[i], c)
-			} else {
-				parts[i] = fmt.Sprintf("%*s", widths[i], c)
-			}
-		}
-		return strings.TrimRight(strings.Join(parts, "  "), " ")
-	}
-	p.emit(line(header))
-	for _, r := range rows {
-		p.emit(line(r))
-	}
-	if len(rows) == 0 {
-		p.emit("(no authors)")
-	}
+	p.table(header, rows, "(no authors)")
 }
 
 // appendMarkdownNetwork emits the appendix as a "## Collaboration
 // Network" section with a centrality table.
 func appendMarkdownNetwork(b *strings.Builder, st *NetworkStats) {
-	fmt.Fprintf(b, "\n## Collaboration Network\n\n%s\n\n", st.networkSummaryLine())
 	header, rows := networkColumns(st)
-	fmt.Fprintf(b, "| %s |\n", strings.Join(header, " | "))
-	b.WriteString("|" + strings.Repeat(" --- |", len(header)) + "\n")
-	for _, r := range rows {
-		for i, c := range r {
-			r[i] = mdEscape(c)
-		}
-		fmt.Fprintf(b, "| %s |\n", strings.Join(r, " | "))
-	}
+	markdownTable(b, "Collaboration Network", st.networkSummaryLine(), header, rows)
 }

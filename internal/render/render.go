@@ -12,6 +12,8 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/core"
 	"repro/internal/model"
@@ -165,81 +167,228 @@ func encodeSections(ctx context.Context, w io.Writer, sections []core.Section, o
 
 // ---- text ----
 
+// textPager lays out text pages. It appends every line, and a page
+// header before the first line of each page, to one buffer it owns, and
+// writes the buffer to w each time it passes flushAt bytes, so a build
+// writes each line once and allocates nothing per line.
 type textPager struct {
 	w          io.Writer
 	opts       Options
+	width      int
+	rule       string // the header's horizontal rule, one page wide
 	line, page int
+	buf        []byte
 	err        error
+	// left and right hold a row's wrapped columns, reused row to row.
+	left, right []string
 }
 
-func (p *textPager) emit(s string) {
-	if p.err != nil {
-		return
+// flushAt is the buffered text a pager writes out at once. Its buffer
+// holds that much plus room for the line that crosses it.
+const flushAt = 32 << 10
+
+func newTextPager(w io.Writer, opts Options) *textPager {
+	width := opts.pageWidth()
+	return &textPager{
+		w: w, opts: opts, width: width,
+		rule: strings.Repeat("─", width),
+		buf:  make([]byte, 0, flushAt+4<<10),
 	}
+}
+
+// startLine begins a body line, after the page header when the line
+// opens a page.
+func (p *textPager) startLine() {
 	if p.line == 0 {
 		p.header()
-		if p.err != nil {
-			return
-		}
 	}
-	if _, err := io.WriteString(p.w, s+"\n"); err != nil {
-		p.err = err
-		return
-	}
+}
+
+// endLine ends the body line appended since startLine. A page that
+// reaches PageLength lines closes with a blank line.
+func (p *textPager) endLine() {
+	p.buf = append(p.buf, '\n')
 	p.line++
 	if p.opts.PageLength > 0 && p.line >= p.opts.PageLength {
 		p.line = 0
-		if _, err := io.WriteString(p.w, "\n"); err != nil {
-			p.err = err
-		}
+		p.buf = append(p.buf, '\n')
 	}
+	if len(p.buf) >= flushAt {
+		p.flush()
+	}
+}
+
+// flush writes the buffered text; after a write error it drops it.
+func (p *textPager) flush() {
+	if p.err == nil && len(p.buf) > 0 {
+		_, p.err = p.w.Write(p.buf)
+	}
+	p.buf = p.buf[:0]
+}
+
+// close finishes the text, giving an empty one its page header, writes
+// what remains and reports the first write error against artifact.
+func (p *textPager) close(artifact string) error {
+	if p.line == 0 && p.page == 0 {
+		p.header()
+	}
+	p.flush()
+	if p.err != nil {
+		return fmt.Errorf("render: %s: %w", artifact, p.err)
+	}
+	return nil
+}
+
+func (p *textPager) emit(s string) {
+	p.startLine()
+	p.buf = append(p.buf, s...)
+	p.endLine()
+}
+
+func (p *textPager) emitCentered(s string) {
+	p.startLine()
+	p.buf = appendCentered(p.buf, s, p.width)
+	p.endLine()
+}
+
+// letterHeading emits a section's "— A —" heading between blank lines.
+func (p *textPager) letterHeading(letter byte) {
+	p.emit("")
+	p.emitCentered("— " + string(rune(letter)) + " —")
+	p.emit("")
 }
 
 func (p *textPager) header() {
 	p.page++
-	width := p.opts.pageWidth()
-	head := center(p.opts.runningHead(), width)
-	lines := []string{head}
+	p.buf = append(appendCentered(p.buf, p.opts.runningHead(), p.width), '\n')
 	if vol := p.opts.Volume.String(); vol != "" {
-		lines = append(lines, center(fmt.Sprintf("%s — page %d", vol, p.page), width))
+		p.buf = append(appendCentered(p.buf, vol+" — page "+strconv.Itoa(p.page), p.width), '\n')
 	}
-	lines = append(lines, strings.Repeat("─", width))
-	for _, l := range lines {
-		if _, err := io.WriteString(p.w, l+"\n"); err != nil {
-			p.err = err
-			return
+	p.buf = append(append(p.buf, p.rule...), '\n')
+}
+
+// row emits one table row: the wrapped columns left and right side by
+// side, each padded to its width, then a column citeW wide holding cite
+// right-aligned on the row's first line.
+func (p *textPager) row(left, right []string, leftW, rightW, citeW int, cite model.Citation) {
+	for i := range max(len(left), len(right)) {
+		p.startLine()
+		p.buf = append(appendPadded(p.buf, lineAt(left, i), leftW), ' ')
+		p.buf = append(appendPadded(p.buf, lineAt(right, i), rightW), ' ')
+		p.citeCell(i == 0, cite, citeW)
+		p.endLine()
+	}
+}
+
+// citeCell appends cite right-aligned in citeW columns when first is
+// set, and blanks otherwise.
+func (p *textPager) citeCell(first bool, cite model.Citation, citeW int) {
+	mark := len(p.buf)
+	if first {
+		p.buf = cite.AppendTo(p.buf)
+	}
+	p.buf = alignRight(p.buf, mark, citeW)
+}
+
+// table emits an aligned table: each column as wide as its widest cell
+// in bytes, columns two spaces apart, the second left-aligned and the
+// others right-aligned, trailing blanks trimmed. A table with no rows
+// shows empty under its header.
+func (p *textPager) table(header []string, rows [][]string, empty string) {
+	widths := make([]int, len(header))
+	for i, h := range header {
+		widths[i] = len(h)
+	}
+	for _, r := range rows {
+		for i, c := range r {
+			widths[i] = max(widths[i], len(c))
 		}
 	}
+	p.tableRow(header, widths)
+	for _, r := range rows {
+		p.tableRow(r, widths)
+	}
+	if len(rows) == 0 {
+		p.emit(empty)
+	}
+}
+
+func (p *textPager) tableRow(cells []string, widths []int) {
+	p.startLine()
+	mark := len(p.buf)
+	for i, c := range cells {
+		if i > 0 {
+			p.buf = append(p.buf, "  "...)
+		}
+		if i == 1 {
+			p.buf = appendPadded(p.buf, c, widths[i])
+		} else {
+			cell := len(p.buf)
+			p.buf = alignRight(append(p.buf, c...), cell, widths[i])
+		}
+	}
+	for len(p.buf) > mark && p.buf[len(p.buf)-1] == ' ' {
+		p.buf = p.buf[:len(p.buf)-1]
+	}
+	p.endLine()
+}
+
+func lineAt(lines []string, i int) string {
+	if i < len(lines) {
+		return lines[i]
+	}
+	return ""
+}
+
+// blanks is a run of spaces to pad from.
+const blanks = "                                                                "
+
+func appendBlanks(dst []byte, n int) []byte {
+	for ; n > len(blanks); n -= len(blanks) {
+		dst = append(dst, blanks...)
+	}
+	return append(dst, blanks[:max(n, 0)]...)
+}
+
+// appendPadded appends s left-aligned in width columns: followed by
+// blanks up to width runes, never truncated, as "%-*s" formats it.
+func appendPadded(dst []byte, s string, width int) []byte {
+	return appendBlanks(append(dst, s...), width-utf8.RuneCountInString(s))
+}
+
+// alignRight right-aligns the text appended to dst since mark in width
+// columns: blanks go in front of it up to width runes, never truncating,
+// as "%*s" formats it.
+func alignRight(dst []byte, mark, width int) []byte {
+	pad := width - utf8.RuneCount(dst[mark:])
+	if pad <= 0 {
+		return dst
+	}
+	end := len(dst)
+	dst = appendBlanks(dst, pad)
+	copy(dst[mark+pad:], dst[mark:end])
+	for i := mark; i < mark+pad; i++ {
+		dst[i] = ' '
+	}
+	return dst
+}
+
+// appendCentered appends s centered in width columns by its byte length,
+// unpadded when it is as wide as the page.
+func appendCentered(dst []byte, s string, width int) []byte {
+	if len(s) < width {
+		dst = appendBlanks(dst, (width-len(s))/2)
+	}
+	return append(dst, s...)
 }
 
 func renderText(ctx context.Context, w io.Writer, sections []core.Section, opts Options) error {
 	parent := trace.FromContext(ctx)
-	width := opts.pageWidth()
+	p := newTextPager(w, opts)
 	// Column plan: author | gap | title | gap | citation.
-	citeW := 16
-	authorW := (width - citeW - 2) * 2 / 5
-	titleW := width - citeW - 2 - authorW
-	p := &textPager{w: w, opts: opts}
-
-	row := func(author, title, cite string) {
-		titleLines := wrap(title, titleW)
-		authorLines := wrap(author, authorW)
-		n := max(len(titleLines), len(authorLines))
-		for i := 0; i < n; i++ {
-			a, t, c := "", "", ""
-			if i < len(authorLines) {
-				a = authorLines[i]
-			}
-			if i < len(titleLines) {
-				t = titleLines[i]
-			}
-			if i == 0 {
-				c = cite
-			}
-			p.emit(fmt.Sprintf("%-*s %-*s %*s", authorW, a, titleW, t, citeW, c))
-		}
-	}
-
+	const citeW = 16
+	authorW := (p.width - citeW - 2) * 2 / 5
+	titleW := p.width - citeW - 2 - authorW
 	for _, sec := range sections {
 		// A disconnected client stops a large text render at the next
 		// section boundary instead of formatting pages nobody will read.
@@ -249,17 +398,18 @@ func renderText(ctx context.Context, w io.Writer, sections []core.Section, opts 
 		secSpan := parent.StartChild("render.section " + string(sec.Letter))
 		secSpan.SetInt("entries", int64(len(sec.Entries)))
 		if !opts.NoSections {
-			p.emit("")
-			p.emit(center(fmt.Sprintf("— %c —", sec.Letter), width))
-			p.emit("")
+			p.letterHeading(sec.Letter)
 		}
 		for _, e := range sec.Entries {
-			name := e.Author.Display()
+			// The heading wraps once for all of its rows.
+			p.left = appendWrap(p.left[:0], e.Author.Display(), authorW)
 			for _, ref := range e.SeeAlso {
-				row(name, "See also: "+ref.Display(), "")
+				p.right = appendWrap(p.right[:0], "See also: "+ref.Display(), titleW)
+				p.row(p.left, p.right, authorW, titleW, citeW, model.Citation{})
 			}
 			for _, work := range e.Works {
-				row(name, work.Title, work.Citation.String())
+				p.right = appendWrap(p.right[:0], work.Title, titleW)
+				p.row(p.left, p.right, authorW, titleW, citeW, work.Citation)
 			}
 		}
 		secSpan.End()
@@ -270,61 +420,116 @@ func renderText(ctx context.Context, w io.Writer, sections []core.Section, opts 
 	if opts.NetworkAppendix != nil {
 		appendTextNetwork(p, opts.NetworkAppendix)
 	}
-	if p.err != nil {
-		return fmt.Errorf("render: text: %w", p.err)
-	}
-	if p.line == 0 && p.page == 0 {
-		// Completely empty index: still emit the header for context.
-		p.header()
-	}
-	return p.err
+	return p.close("text")
 }
 
-func center(s string, width int) string {
-	if len(s) >= width {
-		return s
-	}
-	pad := (width - len(s)) / 2
-	return strings.Repeat(" ", pad) + s
-}
+// wrap greedily wraps s into lines at most width runes wide (a width
+// below 1 counts as 1), hard-breaking words longer than the width; s
+// without words gives one empty line. Words are what strings.Fields
+// splits s into, and a line joins its words with single spaces.
+//
+// A line whose words are separated in s by exactly one ASCII space each
+// is returned as a substring of s, with no copy. A line is built afresh
+// only when a gap inside it is other whitespace (a tab, a run of spaces,
+// U+0085, U+00A0, U+2003, ...) or when it holds a hard-broken piece of a
+// word that is not valid UTF-8: such pieces carry U+FFFD for each
+// invalid byte, as a []rune round trip writes them.
+func wrap(s string, width int) []string { return appendWrap(nil, s, width) }
 
-// wrap greedily wraps s into lines at most width runes wide, hard-breaking
-// words longer than the width.
-func wrap(s string, width int) []string {
-	if width < 1 {
-		width = 1
-	}
-	words := strings.Fields(s)
-	if len(words) == 0 {
-		return []string{""}
-	}
-	var lines []string
-	cur := ""
+// appendWrap appends the lines wrap returns to lines, in one pass over
+// s that counts each rune once.
+func appendWrap(lines []string, s string, width int) []string {
+	width = max(width, 1)
+	n0 := len(lines)
+	// The line being filled spans s[start:end] and is runes wide; runes
+	// is 0 while there is none. It is rebuilt rather than sliced from s
+	// when a gap in it is not one space, or when it opens with the tail
+	// of a hard-broken invalid word (fixFirst).
+	var start, end, runes int
+	var rebuild, fixFirst bool
 	flush := func() {
-		if cur != "" {
-			lines = append(lines, cur)
-			cur = ""
+		if runes == 0 {
+			return
 		}
+		if rebuild {
+			lines = append(lines, joinWords(s[start:end], fixFirst))
+		} else {
+			lines = append(lines, s[start:end])
+		}
+		runes = 0
 	}
-	for _, word := range words {
-		for len([]rune(word)) > width {
-			flush()
-			r := []rune(word)
-			lines = append(lines, string(r[:width]))
-			word = string(r[width:])
+	for i := 0; ; {
+		ws, we, n := nextWord(s, i)
+		if ws == len(s) {
+			break
 		}
-		switch {
-		case cur == "":
-			cur = word
-		case len([]rune(cur))+1+len([]rune(word)) <= width:
-			cur += " " + word
-		default:
+		single := ws-i == 1 && s[i] == ' '
+		i = we
+		// The pieces of a broken word that is not valid UTF-8 carry
+		// U+FFFD for each invalid byte.
+		fix := n > width && !utf8.ValidString(s[ws:we])
+		for n > width {
 			flush()
-			cur = word
+			cut := ws + runeOffset(s[ws:we], width)
+			if fix {
+				lines = append(lines, string([]rune(s[ws:cut])))
+			} else {
+				lines = append(lines, s[ws:cut])
+			}
+			ws, n = cut, n-width
 		}
+		if runes > 0 && runes+1+n <= width {
+			end, runes, rebuild = we, runes+1+n, rebuild || !single
+			continue
+		}
+		flush()
+		start, end, runes, rebuild, fixFirst = ws, we, n, fix, fix
 	}
 	flush()
+	if len(lines) == n0 {
+		lines = append(lines, "")
+	}
 	return lines
+}
+
+// nextWord finds the first word of s at or after byte i, split where
+// strings.Fields splits: its bounds and its rune count. ws is len(s)
+// when no word remains.
+func nextWord(s string, i int) (ws, we, runes int) {
+	ws = len(s)
+	for j, r := range s[i:] {
+		switch {
+		case !unicode.IsSpace(r):
+			if runes == 0 {
+				ws = i + j
+			}
+			runes++
+		case runes > 0:
+			return ws, i + j, runes
+		}
+	}
+	return ws, len(s), runes
+}
+
+// runeOffset returns the byte offset just past the first n runes of s.
+func runeOffset(s string, n int) int {
+	for i := range s {
+		if n == 0 {
+			return i
+		}
+		n--
+	}
+	return len(s)
+}
+
+// joinWords joins the words of seg with single spaces; with fixFirst
+// set, the first word's invalid bytes become U+FFFD.
+func joinWords(seg string, fixFirst bool) string {
+	words := strings.Fields(seg)
+	if fixFirst {
+		words[0] = string([]rune(words[0]))
+	}
+	return strings.Join(words, " ")
 }
 
 // ---- TSV (machine round-trip format) ----
@@ -394,6 +599,20 @@ var mdEscaper = strings.NewReplacer("*", `\*`, "_", `\_`, "`", "\\`", "[", `\[`,
 
 func mdEscape(s string) string {
 	return mdEscaper.Replace(s)
+}
+
+// markdownTable writes an appendix section: its heading, its summary
+// line, then the table with every body cell escaped.
+func markdownTable(b *strings.Builder, heading, summary string, header []string, rows [][]string) {
+	fmt.Fprintf(b, "\n## %s\n\n%s\n\n", heading, summary)
+	fmt.Fprintf(b, "| %s |\n", strings.Join(header, " | "))
+	b.WriteString("|" + strings.Repeat(" --- |", len(header)) + "\n")
+	for _, r := range rows {
+		for i, c := range r {
+			r[i] = mdEscape(c)
+		}
+		fmt.Fprintf(b, "| %s |\n", strings.Join(r, " | "))
+	}
 }
 
 // ---- CSV ----

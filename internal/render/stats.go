@@ -94,55 +94,18 @@ func (st *Statistics) summaryLine() string {
 // appendTextStats emits the appendix through the text pager so it pages
 // and headers like the body.
 func appendTextStats(p *textPager, st *Statistics) {
-	width := p.opts.pageWidth()
 	p.emit("")
-	p.emit(center("— STATISTICS —", width))
+	p.emitCentered("— STATISTICS —")
 	p.emit("")
 	p.emit(st.summaryLine())
 	p.emit("")
 	header, rows := statsColumns(st)
-	widths := make([]int, len(header))
-	for i, h := range header {
-		widths[i] = len(h)
-	}
-	for _, r := range rows {
-		for i, c := range r {
-			if len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	line := func(cells []string) string {
-		parts := make([]string, len(cells))
-		for i, c := range cells {
-			if i == 1 { // author column is left-aligned
-				parts[i] = fmt.Sprintf("%-*s", widths[i], c)
-			} else {
-				parts[i] = fmt.Sprintf("%*s", widths[i], c)
-			}
-		}
-		return strings.TrimRight(strings.Join(parts, "  "), " ")
-	}
-	p.emit(line(header))
-	for _, r := range rows {
-		p.emit(line(r))
-	}
-	if len(rows) == 0 {
-		p.emit("(no contributors)")
-	}
+	p.table(header, rows, "(no contributors)")
 }
 
 // appendMarkdownStats emits the appendix as a "## Statistics" section
 // with a contributor table.
 func appendMarkdownStats(b *strings.Builder, st *Statistics) {
-	fmt.Fprintf(b, "\n## Statistics\n\n%s\n\n", st.summaryLine())
 	header, rows := statsColumns(st)
-	fmt.Fprintf(b, "| %s |\n", strings.Join(header, " | "))
-	b.WriteString("|" + strings.Repeat(" --- |", len(header)) + "\n")
-	for _, r := range rows {
-		for i, c := range r {
-			r[i] = mdEscape(c)
-		}
-		fmt.Fprintf(b, "| %s |\n", strings.Join(r, " | "))
-	}
+	markdownTable(b, "Statistics", st.summaryLine(), header, rows)
 }

@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/collate"
@@ -43,12 +43,15 @@ type subjectGroup struct {
 	works   []*model.Work
 }
 
+// unclassified files a work without subjects.
+var unclassified = []string{Unclassified}
+
 func groupBySubject(works []*model.Work, coll collate.Options) []subjectGroup {
 	byKey := map[string]*subjectGroup{}
 	for _, w := range works {
 		subjects := w.Subjects
 		if len(subjects) == 0 {
-			subjects = []string{Unclassified}
+			subjects = unclassified
 		}
 		for _, s := range subjects {
 			g, ok := byKey[s]
@@ -61,60 +64,47 @@ func groupBySubject(works []*model.Work, coll collate.Options) []subjectGroup {
 	}
 	groups := make([]subjectGroup, 0, len(byKey))
 	for _, g := range byKey {
-		sort.SliceStable(g.works, func(i, j int) bool {
-			return g.works[i].Citation.Compare(g.works[j].Citation) < 0
+		slices.SortStableFunc(g.works, func(a, b *model.Work) int {
+			return a.Citation.Compare(b.Citation)
 		})
 		groups = append(groups, *g)
 	}
-	sort.Slice(groups, func(i, j int) bool {
-		return bytes.Compare(groups[i].key, groups[j].key) < 0
+	slices.SortFunc(groups, func(a, b subjectGroup) int {
+		return bytes.Compare(a.key, b.key)
 	})
 	return groups
 }
 
 func subjectIndexText(w io.Writer, groups []subjectGroup, opts Options) error {
-	width := opts.pageWidth()
-	citeW := 16
-	bodyW := width - citeW - 1
-	p := &textPager{w: w, opts: opts}
+	p := newTextPager(w, opts)
+	const citeW = 16
+	lineW := p.width - citeW - 3
+	var entry []byte
 	for _, g := range groups {
 		p.emit("")
 		p.emit(strings.ToUpper(g.subject))
 		for _, work := range g.works {
-			authors := make([]string, len(work.Authors))
-			for i, a := range work.Authors {
-				authors[i] = a.Display()
-			}
-			entry := fmt.Sprintf("%s — %s", work.Title, strings.Join(authors, "; "))
-			lines := wrap(entry, bodyW-2)
-			for i, line := range lines {
-				cite := ""
-				if i == 0 {
-					cite = work.Citation.String()
-				}
-				p.emit(fmt.Sprintf("  %-*s %*s", bodyW-2, line, citeW-1, cite))
+			entry = append(append(entry[:0], work.Title...), " — "...)
+			entry = appendAuthors(entry, work.Authors)
+			p.left = appendWrap(p.left[:0], string(entry), lineW)
+			for i, line := range p.left {
+				p.startLine()
+				p.buf = append(appendPadded(append(p.buf, "  "...), line, lineW), ' ')
+				p.citeCell(i == 0, work.Citation, citeW-1)
+				p.endLine()
 			}
 		}
 	}
-	if p.err != nil {
-		return fmt.Errorf("render: subject index: %w", p.err)
-	}
-	if p.line == 0 && p.page == 0 {
-		p.header()
-	}
-	return p.err
+	return p.close("subject index")
 }
 
 func subjectIndexTSV(w io.Writer, groups []subjectGroup, _ Options) error {
 	var b strings.Builder
+	var authors []byte
 	for _, g := range groups {
 		for _, work := range g.works {
-			authors := make([]string, len(work.Authors))
-			for i, a := range work.Authors {
-				authors[i] = a.Display()
-			}
-			fmt.Fprintf(&b, "%s\t%s\t%s\t%s\n",
-				g.subject, work.Title, strings.Join(authors, "; "), work.Citation)
+			authors = appendAuthors(authors[:0], work.Authors)
+			fmt.Fprintf(&b, "%s\t%s\t%s\t%s\n", g.subject, work.Title, authors, work.Citation)
 		}
 	}
 	_, err := io.WriteString(w, b.String())
@@ -127,15 +117,13 @@ func subjectIndexMarkdown(w io.Writer, groups []subjectGroup, opts Options) erro
 	if vol := opts.Volume.String(); vol != "" {
 		fmt.Fprintf(&b, "\n_%s_\n", vol)
 	}
+	var authors []byte
 	for _, g := range groups {
 		fmt.Fprintf(&b, "\n## %s\n\n", mdEscape(g.subject))
 		for _, work := range g.works {
-			authors := make([]string, len(work.Authors))
-			for i, a := range work.Authors {
-				authors[i] = a.Display()
-			}
+			authors = appendAuthors(authors[:0], work.Authors)
 			fmt.Fprintf(&b, "- *%s* — %s, %s\n",
-				mdEscape(work.Title), mdEscape(strings.Join(authors, "; ")), work.Citation)
+				mdEscape(work.Title), mdEscape(string(authors)), work.Citation)
 		}
 	}
 	_, err := io.WriteString(w, b.String())

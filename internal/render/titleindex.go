@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/collate"
@@ -51,11 +51,11 @@ func sortByTitle(works []*model.Work, coll collate.Options) []keyedWork {
 	for i, w := range works {
 		sorted[i] = keyedWork{collate.KeyString(indexableTitle(w.Title), coll), w}
 	}
-	sort.SliceStable(sorted, func(i, j int) bool {
-		if c := bytes.Compare(sorted[i].key, sorted[j].key); c != 0 {
-			return c < 0
+	slices.SortStableFunc(sorted, func(a, b keyedWork) int {
+		if c := bytes.Compare(a.key, b.key); c != 0 {
+			return c
 		}
-		return sorted[i].work.Citation.Compare(sorted[j].work.Citation) < 0
+		return a.work.Citation.Compare(b.work.Citation)
 	})
 	return sorted
 }
@@ -87,63 +87,46 @@ func titleLetter(key []byte) byte {
 }
 
 func titleIndexText(w io.Writer, works []keyedWork, opts Options) error {
-	width := opts.pageWidth()
-	citeW := 16
-	titleW := (width - citeW - 2) * 3 / 5
-	authorW := width - citeW - 2 - titleW
-	p := &textPager{w: w, opts: opts}
-
+	p := newTextPager(w, opts)
+	const citeW = 16
+	titleW := (p.width - citeW - 2) * 3 / 5
+	authorW := p.width - citeW - 2 - titleW
 	var lastLetter byte
+	var authors []byte
 	for _, kw := range works {
 		work := kw.work
 		if !opts.NoSections {
 			if l := titleLetter(kw.key); l != lastLetter {
 				lastLetter = l
-				p.emit("")
-				p.emit(center(fmt.Sprintf("— %c —", l), width))
-				p.emit("")
+				p.letterHeading(l)
 			}
 		}
-		authors := make([]string, len(work.Authors))
-		for i, a := range work.Authors {
-			authors[i] = a.Display()
+		authors = appendAuthors(authors[:0], work.Authors)
+		p.left = appendWrap(p.left[:0], work.Title, titleW)
+		p.right = appendWrap(p.right[:0], string(authors), authorW)
+		p.row(p.left, p.right, titleW, authorW, citeW, work.Citation)
+	}
+	return p.close("title index")
+}
+
+// appendAuthors appends the works' author headings joined by "; ".
+func appendAuthors(dst []byte, authors []model.Author) []byte {
+	for i, a := range authors {
+		if i > 0 {
+			dst = append(dst, "; "...)
 		}
-		titleLines := wrap(work.Title, titleW)
-		authorLines := wrap(strings.Join(authors, "; "), authorW)
-		n := max(len(titleLines), len(authorLines))
-		for i := 0; i < n; i++ {
-			t, a, c := "", "", ""
-			if i < len(titleLines) {
-				t = titleLines[i]
-			}
-			if i < len(authorLines) {
-				a = authorLines[i]
-			}
-			if i == 0 {
-				c = work.Citation.String()
-			}
-			p.emit(fmt.Sprintf("%-*s %-*s %*s", titleW, t, authorW, a, citeW, c))
-		}
+		dst = a.AppendDisplay(dst)
 	}
-	if p.err != nil {
-		return fmt.Errorf("render: title index: %w", p.err)
-	}
-	if p.line == 0 && p.page == 0 {
-		p.header()
-	}
-	return p.err
+	return dst
 }
 
 func titleIndexTSV(w io.Writer, works []keyedWork, _ Options) error {
 	var b strings.Builder
+	var authors []byte
 	for _, kw := range works {
 		work := kw.work
-		authors := make([]string, len(work.Authors))
-		for i, a := range work.Authors {
-			authors[i] = a.Display()
-		}
-		fmt.Fprintf(&b, "%s\t%s\t%s\t%s\n",
-			work.Title, strings.Join(authors, "; "), work.Kind, work.Citation)
+		authors = appendAuthors(authors[:0], work.Authors)
+		fmt.Fprintf(&b, "%s\t%s\t%s\t%s\n", work.Title, authors, work.Kind, work.Citation)
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
@@ -156,6 +139,7 @@ func titleIndexMarkdown(w io.Writer, works []keyedWork, opts Options) error {
 		fmt.Fprintf(&b, "\n_%s_\n", vol)
 	}
 	var lastLetter byte
+	var authors []byte
 	for _, kw := range works {
 		work := kw.work
 		if !opts.NoSections {
@@ -164,12 +148,9 @@ func titleIndexMarkdown(w io.Writer, works []keyedWork, opts Options) error {
 				fmt.Fprintf(&b, "\n## %c\n\n", l)
 			}
 		}
-		authors := make([]string, len(work.Authors))
-		for i, a := range work.Authors {
-			authors[i] = a.Display()
-		}
+		authors = appendAuthors(authors[:0], work.Authors)
 		fmt.Fprintf(&b, "- *%s* — %s, %s\n",
-			mdEscape(work.Title), mdEscape(strings.Join(authors, "; ")), work.Citation)
+			mdEscape(work.Title), mdEscape(string(authors)), work.Citation)
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
