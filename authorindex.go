@@ -347,6 +347,8 @@ const (
 	opDelete
 	opDeleteBatch
 	opRender
+	opRenderTitles
+	opRenderSubjects
 	opVerify
 	opOpen
 )
@@ -354,7 +356,8 @@ const (
 var opNames = [...]string{
 	"search", "year_range", "volume", "by_subject", "get", "authors",
 	"authors_page", "rank", "central", "add", "add_batch", "delete",
-	"delete_batch", "render", "verify", "open",
+	"delete_batch", "render", "render_titles", "render_subjects", "verify",
+	"open",
 }
 
 // RegisterMetrics files the index's telemetry on r: its latency
@@ -595,11 +598,11 @@ func (ix *Index) BySubject(subject string, limit int) []*Work {
 
 // RenderSubjectIndex writes the subject-index artifact: works grouped
 // under their subject headings. Text, TSV and Markdown formats are
-// supported. Rendering reads a zero-copy view of one snapshot root — no
-// lock (indexed works are immutable, so the view stays valid however
-// many commits land during the render).
+// supported. It renders one snapshot root without a lock, and groups
+// that root's works once: every later subject index of the same root
+// reuses the groups, and the first after a write groups afresh.
 func (ix *Index) RenderSubjectIndex(w io.Writer, opts RenderOptions) error {
-	return render.SubjectIndex(w, ix.engine().AllWorksView(), ix.coll, opts)
+	return ix.RenderSubjectIndexCtx(context.Background(), w, opts)
 }
 
 // AddSeeAlso durably records a cross-reference between two headings
@@ -759,9 +762,10 @@ func (ix *Index) Render(w io.Writer, opts RenderOptions) error {
 // RenderTitleIndex writes the companion title-index artifact: works
 // alphabetized by title (leading articles ignored) with authors and
 // citations. Text, TSV and Markdown formats are supported. Like
-// RenderSubjectIndex, it renders from a zero-copy snapshot view.
+// RenderSubjectIndex, it renders one snapshot root and sorts that
+// root's titles once, for every title index rendered from it.
 func (ix *Index) RenderTitleIndex(w io.Writer, opts RenderOptions) error {
-	return render.TitleIndex(w, ix.engine().AllWorksView(), ix.coll, opts)
+	return ix.RenderTitleIndexCtx(context.Background(), w, opts)
 }
 
 // RemoveSeeAlso deletes a durable cross-reference previously recorded

@@ -2,8 +2,9 @@
 // evaluation section, so these experiments (E1–E14) are the
 // reproduction's own: each Benchmark family measures one claim the
 // engine makes, against a baseline where it has one, and names its
-// experiment in its comment. The end-to-end load benchmark is
-// authbench (bash authbench/run.sh).
+// experiment in its comment. E2, BenchmarkLookup, sits in
+// internal/btree beside the test-only baselines it compares against.
+// The end-to-end load benchmark is authbench (bash authbench/run.sh).
 //
 //	go test -run '^$' -bench=. -benchmem
 package authorindex
@@ -12,11 +13,9 @@ import (
 	"bytes"
 	"cmp"
 	"fmt"
-	"math/rand"
 	"os"
 	"testing"
 
-	"repro/internal/btree"
 	"repro/internal/collate"
 	"repro/internal/core"
 	"repro/internal/gen"
@@ -57,40 +56,6 @@ func BenchmarkBuild(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "works/s")
-		})
-	}
-}
-
-// E2 — ordered lookup across container implementations.
-func BenchmarkLookup(b *testing.B) {
-	const n = 10_000
-	keys := make([][]byte, n)
-	for i := range keys {
-		keys[i] = []byte(fmt.Sprintf("key-%09d", i*7919%n*1000+i))
-	}
-	r := rand.New(rand.NewSource(2))
-	probes := make([][]byte, 1024)
-	for i := range probes {
-		probes[i] = keys[r.Intn(n)]
-	}
-	impls := []struct {
-		name string
-		mk   func() btree.OrderedMap[int]
-	}{
-		{"btree", func() btree.OrderedMap[int] { return btree.New[int]() }},
-		{"sorted-slice", func() btree.OrderedMap[int] { return btree.NewSortedSlice[int]() }},
-		{"linear-scan", func() btree.OrderedMap[int] { return btree.NewLinearScan[int]() }},
-	}
-	for _, impl := range impls {
-		m := impl.mk()
-		for i, k := range keys {
-			m.Set(k, i)
-		}
-		b.Run(impl.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				m.Get(probes[i%len(probes)])
-			}
 		})
 	}
 }

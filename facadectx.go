@@ -306,3 +306,21 @@ func (ix *Index) RenderCtx(ctx context.Context, w io.Writer, opts RenderOptions)
 	secSpan.End()
 	return render.RenderSectionsCtx(ctx, w, sections, opts)
 }
+
+// RenderTitleIndexCtx is RenderTitleIndex carrying a trace context; a
+// canceled ctx stops the render at the next section letter.
+func (ix *Index) RenderTitleIndexCtx(ctx context.Context, w io.Writer, opts RenderOptions) error {
+	ctx, tm := trace.Time(ctx, "facade.render_titles", &ix.ops[opRenderTitles])
+	defer tm.End()
+	r := ix.loadTraced(tm.Span)
+	return render.WriteTitleIndex(ctx, w, func() render.TitleOrder { return r.titles(ix.coll) }, opts)
+}
+
+// RenderSubjectIndexCtx is RenderSubjectIndex carrying a trace context;
+// a canceled ctx stops the render at the next subject heading.
+func (ix *Index) RenderSubjectIndexCtx(ctx context.Context, w io.Writer, opts RenderOptions) error {
+	ctx, tm := trace.Time(ctx, "facade.render_subjects", &ix.ops[opRenderSubjects])
+	defer tm.End()
+	r := ix.loadTraced(tm.Span)
+	return render.WriteSubjectIndex(ctx, w, func() render.SubjectGroups { return r.subjects(ix.coll) }, opts)
+}

@@ -2,7 +2,10 @@ package btree
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
 	"sort"
+	"testing"
 )
 
 // OrderedMap is the contract shared by Tree and the baseline containers,
@@ -177,5 +180,40 @@ func (s *LinearScan[V]) AscendRange(lo, hi []byte, fn func(key []byte, v V) bool
 		if !fn(h.k, h.v) {
 			return
 		}
+	}
+}
+
+// BenchmarkLookup is experiment E2: ordered lookup in the B-tree
+// against the two baselines.
+func BenchmarkLookup(b *testing.B) {
+	const n = 10_000
+	keys := make([][]byte, n)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("key-%09d", i*7919%n*1000+i))
+	}
+	r := rand.New(rand.NewSource(2))
+	probes := make([][]byte, 1024)
+	for i := range probes {
+		probes[i] = keys[r.Intn(n)]
+	}
+	impls := []struct {
+		name string
+		mk   func() OrderedMap[int]
+	}{
+		{"btree", func() OrderedMap[int] { return New[int]() }},
+		{"sorted-slice", func() OrderedMap[int] { return NewSortedSlice[int]() }},
+		{"linear-scan", func() OrderedMap[int] { return NewLinearScan[int]() }},
+	}
+	for _, impl := range impls {
+		m := impl.mk()
+		for i, k := range keys {
+			m.Set(k, i)
+		}
+		b.Run(impl.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m.Get(probes[i%len(probes)])
+			}
+		})
 	}
 }

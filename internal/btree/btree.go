@@ -2,8 +2,8 @@
 // ordered and prefix iteration and O(1) copy-on-write clones. Interior
 // nodes hold only separator keys; all entries live in leaves, and range
 // scans descend recursively with separator-bounded early termination.
-// The package also ships two reference containers (SortedSlice,
-// LinearScan) used as experiment baselines and as property-test models.
+// Its tests hold two reference containers (SortedSlice, LinearScan),
+// the baselines of BenchmarkLookup and the models of its property tests.
 package btree
 
 import (

@@ -348,6 +348,12 @@ func TestOpTimersOneSamplePerCall(t *testing.T) {
 		{"render", false, func(ctx context.Context) error {
 			return ix.RenderCtx(ctx, io.Discard, authorindex.RenderOptions{Statistics: true, Network: true})
 		}},
+		{"render_titles", false, func(ctx context.Context) error {
+			return ix.RenderTitleIndexCtx(ctx, io.Discard, authorindex.RenderOptions{})
+		}},
+		{"render_subjects", false, func(ctx context.Context) error {
+			return ix.RenderSubjectIndexCtx(ctx, io.Discard, authorindex.RenderOptions{})
+		}},
 		{"add", true, func(ctx context.Context) error {
 			id, err := ix.AddCtx(ctx, w)
 			ids = append(ids, id)

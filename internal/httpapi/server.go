@@ -537,7 +537,11 @@ func (s *Server) titles(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if err := s.ix.RenderTitleIndex(w, authorindex.RenderOptions{Format: f}); err != nil {
+	if err := s.ix.RenderTitleIndexCtx(r.Context(), w, authorindex.RenderOptions{Format: f}); err != nil {
+		if r.Context().Err() != nil {
+			// The client went away mid-render: stop writing.
+			return
+		}
 		httpErr(w, http.StatusBadRequest, "%v", err)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	authorindex "repro"
 	"repro/internal/obs"
 	"repro/internal/trace"
 )
@@ -253,6 +254,47 @@ func TestCanceledRenderAborts(t *testing.T) {
 	h.ServeHTTP(rec, req)
 	if rec.Code != StatusClientClosedRequest {
 		t.Errorf("status = %d, want %d", rec.Code, StatusClientClosedRequest)
+	}
+}
+
+// cancelOnWrite cancels the request it records on its first write: a
+// client that hangs up once the body has started.
+type cancelOnWrite struct {
+	*httptest.ResponseRecorder
+	cancel context.CancelFunc
+}
+
+func (c *cancelOnWrite) Write(p []byte) (int, error) {
+	c.cancel()
+	return c.ResponseRecorder.Write(p)
+}
+
+// TestCanceledTitlesStopMidRender: GET /titles renders under the
+// request context, so a client that hangs up after the first flushed
+// page gets no more of the index, and no error body after it.
+func TestCanceledTitlesStopMidRender(t *testing.T) {
+	ix := openIndex(t)
+	var batch []authorindex.Work
+	for _, w := range authorindex.GenerateCorpus(authorindex.CorpusConfig{Seed: 1, Works: 2000}) {
+		w.ID = 0
+		batch = append(batch, *w)
+	}
+	if _, err := ix.AddBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	var full strings.Builder
+	if err := ix.RenderTitleIndex(&full, authorindex.RenderOptions{Format: authorindex.Text}); err != nil {
+		t.Fatal(err)
+	}
+	h := New(ix, Config{Registry: obs.NewRegistry()}).Handler()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	rec := &cancelOnWrite{httptest.NewRecorder(), cancel}
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/titles", nil).WithContext(ctx))
+	body := rec.Body.String()
+	if rec.Code != http.StatusOK || len(body) == 0 || len(body) >= full.Len() || !strings.HasPrefix(full.String(), body) {
+		t.Errorf("hung-up /titles: status %d and %d of %d bytes, want 200 and a strict prefix of the index",
+			rec.Code, len(body), full.Len())
 	}
 }
 

@@ -65,23 +65,6 @@ func Fold(s string) string {
 	return string(b)
 }
 
-// HasDiacritics reports whether s contains any rune the fold table would
-// rewrite or any combining mark.
-func HasDiacritics(s string) bool {
-	for _, r := range s {
-		if r < 0x80 {
-			continue
-		}
-		if _, ok := foldTable[r]; ok {
-			return true
-		}
-		if unicode.Is(unicode.Mn, r) {
-			return true
-		}
-	}
-	return false
-}
-
 // AppendFoldRune appends the unaccented lower-case expansion of r to dst
 // and returns the extended buffer. ASCII letters are lower-cased,
 // combining marks (category Mn) are dropped, and unmapped runes append

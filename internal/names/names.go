@@ -153,33 +153,6 @@ func splitParticle(fam string) (particle, family string) {
 // of Parse for every author Parse can produce.
 func Format(a model.Author) string { return a.Display() }
 
-// Initials returns the author's given-name initials, e.g. "Jeff L." → "J.L.".
-func Initials(a model.Author) string {
-	var b strings.Builder
-	for _, w := range strings.Fields(a.Given) {
-		r := firstLetter(w)
-		if r == 0 {
-			continue
-		}
-		b.WriteRune(r)
-		b.WriteByte('.')
-	}
-	return b.String()
-}
-
-func firstLetter(w string) rune {
-	for _, r := range w {
-		if isLetter(r) {
-			return r
-		}
-	}
-	return 0
-}
-
-func isLetter(r rune) bool {
-	return r >= 'A' && r <= 'Z' || r >= 'a' && r <= 'z' || r >= 0x80
-}
-
 // hasWordChar reports whether s contains at least one letter or digit.
 func hasWordChar(s string) bool {
 	for _, r := range s {

@@ -104,6 +104,33 @@ func TestCanonicalSuffix(t *testing.T) {
 	}
 }
 
+// Initials returns the author's given-name initials, e.g. "Jeff L." → "J.L.".
+func Initials(a model.Author) string {
+	var b strings.Builder
+	for _, w := range strings.Fields(a.Given) {
+		r := firstLetter(w)
+		if r == 0 {
+			continue
+		}
+		b.WriteRune(r)
+		b.WriteByte('.')
+	}
+	return b.String()
+}
+
+func firstLetter(w string) rune {
+	for _, r := range w {
+		if isLetter(r) {
+			return r
+		}
+	}
+	return 0
+}
+
+func isLetter(r rune) bool {
+	return r >= 'A' && r <= 'Z' || r >= 'a' && r <= 'z' || r >= 0x80
+}
+
 func TestInitials(t *testing.T) {
 	tests := []struct {
 		a    model.Author
@@ -149,6 +176,23 @@ func TestFoldIdempotent(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
+}
+
+// HasDiacritics reports whether s contains any rune the fold table would
+// rewrite or any combining mark.
+func HasDiacritics(s string) bool {
+	for _, r := range s {
+		if r < 0x80 {
+			continue
+		}
+		if _, ok := foldTable[r]; ok {
+			return true
+		}
+		if unicode.Is(unicode.Mn, r) {
+			return true
+		}
+	}
+	return false
 }
 
 func TestHasDiacritics(t *testing.T) {

@@ -2,6 +2,7 @@ package render
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"sort"
 	"testing"
@@ -84,9 +85,9 @@ func refTitleLetter(title string, coll collate.Options) byte {
 	return '#'
 }
 
-// refGroupBySubject groups like groupBySubject but orders headings by
+// refGroupBySubject groups like GroupSubjects but orders headings by
 // keys rebuilt in the comparator.
-func refGroupBySubject(works []*model.Work, coll collate.Options) []subjectGroup {
+func refGroupBySubject(works []*model.Work, coll collate.Options) SubjectGroups {
 	byKey := map[string]*subjectGroup{}
 	for _, w := range works {
 		subjects := w.Subjects
@@ -102,7 +103,7 @@ func refGroupBySubject(works []*model.Work, coll collate.Options) []subjectGroup
 			g.works = append(g.works, w)
 		}
 	}
-	groups := make([]subjectGroup, 0, len(byKey))
+	groups := make(SubjectGroups, 0, len(byKey))
 	for _, g := range byKey {
 		sort.SliceStable(g.works, func(i, j int) bool {
 			return g.works[i].Citation.Compare(g.works[j].Citation) < 0
@@ -135,13 +136,13 @@ func frontMatterCorpus() []*model.Work {
 func TestKeyedTitleOrderMatchesReference(t *testing.T) {
 	works := frontMatterCorpus()
 	for name, coll := range frontMatterColls {
-		got, want := sortByTitle(works, coll), refSortByTitle(works, coll)
+		got, want := SortTitles(works, coll), refSortByTitle(works, coll)
 		for i := range want {
 			if got[i].work != want[i] {
 				t.Fatalf("%s: position %d holds %q %s, reference has %q %s", name, i,
 					got[i].work.Title, got[i].work.Citation, want[i].Title, want[i].Citation)
 			}
-			if l, wl := titleLetter(got[i].key), refTitleLetter(want[i].Title, coll); l != wl {
+			if l, wl := got[i].letter, refTitleLetter(want[i].Title, coll); l != wl {
 				t.Fatalf("%s: title %q files under %c, reference %c", name, want[i].Title, l, wl)
 			}
 		}
@@ -164,7 +165,7 @@ func TestTitleLetterFromKeyMatchesPrimaryTier(t *testing.T) {
 func TestKeyedSubjectOrderMatchesReference(t *testing.T) {
 	works := frontMatterCorpus()
 	for name, coll := range frontMatterColls {
-		got, want := groupBySubject(works, coll), refGroupBySubject(works, coll)
+		got, want := GroupSubjects(works, coll), refGroupBySubject(works, coll)
 		if len(got) != len(want) {
 			t.Fatalf("%s: %d headings, reference %d", name, len(got), len(want))
 		}
@@ -183,17 +184,17 @@ func TestKeyedSubjectOrderMatchesReference(t *testing.T) {
 
 func TestFrontMatterMatchesReference(t *testing.T) {
 	works := frontMatterCorpus()
-	titleEmit := map[Format]func(io.Writer, []keyedWork, Options) error{
+	titleEmit := map[Format]func(context.Context, io.Writer, TitleOrder, Options) error{
 		Text: titleIndexText, TSV: titleIndexTSV, Markdown: titleIndexMarkdown,
 	}
-	subjectEmit := map[Format]func(io.Writer, []subjectGroup, Options) error{
+	subjectEmit := map[Format]func(context.Context, io.Writer, SubjectGroups, Options) error{
 		Text: subjectIndexText, TSV: subjectIndexTSV, Markdown: subjectIndexMarkdown,
 	}
 	for name, coll := range frontMatterColls {
 		refTitles := refSortByTitle(works, coll)
-		refKeyed := make([]keyedWork, len(refTitles))
+		refKeyed := make(TitleOrder, len(refTitles))
 		for i, w := range refTitles {
-			refKeyed[i] = keyedWork{collate.KeyString(indexableTitle(w.Title), coll), w}
+			refKeyed[i] = titleEntry{w, titleLetter(collate.KeyString(indexableTitle(w.Title), coll))}
 		}
 		refGroups := refGroupBySubject(works, coll)
 		for f := range titleEmit {
@@ -204,7 +205,7 @@ func TestFrontMatterMatchesReference(t *testing.T) {
 				if err := TitleIndex(&got, works, coll, opts); err != nil {
 					t.Fatal(err)
 				}
-				if err := titleEmit[f](&want, refKeyed, opts); err != nil {
+				if err := titleEmit[f](context.Background(), &want, refKeyed, opts); err != nil {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(got.Bytes(), want.Bytes()) {
@@ -215,7 +216,7 @@ func TestFrontMatterMatchesReference(t *testing.T) {
 				if err := SubjectIndex(&got, works, coll, opts); err != nil {
 					t.Fatal(err)
 				}
-				if err := subjectEmit[f](&want, refGroups, opts); err != nil {
+				if err := subjectEmit[f](context.Background(), &want, refGroups, opts); err != nil {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(got.Bytes(), want.Bytes()) {
@@ -282,4 +283,56 @@ func TestTitleIndexAllocsLinear(t *testing.T) {
 		t.Errorf("TSV title index of %d works: %v allocations, want at most %d", n, allocs, perWork*n)
 	}
 	t.Logf("%.1f allocations per work", allocs/n)
+}
+
+// countdownCtx reports no error for its first n Err calls and
+// context.Canceled after: a client that hangs up mid-render.
+type countdownCtx struct {
+	context.Context
+	n int
+}
+
+func (c *countdownCtx) Err() error {
+	if c.n == 0 {
+		return context.Canceled
+	}
+	c.n--
+	return nil
+}
+
+func TestFrontMatterCanceledStopsAtSection(t *testing.T) {
+	// Canceled before it starts, an index writes nothing; canceled after
+	// its first two sections (letters or headings), it stops at the
+	// third with ctx.Err(), and never reaches the end of the corpus.
+	works := frontMatterCorpus()
+	coll := collate.Default()
+	titles := func() TitleOrder { return SortTitles(works, coll) }
+	subjects := func() SubjectGroups { return GroupSubjects(works, coll) }
+	for _, f := range []Format{Text, TSV, Markdown} {
+		for name, write := range map[string]func(context.Context, io.Writer) error{
+			"title": func(ctx context.Context, w io.Writer) error {
+				return WriteTitleIndex(ctx, w, titles, Options{Format: f})
+			},
+			"subject": func(ctx context.Context, w io.Writer) error {
+				return WriteSubjectIndex(ctx, w, subjects, Options{Format: f})
+			},
+		} {
+			var full, buf bytes.Buffer
+			if err := write(context.Background(), &full); err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			if err := write(ctx, &buf); err != context.Canceled || buf.Len() != 0 {
+				t.Errorf("%s %s, canceled first: err %v and %d bytes, want context.Canceled and none", name, f, err, buf.Len())
+			}
+			// One Err call precedes the emitter's first section.
+			if err := write(&countdownCtx{context.Background(), 3}, &buf); err != context.Canceled {
+				t.Errorf("%s %s, canceled mid-render: err %v, want context.Canceled", name, f, err)
+			}
+			if buf.Len() >= full.Len() {
+				t.Errorf("%s %s, canceled mid-render: wrote %d of %d bytes", name, f, buf.Len(), full.Len())
+			}
+		}
+	}
 }

@@ -494,19 +494,30 @@ func appendWrap(lines []string, s string, width int) []string {
 
 // nextWord finds the first word of s at or after byte i, split where
 // strings.Fields splits: its bounds and its rune count. ws is len(s)
-// when no word remains.
+// when no word remains. ASCII bytes are tested against the six ASCII
+// spaces directly; only a byte of 0x80 or above is decoded and passed to
+// unicode.IsSpace, and an invalid byte counts as one rune, as range
+// counts it.
 func nextWord(s string, i int) (ws, we, runes int) {
 	ws = len(s)
-	for j, r := range s[i:] {
+	for j := i; j < len(s); {
+		c, size := s[j], 1
+		space := c == ' ' || '\t' <= c && c <= '\r'
+		if c >= utf8.RuneSelf {
+			var r rune
+			r, size = utf8.DecodeRuneInString(s[j:])
+			space = unicode.IsSpace(r)
+		}
 		switch {
-		case !unicode.IsSpace(r):
+		case !space:
 			if runes == 0 {
-				ws = i + j
+				ws = j
 			}
 			runes++
 		case runes > 0:
-			return ws, i + j, runes
+			return ws, j, runes
 		}
+		j += size
 	}
 	return ws, len(s), runes
 }

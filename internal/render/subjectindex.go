@@ -2,6 +2,7 @@ package render
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"slices"
@@ -15,12 +16,22 @@ import (
 // under their editorial subject headings, headings alphabetized by the
 // given collation, works within a heading in citation order. Works with
 // no subjects are filed under "(unclassified)". Text, TSV and Markdown
-// formats are supported.
+// formats are supported. SubjectIndex groups the works on each call; a
+// caller that renders one set of works repeatedly groups them once with
+// GroupSubjects and writes them with WriteSubjectIndex.
 func SubjectIndex(w io.Writer, works []*model.Work, coll collate.Options, opts Options) error {
+	return WriteSubjectIndex(context.Background(), w, func() SubjectGroups { return GroupSubjects(works, coll) }, opts)
+}
+
+// WriteSubjectIndex writes a subject index of the groups that groups
+// returns. It calls groups only for a supported format, so a rejected
+// format costs no grouping. A canceled ctx stops the index at the next
+// subject heading with ctx.Err().
+func WriteSubjectIndex(ctx context.Context, w io.Writer, groups func() SubjectGroups, opts Options) error {
 	if opts.RunningHead == "" {
 		opts.RunningHead = "SUBJECT INDEX"
 	}
-	var emit func(io.Writer, []subjectGroup, Options) error
+	var emit func(context.Context, io.Writer, SubjectGroups, Options) error
 	switch opts.Format {
 	case Text:
 		emit = subjectIndexText
@@ -31,22 +42,36 @@ func SubjectIndex(w io.Writer, works []*model.Work, coll collate.Options, opts O
 	default:
 		return fmt.Errorf("render: subject index does not support format %s", opts.Format)
 	}
-	return emit(w, groupBySubject(works, coll), opts)
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	return emit(ctx, w, groups(), opts)
 }
 
 // Unclassified is the heading for works without subjects.
 const Unclassified = "(unclassified)"
 
+// SubjectGroups is a subject index's filing order: its headings in
+// collation order, each with its works in citation order. It keeps no
+// collation keys.
+type SubjectGroups []subjectGroup
+
 type subjectGroup struct {
 	subject string
-	key     []byte // collation key of subject, built once per heading
 	works   []*model.Work
 }
 
 // unclassified files a work without subjects.
 var unclassified = []string{Unclassified}
 
-func groupBySubject(works []*model.Work, coll collate.Options) []subjectGroup {
+// GroupSubjects files works under their subject headings, leaving the
+// caller's slice untouched. Each heading's collation key is built once
+// and dropped after the sort.
+func GroupSubjects(works []*model.Work, coll collate.Options) SubjectGroups {
+	type keyedGroup struct {
+		key []byte
+		*subjectGroup
+	}
 	byKey := map[string]*subjectGroup{}
 	for _, w := range works {
 		subjects := w.Subjects
@@ -56,31 +81,38 @@ func groupBySubject(works []*model.Work, coll collate.Options) []subjectGroup {
 		for _, s := range subjects {
 			g, ok := byKey[s]
 			if !ok {
-				g = &subjectGroup{subject: s, key: collate.KeyString(s, coll)}
+				g = &subjectGroup{subject: s}
 				byKey[s] = g
 			}
 			g.works = append(g.works, w)
 		}
 	}
-	groups := make([]subjectGroup, 0, len(byKey))
+	keyed := make([]keyedGroup, 0, len(byKey))
 	for _, g := range byKey {
 		slices.SortStableFunc(g.works, func(a, b *model.Work) int {
 			return a.Citation.Compare(b.Citation)
 		})
-		groups = append(groups, *g)
+		keyed = append(keyed, keyedGroup{collate.KeyString(g.subject, coll), g})
 	}
-	slices.SortFunc(groups, func(a, b subjectGroup) int {
+	slices.SortFunc(keyed, func(a, b keyedGroup) int {
 		return bytes.Compare(a.key, b.key)
 	})
+	groups := make(SubjectGroups, len(keyed))
+	for i, k := range keyed {
+		groups[i] = *k.subjectGroup
+	}
 	return groups
 }
 
-func subjectIndexText(w io.Writer, groups []subjectGroup, opts Options) error {
+func subjectIndexText(ctx context.Context, w io.Writer, groups SubjectGroups, opts Options) error {
 	p := newTextPager(w, opts)
 	const citeW = 16
 	lineW := p.width - citeW - 3
 	var entry []byte
 	for _, g := range groups {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		p.emit("")
 		p.emit(strings.ToUpper(g.subject))
 		for _, work := range g.works {
@@ -98,10 +130,13 @@ func subjectIndexText(w io.Writer, groups []subjectGroup, opts Options) error {
 	return p.close("subject index")
 }
 
-func subjectIndexTSV(w io.Writer, groups []subjectGroup, _ Options) error {
+func subjectIndexTSV(ctx context.Context, w io.Writer, groups SubjectGroups, _ Options) error {
 	var b strings.Builder
 	var authors []byte
 	for _, g := range groups {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		for _, work := range g.works {
 			authors = appendAuthors(authors[:0], work.Authors)
 			fmt.Fprintf(&b, "%s\t%s\t%s\t%s\n", g.subject, work.Title, authors, work.Citation)
@@ -111,7 +146,7 @@ func subjectIndexTSV(w io.Writer, groups []subjectGroup, _ Options) error {
 	return err
 }
 
-func subjectIndexMarkdown(w io.Writer, groups []subjectGroup, opts Options) error {
+func subjectIndexMarkdown(ctx context.Context, w io.Writer, groups SubjectGroups, opts Options) error {
 	var b strings.Builder
 	fmt.Fprintf(&b, "# %s\n", opts.runningHead())
 	if vol := opts.Volume.String(); vol != "" {
@@ -119,6 +154,9 @@ func subjectIndexMarkdown(w io.Writer, groups []subjectGroup, opts Options) erro
 	}
 	var authors []byte
 	for _, g := range groups {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		fmt.Fprintf(&b, "\n## %s\n\n", mdEscape(g.subject))
 		for _, work := range g.works {
 			authors = appendAuthors(authors[:0], work.Authors)

@@ -2,6 +2,8 @@ package render
 
 import (
 	"bytes"
+	"cmp"
+	"context"
 	"fmt"
 	"io"
 	"slices"
@@ -18,12 +20,22 @@ import (
 //
 // Cumulative index issues traditionally print both artifacts back to
 // back (AUTHOR INDEX, then TITLE INDEX); callers pass the same works the
-// author index was built from.
+// author index was built from. TitleIndex sorts the works on each call;
+// a caller that renders one set of works repeatedly sorts them once
+// with SortTitles and writes them with WriteTitleIndex.
 func TitleIndex(w io.Writer, works []*model.Work, coll collate.Options, opts Options) error {
+	return WriteTitleIndex(context.Background(), w, func() TitleOrder { return SortTitles(works, coll) }, opts)
+}
+
+// WriteTitleIndex writes a title index of the works in the order that
+// order returns. It calls order only for a supported format, so a
+// rejected format costs no sort. A canceled ctx stops the index at the
+// next section letter with ctx.Err().
+func WriteTitleIndex(ctx context.Context, w io.Writer, order func() TitleOrder, opts Options) error {
 	if opts.RunningHead == "" {
 		opts.RunningHead = "TITLE INDEX"
 	}
-	var emit func(io.Writer, []keyedWork, Options) error
+	var emit func(context.Context, io.Writer, TitleOrder, Options) error
 	switch opts.Format {
 	case Text:
 		emit = titleIndexText
@@ -34,30 +46,49 @@ func TitleIndex(w io.Writer, works []*model.Work, coll collate.Options, opts Opt
 	default:
 		return fmt.Errorf("render: title index does not support format %s", opts.Format)
 	}
-	return emit(w, sortByTitle(works, coll), opts)
-}
-
-// keyedWork pairs a work with the collation key of its indexable title,
-// built once per render rather than once per sort comparison.
-type keyedWork struct {
-	key  []byte
-	work *model.Work
-}
-
-// sortByTitle orders works by (title key, citation), stably, leaving the
-// caller's slice untouched.
-func sortByTitle(works []*model.Work, coll collate.Options) []keyedWork {
-	sorted := make([]keyedWork, len(works))
-	for i, w := range works {
-		sorted[i] = keyedWork{collate.KeyString(indexableTitle(w.Title), coll), w}
+	if err := ctx.Err(); err != nil {
+		return err
 	}
-	slices.SortStableFunc(sorted, func(a, b keyedWork) int {
+	return emit(ctx, w, order(), opts)
+}
+
+// TitleOrder is the filing order of a title index: each work with the
+// section letter its title files under. It keeps no collation keys, so
+// an entry costs 16 bytes.
+type TitleOrder []titleEntry
+
+type titleEntry struct {
+	work   *model.Work
+	letter byte
+}
+
+// SortTitles orders works by (title key, citation), stably, leaving the
+// caller's slice untouched. Each title's collation key is built once
+// and dropped after the sort.
+func SortTitles(works []*model.Work, coll collate.Options) TitleOrder {
+	type keyedWork struct {
+		key []byte
+		pos int
+	}
+	keyed := make([]keyedWork, len(works))
+	for i, w := range works {
+		keyed[i] = keyedWork{collate.KeyString(indexableTitle(w.Title), coll), i}
+	}
+	// The position tie-break makes the unstable sort stable.
+	slices.SortFunc(keyed, func(a, b keyedWork) int {
 		if c := bytes.Compare(a.key, b.key); c != 0 {
 			return c
 		}
-		return a.work.Citation.Compare(b.work.Citation)
+		if c := works[a.pos].Citation.Compare(works[b.pos].Citation); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.pos, b.pos)
 	})
-	return sorted
+	order := make(TitleOrder, len(keyed))
+	for i, k := range keyed {
+		order[i] = titleEntry{works[k.pos], titleLetter(k.key)}
+	}
+	return order
 }
 
 // indexableTitle drops leading articles ("A", "An", "The") the way index
@@ -86,20 +117,32 @@ func titleLetter(key []byte) byte {
 	return '#'
 }
 
-func titleIndexText(w io.Writer, works []keyedWork, opts Options) error {
+// nextLetter reports whether e opens a section after the one lettered
+// last, updating last; it checks ctx at each section, so a canceled
+// render stops there with ctx.Err().
+func nextLetter(ctx context.Context, e titleEntry, last *byte) (bool, error) {
+	if e.letter == *last {
+		return false, nil
+	}
+	*last = e.letter
+	return true, ctx.Err()
+}
+
+func titleIndexText(ctx context.Context, w io.Writer, order TitleOrder, opts Options) error {
 	p := newTextPager(w, opts)
 	const citeW = 16
 	titleW := (p.width - citeW - 2) * 3 / 5
 	authorW := p.width - citeW - 2 - titleW
 	var lastLetter byte
 	var authors []byte
-	for _, kw := range works {
-		work := kw.work
-		if !opts.NoSections {
-			if l := titleLetter(kw.key); l != lastLetter {
-				lastLetter = l
-				p.letterHeading(l)
-			}
+	for _, e := range order {
+		work := e.work
+		opens, err := nextLetter(ctx, e, &lastLetter)
+		if err != nil {
+			return err
+		}
+		if opens && !opts.NoSections {
+			p.letterHeading(e.letter)
 		}
 		authors = appendAuthors(authors[:0], work.Authors)
 		p.left = appendWrap(p.left[:0], work.Title, titleW)
@@ -120,11 +163,15 @@ func appendAuthors(dst []byte, authors []model.Author) []byte {
 	return dst
 }
 
-func titleIndexTSV(w io.Writer, works []keyedWork, _ Options) error {
+func titleIndexTSV(ctx context.Context, w io.Writer, order TitleOrder, _ Options) error {
 	var b strings.Builder
+	var lastLetter byte
 	var authors []byte
-	for _, kw := range works {
-		work := kw.work
+	for _, e := range order {
+		work := e.work
+		if _, err := nextLetter(ctx, e, &lastLetter); err != nil {
+			return err
+		}
 		authors = appendAuthors(authors[:0], work.Authors)
 		fmt.Fprintf(&b, "%s\t%s\t%s\t%s\n", work.Title, authors, work.Kind, work.Citation)
 	}
@@ -132,7 +179,7 @@ func titleIndexTSV(w io.Writer, works []keyedWork, _ Options) error {
 	return err
 }
 
-func titleIndexMarkdown(w io.Writer, works []keyedWork, opts Options) error {
+func titleIndexMarkdown(ctx context.Context, w io.Writer, order TitleOrder, opts Options) error {
 	var b strings.Builder
 	fmt.Fprintf(&b, "# %s\n", opts.runningHead())
 	if vol := opts.Volume.String(); vol != "" {
@@ -140,13 +187,14 @@ func titleIndexMarkdown(w io.Writer, works []keyedWork, opts Options) error {
 	}
 	var lastLetter byte
 	var authors []byte
-	for _, kw := range works {
-		work := kw.work
-		if !opts.NoSections {
-			if l := titleLetter(kw.key); l != lastLetter {
-				lastLetter = l
-				fmt.Fprintf(&b, "\n## %c\n\n", l)
-			}
+	for _, e := range order {
+		work := e.work
+		opens, err := nextLetter(ctx, e, &lastLetter)
+		if err != nil {
+			return err
+		}
+		if opens && !opts.NoSections {
+			fmt.Fprintf(&b, "\n## %c\n\n", e.letter)
 		}
 		authors = appendAuthors(authors[:0], work.Authors)
 		fmt.Fprintf(&b, "- *%s* — %s, %s\n",

@@ -49,7 +49,8 @@ func refWrap(s string, width int) []string {
 // wrapSeeds are inputs whose gaps and words take each path through
 // wrap: single spaces, tabs and runs, U+0085/U+00A0/U+2003 gaps,
 // multi-byte runes, words longer than the width, invalid bytes inside
-// broken and unbroken words, and blank input.
+// broken and unbroken words, blank input, and each of these where ASCII
+// meets non-ASCII.
 var wrapSeeds = []string{
 	"",
 	"   ",
@@ -67,6 +68,14 @@ var wrapSeeds = []string{
 	"\xff \xfe\xfd short\xc3 invalid\xe2\x82 bytes",
 	"🎉🎉🎉🎉🎉🎉🎉🎉🎉🎉🎉 🎉",
 	"Wolfeschlegelsteinhausenbergerdorff and the rest",
+	// The ASCII/non-ASCII boundary of the word scanner: Unicode spaces
+	// directly between ASCII words, an invalid byte right after ASCII
+	// letters in a word long enough to break (below width 13) and in
+	// one that never breaks, and words ending in a multi-byte rune at
+	// exactly the width (6, 7 and 8).
+	"ab\u0085cd\u00a0ef\u0085\u00a0gh",
+	"abcdefghijkl\xff ok\xff xy",
+	"abcdeé abcdefé\u00a0abcdefg€",
 }
 
 func TestWrapMatchesReference(t *testing.T) {

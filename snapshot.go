@@ -2,10 +2,13 @@ package authorindex
 
 import (
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/collate"
 	"repro/internal/query"
+	"repro/internal/render"
 )
 
 // Copy-on-write snapshot reads through one atomic root.
@@ -19,9 +22,16 @@ import (
 // and drop it. A loaded root is one committed state, so a batch is
 // visible to a reader entirely or not at all. Replaced roots are
 // reclaimed by the garbage collector once no reader holds them.
+//
+// A root also memoizes the front matter's title order and subject
+// groups: the first title or subject index rendered from a root sorts
+// or groups its works once, and every later one of that root reuses
+// the result. A write publishes a new root with an empty memo, so
+// writers pay nothing and the memo is dropped with its root.
 
 // root is one published snapshot of the engine. It is immutable:
-// neither it nor the engine it holds changes after publication.
+// neither it nor the engine it holds changes after publication, bar
+// the memo, which is filled at most once, from the engine.
 type root struct {
 	// Seq increments per publication; traces record it as the epoch
 	// that served a read, so a slow read can be correlated with the
@@ -33,6 +43,24 @@ type root struct {
 	// The finalizer sits on this small sentinel rather than on the root
 	// so the root's engine is freed in the same cycle that drops it.
 	live *sentinel
+
+	titleOnce, subjectOnce sync.Once
+	titleOrder             render.TitleOrder
+	subjectGroups          render.SubjectGroups
+}
+
+// titles returns the root's works in title-index order, sorting them on
+// the first call. coll is the index's collation, fixed at Open.
+func (r *root) titles(coll collate.Options) render.TitleOrder {
+	r.titleOnce.Do(func() { r.titleOrder = render.SortTitles(r.Eng.AllWorksView(), coll) })
+	return r.titleOrder
+}
+
+// subjects returns the root's works grouped for the subject index,
+// grouping them on the first call.
+func (r *root) subjects(coll collate.Options) render.SubjectGroups {
+	r.subjectOnce.Do(func() { r.subjectGroups = render.GroupSubjects(r.Eng.AllWorksView(), coll) })
+	return r.subjectGroups
 }
 
 // sentinel points at the index's live-root counter, which is allocated
