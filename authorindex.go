@@ -323,10 +323,13 @@ type Index struct {
 
 	// The index's own latency histograms, which RegisterMetrics files:
 	// one per public operation, the copy-on-write turnover each write
-	// pays (clone + path-copied mutation + pointer swap), the wait for mu.
+	// pays (clone + path-copied mutation + pointer swap), the wait for
+	// mu, and how long each holder keeps it (a commit's inline
+	// compaction counts under write).
 	ops      [len(opNames)]obs.Histogram
 	swap     obs.Histogram
 	lockWait obs.Histogram
+	hold     struct{ write, seeAlso, rebuild, compact, verify, close obs.Histogram }
 }
 
 // Public operations timed into authdex_op_duration_seconds{op=...}.
@@ -360,12 +363,12 @@ var opNames = [...]string{
 	"open",
 }
 
-// RegisterMetrics files the index's telemetry on r: its latency
-// histograms (per operation, snapshot swap, writer lock wait) and
-// callbacks promoting the Stats counters and corpus-size gauges. Open
-// registers nothing, anywhere. The histograms are the index's own, so
-// every registry shows the same samples, those recorded before the
-// call included. A second index registered on r replaces its series.
+// RegisterMetrics files the index's telemetry on r: its own, its
+// store's, its WAL's and its engine's latency histograms, and callbacks
+// promoting the Stats counters and corpus-size gauges. Open registers
+// nothing, anywhere. Each histogram has one owner, so every registry
+// shows the same samples, those recorded before the call included. A
+// second index registered on r replaces its series.
 func (ix *Index) RegisterMetrics(r *obs.Registry) {
 	for i := range ix.ops {
 		r.AddHistogram("authdex_op_duration_seconds",
@@ -375,6 +378,13 @@ func (ix *Index) RegisterMetrics(r *obs.Registry) {
 		"Copy-on-write snapshot turnover latency per committed write (engine clone, path-copied mutation, pointer swap).", &ix.swap)
 	r.AddHistogram("authdex_lock_wait_duration_seconds",
 		"Time each write waits for the index's writer mutex.", &ix.lockWait)
+	hold := &ix.hold
+	for holder, h := range map[string]*obs.Histogram{"write": &hold.write, "see_also": &hold.seeAlso,
+		"rebuild": &hold.rebuild, "compact": &hold.compact, "verify": &hold.verify, "close": &hold.close} {
+		r.AddHistogram("authdex_lock_hold_duration_seconds", "Time the index's writer mutex is held, by holder.", h, "holder", holder)
+	}
+	ix.store.RegisterMetrics(r)
+	ix.engine().RegisterMetrics(r)
 
 	// Each callback reads only its own source — the store counters, the
 	// query counters or the engine's counts — the same reads Stats
@@ -617,7 +627,7 @@ func (ix *Index) AddSeeAlso(from, to string) error {
 	if err != nil {
 		return fmt.Errorf("authorindex: to heading: %w", err)
 	}
-	_, hold := ix.lockTraced(context.Background())
+	_, hold := ix.lockTraced(context.Background(), &ix.hold.seeAlso)
 	defer hold.End()
 	defer ix.mu.Unlock()
 	// Mutate a clone, commit to the store, then publish: a store error
@@ -676,7 +686,7 @@ func (ix *Index) RebuildMetrics() { ix.rebuildTrackers(nil) }
 // readers never observe a half-built tracker. PageRank recomputes
 // lazily on the fresh graph.
 func (ix *Index) rebuildTrackers(scheme *Scheme) {
-	_, hold := ix.lockTraced(context.Background())
+	_, hold := ix.lockTraced(context.Background(), &ix.hold.rebuild)
 	defer hold.End()
 	defer ix.mu.Unlock()
 	// Every tracker writer holds the mutex, so holding it makes reading
@@ -780,7 +790,7 @@ func (ix *Index) RemoveSeeAlso(from, to string) error {
 		return fmt.Errorf("authorindex: to heading: %w", err)
 	}
 	// Same clone-commit-publish order as AddSeeAlso.
-	_, hold := ix.lockTraced(context.Background())
+	_, hold := ix.lockTraced(context.Background(), &ix.hold.seeAlso)
 	defer hold.End()
 	defer ix.mu.Unlock()
 	start := time.Now()
@@ -853,7 +863,7 @@ func (ix *Index) importResult(res *ingest.Result) error {
 
 // Compact writes a snapshot and truncates the write-ahead log.
 func (ix *Index) Compact() error {
-	_, hold := ix.lockTraced(context.Background())
+	_, hold := ix.lockTraced(context.Background(), &ix.hold.compact)
 	defer hold.End()
 	defer ix.mu.Unlock()
 	return ix.store.Compact()
@@ -886,7 +896,7 @@ func (ix *Index) DuplicateSuggestions() []Suggestion {
 func (ix *Index) Verify() error {
 	ctx, tm := trace.Time(context.Background(), "facade.verify", &ix.ops[opVerify])
 	defer tm.End()
-	_, hold := ix.lockTraced(ctx)
+	_, hold := ix.lockTraced(ctx, &ix.hold.verify)
 	defer hold.End()
 	defer ix.mu.Unlock()
 	eng := ix.engine()
@@ -994,7 +1004,7 @@ func (ix *Index) Degraded() (bool, error) {
 // Close flushes and closes the index. Further mutations fail with
 // ErrClosed.
 func (ix *Index) Close() error {
-	_, hold := ix.lockTraced(context.Background())
+	_, hold := ix.lockTraced(context.Background(), &ix.hold.close)
 	defer hold.End()
 	defer ix.mu.Unlock()
 	return ix.store.Close()

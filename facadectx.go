@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/render"
 	"repro/internal/trace"
@@ -20,8 +21,9 @@ import (
 // lock-free, so their engine spans nest under the facade span, and a
 // render records render.sections before it encodes. Writes serialize
 // on the writer mutex: the lock.wait timer (a span and a lock-wait
-// sample) and the lock.hold span parent the store/WAL spans, and the
-// copy-on-write turnover is a snapshot-swap sample. The non-ctx
+// sample) and the lock.hold timer (a span and a lock-hold sample)
+// parent the store/WAL spans, and the copy-on-write turnover is a
+// snapshot-swap sample. The non-ctx
 // methods pass context.Background(), which allocates nothing.
 
 // degradedAttr marks a write span whose commit was refused by the
@@ -34,13 +36,14 @@ func degradedAttr(sp *trace.Span, err error) {
 }
 
 // lockTraced takes the writer mutex, timing the wait as lock.wait, and
-// opens the lock.hold span, which the returned context carries; the
-// caller must End it right after unlocking.
-func (ix *Index) lockTraced(ctx context.Context) (context.Context, *trace.Span) {
+// starts timing the hold as lock.hold into hold, one of ix.hold's
+// histograms; the returned context carries the lock.hold span, and the
+// caller must End the timer right after unlocking.
+func (ix *Index) lockTraced(ctx context.Context, hold *obs.Histogram) (context.Context, trace.Timer) {
 	_, wait := trace.Time(ctx, "lock.wait", &ix.lockWait)
 	ix.mu.Lock()
 	wait.End()
-	return trace.StartSpan(ctx, "lock.hold")
+	return trace.Time(ctx, "lock.hold", hold)
 }
 
 // loadTraced loads the current root and stamps its sequence on the
@@ -202,7 +205,7 @@ func (ix *Index) commitAdds(ctx context.Context, sp *trace.Span, works []Work) (
 	// two writers on the same explicit ID could commit to the store in
 	// one order and publish in the other, leaving store and index
 	// permanently divergent.
-	hctx, hold := ix.lockTraced(ctx)
+	hctx, hold := ix.lockTraced(ctx, &ix.hold.write)
 	defer hold.End()
 	defer ix.mu.Unlock()
 	ids, err := ix.store.PutBatchCtx(hctx, batch)
@@ -247,10 +250,10 @@ func (ix *Index) DeleteBatchCtx(ctx context.Context, ids []WorkID) error {
 // the store, then unindex every ID in a clone of the engine and publish
 // it.
 func (ix *Index) commitDeletes(ctx context.Context, sp *trace.Span, ids []WorkID) error {
-	_, hold := ix.lockTraced(ctx)
+	hctx, hold := ix.lockTraced(ctx, &ix.hold.write)
 	defer hold.End()
 	defer ix.mu.Unlock()
-	if err := ix.store.DeleteBatch(ids); err != nil {
+	if err := ix.store.DeleteBatchCtx(hctx, ids); err != nil {
 		degradedAttr(sp, err)
 		return err
 	}

@@ -317,12 +317,62 @@ func TestDebugMetricsExposition(t *testing.T) {
 	}
 }
 
+// TestOwnRegistryScrapesEveryLayer: a server built with its own
+// registry, as authbench builds it, scrapes its index's WAL, store,
+// load-phase and lock-hold series; one durable POST /works is one WAL
+// fsync. The engine's mutation timer, which the snapshot swap already
+// covers, is gone.
+func TestOwnRegistryScrapesEveryLayer(t *testing.T) {
+	ix, err := authorindex.Open(t.TempDir(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	ts := httptest.NewServer(New(ix, Config{Registry: obs.NewRegistry()}).Handler())
+	defer ts.Close()
+	resp, err := http.Post(ts.URL+"/works", "application/json",
+		strings.NewReader(`{"title":"T","citation":"90:1 (1988)","authors":["Zebra, Xavier Q."]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("POST /works = %d", resp.StatusCode)
+	}
+	resp, err = http.Get(ts.URL + "/debug/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	out := string(body)
+	for _, want := range []string{
+		"\nauthdex_wal_fsync_duration_seconds_count 1\n",
+		"\nauthdex_wal_frame_encode_duration_seconds_count 1\n",
+		"\nauthdex_storage_encode_duration_seconds_count 1\n",
+		"\nauthdex_storage_compact_duration_seconds_count 0\n",
+		"\nauthdex_load_phase_duration_seconds_count{phase=\"metrics\"} 1\n",
+		"\nauthdex_lock_hold_duration_seconds_count{holder=\"write\"} 1\n",
+		"\nauthdex_snapshot_swap_duration_seconds_count 1\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("exposition lacks %q", strings.TrimSpace(want))
+		}
+	}
+	if strings.Contains(out, "authdex_index_mutation_duration_seconds") {
+		t.Error("exposition still has authdex_index_mutation_duration_seconds")
+	}
+}
+
 // TestOpTimersOneSamplePerCall: each of the facade operations with a
 // span records exactly one authdex_op_duration_seconds sample on the
 // server's registry, under its own op label, traced or not; traced, that
 // sample is the facade span's duration. Each write also records one
-// authdex_lock_wait_duration_seconds sample, and a read none; so does
-// every other call that takes the writer mutex, Close included.
+// authdex_lock_wait_duration_seconds sample and one
+// authdex_lock_hold_duration_seconds{holder="write"} sample (traced,
+// the lock.hold span's duration), and a read none; every other call
+// that takes the writer mutex, Close included, records one wait and
+// one hold under its own holder.
 func TestOpTimersOneSamplePerCall(t *testing.T) {
 	_, ix, reg := testServerReg(t)
 	w := authorindex.Work{
@@ -379,6 +429,28 @@ func TestOpTimersOneSamplePerCall(t *testing.T) {
 		return reg.Histogram("authdex_op_duration_seconds", "", "op", op)
 	}
 	lockWait := reg.Histogram("authdex_lock_wait_duration_seconds", "")
+	hold := func(holder string) *obs.Histogram {
+		return reg.Histogram("authdex_lock_hold_duration_seconds", "", "holder", holder)
+	}
+	// checkHolds asserts that only holder gained a hold sample, one.
+	checkHolds := func(call, holder string) func() {
+		holders := []string{"write", "see_also", "rebuild", "compact", "verify", "close"}
+		before := make(map[string]int64, len(holders))
+		for _, h := range holders {
+			before[h] = hold(h).Count()
+		}
+		return func() {
+			for _, h := range holders {
+				want := before[h]
+				if h == holder {
+					want++
+				}
+				if n := hold(h).Count(); n != want {
+					t.Errorf("after one %s, lock hold{holder=%q} has %d samples, want %d", call, h, n, want)
+				}
+			}
+		}
+	}
 	counts := func() map[string]int64 {
 		m := make(map[string]int64, len(ops))
 		for _, c := range ops {
@@ -394,9 +466,15 @@ func TestOpTimersOneSamplePerCall(t *testing.T) {
 				ctx, tr = tracer.StartRoot(ctx, "", "test")
 			}
 			before, waits, sum := counts(), lockWait.Count(), hist(c.op).Snapshot().Sum
+			holder, holdSum := "", hold("write").Snapshot().Sum
+			if c.write {
+				holder = "write"
+			}
+			holds := checkHolds(fmt.Sprintf("%s call (traced %v)", c.op, traced), holder)
 			if err := c.do(ctx); err != nil {
 				t.Fatalf("%s: %v", c.op, err)
 			}
+			holds()
 			after := counts()
 			for op, n := range after {
 				want := before[op]
@@ -425,24 +503,38 @@ func TestOpTimersOneSamplePerCall(t *testing.T) {
 			if got := hist(c.op).Snapshot().Sum - sum; got != spans[0].DurNS {
 				t.Errorf("traced %s: sample %dns, span %dns", c.op, got, spans[0].DurNS)
 			}
+			if !c.write {
+				continue
+			}
+			var held int64 = -1
+			for _, sp := range spans[0].Children {
+				if sp.Name == "lock.hold" {
+					held = sp.DurNS
+				}
+			}
+			if got := hold("write").Snapshot().Sum - holdSum; got != held {
+				t.Errorf("traced %s: hold sample %dns, lock.hold span %dns", c.op, got, held)
+			}
 		}
 	}
 	for _, c := range []struct {
-		name string
-		do   func() error
+		name, holder string
+		do           func() error
 	}{
-		{"AddSeeAlso", func() error { return ix.AddSeeAlso("Clock, Stop W.", "Watch, Stop") }},
-		{"RemoveSeeAlso", func() error { return ix.RemoveSeeAlso("Clock, Stop W.", "Watch, Stop") }},
-		{"SetMetricsScheme", func() error { return ix.SetMetricsScheme(authorindex.SchemeFractional) }},
-		{"RebuildMetrics", func() error { ix.RebuildMetrics(); return nil }},
-		{"Compact", ix.Compact},
-		{"Verify", ix.Verify},
-		{"Close", ix.Close},
+		{"AddSeeAlso", "see_also", func() error { return ix.AddSeeAlso("Clock, Stop W.", "Watch, Stop") }},
+		{"RemoveSeeAlso", "see_also", func() error { return ix.RemoveSeeAlso("Clock, Stop W.", "Watch, Stop") }},
+		{"SetMetricsScheme", "rebuild", func() error { return ix.SetMetricsScheme(authorindex.SchemeFractional) }},
+		{"RebuildMetrics", "rebuild", func() error { ix.RebuildMetrics(); return nil }},
+		{"Compact", "compact", ix.Compact},
+		{"Verify", "verify", ix.Verify},
+		{"Close", "close", ix.Close},
 	} {
 		waits := lockWait.Count()
+		holds := checkHolds(c.name+" call", c.holder)
 		if err := c.do(); err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
+		holds()
 		if n := lockWait.Count(); n != waits+1 {
 			t.Errorf("after one %s call, lock wait has %d samples, want %d", c.name, n, waits+1)
 		}

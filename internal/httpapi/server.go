@@ -54,15 +54,15 @@ import (
 	"repro/internal/wal"
 )
 
-// Config tunes a Server. The zero value serves with a no-op logger,
-// the process-wide obs.Default registry, no pprof and instant
-// readiness.
+// Config tunes a Server. The zero value serves with a no-op logger, a
+// registry of the server's own, no pprof and instant readiness.
 type Config struct {
 	// Logger receives one structured access-log record per request.
 	// Nil discards access logs.
 	Logger *slog.Logger
 	// Registry is where request and index metrics land and what
-	// /debug/metrics renders. Nil means obs.Default.
+	// /debug/metrics renders. Nil means a fresh registry the server
+	// owns.
 	Registry *obs.Registry
 	// Debug mounts net/http/pprof under /debug/pprof/.
 	Debug bool
@@ -115,7 +115,7 @@ type Server struct {
 func New(ix *authorindex.Index, cfg Config) *Server {
 	s := &Server{ix: ix, log: cfg.Logger, reg: cfg.Registry, cfg: cfg}
 	if s.reg == nil {
-		s.reg = obs.Default
+		s.reg = obs.NewRegistry()
 	}
 	if s.log == nil {
 		s.log = slog.New(discardHandler{})

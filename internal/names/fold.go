@@ -8,11 +8,12 @@ import (
 // foldTable maps accented and ligature runes from Latin-1 Supplement and
 // Latin Extended-A/B to unaccented ASCII equivalents, following the
 // conventions index compilers use (ß→ss, æ→ae, ø→o, Đ→D, Ł→L). Runes not
-// present fold to themselves (after lower-casing).
+// present fold to themselves (after lower-casing), so a rune whose lower
+// case is a key must be a key too, or Fold would not be idempotent.
 var foldTable = map[rune]string{
 	'À': "a", 'Á': "a", 'Â': "a", 'Ã': "a", 'Ä': "a", 'Å': "a", 'Ā': "a", 'Ă': "a", 'Ą': "a",
 	'à': "a", 'á': "a", 'â': "a", 'ã': "a", 'ä': "a", 'å': "a", 'ā': "a", 'ă': "a", 'ą': "a",
-	'Æ': "ae", 'æ': "ae",
+	'\u212B': "a", 'Æ': "ae", 'æ': "ae", // U+212B ANGSTROM SIGN lower-cases to å
 	'Ç': "c", 'ç': "c", 'Ć': "c", 'ć': "c", 'Ĉ': "c", 'ĉ': "c", 'Ċ': "c", 'ċ': "c", 'Č': "c", 'č': "c",
 	'Ď': "d", 'ď': "d", 'Đ': "d", 'đ': "d", 'Ð': "d", 'ð': "d",
 	'È': "e", 'É': "e", 'Ê': "e", 'Ë': "e", 'Ē': "e", 'Ĕ': "e", 'Ė': "e", 'Ę': "e", 'Ě': "e",

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/model"
 )
@@ -175,6 +176,25 @@ func TestFoldIdempotent(t *testing.T) {
 	f := func(s string) bool { return Fold(Fold(s)) == Fold(s) }
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestFoldIdempotentEveryRune walks every valid rune: Fold is
+// idempotent on each, and every fold-table key folds as its lower-case
+// form does.
+func TestFoldIdempotentEveryRune(t *testing.T) {
+	for r := rune(0); r <= unicode.MaxRune; r++ {
+		if !utf8.ValidRune(r) {
+			continue
+		}
+		if f := Fold(string(r)); Fold(f) != f {
+			t.Errorf("Fold(%U) = %q, but Fold(%q) = %q", r, f, f, Fold(f))
+		}
+	}
+	for r := range foldTable {
+		if got, want := Fold(string(r)), Fold(string(unicode.ToLower(r))); got != want {
+			t.Errorf("Fold(%U) = %q, Fold of its lower case %U = %q", r, got, unicode.ToLower(r), want)
+		}
 	}
 }
 

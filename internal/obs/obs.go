@@ -1,8 +1,7 @@
 // Package obs is the zero-dependency telemetry layer under the
 // author-index engine: atomic counters and gauges, lock-cheap
 // fixed-bucket latency histograms with log-scaled buckets and quantile
-// extraction, a process-wide default registry, and Prometheus
-// text-format exposition.
+// extraction, registries, and Prometheus text-format exposition.
 //
 // Every instrument is safe for concurrent use and built from atomics on
 // the hot path — recording a histogram observation costs a handful of
@@ -10,11 +9,12 @@
 // hot as the WAL fsync path and the facade read path can record every
 // operation unconditionally.
 //
-// Instruments are created through a Registry, which deduplicates by
-// (name, labels) so independently initialized packages can share
-// series, and renders everything it holds in Prometheus text format:
+// There is no process-wide registry: each layer keeps its histograms as
+// fields of the value that records them and files them on the Registry
+// it is given, which deduplicates by (name, labels) and renders
+// everything it holds in Prometheus text format:
 //
-//	reqs := obs.Default.Counter("authdex_http_requests_total",
+//	reqs := reg.Counter("authdex_http_requests_total",
 //		"HTTP requests served.", "route", "GET /search", "code", "200")
 //	reqs.Inc()
 //	var lat obs.Histogram // kept by its owner, filed where it is told

@@ -9,10 +9,6 @@ import (
 	"sync"
 )
 
-// Default is the process-wide registry every layer instruments into;
-// `authdex serve` exposes it at GET /debug/metrics.
-var Default = NewRegistry()
-
 // metricKind discriminates what a series holds.
 type metricKind int
 
@@ -52,11 +48,12 @@ type family struct {
 	series map[string]*series // keyed by label signature
 }
 
-// Registry is a concurrency-safe collection of metric families. The
-// getters are get-or-create: asking twice for the same (name, labels)
-// returns the same instrument, so packages can declare metrics
-// independently and still share series. Asking for an existing name
-// with a different metric type panics — that is a programming error.
+// Registry is a concurrency-safe collection of metric families. A layer
+// files the histograms it keeps with AddHistogram. The getters are
+// get-or-create: asking twice for the same (name, labels) returns the
+// same instrument, so a caller can create a series on first use or look
+// one up by name. Asking for an existing name with a different metric
+// type panics — that is a programming error.
 type Registry struct {
 	mu       sync.RWMutex
 	families map[string]*family

@@ -25,7 +25,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/btree"
 	"repro/internal/collate"
@@ -40,21 +39,22 @@ import (
 	"repro/internal/trace"
 )
 
-// Index-mutation latency on the process-wide registry: what one work
-// costs to file (or replace, or unfile) across all six indexes.
-const mutHelp = "Latency of engine index mutations across all indexes."
-
-var (
-	mutAddBatch = obs.Default.Histogram("authdex_index_mutation_duration_seconds", mutHelp, "op", "add_batch")
-	mutRemove   = obs.Default.Histogram("authdex_index_mutation_duration_seconds", mutHelp, "op", "remove")
-)
-
-// timePhase times one LoadAll phase as the span name and one sample of
+// loadPhases are the LoadAll phase histograms, filed as
 // authdex_load_phase_duration_seconds{phase}, so a slow cold start can
 // be attributed to one index rather than guessed at from the total.
-func timePhase(ctx context.Context, name, phase string) (context.Context, trace.Timer) {
-	return trace.Time(ctx, name, obs.Default.Histogram("authdex_load_phase_duration_seconds",
-		"Latency of LoadAll bulk-load phases.", "phase", phase))
+type loadPhases struct {
+	total, validate, sortKeys, idIndex, authorIndex, inverted, citationTrees, subjects, metrics obs.Histogram
+}
+
+// RegisterMetrics files the load-phase histograms, which every clone
+// shares, on r.
+func (e *Engine) RegisterMetrics(r *obs.Registry) {
+	p := e.phases
+	for phase, h := range map[string]*obs.Histogram{"total": &p.total, "validate": &p.validate,
+		"sort_keys": &p.sortKeys, "id_index": &p.idIndex, "author_index": &p.authorIndex, "inverted": &p.inverted,
+		"citation_trees": &p.citationTrees, "subjects": &p.subjects, "metrics": &p.metrics} {
+		r.AddHistogram("authdex_load_phase_duration_seconds", "Latency of LoadAll bulk-load phases.", h, "phase", phase)
+	}
 }
 
 // MaxLimit bounds every caller-supplied result limit so one request
@@ -123,7 +123,8 @@ type Engine struct {
 	coll  collate.Options
 	// qs is shared across clones so read-path counters accumulate
 	// globally no matter which snapshot served the query.
-	qs *queryCounters
+	qs     *queryCounters
+	phases *loadPhases // shared across clones too
 }
 
 // Clone returns an O(1) copy-on-write snapshot of the engine: every
@@ -198,6 +199,7 @@ func NewWithScheme(opts collate.Options, scheme metrics.Scheme) *Engine {
 		trkMu:      &sync.RWMutex{},
 		coll:       opts,
 		qs:         &queryCounters{},
+		phases:     &loadPhases{},
 	}
 }
 
@@ -235,7 +237,6 @@ func (e *Engine) AddBatch(works []*model.Work) error {
 	if len(works) == 0 {
 		return nil
 	}
-	defer mutAddBatch.Since(time.Now())
 	for _, w := range works {
 		if err := w.Validate(); err != nil {
 			return err
@@ -332,7 +333,7 @@ func (e *Engine) LoadAllCtx(ctx context.Context, works []*model.Work) error {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_, tm := timePhase(ctx, "load.metrics", "metrics")
+		_, tm := trace.Time(ctx, "load.metrics", &e.phases.metrics)
 		defer tm.End()
 		if len(works) >= 10_000 {
 			defer relaxGC()()
@@ -359,7 +360,7 @@ func (e *Engine) loadCorpus(ctx context.Context, works []*model.Work) error {
 	if len(works) == 0 {
 		return nil
 	}
-	ctx, load := timePhase(ctx, "engine.load_all", "total")
+	ctx, load := trace.Time(ctx, "engine.load_all", &e.phases.total)
 	load.Span.SetInt("works", int64(len(works)))
 	defer load.End()
 	// A bulk load's entire job is growing a large live heap; garbage
@@ -374,7 +375,7 @@ func (e *Engine) loadCorpus(ctx context.Context, works []*model.Work) error {
 	// checks this engine's Add would); the only cross-work invariant is
 	// ID uniqueness. Citation-key computation is per-work independent
 	// and fans out across cores.
-	_, validate := timePhase(ctx, "load.validate", "validate")
+	_, validate := trace.Time(ctx, "load.validate", &e.phases.validate)
 	seen := make(map[model.WorkID]struct{}, len(works))
 	for _, w := range works {
 		if w.ID == 0 {
@@ -390,7 +391,7 @@ func (e *Engine) loadCorpus(ctx context.Context, works []*model.Work) error {
 	validate.End()
 	// Each entry and its key buffer are their own allocations, so a
 	// removed work becomes garbage as soon as no snapshot holds it.
-	_, keys := timePhase(ctx, "load.sort_keys", "sort_keys")
+	_, keys := trace.Time(ctx, "load.sort_keys", &e.phases.sortKeys)
 	entries := make([]*workEntry, len(works))
 	if err := parallel.Ranges(len(works), func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
@@ -426,19 +427,19 @@ func (e *Engine) loadCorpus(ctx context.Context, works []*model.Work) error {
 	wg.Add(5)
 	go func() {
 		defer wg.Done()
-		_, tm := timePhase(ctx, "load.id_index", "id_index")
+		_, tm := trace.Time(ctx, "load.id_index", &e.phases.idIndex)
 		defer tm.End()
 		byID, errs[4] = loadIDTree(entries)
 	}()
 	go func() {
 		defer wg.Done()
-		_, tm := timePhase(ctx, "load.author_index", "author_index")
+		_, tm := trace.Time(ctx, "load.author_index", &e.phases.authorIndex)
 		defer tm.End()
 		idx, errs[0] = core.Load(e.coll, works)
 	}()
 	go func() {
 		defer wg.Done()
-		_, tm := timePhase(ctx, "load.inverted", "inverted")
+		_, tm := trace.Time(ctx, "load.inverted", &e.phases.inverted)
 		defer tm.End()
 		docs := make([]inverted.Doc[*workEntry], len(sorted))
 		for i, we := range sorted {
@@ -448,13 +449,13 @@ func (e *Engine) loadCorpus(ctx context.Context, works []*model.Work) error {
 	}()
 	go func() {
 		defer wg.Done()
-		_, tm := timePhase(ctx, "load.citation_trees", "citation_trees")
+		_, tm := trace.Time(ctx, "load.citation_trees", &e.phases.citationTrees)
 		defer tm.End()
 		byCitation, byYear, errs[1], errs[2] = loadCitationTrees(sorted)
 	}()
 	go func() {
 		defer wg.Done()
-		_, tm := timePhase(ctx, "load.subjects", "subjects")
+		_, tm := trace.Time(ctx, "load.subjects", &e.phases.subjects)
 		defer tm.End()
 		bySubject, errs[3] = e.loadSubjects(entries, sorted)
 	}()
@@ -625,7 +626,6 @@ func (e *Engine) Remove(id model.WorkID) bool {
 	if !ok {
 		return false
 	}
-	defer mutRemove.Since(time.Now())
 	w := we.w
 	e.idx.Remove(w)
 	e.inv.Remove(we, w.Title)

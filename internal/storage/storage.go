@@ -49,16 +49,6 @@ import (
 	"repro/internal/wal"
 )
 
-// Record-encoding and compaction latency on the process-wide registry.
-// Encoding is the CPU cost a commit pays before the WAL's fsync;
-// compaction is the stop-the-world snapshot rewrite.
-var (
-	encodeHist = obs.Default.Histogram("authdex_storage_encode_duration_seconds",
-		"Latency of encoding works into WAL frames, one observation per put or batch.")
-	compactHist = obs.Default.Histogram("authdex_storage_compact_duration_seconds",
-		"Latency of snapshot compaction passes.")
-)
-
 // Errors reported by the package.
 var (
 	ErrNotFound = errors.New("storage: work not found")
@@ -148,6 +138,20 @@ type Store struct {
 
 	batches     int64 // batch commits applied (PutBatch + DeleteBatch)
 	fsyncsSaved int64 // WAL commits avoided by batching (N records, 1 commit)
+	// Encoding is the CPU a commit pays before the WAL's fsync;
+	// compaction is the stop-the-world snapshot rewrite.
+	encodeHist, compactHist obs.Histogram
+}
+
+// RegisterMetrics files the store's latency histograms on r, and its
+// log's when the store is durable.
+func (s *Store) RegisterMetrics(r *obs.Registry) {
+	r.AddHistogram("authdex_storage_encode_duration_seconds",
+		"Latency of encoding works into WAL frames, one observation per put or batch.", &s.encodeHist)
+	r.AddHistogram("authdex_storage_compact_duration_seconds", "Latency of snapshot compaction passes.", &s.compactHist)
+	if s.log != nil {
+		s.log.RegisterMetrics(r)
+	}
 }
 
 // Open opens (creating if necessary) a store rooted at dir. An empty dir
@@ -246,7 +250,7 @@ func (s *Store) PutBatchCtx(ctx context.Context, works []*model.Work) ([]model.W
 		ids[i] = w.ID
 	}
 	if s.log != nil {
-		frame, err := encodePutBatchFrame(works)
+		frame, err := s.encodePutBatchFrame(works)
 		if err != nil {
 			return nil, err
 		}
@@ -266,9 +270,19 @@ func (s *Store) PutBatchCtx(ctx context.Context, works []*model.Work) ([]model.W
 // present (duplicates in the slice are tolerated); a missing ID or a
 // WAL error leaves the store unchanged.
 func (s *Store) DeleteBatch(ids []model.WorkID) error {
+	return s.DeleteBatchCtx(context.Background(), ids)
+}
+
+// DeleteBatchCtx is DeleteBatch carrying a trace context; the batch
+// commit is one "store.delete_batch" span with the record count
+// attached.
+func (s *Store) DeleteBatchCtx(ctx context.Context, ids []model.WorkID) error {
 	if len(ids) == 0 {
 		return nil
 	}
+	ctx, span := trace.StartSpan(ctx, "store.delete_batch")
+	span.SetInt("records", int64(len(ids)))
+	defer span.End()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.writableLocked(); err != nil {
@@ -288,7 +302,7 @@ func (s *Store) DeleteBatch(ids []model.WorkID) error {
 		if len(payload) > batchFrameBytes {
 			return fmt.Errorf("storage: delete batch encodes to %d bytes, over the %d-byte frame cap; issue several batches", len(payload), batchFrameBytes)
 		}
-		if err := s.logLocked(context.Background(), payload, len(ids)); err != nil {
+		if err := s.logLocked(ctx, payload, len(ids)); err != nil {
 			return err
 		}
 	}
@@ -307,13 +321,13 @@ func (s *Store) DeleteBatch(ids []model.WorkID) error {
 // that encodes past the frame cap is an error: one frame is the
 // crash-atomicity unit, and splitting would let a torn tail surface
 // half a batch.
-func encodePutBatchFrame(works []*model.Work) ([]byte, error) {
+func (s *Store) encodePutBatchFrame(works []*model.Work) ([]byte, error) {
 	start := time.Now()
 	frame := []byte{opPutBatch}
 	for _, w := range works {
 		frame = model.AppendWork(frame, w)
 	}
-	encodeHist.Since(start)
+	s.encodeHist.Since(start)
 	if len(frame) > batchFrameBytes {
 		return nil, fmt.Errorf("storage: batch of %d works encodes to %d bytes, over the %d-byte frame cap; issue several batches", len(works), len(frame), batchFrameBytes)
 	}
@@ -668,7 +682,7 @@ func (s *Store) compactLocked() error {
 	if s.dir == "" || s.log == nil {
 		return nil // in-memory: nothing to compact
 	}
-	defer compactHist.Since(time.Now())
+	defer s.compactHist.Since(time.Now())
 	if err := s.replaceSnapshotLocked(); err != nil {
 		s.degradeLocked(err)
 		return err

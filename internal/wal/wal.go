@@ -40,17 +40,6 @@ import (
 	"repro/internal/trace"
 )
 
-// Write-path latency, recorded on the process-wide registry: every
-// fsync the log issues and every frame-encode pass. fsync dominates
-// commit latency by orders of magnitude; exposing both makes the gap
-// visible in /debug/metrics.
-var (
-	fsyncHist = obs.Default.Histogram("authdex_wal_fsync_duration_seconds",
-		"Latency of WAL fsync calls.")
-	encodeHist = obs.Default.Histogram("authdex_wal_frame_encode_duration_seconds",
-		"Latency of WAL frame encoding, one observation per append.")
-)
-
 // MaxRecord bounds one WAL frame: larger appends are rejected, and
 // larger frames on disk are treated as corruption.
 const MaxRecord = 64 << 20
@@ -117,6 +106,16 @@ type Log struct {
 	failErr error // the error that latched failed
 	scratch []byte
 	st      Stats
+	// Every fsync and frame-encode pass; fsync dominates commit latency
+	// by orders of magnitude, and exposing both makes the gap visible.
+	fsyncHist, encodeHist obs.Histogram
+}
+
+// RegisterMetrics files the log's latency histograms on r.
+func (l *Log) RegisterMetrics(r *obs.Registry) {
+	r.AddHistogram("authdex_wal_fsync_duration_seconds", "Latency of WAL fsync calls.", &l.fsyncHist)
+	r.AddHistogram("authdex_wal_frame_encode_duration_seconds",
+		"Latency of WAL frame encoding, one observation per append.", &l.encodeHist)
 }
 
 // Stats counts write-path work since the log was opened. The group-
@@ -216,7 +215,7 @@ func (l *Log) AppendCtx(ctx context.Context, p []byte) error {
 			return err
 		}
 	}
-	_, enc := trace.Time(ctx, "wal.encode", encodeHist)
+	_, enc := trace.Time(ctx, "wal.encode", &l.encodeHist)
 	l.scratch = appendFrame(l.scratch[:0], p)
 	enc.Span.SetInt("bytes", int64(len(l.scratch)))
 	enc.End()
@@ -251,7 +250,7 @@ func (l *Log) syncLocked() error { return l.syncLockedCtx(context.Background()) 
 
 func (l *Log) syncLockedCtx(ctx context.Context) error {
 	l.st.Syncs++
-	_, fsync := trace.Time(ctx, "wal.fsync", fsyncHist)
+	_, fsync := trace.Time(ctx, "wal.fsync", &l.fsyncHist)
 	err := l.f.Sync()
 	fsync.End()
 	return err

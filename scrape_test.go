@@ -121,24 +121,13 @@ func TestScrapeAllocsIndependentOfCorpus(t *testing.T) {
 	}
 }
 
-// TestMetricsOnlyWhereRegistered: Open files nothing on the
-// process-wide registry, and RegisterMetrics files the index's own
+// TestMetricsOnlyWhereRegistered: RegisterMetrics files the index's own
 // histograms, so every registry it is given shows the same samples,
 // those recorded before the call included.
 func TestMetricsOnlyWhereRegistered(t *testing.T) {
 	ix := openT(t, "")
 	defer ix.Close()
 	ix.Search("anything", 0)
-	var def bytes.Buffer
-	if err := obs.Default.WritePrometheus(&def); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"authdex_op_duration_seconds", "authdex_snapshot_swap_duration_seconds",
-		"authdex_lock_wait_duration_seconds", "authdex_works", "authdex_epochs_alive"} {
-		if bytes.Contains(def.Bytes(), []byte("\n"+name)) {
-			t.Errorf("Open registered %s on obs.Default", name)
-		}
-	}
 	a, b := obs.NewRegistry(), obs.NewRegistry()
 	ix.RegisterMetrics(a)
 	if _, err := ix.Add(sampleWork("Registered Work", "90:1 (1988)", "Counted, Once A.")); err != nil {
@@ -158,6 +147,53 @@ func TestMetricsOnlyWhereRegistered(t *testing.T) {
 		} {
 			if n := r.Histogram(h.name, "", h.op...).Count(); n != 1 {
 				t.Errorf("registry %d: %s%v has %d samples, want 1", i, h.name, h.op, n)
+			}
+		}
+	}
+}
+
+// TestTwoIndexesShareNoSample: two durable indexes in one process, each
+// registered on its own registry. Each registry shows one sample per
+// load phase, from its own Open, and one write to the first is one WAL
+// fsync, one frame encode and one store encode on the first registry
+// and none on the second.
+func TestTwoIndexesShareNoSample(t *testing.T) {
+	dirs := []string{t.TempDir(), t.TempDir()}
+	for i, dir := range dirs {
+		seed := openT(t, dir)
+		if _, err := seed.Add(sampleWork(fmt.Sprintf("Seeded %d", i), "90:1 (1988)", "Seed, Ada B.")); err != nil {
+			t.Fatal(err)
+		}
+		if err := seed.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var ixs []*Index
+	var regs []*obs.Registry
+	for _, dir := range dirs {
+		ix, err := Open(dir, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ix.Close()
+		reg := obs.NewRegistry()
+		ix.RegisterMetrics(reg)
+		ixs, regs = append(ixs, ix), append(regs, reg)
+	}
+	if _, err := ixs[0].Add(sampleWork("Written Once", "90:2 (1988)", "Write, Only A.")); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []int64{1, 0} {
+		for _, name := range []string{"authdex_wal_fsync_duration_seconds",
+			"authdex_wal_frame_encode_duration_seconds", "authdex_storage_encode_duration_seconds"} {
+			if n := regs[i].Histogram(name, "").Count(); n != want {
+				t.Errorf("registry %d: %s has %d samples, want %d", i, name, n, want)
+			}
+		}
+		for _, phase := range []string{"total", "validate", "sort_keys", "id_index", "author_index",
+			"inverted", "citation_trees", "subjects", "metrics"} {
+			if n := regs[i].Histogram("authdex_load_phase_duration_seconds", "", "phase", phase).Count(); n != 1 {
+				t.Errorf("registry %d: load phase %s has %d samples, want 1", i, phase, n)
 			}
 		}
 	}

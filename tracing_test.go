@@ -108,7 +108,8 @@ func TestTracedSearchSpanTree(t *testing.T) {
 // TestTracedWriteSpanTree: a traced AddBatch carries the commit down
 // to the WAL — lock.wait, then store.put_batch under lock.hold, with
 // wal.encode and wal.fsync under that; lock.hold also covers the
-// indexing phase.
+// indexing phase. A traced DeleteBatch does the same through
+// store.delete_batch.
 func TestTracedWriteSpanTree(t *testing.T) {
 	// A syncing index, unlike openT's NoSync one: the fsync span only
 	// exists when the WAL actually reaches the disk.
@@ -119,7 +120,7 @@ func TestTracedWriteSpanTree(t *testing.T) {
 	defer ix.Close()
 	tracer := trace.NewTracer(trace.Config{})
 	ctx, tr := tracer.StartRoot(context.Background(), "req-2", "test add")
-	_, err := ix.AddBatchCtx(ctx, []Work{
+	ids, err := ix.AddBatchCtx(ctx, []Work{
 		sampleWork("Batched One", "91:1 (1989)", "Pipeline, Walter A."),
 		sampleWork("Batched Two", "91:2 (1989)", "Commit, Grace"),
 	})
@@ -153,6 +154,30 @@ func TestTracedWriteSpanTree(t *testing.T) {
 	}
 	if findSpan(hold, "store.put_batch") == nil {
 		t.Error("store.put_batch not nested under lock.hold")
+	}
+
+	ctx, tr = tracer.StartRoot(context.Background(), "req-3", "test delete")
+	if err := ix.DeleteBatchCtx(ctx, ids); err != nil {
+		t.Fatal(err)
+	}
+	tr.Finish("test")
+	if err := tr.Check(); err != nil {
+		t.Fatalf("malformed delete trace: %v", err)
+	}
+	root = tr.Data().Root
+	fac = findSpan(&root, "facade.delete_batch")
+	if fac == nil {
+		t.Fatal("no facade.delete_batch span")
+	}
+	if hold = findSpan(fac, "lock.hold"); hold == nil {
+		t.Fatal("no lock.hold span under facade.delete_batch")
+	}
+	del := findSpan(hold, "store.delete_batch")
+	if del == nil {
+		t.Fatal("store.delete_batch not nested under lock.hold")
+	}
+	if findSpan(del, "wal.fsync") == nil {
+		t.Error("store.delete_batch lacks a wal.fsync descendant")
 	}
 }
 
