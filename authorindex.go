@@ -377,7 +377,7 @@ func (ix *Index) RegisterMetrics(r *obs.Registry) {
 	r.AddHistogram("authdex_snapshot_swap_duration_seconds",
 		"Copy-on-write snapshot turnover latency per committed write (engine clone, path-copied mutation, pointer swap).", &ix.swap)
 	r.AddHistogram("authdex_lock_wait_duration_seconds",
-		"Time each write waits for the index's writer mutex.", &ix.lockWait)
+		"Every wait for the index's writer mutex: writes, see-also edits, metric rebuilds, compaction, verify, close.", &ix.lockWait)
 	hold := &ix.hold
 	for holder, h := range map[string]*obs.Histogram{"write": &hold.write, "see_also": &hold.seeAlso,
 		"rebuild": &hold.rebuild, "compact": &hold.compact, "verify": &hold.verify, "close": &hold.close} {
@@ -399,8 +399,6 @@ func (ix *Index) RegisterMetrics(r *obs.Registry) {
 		func() float64 { return float64(queries().PostingsBytes) })
 	r.CounterFunc("authdex_batches_committed_total", "Group commits applied.",
 		func() float64 { return float64(store().BatchesCommitted) })
-	r.CounterFunc("authdex_wal_syncs_total", "fsyncs the WAL issued.",
-		func() float64 { return float64(store().WALSyncs) })
 	r.CounterFunc("authdex_fsyncs_saved_total", "WAL commits avoided by group commit.",
 		func() float64 { return float64(store().FsyncsSaved) })
 	r.CounterFunc("authdex_degraded_commits_total", "Commits failed or rejected by the degraded latch.",
@@ -648,8 +646,13 @@ func (ix *Index) AddSeeAlso(from, to string) error {
 // AuthorMetrics returns the bibliometrics snapshot for one heading:
 // work counts by kind and year, fractional and position-weighted
 // credit, productivity h-index and collaboration degree.
-func (ix *Index) AuthorMetrics(heading string) (AuthorMetrics, bool) {
-	return ix.engine().AuthorMetrics(heading)
+func (ix *Index) AuthorMetrics(heading string) (m AuthorMetrics, ok bool) {
+	a, err := names.Parse(heading)
+	if err != nil {
+		return AuthorMetrics{}, false
+	}
+	ix.engine().ReadTrackers(func(met *metrics.Engine) { m, ok = met.Author(a.Display()) })
+	return m, ok
 }
 
 // TopAuthors returns up to limit author snapshots ranked by the given
@@ -659,8 +662,9 @@ func (ix *Index) TopAuthors(by RankKey, limit int) []AuthorMetrics {
 }
 
 // MetricsSummary returns corpus-level collaboration statistics.
-func (ix *Index) MetricsSummary() MetricsSummary {
-	return ix.engine().MetricsSummary()
+func (ix *Index) MetricsSummary() (s MetricsSummary) {
+	ix.engine().ReadTrackers(func(met *metrics.Engine) { s = met.Summary() })
+	return s
 }
 
 // SetMetricsScheme swaps the credit-weighting scheme, rebuilding the
@@ -714,27 +718,47 @@ func (ix *Index) rebuildTrackers(scheme *Scheme) {
 // included — the Erdős-style distance is len(path)-1. It reports false
 // when either heading is unknown or no chain of shared works connects
 // them.
-func (ix *Index) CollaborationPath(from, to string) ([]string, bool) {
-	return ix.engine().CollaborationPath(from, to)
+func (ix *Index) CollaborationPath(from, to string) (path []string, ok bool) {
+	fa, err := names.Parse(from)
+	if err != nil {
+		return nil, false
+	}
+	ta, err := names.Parse(to)
+	if err != nil {
+		return nil, false
+	}
+	ix.engine().ReadTrackers(func(met *metrics.Engine) { path, ok = met.Graph().Path(fa.Display(), ta.Display()) })
+	return path, ok
 }
 
 // Centrality returns a heading's PageRank score in the coauthorship
 // network; scores across all authors sum to 1.
-func (ix *Index) Centrality(heading string) (float64, bool) {
-	return ix.engine().Centrality(heading)
+func (ix *Index) Centrality(heading string) (c float64, ok bool) {
+	a, err := names.Parse(heading)
+	if err != nil {
+		return 0, false
+	}
+	ix.engine().ReadTrackers(func(met *metrics.Engine) { c, ok = met.Graph().Centrality(a.Display()) })
+	return c, ok
 }
 
 // Collaborators returns a heading's co-authors with shared-work counts,
 // heaviest first.
-func (ix *Index) Collaborators(heading string) []Neighbor {
-	return ix.engine().GraphNeighbors(heading)
+func (ix *Index) Collaborators(heading string) (out []Neighbor) {
+	a, err := names.Parse(heading)
+	if err != nil {
+		return nil
+	}
+	ix.engine().ReadTrackers(func(met *metrics.Engine) { out = met.Graph().Neighbors(a.Display()) })
+	return out
 }
 
 // GraphSummary returns coauthorship-network aggregates: node, edge and
 // component counts, the largest component, density, and the most
 // central authors under the configured damping factor.
-func (ix *Index) GraphSummary() GraphSummary {
-	return ix.engine().GraphSummary()
+func (ix *Index) GraphSummary() (s GraphSummary) {
+	ix.engine().ReadTrackers(func(met *metrics.Engine) { s = met.Graph().Summarize() })
+	return s
 }
 
 // TopCentral returns up to limit authors by network centrality, best
@@ -962,7 +986,11 @@ func (ix *Index) Stats() Stats {
 	eng := ix.engine()
 	es := eng.Stats()
 	ss := ix.store.Stats()
-	nodes, edges, components := eng.GraphCounts()
+	var nodes, edges, components int
+	eng.ReadTrackers(func(met *metrics.Engine) {
+		g := met.Graph()
+		nodes, edges, components = g.Nodes(), g.Edges(), g.Components()
+	})
 	return Stats{
 		Works:           es.Works,
 		Authors:         es.Authors,

@@ -12,6 +12,7 @@ package authorindex
 import (
 	"bytes"
 	"cmp"
+	"context"
 	"fmt"
 	"os"
 	"testing"
@@ -264,7 +265,7 @@ func BenchmarkSearch(b *testing.B) {
 		b.Run(fmt.Sprintf("engine/q=%s/limit=20", q), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if len(eng.TitleSearchView(q, 20)) != 20 {
+				if len(eng.TitleSearchView(context.Background(), q, 20)) != 20 {
 					b.Fatal("fewer than 20 hits")
 				}
 			}

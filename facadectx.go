@@ -74,28 +74,28 @@ func (ix *Index) readWorks(ctx context.Context, name string, o op, fn func(ctx c
 // SearchCtx is Search carrying a trace context.
 func (ix *Index) SearchCtx(ctx context.Context, q string, limit int) []*Work {
 	return ix.readWorks(ctx, "facade.search", opSearch, func(ctx context.Context, eng *query.Engine) []*model.Work {
-		return eng.TitleSearchViewCtx(ctx, q, limit)
+		return eng.TitleSearchView(ctx, q, limit)
 	})
 }
 
 // YearRangeCtx is YearRange carrying a trace context.
 func (ix *Index) YearRangeCtx(ctx context.Context, from, to, limit int) []*Work {
 	return ix.readWorks(ctx, "facade.year_range", opYearRange, func(ctx context.Context, eng *query.Engine) []*model.Work {
-		return eng.YearRangeViewCtx(ctx, from, to, limit)
+		return eng.YearRangeView(ctx, from, to, limit)
 	})
 }
 
 // VolumeWorksCtx is VolumeWorks carrying a trace context.
 func (ix *Index) VolumeWorksCtx(ctx context.Context, vol, limit int) []*Work {
 	return ix.readWorks(ctx, "facade.volume", opVolume, func(ctx context.Context, eng *query.Engine) []*model.Work {
-		return eng.VolumeViewCtx(ctx, vol, limit)
+		return eng.VolumeView(ctx, vol, limit)
 	})
 }
 
 // BySubjectCtx is BySubject carrying a trace context.
 func (ix *Index) BySubjectCtx(ctx context.Context, subject string, limit int) []*Work {
 	return ix.readWorks(ctx, "facade.by_subject", opBySubject, func(ctx context.Context, eng *query.Engine) []*model.Work {
-		return eng.BySubjectViewCtx(ctx, subject, limit)
+		return eng.BySubjectView(ctx, subject, limit)
 	})
 }
 
@@ -160,7 +160,10 @@ func (ix *Index) TopAuthorsCtx(ctx context.Context, by RankKey, limit int) []Aut
 func (ix *Index) TopCentralCtx(ctx context.Context, limit int) []CentralAuthor {
 	_, tm := trace.Time(ctx, "facade.central", &ix.ops[opCentral])
 	defer tm.End()
-	out := ix.loadTraced(tm.Span).Eng.TopCentral(ClampLimit(limit, 10))
+	var out []CentralAuthor
+	ix.loadTraced(tm.Span).Eng.ReadTrackers(func(met *metrics.Engine) {
+		out = met.Graph().TopCentral(ClampLimit(limit, 10))
+	})
 	tm.Span.SetInt("authors", int64(len(out)))
 	return out
 }

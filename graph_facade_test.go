@@ -1,6 +1,7 @@
 package authorindex
 
 import (
+	"io"
 	"math"
 	"math/rand"
 	"sync"
@@ -51,6 +52,12 @@ func TestFacadeCollaborationPath(t *testing.T) {
 	if _, ok := ix.CollaborationPath("Lewin, Jeff L.", "Nobody, At All"); ok {
 		t.Error("path to an unknown heading")
 	}
+	if _, ok := ix.CollaborationPath("", "Cardi, Vincent P."); ok {
+		t.Error("path from an unparseable heading")
+	}
+	if _, ok := ix.CollaborationPath("Lewin, Jeff L.", ""); ok {
+		t.Error("path to an unparseable heading")
+	}
 }
 
 func TestFacadeGraphSummaryAndStats(t *testing.T) {
@@ -87,9 +94,15 @@ func TestFacadeCentralityAndCollaborators(t *testing.T) {
 	if _, ok := ix.Centrality("Nobody, At All"); ok {
 		t.Error("centrality for unknown heading")
 	}
+	if _, ok := ix.Centrality(""); ok {
+		t.Error("centrality for unparseable heading")
+	}
 	cs := ix.Collaborators("Peng, Syd S.")
 	if len(cs) != 2 {
 		t.Fatalf("collaborators = %+v", cs)
+	}
+	if cs := ix.Collaborators(""); cs != nil {
+		t.Errorf("collaborators of unparseable heading = %+v", cs)
 	}
 	top := ix.TopCentral(2)
 	if len(top) != 2 || top[0].Heading != "Peng, Syd S." {
@@ -158,9 +171,11 @@ func TestFacadeVerifyAfterRandomChurn(t *testing.T) {
 	}
 }
 
-// TestConcurrentGraphAccess drives every graph surface concurrently
-// with mutations; the race detector flags lazy-cache writes that leak
-// past the facade's locking.
+// TestConcurrentGraphAccess drives every facade read of the tracker
+// (metrics and the coauthorship graph it owns) concurrently with
+// writers. Each of those reads goes through the engine's one tracker
+// read site, ReadTrackers; under -race a read that escaped the tracker
+// lock, or a lazy-cache write that leaks past it, is flagged here.
 func TestConcurrentGraphAccess(t *testing.T) {
 	ix, err := Open("", nil)
 	if err != nil {
@@ -173,25 +188,41 @@ func TestConcurrentGraphAccess(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	heading := func(j int) string { return corpus[j%len(corpus)].Authors[0].Display() }
+	reads := []func(j int){
+		func(j int) { ix.AuthorMetrics(heading(j)) },
+		func(int) { ix.MetricsSummary() },
+		func(j int) { ix.Centrality(heading(j)) },
+		func(j int) { ix.Collaborators(heading(j)) },
+		func(int) { ix.TopCentral(5) },
+		func(int) { ix.TopAuthors(ByWeighted, 5) },
+		func(int) { ix.TopAuthors(ByCentrality, 5) },
+		func(int) { ix.GraphSummary() },
+		func(j int) { ix.CollaborationPath(heading(0), heading(j)) },
+		func(int) { ix.Stats() },
+		func(int) {
+			if err := ix.Render(io.Discard, RenderOptions{Format: Text, Statistics: true, Network: true}); err != nil {
+				t.Error(err)
+			}
+		},
+	}
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			for j := 0; j < 25; j++ {
-				switch j % 5 {
-				case 0:
-					ix.GraphSummary()
-				case 1:
-					ix.TopAuthors(ByCentrality, 5)
-				case 2:
-					ix.CollaborationPath(corpus[0].Authors[0].Display(), corpus[j].Authors[0].Display())
-				case 3:
-					ix.Stats()
-				case 4:
-					if w := corpus[50+(i*25+j)%50]; true {
-						ix.Add(*w)
-					}
+			for j := 0; j < 2*len(reads); j++ {
+				reads[(i+j)%len(reads)](j)
+			}
+		}(i)
+	}
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for j := i; j < 50; j += 2 {
+				if _, err := ix.Add(*corpus[50+j]); err != nil {
+					t.Error(err)
 				}
 			}
 		}(i)

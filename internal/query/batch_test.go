@@ -2,6 +2,7 @@ package query
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -62,7 +63,7 @@ func TestAddBatchMatchesSequentialAdd(t *testing.T) {
 				}
 			}
 		}
-		if batch.Graph().Fingerprint() != graph.NewFromWorks(0, batch.AllWorks()).Fingerprint() {
+		if batch.Graph().Fingerprint() != graph.NewFromWorks(0, batch.AllWorksView()).Fingerprint() {
 			t.Fatalf("chunk=%d: incremental graph differs from rebuild", chunk)
 		}
 	}
@@ -155,10 +156,10 @@ func TestAddBatchReplacesExistingIDs(t *testing.T) {
 			t.Fatalf("work %d not replaced: %+v", works[i].ID, w)
 		}
 	}
-	if got := e.BySubjectView("Replacement Studies", 0); len(got) != 10 {
+	if got := e.BySubjectView(context.Background(), "Replacement Studies", 0); len(got) != 10 {
 		t.Fatalf("subject posting holds %d works, want 10", len(got))
 	}
-	if e.Graph().Fingerprint() != graph.NewFromWorks(0, e.AllWorks()).Fingerprint() {
+	if e.Graph().Fingerprint() != graph.NewFromWorks(0, e.AllWorksView()).Fingerprint() {
 		t.Fatal("graph inconsistent after replacement batch")
 	}
 	// Removing everything batched must leave a pristine engine.
@@ -193,7 +194,7 @@ func TestAddBatchEmptyAndSubjectDuplicates(t *testing.T) {
 	if err := e.AddBatch([]*model.Work{w}); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.BySubjectView("Mining Law", 0); len(got) != 1 {
+	if got := e.BySubjectView(context.Background(), "Mining Law", 0); len(got) != 1 {
 		t.Fatalf("duplicate subject filed %d postings, want 1", len(got))
 	}
 }

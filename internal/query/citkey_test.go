@@ -2,6 +2,7 @@ package query
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"sort"
 	"testing"
@@ -144,15 +145,15 @@ func TestEngineQueriesMatchReference(t *testing.T) {
 		check("YearRange(multi)", e.YearRange(1971, 1977, limit), reference(func(w *model.Work) bool {
 			return w.Citation.Year >= 1971 && w.Citation.Year <= 1977
 		}, limit))
-		check("Volume", e.VolumeView(5, limit), reference(func(w *model.Work) bool {
+		check("Volume", e.VolumeView(context.Background(), 5, limit), reference(func(w *model.Work) bool {
 			return w.Citation.Volume == 5
 		}, limit))
-		check("BySubject(exact)", e.BySubjectView("Double Jeopardy", limit), reference(func(w *model.Work) bool {
+		check("BySubject(exact)", e.BySubjectView(context.Background(), "Double Jeopardy", limit), reference(func(w *model.Work) bool {
 			return len(w.Subjects) == 1 && w.Subjects[0] == "Double Jeopardy"
 		}, limit))
 		// Lower-cased, diacritic-stripped spellings miss the exact
 		// collation key and take the primary-tier fallback scan.
-		check("BySubject(fallback)", e.BySubjectView("equite", limit), reference(func(w *model.Work) bool {
+		check("BySubject(fallback)", e.BySubjectView(context.Background(), "equite", limit), reference(func(w *model.Work) bool {
 			return len(w.Subjects) == 1 && w.Subjects[0] == "Équité"
 		}, limit))
 	}
@@ -207,7 +208,7 @@ func TestQueryStatsCounters(t *testing.T) {
 	}
 	// Views clone nothing.
 	mid := e.QueryStats()
-	if view := e.TitleSearchView("mining", 0); len(view) != 50 {
+	if view := e.TitleSearchView(context.Background(), "mining", 0); len(view) != 50 {
 		t.Fatalf("view = %d works", len(view))
 	}
 	if got := e.QueryStats(); got.WorksCloned != mid.WorksCloned {
@@ -220,7 +221,7 @@ func TestQueryStatsCounters(t *testing.T) {
 // detach them.
 func TestViewResultsAreLiveAndOrdered(t *testing.T) {
 	e := fixture(t)
-	view := e.TitleSearchView("mining", 0)
+	view := e.TitleSearchView(context.Background(), "mining", 0)
 	if len(view) != 2 {
 		t.Fatalf("view = %d works", len(view))
 	}

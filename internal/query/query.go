@@ -6,10 +6,10 @@
 // precomputed citation sort key at Add time, and the secondary indexes
 // are keyed on it so range scans stream out already in citation order.
 // Work reads come as zero-copy *View methods that return live
-// references (TitleSearch, YearRange, Work and AllWorks also come as
-// copies, for callers outside the facade); author reads return live,
-// frozen entries only. The public facade is the one place that copies:
-// it deep-copies only what it returns.
+// references (TitleSearch, YearRange and Work also come as copies, for
+// callers outside the facade); author reads return live, frozen entries
+// only. The public facade is the one place that copies: it deep-copies
+// only what it returns.
 package query
 
 import (
@@ -87,9 +87,10 @@ func ClampLimit(n, def int) int {
 //
 // The tracker (met) is the exception: it is a live mutable structure
 // shared across clones, guarded by trkMu — writers hold it only for the
-// µs-scale incremental update, never across I/O, and the tracker read
-// surfaces take the read side. Snapshot consistency is defined over the
-// corpus indexes; tracker reads are current-state.
+// µs-scale incremental update, never across I/O, and every tracker
+// reader goes through ReadTrackers, the one method that takes the read
+// side. Snapshot consistency is defined over the corpus indexes;
+// tracker reads are current-state.
 type Engine struct {
 	idx *core.Index
 	// inv is the title index. Its postings hold the entries themselves,
@@ -688,9 +689,10 @@ type SubjectCount struct {
 // BySubjectView returns live references to the works filed under a
 // subject heading (matched under the engine's collation: case- and
 // diacritic-insensitive), already in citation order and truncated to
-// limit (<=0: no cap), cloning nothing. See TitleSearchView for the
-// ownership rules.
-func (e *Engine) BySubjectView(subject string, limit int) []*model.Work {
+// limit (<=0: no cap), cloning nothing, as one "engine.subject_scan"
+// span. See TitleSearchView for the ownership rules.
+func (e *Engine) BySubjectView(ctx context.Context, subject string, limit int) []*model.Work {
+	_, sp := trace.StartSpan(ctx, "engine.subject_scan")
 	e.qs.queries.Add(1)
 	p, ok := e.bySubject.Get(collate.KeyString(subject, e.coll))
 	if !ok {
@@ -706,16 +708,11 @@ func (e *Engine) BySubjectView(subject string, limit int) []*model.Work {
 			return true
 		})
 		if !ok {
-			return nil
+			return endScan(sp, nil)
 		}
 	}
 	e.qs.scanned.Add(uint64(8 * len(p.refs)))
-	return worksOf(truncateRefs(p.refs, limit))
-}
-
-// AllWorks returns copies of every indexed work, in ID order.
-func (e *Engine) AllWorks() []*model.Work {
-	return e.CloneWorks(e.AllWorksView())
+	return endScan(sp, worksOf(truncateRefs(p.refs, limit)))
 }
 
 // AllWorksView returns live references to every indexed work, in ID
@@ -808,28 +805,27 @@ func (e *Engine) AuthorPage(after string, limit int) []*core.Entry {
 // "coal or gas", "mining -surface", "reclam*") and returns copies of
 // matching works in citation order, capped at limit (<=0: no cap).
 func (e *Engine) TitleSearch(q string, limit int) []*model.Work {
-	return e.CloneWorks(e.TitleSearchView(q, limit))
+	return e.CloneWorks(e.TitleSearchView(context.Background(), q, limit))
 }
 
 // TitleSearchView is TitleSearch without the deep copies: the returned
 // works are live references owned by the engine, in citation order and
-// truncated to limit before anything is copied.
+// truncated to limit before anything is copied. The scan is one
+// "engine.title_scan" span with the postings intersection recorded as a
+// child, both annotated with result counts.
 //
 // Ownership rules for every *View method: callers must treat the works
 // as read-only and must deep-copy (CloneWorks) anything they hand out
 // or mutate. Indexed works are immutable — replacement swaps in a new
 // clone — so a view stays safe to read even after the caller's lock is
 // released and a concurrent mutation has removed the work.
-func (e *Engine) TitleSearchView(q string, limit int) []*model.Work {
-	return e.TitleSearchViewCtx(context.Background(), q, limit)
-}
-
-// TitleSearchViewCtx is TitleSearchView carrying a trace context: the
-// scan is one "engine.title_scan" span with the postings intersection
-// recorded as a child, both annotated with result counts.
-func (e *Engine) TitleSearchViewCtx(ctx context.Context, q string, limit int) []*model.Work {
+//
+// The four ordered views (TitleSearchView, YearRangeView, VolumeView
+// and BySubjectView) take a trace context first and record their scan
+// as one span; context.Background() records nothing and allocates
+// nothing.
+func (e *Engine) TitleSearchView(ctx context.Context, q string, limit int) []*model.Work {
 	ctx, scan := trace.StartSpan(ctx, "engine.title_scan")
-	defer scan.End()
 	e.qs.queries.Add(1)
 	_, isect := trace.StartSpan(ctx, "inverted.intersect")
 	// Title postings are in citation order, so the first limit matches
@@ -839,22 +835,21 @@ func (e *Engine) TitleSearchViewCtx(ctx context.Context, q string, limit int) []
 	isect.SetInt("matches", int64(st.Matches))
 	isect.End()
 	e.qs.scanned.Add(uint64(st.PostingsBytes))
-	out := worksOf(refs)
-	scan.SetInt("hits", int64(len(out)))
-	return out
+	return endScan(scan, worksOf(refs))
 }
 
 // YearRange returns copies of works published in [from, to] (inclusive),
 // in citation order, capped at limit (<=0: no cap).
 func (e *Engine) YearRange(from, to int, limit int) []*model.Work {
-	return e.CloneWorks(e.YearRangeView(from, to, limit))
+	return e.CloneWorks(e.YearRangeView(context.Background(), from, to, limit))
 }
 
-// YearRangeView is YearRange without the deep copies. See
-// TitleSearchView for the ownership rules.
-func (e *Engine) YearRangeView(from, to int, limit int) []*model.Work {
+// YearRangeView is YearRange without the deep copies, as one
+// "engine.year_scan" span. See TitleSearchView for the ownership rules.
+func (e *Engine) YearRangeView(ctx context.Context, from, to, limit int) []*model.Work {
+	_, sp := trace.StartSpan(ctx, "engine.year_scan")
 	if from > to {
-		return nil
+		return endScan(sp, nil)
 	}
 	e.qs.queries.Add(1)
 	// Each year's byYear run is already in citation order, so no year
@@ -885,14 +880,15 @@ func (e *Engine) YearRangeView(from, to int, limit int) []*model.Work {
 	}
 	e.qs.scanned.Add(uint64(8 * len(refs)))
 	sortRefs(refs)
-	return worksOf(truncateRefs(refs, limit))
+	return endScan(sp, worksOf(truncateRefs(refs, limit)))
 }
 
-// VolumeView returns live references to the works of one volume. The
-// byCitation tree leads with the volume, so the scan is already in
-// citation order and stops as soon as limit works have been seen. See
-// TitleSearchView for the ownership rules.
-func (e *Engine) VolumeView(v, limit int) []*model.Work {
+// VolumeView returns live references to the works of one volume, as one
+// "engine.volume_scan" span. The byCitation tree leads with the volume,
+// so the scan is already in citation order and stops as soon as limit
+// works have been seen. See TitleSearchView for the ownership rules.
+func (e *Engine) VolumeView(ctx context.Context, v, limit int) []*model.Work {
+	_, sp := trace.StartSpan(ctx, "engine.volume_scan")
 	e.qs.queries.Add(1)
 	var refs []*workEntry
 	e.byCitation.AscendRange(volumeKeyMin(v), volumeKeyMin(v+1), func(_ []byte, we *workEntry) bool {
@@ -900,7 +896,15 @@ func (e *Engine) VolumeView(v, limit int) []*model.Work {
 		return limit <= 0 || len(refs) < limit
 	})
 	e.qs.scanned.Add(uint64(8 * len(refs)))
-	return worksOf(refs)
+	return endScan(sp, worksOf(refs))
+}
+
+// endScan annotates a view's scan span with its result count, ends the
+// span and returns the result.
+func endScan(sp *trace.Span, out []*model.Work) []*model.Work {
+	sp.SetInt("hits", int64(len(out)))
+	sp.End()
+	return out
 }
 
 // CloneWorks deep-copies a view into caller-owned works, counting the
@@ -936,157 +940,45 @@ func (e *Engine) ReplaceTrackers(met *metrics.Engine) {
 }
 
 // Metrics exposes the tracker. It is shared and mutable across clones:
-// callers outside the writer mutex must go through the locked
-// wrappers (MetricsSummary, AuthorMetrics, TopAuthors) or ReadTrackers
+// callers outside the writer mutex must read it through ReadTrackers
 // instead.
 func (e *Engine) Metrics() *metrics.Engine { return e.met }
 
-// MetricsSummary returns the corpus-wide bibliometrics summary under
-// the shared tracker read lock.
-func (e *Engine) MetricsSummary() metrics.Summary {
-	e.trkMu.RLock()
-	defer e.trkMu.RUnlock()
-	return e.met.Summary()
-}
-
 // ReadTrackers runs fn with the shared tracker read lock held, handing
-// it the tracker (whose Graph is the coauthorship network). Lock-free
-// snapshot readers that need multiple tracker reads to be mutually
-// consistent (rendering appendices, stats aggregation) use this instead
-// of the individual wrappers.
+// it the tracker (whose Graph is the coauthorship network). It is the
+// only tracker read site: every reader outside the writer mutex, one
+// lookup or several that must be mutually consistent, goes through it.
 func (e *Engine) ReadTrackers(fn func(met *metrics.Engine)) {
 	e.trkMu.RLock()
 	defer e.trkMu.RUnlock()
 	fn(e.met)
 }
 
-// AuthorMetrics returns the bibliometrics snapshot for one heading
-// given in index-order form, e.g. "Lewin, Jeff L.".
-func (e *Engine) AuthorMetrics(heading string) (metrics.AuthorMetrics, bool) {
-	a, err := names.Parse(heading)
-	if err != nil {
-		return metrics.AuthorMetrics{}, false
-	}
-	e.trkMu.RLock()
-	defer e.trkMu.RUnlock()
-	return e.met.Author(a.Display())
-}
-
 // TopAuthors returns up to limit author snapshots ranked by the given
 // key, best first. ByCentrality is resolved against the coauthorship
 // graph's PageRank; every other key goes straight to the tracker.
-func (e *Engine) TopAuthors(by metrics.RankKey, limit int) []metrics.AuthorMetrics {
+func (e *Engine) TopAuthors(by metrics.RankKey, limit int) (out []metrics.AuthorMetrics) {
 	limit = ClampLimit(limit, 10)
-	e.trkMu.RLock()
-	defer e.trkMu.RUnlock()
-	if by == metrics.ByCentrality {
-		central := e.met.Graph().TopCentral(limit)
-		out := make([]metrics.AuthorMetrics, 0, len(central))
+	e.ReadTrackers(func(met *metrics.Engine) {
+		if by != metrics.ByCentrality {
+			out = met.TopAuthors(by, limit)
+			return
+		}
+		central := met.Graph().TopCentral(limit)
+		out = make([]metrics.AuthorMetrics, 0, len(central))
 		for _, c := range central {
-			if m, ok := e.met.Author(c.Heading); ok {
+			if m, ok := met.Author(c.Heading); ok {
 				out = append(out, m)
 			}
 		}
-		return out
-	}
-	return e.met.TopAuthors(by, limit)
+	})
+	return out
 }
 
 // Graph exposes the coauthorship network the tracker owns. Shared and
 // mutable across clones, like Metrics — callers outside the writer
-// mutex go through the locked wrappers or ReadTrackers.
+// mutex read it through ReadTrackers.
 func (e *Engine) Graph() *graph.Graph { return e.met.Graph() }
-
-// GraphNeighbors returns a heading's coauthors, strongest tie first,
-// under the shared tracker read lock.
-func (e *Engine) GraphNeighbors(heading string) []graph.Neighbor {
-	a, err := names.Parse(heading)
-	if err != nil {
-		return nil
-	}
-	e.trkMu.RLock()
-	defer e.trkMu.RUnlock()
-	return e.met.Graph().Neighbors(a.Display())
-}
-
-// GraphSummary returns the coauthorship network summary under the
-// shared tracker read lock.
-func (e *Engine) GraphSummary() graph.Summary {
-	e.trkMu.RLock()
-	defer e.trkMu.RUnlock()
-	return e.met.Graph().Summarize()
-}
-
-// TopCentral returns the limit most central authors under the shared
-// tracker read lock.
-func (e *Engine) TopCentral(limit int) []graph.CentralAuthor {
-	e.trkMu.RLock()
-	defer e.trkMu.RUnlock()
-	return e.met.Graph().TopCentral(limit)
-}
-
-// GraphCounts returns the network's node, edge and component counts
-// under the shared tracker read lock.
-func (e *Engine) GraphCounts() (nodes, edges, components int) {
-	e.trkMu.RLock()
-	defer e.trkMu.RUnlock()
-	return e.met.Graph().Nodes(), e.met.Graph().Edges(), e.met.Graph().Components()
-}
-
-// CollaborationPath returns the shortest coauthorship chain between two
-// headings given in index-order form, endpoints included. false when
-// either heading is unknown or they are in different components.
-func (e *Engine) CollaborationPath(from, to string) ([]string, bool) {
-	fa, err := names.Parse(from)
-	if err != nil {
-		return nil, false
-	}
-	ta, err := names.Parse(to)
-	if err != nil {
-		return nil, false
-	}
-	e.trkMu.RLock()
-	defer e.trkMu.RUnlock()
-	return e.met.Graph().Path(fa.Display(), ta.Display())
-}
-
-// Centrality returns a heading's PageRank score in the coauthorship
-// network.
-func (e *Engine) Centrality(heading string) (float64, bool) {
-	a, err := names.Parse(heading)
-	if err != nil {
-		return 0, false
-	}
-	e.trkMu.RLock()
-	defer e.trkMu.RUnlock()
-	return e.met.Graph().Centrality(a.Display())
-}
-
-// CorpusFingerprint hashes the engine's corpus — every work ID and
-// citation key in ID order, plus the author-heading and title-term
-// counts — into one FNV-1a value. Two calls on the same frozen snapshot
-// always agree no matter how far the live engine has moved on; the
-// concurrency hammer pins a snapshot and asserts exactly that.
-func (e *Engine) CorpusFingerprint() uint64 {
-	const offset64, prime64 = uint64(14695981039346656037), uint64(1099511628211)
-	h := offset64
-	mix := func(b []byte) {
-		for _, c := range b {
-			h ^= uint64(c)
-			h *= prime64
-		}
-	}
-	e.byID.Ascend(func(k []byte, we *workEntry) bool {
-		mix(k)
-		mix(we.citKey())
-		return true
-	})
-	h ^= uint64(e.idx.Len())
-	h *= prime64
-	h ^= uint64(e.inv.Terms())
-	h *= prime64
-	return h
-}
 
 // WorkFingerprint hashes one work's indexed identity — its ID key and
 // citation key — with FNV-1a. XOR over a corpus is order-independent,

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/citeparse"
@@ -106,11 +107,11 @@ func TestYearRangeAndVolume(t *testing.T) {
 	if got := e.YearRange(1800, 3000, 2); len(got) != 2 {
 		t.Error("limit ignored in YearRange")
 	}
-	vol := e.VolumeView(77, 0)
+	vol := e.VolumeView(context.Background(), 77, 0)
 	if len(vol) != 1 || vol[0].ID != 2 {
 		t.Errorf("Volume(77) = %v", vol)
 	}
-	if got := e.VolumeView(999, 0); len(got) != 0 {
+	if got := e.VolumeView(context.Background(), 999, 0); len(got) != 0 {
 		t.Error("phantom volume")
 	}
 }
@@ -154,7 +155,7 @@ func TestReAddReplaces(t *testing.T) {
 	if got := e.TitleSearch("renamed", 0); len(got) != 1 {
 		t.Error("new title not indexed")
 	}
-	if got := e.VolumeView(81, 0); len(got) != 0 {
+	if got := e.VolumeView(context.Background(), 81, 0); len(got) != 0 {
 		t.Error("old volume entry survives")
 	}
 	if e.Len() != 5 {
@@ -236,18 +237,18 @@ func TestStatsCountsDistinctWorks(t *testing.T) {
 
 func TestAllWorks(t *testing.T) {
 	e := fixture(t)
-	all := e.AllWorks()
+	all := e.CloneWorks(e.AllWorksView())
 	if len(all) != 5 {
-		t.Fatalf("AllWorks = %d", len(all))
+		t.Fatalf("AllWorksView = %d", len(all))
 	}
 	for i := 1; i < len(all); i++ {
 		if all[i].ID <= all[i-1].ID {
-			t.Fatal("AllWorks not in ID order")
+			t.Fatal("AllWorksView not in ID order")
 		}
 	}
 	all[0].Title = "mutated"
 	if w, _ := e.Work(all[0].ID); w.Title == "mutated" {
-		t.Error("AllWorks leaked internal state")
+		t.Error("CloneWorks of AllWorksView leaked internal state")
 	}
 }
 
@@ -295,15 +296,15 @@ func TestSubjects(t *testing.T) {
 	if len(subs) != 2 || subs[0].Subject != "Mining Law" || subs[0].Works != 2 {
 		t.Fatalf("Subjects = %+v", subs)
 	}
-	got := e.BySubjectView("Mining Law", 0)
+	got := e.BySubjectView(context.Background(), "Mining Law", 0)
 	if len(got) != 2 || got[0].ID != 1 || got[1].ID != 2 {
 		t.Fatalf("BySubject = %v", got)
 	}
 	// Case-insensitive match through the collation fallback.
-	if got := e.BySubjectView("mining law", 0); len(got) != 2 {
+	if got := e.BySubjectView(context.Background(), "mining law", 0); len(got) != 2 {
 		t.Errorf("case-insensitive subject lookup = %d", len(got))
 	}
-	if got := e.BySubjectView("Unknown Topic", 0); got != nil {
+	if got := e.BySubjectView(context.Background(), "Unknown Topic", 0); got != nil {
 		t.Errorf("phantom subject = %v", got)
 	}
 	// Removal maintenance.

@@ -63,6 +63,9 @@ func TestFacadeAuthorMetrics(t *testing.T) {
 	if _, ok := ix.AuthorMetrics("Nobody, Known"); ok {
 		t.Error("metrics for unknown heading")
 	}
+	if _, ok := ix.AuthorMetrics(""); ok {
+		t.Error("metrics for unparseable heading")
+	}
 	sum := ix.MetricsSummary()
 	if sum.Works != ix.Len() || sum.Authors == 0 {
 		t.Errorf("summary = %+v", sum)

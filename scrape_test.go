@@ -199,6 +199,42 @@ func TestTwoIndexesShareNoSample(t *testing.T) {
 	}
 }
 
+// TestScrapeFsyncCountIsWALSyncs: the WAL's fsync count is one series,
+// the fsync histogram's count. After durable writes it equals
+// Stats().WALSyncs, and no second counter repeats it.
+func TestScrapeFsyncCountIsWALSyncs(t *testing.T) {
+	ix, err := Open(t.TempDir(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	reg := obs.NewRegistry()
+	ix.RegisterMetrics(reg)
+	if _, err := ix.Add(sampleWork("Synced One", "90:1 (1988)", "Sync, Ada B.")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ix.AddBatch([]Work{
+		sampleWork("Synced Two", "90:2 (1988)", "Sync, Ada B."),
+		sampleWork("Synced Three", "90:3 (1988)", "Sync, Ada B."),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	syncs := ix.Stats().WALSyncs
+	if syncs == 0 {
+		t.Fatal("durable writes issued no fsync")
+	}
+	if got := scrapeValue(t, buf.Bytes(), "authdex_wal_fsync_duration_seconds_count"); got != float64(syncs) {
+		t.Errorf("scraped authdex_wal_fsync_duration_seconds_count = %v, Stats().WALSyncs = %d", got, syncs)
+	}
+	if bytes.Contains(buf.Bytes(), []byte("authdex_wal_syncs_total")) {
+		t.Error("scrape still exports authdex_wal_syncs_total beside the fsync histogram's count")
+	}
+}
+
 // TestScrapeBesideWriters: two writers commit batches while a goroutine
 // scrapes (run it under -race). Once the writers stop, the
 // scraped authdex_authors and authdex_works equal Stats.

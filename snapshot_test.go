@@ -7,6 +7,7 @@
 package authorindex
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"runtime"
@@ -54,9 +55,10 @@ func storm(t *testing.T, ix *Index, writers, iters int) {
 
 // TestSnapshotPinnedFingerprintStable: readers load a snapshot root,
 // hold it across a concurrent write storm, and assert the held engine's
-// corpus fingerprint never moves while they hold it. This is the
-// isolation guarantee in one bit: commits replace the published root,
-// they never mutate a held one.
+// corpus fingerprint (the XOR of its per-work ID and citation-key
+// hashes, beside its heading and title-term counts) never moves while
+// they hold it. This is the isolation guarantee in one bit: commits
+// replace the published root, they never mutate a held one.
 func TestSnapshotPinnedFingerprintStable(t *testing.T) {
 	ix := openT(t, t.TempDir())
 	defer ix.Close()
@@ -85,12 +87,15 @@ func TestSnapshotPinnedFingerprintStable(t *testing.T) {
 				default:
 				}
 				eng := ix.engine()
-				want := eng.CorpusFingerprint()
+				fingerprint := func() [3]uint64 {
+					return [3]uint64{eng.XorFingerprint(), uint64(eng.Index().Len()), uint64(eng.Stats().Terms)}
+				}
+				want := fingerprint()
 				// Hold the root across real reads while writers commit.
-				eng.TitleSearchView("storm", 8)
+				eng.TitleSearchView(context.Background(), "storm", 8)
 				eng.AuthorPrefix("s", 8)
 				time.Sleep(100 * time.Microsecond)
-				if got := eng.CorpusFingerprint(); got != want {
+				if got := fingerprint(); got != want {
 					t.Errorf("held snapshot fingerprint moved: %x -> %x", want, got)
 					return
 				}

@@ -52,13 +52,15 @@ func spanAttr(d *trace.SpanData, key string) (string, bool) {
 }
 
 // tracedIndex opens an index at Options.Shards n holding three works,
-// so scans have something to hit.
+// one filed under a subject, so scans have something to hit.
 func tracedIndex(t *testing.T, n int) *Index {
 	t.Helper()
 	ix := openShards(t, t.TempDir(), n)
 	t.Cleanup(func() { ix.Close() })
+	mining := sampleWork("Surface Mining Reclamation", "75:319 (1973)", "Cardi, Vincent P.")
+	mining.Subjects = []string{"Mining Law"}
 	for _, w := range []Work{
-		sampleWork("Surface Mining Reclamation", "75:319 (1973)", "Cardi, Vincent P."),
+		mining,
 		sampleWork("Coalbed Methane Ownership", "94:563 (1992)", "Lewin, Jeff L.", "Peng, Syd S."),
 		sampleWork("Nuisance Law Revisited", "92:235 (1989)", "Lewin, Jeff L."),
 	} {
@@ -69,37 +71,56 @@ func tracedIndex(t *testing.T, n int) *Index {
 	return ix
 }
 
-// TestTracedSearchSpanTree pins the exact per-layer shape of a read:
-// the engine scan and its postings intersection, then the clone pass,
-// under one facade span stamped with the epoch that served the read.
-// The snapshot read path takes no lock, so no lock spans appear
-// anywhere in the tree. The shape is the same at every accepted
+// TestTracedSearchSpanTree pins the exact per-layer shape of every
+// ordered work read: the engine scan (for a search, with its postings
+// intersection), then the clone pass, under one facade span stamped
+// with the epoch that served the read, and the scan span annotated with
+// its hit count. The snapshot read path takes no lock, so no lock spans
+// appear anywhere in the tree. The shape is the same at every accepted
 // Options.Shards.
 func TestTracedSearchSpanTree(t *testing.T) {
+	reads := []struct {
+		facade, scan, shape string
+		hits                int
+		read                func(ctx context.Context, ix *Index) []*Work
+	}{
+		{"facade.search", "engine.title_scan", "facade.search(engine.title_scan(inverted.intersect),facade.clone)", 2,
+			func(ctx context.Context, ix *Index) []*Work { return ix.SearchCtx(ctx, "mining or nuisance", 10) }},
+		{"facade.year_range", "engine.year_scan", "facade.year_range(engine.year_scan,facade.clone)", 2,
+			func(ctx context.Context, ix *Index) []*Work { return ix.YearRangeCtx(ctx, 1989, 1992, 10) }},
+		{"facade.volume", "engine.volume_scan", "facade.volume(engine.volume_scan,facade.clone)", 1,
+			func(ctx context.Context, ix *Index) []*Work { return ix.VolumeWorksCtx(ctx, 94, 10) }},
+		{"facade.by_subject", "engine.subject_scan", "facade.by_subject(engine.subject_scan,facade.clone)", 1,
+			func(ctx context.Context, ix *Index) []*Work { return ix.BySubjectCtx(ctx, "Mining Law", 10) }},
+	}
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			ix := tracedIndex(t, shards)
 			tracer := trace.NewTracer(trace.Config{})
-			ctx, tr := tracer.StartRoot(context.Background(), "req-1", "test search")
-			if got := ix.SearchCtx(ctx, "mining or nuisance", 10); len(got) != 2 {
-				t.Fatalf("SearchCtx = %d works", len(got))
-			}
-			tr.Finish("test")
-			if err := tr.Check(); err != nil {
-				t.Fatalf("malformed trace: %v", err)
-			}
+			for _, r := range reads {
+				ctx, tr := tracer.StartRoot(context.Background(), "req-1", "test "+r.facade)
+				if got := r.read(ctx, ix); len(got) != r.hits {
+					t.Fatalf("%s = %d works, want %d", r.facade, len(got), r.hits)
+				}
+				tr.Finish("test")
+				if err := tr.Check(); err != nil {
+					t.Fatalf("%s: malformed trace: %v", r.facade, err)
+				}
 
-			root := tr.Data().Root
-			search := findSpan(&root, "facade.search")
-			if search == nil {
-				t.Fatalf("no facade.search span:\n%v", root)
-			}
-			want := "facade.search(engine.title_scan(inverted.intersect),facade.clone)"
-			if got := spanShape(search); got != want {
-				t.Fatalf("span tree\n got %s\nwant %s", got, want)
-			}
-			if _, ok := spanAttr(search, "epoch"); !ok {
-				t.Error("facade.search span lacks epoch attribute")
+				root := tr.Data().Root
+				fac := findSpan(&root, r.facade)
+				if fac == nil {
+					t.Fatalf("no %s span:\n%v", r.facade, root)
+				}
+				if got := spanShape(fac); got != r.shape {
+					t.Fatalf("span tree\n got %s\nwant %s", got, r.shape)
+				}
+				if _, ok := spanAttr(fac, "epoch"); !ok {
+					t.Errorf("%s span lacks epoch attribute", r.facade)
+				}
+				if hits, _ := spanAttr(findSpan(fac, r.scan), "hits"); hits != fmt.Sprint(r.hits) {
+					t.Errorf("%s hits attribute = %q, want %d", r.scan, hits, r.hits)
+				}
 			}
 		})
 	}
